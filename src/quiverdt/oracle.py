@@ -194,8 +194,17 @@ def _invariant_tuples(mats, arrows, candidates, q):
 
 
 def _check_budget(cfg: FiniteFieldConfig, points: int, per_point: int) -> None:
-    if points * max(per_point, 1) > cfg.budget:
-        raise BudgetError("budget exceeded")
+    per_point = max(per_point, 1)
+    if points * per_point > cfg.budget:
+        raise BudgetError(
+            f"budget exceeded: {points} points x {per_point} work per point = "
+            f"{points * per_point} > budget {cfg.budget} (set WALLCROSS_BUDGET to change it)")
+
+
+def _check_dim(cfg: FiniteFieldConfig, alpha) -> None:
+    if sum(alpha) > cfg.max_total_dim:
+        raise BudgetError(f"budget exceeded: total dimension {sum(alpha)} > "
+                          f"max_total_dim {cfg.max_total_dim}")
 
 
 def _theta_slope(theta, d) -> Fraction:
@@ -218,8 +227,7 @@ def count_stack(fq: FramedQuiver, alpha, sp, q: int,
     if cfg.q != q:
         raise ValueError("config and argument disagree on q")
     a = alpha.unframed
-    if sum(a) > cfg.max_total_dim:
-        raise BudgetError("budget exceeded")
+    _check_dim(cfg, a)
     if sum(a) == 0 and alpha.star == 0:
         return Fraction(1)
 
@@ -316,8 +324,7 @@ def count_framed_stable(fq: FramedQuiver, alpha, theta, c, side: str, q: int,
     cfg = cfg or FiniteFieldConfig(q)
     if cfg.q != q:
         raise ValueError("config and argument disagree on q")
-    if sum(alpha) > cfg.max_total_dim:
-        raise BudgetError("budget exceeded")
+    _check_dim(cfg, alpha)
     if c == MINUS_INF:
         # the only minus-infinity stable object is the bare framing line
         return Fraction(1) if sum(alpha) == 0 else Fraction(0)
@@ -432,7 +439,8 @@ def count_stack_isoclasses(fq: FramedQuiver, alpha, q: int,
     alpha = tuple(int(x) for x in alpha)
     cfg = cfg or FiniteFieldConfig(q)
     if sum(alpha) > 2:
-        raise BudgetError("budget exceeded")
+        raise BudgetError(f"budget exceeded: total dimension {sum(alpha)} > 2, "
+                          "the cap of orbit enumeration")
     arrows = _arrow_list(fq)
     gls = [_invertible_matrices(ai, q) for ai in alpha]
     inverses = []
@@ -478,8 +486,7 @@ def hall_filtration_check(fq: FramedQuiver, alpha, theta, c, q: int,
     """
     alpha = tuple(int(x) for x in alpha)
     cfg = cfg or FiniteFieldConfig(q)
-    if sum(alpha) > cfg.max_total_dim:
-        raise BudgetError("budget exceeded")
+    _check_dim(cfg, alpha)
     theta = tuple(Fraction(t) for t in theta)
     c = Fraction(c)
     arrows = _arrow_list(fq)

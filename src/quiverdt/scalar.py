@@ -4,23 +4,31 @@ Every series coefficient in this package is a Scalar: a reduced ratio of dense
 univariate polynomials in v with exact rational coefficients.  The Lefschetz
 motive L is v^2, so half-integer powers of L are integer powers of v.  Signs
 like (-L^(1/2))^k are produced at call sites via Scalar.neg_v_pow(k).
+
+A Scalar is stored as a pair of integer polynomials, numerator and
+denominator, in a canonical form: coprime over Q[v], the denominator's leading
+coefficient positive, and the integer content of the two together 1.  Equal
+values therefore have equal pairs.  Coprimality comes from the heuristic gcd
+of Char, Geddes and Gonnet (1989): evaluate both polynomials at a large
+integer xi, take the integer gcd, and read a candidate back from its balanced
+base-xi digits.  The candidate is accepted only if it divides both
+polynomials exactly; with xi > 2 min(|f|, |g|) + 1 for the max-norms, that
+proves it is the gcd.  When no xi succeeds, a primitive remainder sequence
+over Z finishes the job.  Products pack each polynomial into one integer
+(Kronecker substitution) so that CPython's big-integer multiply does the work.
+The public `num` and `den` are the same value with rational coefficients and
+a monic denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
+# polynomials are tuples of ints, low degree first, no trailing zeros
 
-_ZERO = _Q(0)
-_ONE = _Q(1)
-_NUMERIC = (int, Fraction, type(_ONE))
+_HEURISTIC_TRIES = 6
 
-
-# polynomials are tuples of exact rationals, low degree first, no trailing zeros
 
 def _trim(cs):
     n = len(cs)
@@ -38,63 +46,154 @@ def _padd(a, b):
     return _trim(out)
 
 
-def _pneg(a):
-    return tuple(-c for c in a)
+def _norm(a):
+    return max(max(a), -min(a))
+
+
+def _unpack(x, bits, n):
+    """The n balanced base-2^bits digits of x, low first."""
+    mask, half, full = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
+    out = []
+    for _ in range(n):
+        c = x & mask
+        if c >= half:
+            c -= full
+        out.append(c)
+        x = (x - c) >> bits
+    return tuple(out)
 
 
 def _pmul(a, b):
+    """Product by Kronecker substitution: evaluate at 2^bits, multiply, read digits."""
     if not a or not b:
         return ()
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _trim(out)
-
-
-def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("zero denominator")
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
     if len(a) < len(b):
-        return (), _trim(a)
-    q = [_ZERO] * (len(a) - db)
-    for k in range(len(a) - db - 1, -1, -1):
-        t = a[db + k] / lb
+        a, b = b, a
+    if len(b) == 1:
+        k = b[0]
+        return tuple(c * k for c in a)
+    bits = (_norm(a) * _norm(b) * len(b)).bit_length() + 1
+    x = y = 0
+    for c in reversed(a):
+        x = (x << bits) + c
+    for c in reversed(b):
+        y = (y << bits) + c
+    return _unpack(x * y, bits, len(a) + len(b) - 1)
+
+
+def _pquo(a, b):
+    """a / b if b divides a exactly in Z[v], else None."""
+    db, lb = len(b) - 1, b[-1]
+    if len(a) <= db:
+        return None
+    r = list(a)
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        t, rem = divmod(r[db + k], lb)
+        if rem:
+            return None
         if t:
             q[k] = t
-            for i, cb in enumerate(b):
-                a[i + k] -= cb * t
-    return _trim(q), _trim(a)
+            for i in range(db):
+                r[i + k] -= b[i] * t
+    if any(r[:db]):
+        return None
+    return tuple(q)
 
 
-def _pgcd(a, b):
-    a, b = _trim(a), _trim(b)
+def _primitive(a):
+    c = gcd(*a)
+    if a[-1] < 0:
+        c = -c
+    return a if c == 1 else tuple(x // c for x in a)
+
+
+def _prem(a, b):
+    """Pseudo-remainder of lc(b)^(deg a - deg b + 1) * a by b."""
+    r, db, lb = list(a), len(b) - 1, b[-1]
+    while len(r) > db:
+        t = r.pop()
+        k = len(r) - db
+        r = [c * lb for c in r]
+        for i in range(db):
+            r[i + k] -= t * b[i]
+    return _trim(r)
+
+
+def _prs_gcd(a, b):
+    """Primitive gcd of a and b by the primitive remainder sequence over Z."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
     while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if not a:
-        return ()
-    lc = a[-1]
-    return tuple(c / lc for c in a)
+        r = _prem(a, b)
+        a, b = b, (_primitive(r) if r else ())
+    return a
+
+
+def _gcd_cofactors(a, b):
+    """(a/h, b/h) for h = gcd(a, b) in Q[v]; a and b have degree >= 1."""
+    xi = 2 * min(_norm(a), _norm(b)) + 2
+    for _ in range(_HEURISTIC_TRIES):
+        x = y = 0
+        for c in reversed(a):
+            x = x * xi + c
+        for c in reversed(b):
+            y = y * xi + c
+        g, h = gcd(x, y), []
+        while g:
+            c = g % xi
+            if 2 * c > xi:
+                c -= xi
+            h.append(c)
+            g = (g - c) // xi
+        if len(h) == 1:
+            return a, b
+        h = _primitive(tuple(h))
+        qa = _pquo(a, h)
+        if qa is not None:
+            qb = _pquo(b, h)
+            if qb is not None:
+                return qa, qb
+        # a larger xi keeps the bound; the odd ratio changes the stray integer factors
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    h = _prs_gcd(a, b)
+    return _pquo(a, h), _pquo(b, h)
+
+
+def _canonical(n, d):
+    """The canonical pair of n/d for integer polynomials n and d != 0."""
+    if not n:
+        return (), (1,)
+    if not (n[0] and d[0]):  # cancel the common power of v
+        k = 0
+        while not (n[k] or d[k]):
+            k += 1
+        n, d = n[k:], d[k:]
+    if len(n) > 1 and len(d) > 1:
+        n, d = _gcd_cofactors(n, d)
+    c = gcd(*n, *d)
+    if d[-1] < 0:
+        c = -c
+    if c != 1:
+        n = tuple(x // c for x in n)
+        d = tuple(x // c for x in d)
+    return n, d
 
 
 def _psubst_pow(a, n):
     # v -> v^n
     if not a or n == 1:
         return a
-    out = [_ZERO] * ((len(a) - 1) * n + 1)
-    for i, c in enumerate(a):
-        out[i * n] = c
+    out = [0] * ((len(a) - 1) * n + 1)
+    out[::n] = a
     return tuple(out)
 
 
 def _peval(a, x: Fraction) -> Fraction:
     val = Fraction(0)
     for c in reversed(a):
-        val = val * x + Fraction(int(c.numerator), int(c.denominator))
+        val = val * x + c
     return val
 
 
@@ -124,57 +223,70 @@ def _pstr(a):
     return "".join(parts)
 
 
-def _coerce_q(x):
-    if isinstance(x, (int, Fraction)) or type(x) is type(_ONE):
-        return _Q(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to an exact rational")
-
-
 class Scalar:
     """A rational function num/den in v, always in reduced form.
 
-    Invariants: gcd(num, den) = 1, den is monic, zero is ()/(1).
+    Scalar(num, den) takes coefficient sequences of ints or Fractions, low
+    degree first, and reduces.  Invariants of the public view: gcd(num, den)
+    = 1, den is monic, zero is ()/(1).
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_n", "_d")
 
-    def __init__(self, num, den=(_ONE,), reduce=True):
-        if reduce:
-            num, den = _trim(num), _trim(den)
-            if not den:
-                raise ZeroDivisionError("zero denominator")
-            if not num:
-                den = (_ONE,)
-            else:
-                g = _pgcd(num, den)
-                if len(g) > 1:
-                    num = _pdivmod(num, g)[0]
-                    den = _pdivmod(den, g)[0]
-                lc = den[-1]
-                if lc != 1:
-                    num = tuple(c / lc for c in num)
-                    den = tuple(c / lc for c in den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+    def __init__(self, num, den=(1,)):
+        num, den = _trim(tuple(num)), _trim(tuple(den))
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        m = lcm(*(Fraction(c).denominator for c in num + den))
+        n = tuple(int(c * m) for c in num)
+        d = tuple(int(c * m) for c in den)
+        n, d = _canonical(n, d)
+        object.__setattr__(self, "_n", n)
+        object.__setattr__(self, "_d", d)
+
+    @classmethod
+    def _raw(cls, n, d) -> "Scalar":
+        """A Scalar from a pair already in canonical form."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "_n", n)
+        object.__setattr__(s, "_d", d)
+        return s
+
+    @classmethod
+    def _reduced(cls, n, d) -> "Scalar":
+        return cls._raw(*_canonical(n, d))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    @property
+    def num(self) -> tuple:
+        """Numerator coefficients as Fractions, low degree first, den monic."""
+        lc = self._d[-1]
+        return tuple(Fraction(c, lc) for c in self._n)
+
+    @property
+    def den(self) -> tuple:
+        """Monic denominator coefficients as Fractions, low degree first."""
+        lc = self._d[-1]
+        return tuple(Fraction(c, lc) for c in self._d)
+
     @classmethod
     def of(cls, x) -> "Scalar":
         """Scalar from an int or Fraction."""
-        q = _coerce_q(x)
-        if not q:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"cannot coerce {type(x).__name__} to an exact rational")
+        if not x:
             return ZERO
-        return cls((q,), (_ONE,), reduce=False)
+        return cls._raw((x.numerator,), (x.denominator,))
 
     @classmethod
     def v_pow(cls, k: int) -> "Scalar":
         """v^k for any integer k."""
-        mono = (_ZERO,) * abs(k) + (_ONE,)
+        mono = (0,) * abs(k) + (1,)
         if k >= 0:
-            return cls(mono, (_ONE,), reduce=False)
-        return cls((_ONE,), mono, reduce=False)
+            return cls._raw(mono, (1,))
+        return cls._raw((1,), mono)
 
     @classmethod
     def L_pow(cls, k: int) -> "Scalar":
@@ -187,16 +299,16 @@ class Scalar:
         return -s if k % 2 else s
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._n
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._n)
 
     @staticmethod
     def _lift(x):
         if isinstance(x, Scalar):
             return x
-        if isinstance(x, _NUMERIC):
+        if isinstance(x, (int, Fraction)):
             return Scalar.of(x)
         return None  # defer to the other operand's reflected method
 
@@ -204,13 +316,17 @@ class Scalar:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return Scalar(num, _pmul(self.den, other.den))
+        if not other._n:
+            return self
+        if not self._n:
+            return other
+        a, b, c, d = self._n, self._d, other._n, other._d
+        return Scalar._reduced(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(_pneg(self.num), self.den, reduce=False)
+        return Scalar._raw(tuple(-c for c in self._n), self._d)
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -228,7 +344,7 @@ class Scalar:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return Scalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        return Scalar._reduced(_pmul(self._n, other._n), _pmul(self._d, other._d))
 
     __rmul__ = __mul__
 
@@ -236,9 +352,9 @@ class Scalar:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        if not other.num:
+        if not other._n:
             raise ZeroDivisionError("zero denominator")
-        return Scalar(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        return Scalar._reduced(_pmul(self._n, other._d), _pmul(self._d, other._n))
 
     def __rtruediv__(self, other):
         other = self._lift(other)
@@ -265,10 +381,10 @@ class Scalar:
             other = self._lift(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self._n, self._d))
 
     def adams(self, n: int) -> "Scalar":
         """psi_n: substitute v -> v^n.  Ring homomorphism, psi_1 = id."""
@@ -276,7 +392,8 @@ class Scalar:
             raise ValueError("adams operation needs n >= 1")
         if n == 1:
             return self
-        return Scalar(_psubst_pow(self.num, n), _psubst_pow(self.den, n))
+        # v -> v^n maps a Bezout identity to one, so the pair stays coprime
+        return Scalar._raw(_psubst_pow(self._n, n), _psubst_pow(self._d, n))
 
     def specialize(self, point) -> Fraction:
         """Evaluate at v = point; "euler" means v = 1.
@@ -285,41 +402,29 @@ class Scalar:
         so the euler case is a plain evaluation with a pole check.
         """
         x = Fraction(1) if point == "euler" else Fraction(point)
-        dv = _peval(self.den, x)
+        dv = _peval(self._d, x)
         if dv == 0:
             raise ZeroDivisionError("not specializable")
-        return _peval(self.num, x) / dv
+        return _peval(self._n, x) / dv
 
     def specialize_L(self, q) -> Fraction:
         """Evaluate at L = q, requiring every v-exponent to be even."""
-        for cs in (self.num, self.den):
-            if any(c and (k % 2) for k, c in enumerate(cs)):
-                raise ValueError("half-power mismatch")
+        n, d = self._n, self._d
+        if any(n[1::2]) or any(d[1::2]):
+            raise ValueError("half-power mismatch")
         x = Fraction(q)
-
-        # even-index coefficients only; walk degrees 0, 2, 4, ...
-        def ev_even(cs):
-            val = Fraction(0)
-            top = (len(cs) - 1) // 2 if cs else -1
-            for k in range(top, -1, -1):
-                c = cs[2 * k]
-                val = val * x + Fraction(int(c.numerator), int(c.denominator))
-            return val
-
-        dv = ev_even(self.den)
+        dv = _peval(d[::2], x)
         if dv == 0:
             raise ZeroDivisionError("not specializable")
-        return ev_even(self.num) / dv
+        return _peval(n[::2], x) / dv
 
     def as_fraction(self) -> Fraction:
         """The value of a constant Scalar."""
-        if len(self.num) > 1 or len(self.den) > 1:
+        if len(self._n) > 1 or len(self._d) > 1:
             raise ValueError("not a constant")
-        if not self.num:
+        if not self._n:
             return Fraction(0)
-        c, d = self.num[0], self.den[0]
-        return Fraction(int(c.numerator), int(c.denominator)) / Fraction(
-            int(d.numerator), int(d.denominator))
+        return Fraction(self._n[0], self._d[0])
 
     def __repr__(self):
         return f"({_pstr(self.num)})/({_pstr(self.den)})"
@@ -327,32 +432,7 @@ class Scalar:
     __str__ = __repr__
 
 
-ZERO = Scalar((), (_ONE,), reduce=False)
-ONE = Scalar((_ONE,), (_ONE,), reduce=False)
+ZERO = Scalar._raw((), (1,))
+ONE = Scalar._raw((1,), (1,))
 V = Scalar.v_pow(1)
 L = Scalar.v_pow(2)
-
-
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Dispatch form of the field arithmetic, op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def adams_scalar(a: Scalar, n: int) -> Scalar:
-    return a.adams(n)
-
-
-def specialize(a: Scalar, point) -> Fraction:
-    return a.specialize(point)
-
-
-def specialize_L(a: Scalar, q) -> Fraction:
-    return a.specialize_L(q)

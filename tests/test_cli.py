@@ -5,6 +5,7 @@ import pytest
 import quiverdt.cli as cli
 from quiverdt.cli import (CLIError, JobSpec, parse_int_vector, parse_level,
                           parse_rational, run)
+from quiverdt.oracle import DEFAULT_BUDGET
 from quiverdt.stability import MINUS_INF, PLUS_INF
 
 QDIR = Path(__file__).resolve().parent.parent / "quivers"
@@ -213,3 +214,13 @@ class TestCheckOracle:
         code, _, err = invoke(capsys, "check-oracle", quiver("jordan"),
                               "--q", "4")
         assert code == 1 and "prime at most 5" in err
+
+    def test_budget_error_states_work_and_budget(self, capsys, monkeypatch):
+        monkeypatch.delenv("WALLCROSS_BUDGET", raising=False)
+        code, out, err = invoke(capsys, "check-oracle", quiver("jordan"), "--q", "3",
+                                "--max-dim", "3", "--theta", "0", "--c", "0")
+        assert code == 1 and out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: budget exceeded")
+        work = 3 ** 12 * 28 * 16  # points x (subspace tuples x 16) in the filtration check
+        assert str(work) in line and str(DEFAULT_BUDGET) in line

@@ -80,7 +80,7 @@ class TestCountAll:
                 count_stack(fq, alpha, "all", 2)
 
     def test_isoclass_budget(self):
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match="total dimension 3 > 2"):
             count_stack_isoclasses(JORDAN, (3,), 2)
 
     def test_bad_sp(self):
@@ -103,7 +103,7 @@ class TestCountSemistable:
             assert verify_coefficient(parts[mu].coeff(alpha), n, 2, chi=chi)
 
     def test_dim_cap(self):
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match="total dimension 5 > max_total_dim 4"):
             count_stack(JORDAN, (5,), "all", 2)
 
 
@@ -134,11 +134,11 @@ class TestFramedStable:
 
     def test_budget_env(self, monkeypatch):
         monkeypatch.setenv("WALLCROSS_BUDGET", "10")
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match="> budget 10 .*WALLCROSS_BUDGET"):
             count_framed_stable(JORDAN, (1,), (0,), 0, "plus", 2)
 
     def test_dim_cap(self):
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match="total dimension 5 > max_total_dim 4"):
             count_framed_stable(JORDAN, (5,), (0,), 0, "plus", 2)
 
 
@@ -174,5 +174,5 @@ class TestHallFiltration:
         assert hall_filtration_check(KRON, (1, 0), (1, 0), 1, 2)
 
     def test_dim_cap(self):
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match="total dimension 5 > max_total_dim 4"):
             hall_filtration_check(JORDAN, (5,), (0,), 0, 2)

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quiverdt.scalar import (L, ONE, V, ZERO, Scalar, adams_scalar,
-                             scalar_arith, specialize, specialize_L)
+from quiverdt.scalar import L, ONE, V, ZERO, Scalar
 
 
 def poly(coeffs):
@@ -98,29 +97,25 @@ class TestFieldAxioms:
 
 class TestArithWrappers:
     def test_dispatch(self):
-        assert scalar_arith(V, V, "add") == 2 * V
-        assert scalar_arith(V, V, "sub") == ZERO
-        assert scalar_arith(V, V, "mul") == L
-        assert scalar_arith(V, V, "div") == ONE
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            scalar_arith(V, V, "pow")
+        assert V + V == 2 * V
+        assert V - V == ZERO
+        assert V * V == L
+        assert V / V == ONE
 
 
 class TestAdams:
     @given(scalars(), scalars(), st.integers(1, 4))
     def test_ring_hom(self, a, b, n):
-        assert adams_scalar(a + b, n) == adams_scalar(a, n) + adams_scalar(b, n)
-        assert adams_scalar(a * b, n) == adams_scalar(a, n) * adams_scalar(b, n)
+        assert (a + b).adams(n) == a.adams(n) + b.adams(n)
+        assert (a * b).adams(n) == a.adams(n) * b.adams(n)
 
     @given(scalars(), st.integers(1, 3), st.integers(1, 3))
     def test_composition(self, a, m, n):
-        assert adams_scalar(adams_scalar(a, m), n) == adams_scalar(a, m * n)
+        assert a.adams(m).adams(n) == a.adams(m * n)
 
     @given(scalars())
     def test_identity(self, a):
-        assert adams_scalar(a, 1) == a
+        assert a.adams(1) == a
 
     def test_on_v(self):
         assert V.adams(3) == V ** 3
@@ -136,36 +131,36 @@ class TestAdams:
 
 class TestSpecialize:
     def test_euler_point(self):
-        assert specialize(V + 1, "euler") == 2
-        assert specialize((L * L - ONE) / (L - ONE), "euler") == 2
+        assert (V + 1).specialize("euler") == 2
+        assert ((L * L - ONE) / (L - ONE)).specialize("euler") == 2
 
     def test_euler_cancels_shared_pole(self):
         # reduced form already cancelled the (v-1) factor
         a = (V * V - ONE) / (V - ONE)
-        assert specialize(a, "euler") == 2
+        assert a.specialize("euler") == 2
 
     def test_euler_true_pole(self):
         with pytest.raises(ZeroDivisionError, match="not specializable"):
-            specialize(ONE / (V - ONE), "euler")
+            (ONE / (V - ONE)).specialize("euler")
 
     def test_at_point(self):
-        assert specialize(V ** 2 + V, Fraction(2)) == 6
+        assert (V ** 2 + V).specialize(Fraction(2)) == 6
 
     def test_L_eval(self):
-        assert specialize_L(L ** 3 / (L - ONE), 2) == 8
-        assert specialize_L((L + 1) / (L - ONE), 2) == 3
+        assert (L ** 3 / (L - ONE)).specialize_L(2) == 8
+        assert ((L + 1) / (L - ONE)).specialize_L(2) == 3
 
     def test_L_rejects_odd_powers(self):
         with pytest.raises(ValueError, match="half-power mismatch"):
-            specialize_L(V, 2)
+            V.specialize_L(2)
 
     def test_L_pole(self):
         with pytest.raises(ZeroDivisionError, match="not specializable"):
-            specialize_L(ONE / (L - ONE), 1)
+            (ONE / (L - ONE)).specialize_L(1)
 
     @given(st.integers(0, 5), st.integers(2, 5))
     def test_L_matches_power(self, k, q):
-        assert specialize_L(L ** k, q) == q ** k
+        assert (L ** k).specialize_L(q) == q ** k
 
 
 class TestRendering:

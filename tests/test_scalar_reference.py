@@ -1,0 +1,153 @@
+"""Differential test of the integer-pair Scalar against the Euclid reference.
+
+Operands are random integer or rational polynomials times random products of
+L^k - 1 and v^j + 1, so that numerators and denominators share cyclotomic
+factors and every reduction has a non-trivial gcd to find.
+"""
+
+import operator
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_scalar as ref
+from quiverdt import scalar as new
+
+coeffs = st.one_of(st.integers(-9, 9),
+                   st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+def _l_minus_one(k):
+    return (Fraction(-1),) + (Fraction(0),) * (2 * k - 1) + (Fraction(1),)
+
+
+def _v_plus_one(j):
+    return (Fraction(1),) + (Fraction(0),) * (j - 1) + (Fraction(1),)
+
+
+factors = st.one_of(st.integers(1, 4).map(_l_minus_one),
+                    st.integers(1, 6).map(_v_plus_one))
+
+
+@st.composite
+def polys(draw, max_size=13, max_factors=4):
+    """Coefficients (Fractions, low degree first) of a nonzero polynomial."""
+    p = tuple(Fraction(c) for c in draw(st.lists(coeffs, min_size=1, max_size=max_size)))
+    if not any(p):
+        p = p + (Fraction(1),)
+    for f in draw(st.lists(factors, max_size=max_factors)):
+        p = ref._pmul(p, f)
+    return p
+
+
+@st.composite
+def operands(draw, max_size=13, max_factors=4):
+    """The same random rational function in both kernels."""
+    num, den = draw(polys(max_size, max_factors)), draw(polys(max_size, max_factors))
+    if draw(st.booleans()):
+        num = ()
+    return new.Scalar(num, den), ref.Scalar(num, den)
+
+
+def assert_same(got, want):
+    assert repr(got) == repr(want)
+    assert got.num == want.num
+    assert got.den == want.den
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ZeroDivisionError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstReference:
+    @settings(max_examples=150)
+    @given(operands(), operands())
+    def test_field_operations(self, x, y):
+        (a, ra), (b, rb) = x, y
+        assert_same(a, ra)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            got, want = outcome(op, a, b), outcome(op, ra, rb)
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert_same(got, want)
+
+    # smaller operands: the reference's Euclid over Q is slow at degree ~100
+    @given(operands(max_size=7, max_factors=2), st.integers(-3, 3))
+    def test_pow(self, x, k):
+        a, ra = x
+        got, want = outcome(pow, a, k), outcome(pow, ra, k)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert_same(got, want)
+
+    @given(operands(), st.integers(1, 4))
+    def test_adams(self, x, n):
+        a, ra = x
+        assert_same(a.adams(n), ra.adams(n))
+
+    @given(operands(), st.one_of(st.just("euler"), st.fractions(-3, 3, max_denominator=3)))
+    def test_specialize(self, x, point):
+        a, ra = x
+        assert outcome(a.specialize, point) == outcome(ra.specialize, point)
+
+    @given(operands(), st.integers(-3, 5))
+    def test_specialize_L(self, x, q):
+        a, ra = x
+        a2, ra2 = a.adams(2), ra.adams(2)  # even powers only
+        assert outcome(a2.specialize_L, q) == outcome(ra2.specialize_L, q)
+        assert outcome(a.specialize_L, q) == outcome(ra.specialize_L, q)
+
+    @given(operands(), st.fractions(max_denominator=50))
+    def test_as_fraction(self, x, c):
+        a, ra = x
+        assert outcome(a.as_fraction) == outcome(ra.as_fraction)
+        assert new.Scalar.of(c).as_fraction() == ref.Scalar.of(c).as_fraction() == c
+
+    @given(operands(), operands())
+    def test_equal_values_hash_equally(self, x, y):
+        (a, _), (b, _) = x, y
+        assert a + b == b + a and hash(a + b) == hash(b + a)
+        assert hash(new.Scalar(a.num, a.den)) == hash(a)
+        if b:
+            assert (a * b) / b == a and hash((a * b) / b) == hash(a)
+
+
+def _ints(p):
+    return tuple(int(c) for c in p)
+
+
+@st.composite
+def int_polys(draw):
+    p = tuple(Fraction(c) for c in draw(st.lists(st.integers(-9, 9), min_size=2, max_size=13)))
+    if not any(p[1:]):
+        p = p + (Fraction(1),)
+    for f in draw(st.lists(factors, max_size=4)):
+        p = ref._pmul(p, f)
+    return ref._trim(p)
+
+
+class TestFallbackGcd:
+    """The primitive remainder sequence that runs when every heuristic xi fails."""
+
+    @given(int_polys(), int_polys(), int_polys())
+    def test_prs_gcd_matches_reference(self, f, g, common):
+        f, g = ref._pmul(f, common), ref._pmul(g, common)
+        h = new._prs_gcd(_ints(f), _ints(g))
+        assert tuple(Fraction(c, h[-1]) for c in h) == ref._pgcd(f, g)
+
+    @given(operands(), operands())
+    def test_operations_without_heuristic(self, x, y):
+        (a, ra), (b, rb) = x, y
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(new, "_HEURISTIC_TRIES", 0)
+            assert_same(a + b, ra + rb)
+            assert_same(a * b, ra * rb)
+            if rb:
+                assert_same(a / b, ra / rb)
