@@ -20,7 +20,7 @@ from .oracle import (FiniteFieldConfig, count_stack, hall_filtration_check,
                      verify_coefficient)
 from .quiver import FramedQuiver, QuiverFileError, ext, load_quiver_file, tits_form
 from .qtorus import TorusSeries, serialize
-from .stability import MINUS_INF, PLUS_INF, find_walls
+from .stability import MINUS_INF, PLUS_INF, find_walls, theta_slope
 from .wallcross import (dt_omega, framed_at, ncdt, smooth_model_series,
                         transfer_series)
 
@@ -244,7 +244,7 @@ def _check_oracle(job: JobSpec, fq: FramedQuiver):
         rows.append(f"universal\talpha={','.join(map(str, a))}\t{'ok' if ok else 'FAIL'}")
         if parts is None:
             continue
-        mu = sum(t * x for t, x in zip(theta, a)) / Fraction(sum(a))
+        mu = theta_slope(theta, a)
         coeff = parts.get(mu, TorusSeries.one(fq, N)).coeff(a)
         sp = StabilityParams(theta)
         scnt = count_stack(fq, ext(a, 0), sp, q, cfg)

@@ -16,6 +16,7 @@ from .qtorus import TorusSeries, pleth_exp, torus_mul
 from .quiver import (ExtDimVector, FramedQuiver, dim_vectors_up_to, ext,
                      skew_form, sub_vectors, tits_form)
 from .scalar import ONE, L, Scalar
+from .stability import theta_slope
 
 SOURCES = ("trivial_potential", "builtin_c3", "builtin_conifold", "user_supplied")
 
@@ -95,10 +96,6 @@ def universal_for(fq: FramedQuiver, N: int) -> UniversalSeries:
     return builtin_BU(fq, fq.bu_source, N)
 
 
-def _theta_slope(theta, alpha) -> Fraction:
-    return sum(t * a for t, a in zip(theta, alpha)) / Fraction(sum(alpha))
-
-
 def hn_factorize(BU: UniversalSeries, theta, N: int) -> dict:
     """Split B_U into slope pieces: {mu: B_mu}, constant terms 1.
 
@@ -114,6 +111,7 @@ def hn_factorize(BU: UniversalSeries, theta, N: int) -> dict:
     n = fq.n_vertices
     classes = [a for a in dim_vectors_up_to(n, N) if sum(a)]
     classes.sort(key=sum)
+    slope = {a: theta_slope(theta, a) for a in classes}
     b: dict = {}
     memo: dict = {}
 
@@ -134,7 +132,7 @@ def hn_factorize(BU: UniversalSeries, theta, N: int) -> dict:
             coeff = b.get(beta)
             if coeff is None or not coeff:
                 continue
-            mb = _theta_slope(theta, beta)
+            mb = slope[beta]
             if mb >= bound:
                 continue
             rest = tuple(r - x for r, x in zip(rho, beta))
@@ -151,14 +149,13 @@ def hn_factorize(BU: UniversalSeries, theta, N: int) -> dict:
 
     for alpha in classes:
         val = series.coeff(alpha)
-        ma = _theta_slope(theta, alpha)
         for beta in sub_vectors(alpha):
             if not sum(beta) or beta == alpha:
                 continue
             coeff = b.get(beta)
             if coeff is None or not coeff:
                 continue
-            mb = _theta_slope(theta, beta)
+            mb = slope[beta]
             rest = tuple(r - x for r, x in zip(alpha, beta))
             tail = chains(rest, mb)
             if not tail:
@@ -173,7 +170,7 @@ def hn_factorize(BU: UniversalSeries, theta, N: int) -> dict:
 
     parts: dict = {}
     for alpha, coeff in b.items():
-        parts.setdefault(_theta_slope(theta, alpha), {})[ext(alpha)] = coeff
+        parts.setdefault(slope[alpha], {})[ext(alpha)] = coeff
     out = {}
     for mu in sorted(parts):
         terms = parts[mu]

@@ -1,10 +1,27 @@
 """Finite-field counting oracle.
 
 Counts representations and framed representations of a quiver over F_q,
-weighted by automorphisms, by direct enumeration of matrix tuples and
-exhaustive invariant-subspace search.  Entirely independent of the series
-machinery, so its numbers can certify series coefficients at L = q via
-verify_coefficient.
+weighted by automorphisms, by direct enumeration of matrix tuples.  Entirely
+independent of the series machinery, so its numbers can certify series
+coefficients at L = q via verify_coefficient.
+
+count_stack, count_framed_stable and hall_filtration_check are predicates
+over one kernel, _invariant_runs, which yields the arrow-invariant subspace
+tuples of every matrix tuple:
+
+- The points of F_q^n are numbered in itertools.product order, and each
+  subspace is stored as the int bitmask of its members.
+- One image pass per arrow matrix builds the images of all points from the
+  column images and gives each source subspace the bitmask of the images of
+  its basis; a subspace tuple is invariant when, for every arrow, that mask
+  lies inside the mask of the target subspace.
+- Slopes depend on dimension vectors only, so each entry point decides its
+  slope tests once per candidate tuple before the matrix loop, and c-minus
+  once per quotient class.
+- A tuple of framing vectors is a point of the product of the framed
+  vertices' spaces.  The framing tuples inside a subspace tuple form the
+  product of its member masks, so stable framing points are counted by
+  popcount.
 """
 
 from __future__ import annotations
@@ -18,7 +35,7 @@ from functools import lru_cache
 from .quiver import ExtDimVector, FramedQuiver, ext, sub_vectors
 from .scalar import Scalar
 from .stability import (MINUS_INF, PLUS_INF, StabilityParams, find_walls,
-                        resolve_side)
+                        resolve_side, theta_slope)
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -52,21 +69,26 @@ def gl_order(n: int, q: int) -> int:
     return out
 
 
-# ---- small modular linear algebra -------------------------------------------
+# ---- F_q^n as bits ----------------------------------------------------------
 
-def _matvec(M, v, q):
-    return tuple(sum(m * x for m, x in zip(row, v)) % q for row in M)
+def _index(vec, base: int) -> int:
+    """The digits vec read in the given base; with base q this is the
+    position of vec in itertools.product(range(q), repeat=len(vec))."""
+    out = 0
+    for x in vec:
+        out = out * base + x
+    return out
 
 
 @lru_cache(maxsize=None)
-def subspaces(q: int, n: int):
-    """All subspaces of F_q^n as (dim, basis, members) triples.
+def _subspaces(q: int, n: int):
+    """All subspaces of F_q^n, by increasing dimension, as (dims, masks, bases).
 
     Enumerated via reduced row echelon bases, so each subspace appears once.
-    members is a frozenset of all its vectors.
+    masks[k] has bit p set when point p lies in subspace k; bases[k] holds
+    the point indices of its echelon basis.
     """
-    zero = (0,) * n
-    out = [(0, (), frozenset({zero}))]
+    dims, masks, bases = [0], [1], [()]
     for k in range(1, n + 1):
         for pivots in itertools.combinations(range(n), k):
             free = [(r, c) for r in range(k) for c in range(n)
@@ -77,77 +99,90 @@ def subspaces(q: int, n: int):
                     rows[r][pivots[r]] = 1
                 for (r, c), val in zip(free, vals):
                     rows[r][c] = val
-                basis = tuple(tuple(r) for r in rows)
-                members = set()
+                mask = 0
                 for coefs in itertools.product(range(q), repeat=k):
-                    vec = zero
-                    for co, b in zip(coefs, basis):
-                        if co:
-                            vec = tuple((x + co * y) % q for x, y in zip(vec, b))
-                    members.add(vec)
-                out.append((k, basis, frozenset(members)))
-    return tuple(out)
+                    vec = [sum(co * row[i] for co, row in zip(coefs, rows)) % q
+                           for i in range(n)]
+                    mask |= 1 << _index(vec, q)
+                dims.append(k)
+                masks.append(mask)
+                bases.append(tuple(_index(row, q) for row in rows))
+    return tuple(dims), tuple(masks), tuple(bases)
 
 
-def _solve_coords(basis, target, q):
-    """Coordinates of target in the span of basis, or None."""
-    if not basis:
-        return () if not any(target) else None
-    n, k = len(target), len(basis)
-    A = [[basis[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    row = 0
-    piv_cols = []
-    for col in range(k):
-        sel = next((r for r in range(row, n) if A[r][col]), None)
-        if sel is None:
-            continue
-        A[row], A[sel] = A[sel], A[row]
-        inv = pow(A[row][col], q - 2, q)
-        A[row] = [(x * inv) % q for x in A[row]]
-        for r in range(n):
-            if r != row and A[r][col]:
-                f = A[r][col]
-                A[r] = [(x - f * y) % q for x, y in zip(A[r], A[row])]
-        piv_cols.append(col)
-        row += 1
-    for r in range(row, n):
-        if A[r][k]:
-            return None
-    x = [0] * k
-    for r, col in enumerate(piv_cols):
-        x[col] = A[r][k]
-    return tuple(x)
+@lru_cache(maxsize=None)
+def _sum_tables(q: int, m: int):
+    """Carry-free addition in F_q^m: (scaled, norm, bit).
+
+    A point is coded by its coordinates as digits in base 2q - 1, so two
+    codes add without carries.  scaled[p] holds the codes of t * (point p)
+    for t in range(q); for a sum s of two codes, norm[s] is the code and
+    bit[s] is 1 << (index) of the reduced point.  Each table has at most
+    (2q - 1)^m entries.
+    """
+    base = 2 * q - 1
+    scaled = tuple(tuple(_index([t * x % q for x in p], base) for t in range(q))
+                   for p in itertools.product(range(q), repeat=m))
+    norm, bit = [], []
+    for digits in itertools.product(range(base), repeat=m):
+        reduced = [x % q for x in digits]
+        norm.append(_index(reduced, base))
+        bit.append(1 << _index(reduced, q))
+    return scaled, norm, bit
 
 
-def _complement_basis(sub_basis, n, q):
-    """Standard vectors extending sub_basis to a basis of F_q^n."""
-    piv = {}  # leading index -> echelon row
+def _req_tables(q: int, m: int, n: int):
+    """The image pass: for every matrix F_q^n -> F_q^m, in column-tuple
+    order, the list over the subspaces S of F_q^n of the bitmask of the
+    images of S's basis."""
+    dims, _, bases = _subspaces(q, n)
+    if n == 0:
+        yield [0]
+        return
+    # basis point indices column by column, per dimension, in subspace order
+    groups = [tuple(zip(*(b for d, b in zip(dims, bases) if d == k)))
+              for k in range(1, n + 1)]
+    scaled, norm, bit = _sum_tables(q, m)
 
-    def reduce(vec):
-        v = list(vec)
-        while True:
-            lead = next((i for i, x in enumerate(v) if x), None)
-            if lead is None or lead not in piv:
-                return v, lead
-            b = piv[lead]
-            f = (v[lead] * pow(b[lead], q - 2, q)) % q
-            v = [(x - f * y) % q for x, y in zip(v, b)]
+    def req(img):
+        out = [0]
+        for first, *rest in groups:
+            acc = [img[p] for p in first]
+            for col in rest:
+                acc = [a | img[p] for a, p in zip(acc, col)]
+            out += acc
+        return out
 
-    for b in sub_basis:
-        v, lead = reduce(b)
-        if lead is not None:
-            piv[lead] = v
-    comp = []
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        v, lead = reduce(e)
-        if lead is not None:
-            piv[lead] = v
-            comp.append(e)
-    return tuple(comp)
+    def columns(k, partial):
+        # partial: codes of the images of the points (x_0, .., x_{k-1}, 0, ..)
+        if k == n - 1:
+            for us in scaled:
+                yield req([bit[x + u] for x in partial for u in us])
+        else:
+            for us in scaled:
+                yield from columns(k + 1, [norm[x + u] for x in partial for u in us])
+
+    yield from columns(0, [0])
 
 
-# ---- representation enumeration ---------------------------------------------
+def _framing_masks(alpha, slots, q: int, cands):
+    """For each subspace tuple, the bitmask of the framing tuples inside it.
+
+    A framing tuple has one vector per slot, in F_q^{alpha_i} for a slot at
+    vertex i, and is numbered in itertools.product order over the slots.
+    """
+    masks = [_subspaces(q, a)[1] for a in alpha]
+    out = []
+    for cand in cands:
+        fm = 1
+        for i in slots:
+            size, m = q ** alpha[i], masks[i][cand[i]]
+            fm = sum(m << (k * size) for k in range(fm.bit_length()) if fm >> k & 1)
+        out.append(fm)
+    return out
+
+
+# ---- the enumeration kernel -------------------------------------------------
 
 def _arrow_list(fq: FramedQuiver):
     return [(i, j) for i, row in enumerate(fq.base.arrows)
@@ -156,6 +191,55 @@ def _arrow_list(fq: FramedQuiver):
 
 def _framing_slots(fq: FramedQuiver):
     return [i for i, w in enumerate(fq.w) for _ in range(w)]
+
+
+def _candidates(alpha, q: int):
+    """Every subspace tuple of class alpha, and its dimension vector."""
+    dims = [_subspaces(q, a)[0] for a in alpha]
+    cands = list(itertools.product(*(range(len(d)) for d in dims)))
+    return cands, [tuple(d[k] for d, k in zip(dims, cand)) for cand in cands]
+
+
+def _invariant_runs(fq: FramedQuiver, alpha, q: int, cands):
+    """The one enumeration loop: for every tuple of arrow matrices of class
+    alpha, the increasing positions in cands of the arrow-invariant tuples.
+
+    The arrow with the most entries streams its image tables; the other
+    shapes are tabulated once and reused for every matrix of that arrow.
+    """
+    arrows = sorted(_arrow_list(fq), key=lambda a: -alpha[a[0]] * alpha[a[1]])
+    every = range(len(cands))
+    if not arrows:
+        yield every
+        return
+    masks = [_subspaces(q, a)[1] for a in alpha]
+    checks = [([c[i] for c in cands], [~masks[j][c[j]] for c in cands])
+              for i, j in arrows]
+    shapes = [(alpha[j], alpha[i]) for i, j in arrows]
+    stored = {s: list(_req_tables(q, *s)) for s in shapes[1:]}
+    for first in _req_tables(q, *shapes[0]):
+        for rest in itertools.product(*(stored[s] for s in shapes[1:])):
+            keep = every
+            for req, (src, out) in zip((first,) + rest, checks):
+                keep = [p for p in keep if not req[src[p]] & out[p]]
+            yield keep
+
+
+def _count_points(fq: FramedQuiver, alpha, q: int, slots, bad, watch) -> int:
+    """Points (matrix tuple, framing tuple) with no invariant subspace tuple
+    in bad and the framing tuple inside no invariant subspace tuple of watch."""
+    fmasks = _framing_masks(alpha, slots, q, watch)
+    total = q ** sum(alpha[i] for i in slots)
+    nbad = len(bad)
+    count = 0
+    for inv in _invariant_runs(fq, alpha, q, bad + watch):
+        if inv and inv[0] < nbad:
+            continue
+        hit = 0
+        for p in inv:
+            hit |= fmasks[p - nbad]
+        count += total - hit.bit_count()
+    return count
 
 
 def _enumerate_matrices(shape_list, q):
@@ -170,29 +254,6 @@ def _enumerate_matrices(shape_list, q):
         yield tuple(mats)
 
 
-def _candidate_tuples(alpha, q):
-    """Cartesian product of the per-vertex subspace lists."""
-    return list(itertools.product(*(subspaces(q, a) for a in alpha)))
-
-
-def _invariant_tuples(mats, arrows, candidates, q):
-    """Filter candidates down to arrow-invariant subspace tuples."""
-    out = []
-    for cand in candidates:
-        ok = True
-        for (i, j), M in zip(arrows, mats):
-            members_j = cand[j][2]
-            for b in cand[i][1]:
-                if _matvec(M, b, q) not in members_j:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(cand)
-    return out
-
-
 def _check_budget(cfg: FiniteFieldConfig, points: int, per_point: int) -> None:
     per_point = max(per_point, 1)
     if points * per_point > cfg.budget:
@@ -205,10 +266,6 @@ def _check_dim(cfg: FiniteFieldConfig, alpha) -> None:
     if sum(alpha) > cfg.max_total_dim:
         raise BudgetError(f"budget exceeded: total dimension {sum(alpha)} > "
                           f"max_total_dim {cfg.max_total_dim}")
-
-
-def _theta_slope(theta, d) -> Fraction:
-    return sum(Fraction(t) * x for t, x in zip(theta, d)) / sum(d)
 
 
 # ---- the three oracle entry points ------------------------------------------
@@ -255,61 +312,23 @@ def count_stack(fq: FramedQuiver, alpha, sp, q: int,
     else:
         c_eff = None  # unframed slopes never see c
 
-    def sub_slope(d, s) -> Fraction:
-        val = sum(Fraction(t) * x for t, x in zip(theta, d))
-        if s:
-            val += c_eff
-        return val / (sum(d) + s)
-
-    target = sub_slope(a, alpha.star)
+    target = theta_slope(theta, a, c_eff)
 
     # if no subclass could have a bigger slope, every point is semistable
-    could_destabilize = False
-    for d in sub_vectors(a):
-        for s in ((0, 1) if alpha.star else (0,)):
-            if (sum(d) == 0 and s == 0) or (d == a and s == alpha.star):
-                continue
-            if sub_slope(d, s) > target:
-                could_destabilize = True
-    if not could_destabilize:
+    stars = (0, 1) if alpha.star else (0,)
+    if not any(theta_slope(theta, d, c_eff if s else None) > target
+               for d in sub_vectors(a) for s in stars
+               if sum(d) + s and (d != a or s != alpha.star)):
         return Fraction(q ** entries, group)
 
-    candidates = _candidate_tuples(a, q)
-    _check_budget(cfg, q ** entries, len(candidates) * 4)
-    shape = [(a[j], a[i]) for i, j in arrows]
-    count = 0
-    for mats in _enumerate_matrices(shape, q):
-        inv = _invariant_tuples(mats, arrows, candidates, q)
-        if alpha.star == 0:
-            good = all(sum(c[0] for c in cand) == 0
-                       or sub_slope(tuple(c[0] for c in cand), 0) <= target
-                       for cand in inv)
-            if good:
-                count += 1
-            continue
-        # star = 1: enumerate framing vectors on top of each matrix tuple
-        bad0 = [cand for cand in inv
-                if sum(c[0] for c in cand)
-                and sub_slope(tuple(c[0] for c in cand), 0) > target]
-        if bad0:
-            continue
-        watch = [cand for cand in inv
-                 if tuple(c[0] for c in cand) != a
-                 and sub_slope(tuple(c[0] for c in cand), 1) > target]
-        for vecs in itertools.product(*(subspace_points(q, a[i]) for i in slots)):
-            ok = True
-            for cand in watch:
-                if all(v in cand[i][2] for v, i in zip(vecs, slots)):
-                    ok = False
-                    break
-            if ok:
-                count += 1
-    return Fraction(count, group)
-
-
-@lru_cache(maxsize=None)
-def subspace_points(q: int, n: int):
-    return tuple(itertools.product(range(q), repeat=n))
+    cands, dims = _candidates(a, q)
+    _check_budget(cfg, q ** entries, len(cands) * 4)
+    bad = [cand for cand, d in zip(cands, dims)
+           if sum(d) and theta_slope(theta, d) > target]
+    # star 1: a subobject through the framing destabilizes the framing tuples inside it
+    watch = [cand for cand, d in zip(cands, dims)
+             if alpha.star and d != a and theta_slope(theta, d, c_eff) > target]
+    return Fraction(_count_points(fq, a, q, slots, bad, watch), group)
 
 
 def count_framed_stable(fq: FramedQuiver, alpha, theta, c, side: str, q: int,
@@ -342,47 +361,26 @@ def count_framed_stable(fq: FramedQuiver, alpha, theta, c, side: str, q: int,
     arrows = _arrow_list(fq)
     slots = _framing_slots(fq)
     entries = sum(alpha[i] * alpha[j] for i, j in arrows)
-    candidates = _candidate_tuples(alpha, q)
+    cands, dims = _candidates(alpha, q)
     _check_budget(cfg, q ** entries,
-                  len(candidates) * 4 + q ** sum(alpha[i] for i in slots))
+                  len(cands) * 4 + q ** sum(alpha[i] for i in slots))
 
-    if c_eff is not None:
-        def fslope(d, s) -> Fraction:
-            val = sum(t * x for t, x in zip(theta, d))
-            if s:
-                val += c_eff
-            return val / (sum(d) + s)
-
-        target = fslope(alpha, 1)
+    if c_eff is None:
+        # plus infinity: no proper subobject may contain the framing
+        bad = []
+        watch = [cand for cand, d in zip(cands, dims) if d != alpha]
+    else:
+        target = theta_slope(theta, alpha, c_eff)
+        # star-0 subobjects destabilize independently of the framing vector
+        bad = [cand for cand, d in zip(cands, dims)
+               if sum(d) and theta_slope(theta, d) >= target]
+        watch = [cand for cand, d in zip(cands, dims)
+                 if d != alpha and theta_slope(theta, d, c_eff) >= target]
 
     group = 1
     for ai in alpha:
         group *= gl_order(ai, q)
-    shape = [(alpha[j], alpha[i]) for i, j in arrows]
-    count = 0
-    for mats in _enumerate_matrices(shape, q):
-        inv = _invariant_tuples(mats, arrows, candidates, q)
-        if c_eff is not None:
-            # star-0 subobjects destabilize independently of the framing vector
-            if any(sum(c[0] for c in cand)
-                   and fslope(tuple(c[0] for c in cand), 0) >= target
-                   for cand in inv):
-                continue
-            watch = [cand for cand in inv
-                     if tuple(c[0] for c in cand) != alpha
-                     and fslope(tuple(c[0] for c in cand), 1) >= target]
-        else:
-            # plus infinity: no proper subobject may contain the framing
-            watch = [cand for cand in inv if tuple(c[0] for c in cand) != alpha]
-        for vecs in itertools.product(*(subspace_points(q, alpha[i]) for i in slots)):
-            stable = True
-            for cand in watch:
-                if all(v in cand[i][2] for v, i in zip(vecs, slots)):
-                    stable = False
-                    break
-            if stable:
-                count += 1
-    return Fraction(count, group)
+    return Fraction(_count_points(fq, alpha, q, slots, bad, watch), group)
 
 
 def verify_coefficient(series_coeff: Scalar, count, q: int, *,
@@ -438,6 +436,8 @@ def count_stack_isoclasses(fq: FramedQuiver, alpha, q: int,
     """
     alpha = tuple(int(x) for x in alpha)
     cfg = cfg or FiniteFieldConfig(q)
+    if cfg.q != q:
+        raise ValueError("config and argument disagree on q")
     if sum(alpha) > 2:
         raise BudgetError(f"budget exceeded: total dimension {sum(alpha)} > 2, "
                           "the cap of orbit enumeration")
@@ -483,112 +483,90 @@ def hall_filtration_check(fq: FramedQuiver, alpha, theta, c, q: int,
     """Check, point by point, that a framed representation is c-semistable
     exactly when it has a unique filtration: a slope-matched semistable
     unframed subrepresentation with a c-minus-stable framed quotient.
+
+    The subrepresentations of the quotient by S are the invariant tuples
+    T containing S, of class dim T - dim S, and a framing tuple lies in
+    T / S exactly when it lies in T; so both sides are read off the
+    invariant tuples of the one kernel.
     """
     alpha = tuple(int(x) for x in alpha)
     cfg = cfg or FiniteFieldConfig(q)
+    if cfg.q != q:
+        raise ValueError("config and argument disagree on q")
     _check_dim(cfg, alpha)
     theta = tuple(Fraction(t) for t in theta)
+    if c in (PLUS_INF, MINUS_INF):
+        raise ValueError("hall_filtration_check needs a finite c")
     c = Fraction(c)
     arrows = _arrow_list(fq)
     slots = _framing_slots(fq)
-    candidates = _candidate_tuples(alpha, q)
+    cands, dims = _candidates(alpha, q)
     entries = sum(alpha[i] * alpha[j] for i, j in arrows)
     _check_budget(cfg, q ** (entries + sum(alpha[i] for i in slots)),
-                  len(candidates) * 16)
+                  len(cands) * 16)
 
-    def fslope(d, s) -> Fraction:
-        val = sum(t * x for t, x in zip(theta, d))
-        if s:
-            val += c
-        return val / (sum(d) + s)
+    target = theta_slope(theta, alpha, c)
+    masks = [_subspaces(q, a)[1] for a in alpha]
+    fm = _framing_masks(alpha, slots, q, cands)
+    full = (1 << q ** sum(alpha[i] for i in slots)) - 1
+    mu = {d: theta_slope(theta, d) for d in set(dims) if sum(d)}
 
-    target = fslope(alpha, 1)
-    shape = [(alpha[j], alpha[i]) for i, j in arrows]
-    n_verts = len(alpha)
+    # left side: star-0 subobjects kill every framing tuple, star-1 ones
+    # kill the framing tuples inside them
+    bad = sum(1 << p for p, d in enumerate(dims) if sum(d) and mu[d] > target)
+    watch = [f if d != alpha and theta_slope(theta, d, c) > target else 0
+             for f, d in zip(fm, dims)]
 
-    for mats in _enumerate_matrices(shape, q):
-        inv = _invariant_tuples(mats, arrows, candidates, q)
-        for vecs in itertools.product(*(subspace_points(q, alpha[i]) for i in slots)):
-            # left side: c-semistability of (mats, vecs)
-            sst = True
-            for cand in inv:
-                d = tuple(cc[0] for cc in cand)
-                if sum(d) and fslope(d, 0) > target:
-                    sst = False
-                    break
-                if d != alpha and all(v in cand[i][2] for v, i in zip(vecs, slots)) \
-                        and fslope(d, 1) > target:
-                    sst = False
-                    break
-            # right side: filtrations through slope-matched semistable subs
-            hits = 0
-            for cand in inv:
-                d = tuple(cc[0] for cc in cand)
-                if sum(d) and fslope(d, 0) != target:
-                    continue
-                if sum(d) and not _sub_is_semistable(cand, inv, theta, n_verts):
-                    continue
-                if not _quotient_framed_stable(fq, mats, vecs, cand, alpha, d,
-                                               theta, c, q, arrows, slots, cfg):
-                    continue
-                hits += 1
-            if hits != (1 if sst else 0):
-                return False
-    return True
-
-
-def _sub_is_semistable(cand, inv, theta, n_verts) -> bool:
-    """Is the subrepresentation cand semistable among the invariant tuples?"""
-    d = tuple(c[0] for c in cand)
-    mu = _theta_slope(theta, d)
-    for other in inv:
-        e = tuple(c[0] for c in other)
-        if not sum(e) or e == d:
+    # right side: for each slope-matched S, the tuples T whose invariance
+    # kills S, and the tuples T above S that kill the framing tuples inside
+    c_minus = {}  # quotient class -> (its c-minus level, its slope there)
+    right = []
+    for p, (cand, d) in enumerate(zip(cands, dims)):
+        if sum(d) and mu[d] != target:
             continue
-        inside = all(all(b in cand[i][2] for b in other[i][1])
-                     for i in range(n_verts))
-        if inside and _theta_slope(theta, e) > mu:
-            return False
-    return True
+        gamma = tuple(a - x for a, x in zip(alpha, d))
+        if sum(gamma) and gamma not in c_minus:
+            cm = resolve_side(find_walls(fq, theta, gamma, sum(gamma)), c, "minus")
+            c_minus[gamma] = cm, theta_slope(theta, gamma, cm)
+        cm, top = c_minus.get(gamma, (None, None))
+        m_s = [ms[k] for ms, k in zip(masks, cand)]
+        dead, above = 0, []
+        for t, (other, e) in enumerate(zip(cands, dims)):
+            m_t = [ms[k] for ms, k in zip(masks, other)]
+            if sum(d) and sum(e) and mu[e] > mu[d] \
+                    and all(x & ~y == 0 for x, y in zip(m_t, m_s)):
+                dead |= 1 << t  # T inside S: S is not semistable
+            elif sum(gamma) and all(y & ~x == 0 for x, y in zip(m_t, m_s)):
+                # T above S: T / S is a subobject of the quotient, of class dd
+                dd = tuple(x - y for x, y in zip(e, d))
+                if sum(dd) and mu[dd] >= top:
+                    dead |= 1 << t
+                elif dd != gamma and theta_slope(theta, dd, cm) >= top:
+                    above.append(t)
+        right.append((p, dead, above))
 
-
-def _quotient_framed_stable(fq, mats, vecs, cand, alpha, d, theta, c, q,
-                            arrows, slots, cfg) -> bool:
-    """Build the quotient framed representation and test c-minus stability."""
-    gamma = tuple(a - x for a, x in zip(alpha, d))
-    if sum(gamma) == 0:
-        return True
-    comps = [_complement_basis(cand[i][1], alpha[i], q) for i in range(len(alpha))]
-
-    def project(vec, i):
-        # coordinates of vec on the complement part, modulo the subspace
-        basis = cand[i][1] + comps[i]
-        coords = _solve_coords(basis, vec, q)
-        return coords[len(cand[i][1]):]
-
-    qmats = []
-    for (i, j), M in zip(arrows, mats):
-        cols = [project(_matvec(M, e, q), j) for e in comps[i]]
-        qmats.append(tuple(tuple(col[r] for col in cols) for r in range(gamma[j])))
-    qvecs = [project(v, i) for v, i in zip(vecs, slots)]
-
-    c_minus = resolve_side(find_walls(fq, theta, gamma, max(sum(gamma), 1)),
-                           c, "minus")
-
-    def fslope(dd, s) -> Fraction:
-        val = sum(t * x for t, x in zip(theta, dd))
-        if s:
-            val += c_minus
-        return val / (sum(dd) + s)
-
-    target = fslope(gamma, 1)
-    q_candidates = _candidate_tuples(gamma, q)
-    inv = _invariant_tuples(qmats, arrows, q_candidates, q)
-    for cc in inv:
-        dd = tuple(x[0] for x in cc)
-        if sum(dd) and fslope(dd, 0) >= target:
-            return False
-        if dd != gamma and all(v in cc[i][2] for v, i in zip(qvecs, slots)) \
-                and fslope(dd, 1) >= target:
+    for inv in _invariant_runs(fq, alpha, q, cands):
+        bits = 0
+        for p in inv:
+            bits |= 1 << p
+        if bits & bad:
+            sst = 0
+        else:
+            hit = 0
+            for p in inv:
+                hit |= watch[p]
+            sst = full & ~hit
+        once = twice = 0
+        for p, dead, above in right:
+            if not bits >> p & 1 or bits & dead:
+                continue
+            hit = 0
+            for t in above:
+                if bits >> t & 1:
+                    hit |= fm[t]
+            good = full & ~hit
+            twice |= once & good
+            once |= good
+        if twice or once != sst:
             return False
     return True

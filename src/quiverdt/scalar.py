@@ -398,8 +398,11 @@ class Scalar:
     def specialize(self, point) -> Fraction:
         """Evaluate at v = point; "euler" means v = 1.
 
-        The reduced-form invariant already cancels any shared (v-1) factors,
-        so the euler case is a plain evaluation with a pole check.
+        The series carry their signs in explicit (-v)^chi twists, so in this
+        normalisation the Euler-number limit is v = 1, not v = -1: the
+        conifold's Omega = -v gives -1.  The reduced-form invariant already
+        cancels any shared (v-1) factors, so the euler case is a plain
+        evaluation with a pole check.
         """
         x = Fraction(1) if point == "euler" else Fraction(point)
         dv = _peval(self._d, x)

@@ -52,17 +52,27 @@ class WallList:
         object.__setattr__(self, "alpha", tuple(self.alpha))
 
 
+def theta_slope(theta, d, c=None) -> Fraction:
+    """(theta.d)/|d| for a class of star 0; (theta.d + c)/(|d| + 1) for star 1.
+
+    c is None for star 0 and a finite rational for star 1.  The caller
+    keeps the zero class of star 0 away.
+    """
+    num = sum(Fraction(t) * x for t, x in zip(theta, d))
+    den = sum(d)
+    if c is not None:
+        num += c
+        den += 1
+    return Fraction(num, den)
+
+
 def slope(sp: StabilityParams, a: ExtDimVector) -> Fraction:
     """mu_c(alpha, star) = (theta.alpha + c star)/(|alpha| + star)."""
-    r = sum(a.unframed) + a.star
-    if r == 0:
+    if sum(a.unframed) + a.star == 0:
         raise ValueError("slope of the zero class")
-    d = sum(t * x for t, x in zip(sp.theta, a.unframed))
-    if a.star:
-        if not sp.is_finite():
-            raise ValueError("framed slope needs a finite c")
-        d += sp.c
-    return Fraction(d) / r
+    if a.star and not sp.is_finite():
+        raise ValueError("framed slope needs a finite c")
+    return theta_slope(sp.theta, a.unframed, sp.c if a.star else None)
 
 
 def find_walls(fq: FramedQuiver, theta, alpha, trunc: int) -> WallList:

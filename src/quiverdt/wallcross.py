@@ -18,7 +18,7 @@ from .quiver import FramedQuiver, ext, is_symmetric, nu, tits_form
 from .qtorus import (TorusSeries, nu_weights, pleth_exp, pleth_log, s_twist,
                      torus_inverse, torus_mul, truncate_tau)
 from .scalar import L, ONE, Scalar, V
-from .stability import MINUS_INF, PLUS_INF, StabilityParams
+from .stability import MINUS_INF, PLUS_INF, StabilityParams, theta_slope
 
 # motive of the bare framing line with its scalar automorphisms
 A_STAR = -V / (L - ONE)
@@ -208,7 +208,7 @@ def smooth_model_motive(fq: FramedQuiver, theta, BU: UniversalSeries,
     if sum(alpha) == 0:
         raise ValueError("the zero class has no smooth model")
     theta = tuple(Fraction(t) for t in theta)
-    mu = sum(t * x for t, x in zip(theta, alpha)) / sum(alpha)
+    mu = theta_slope(theta, alpha)
     series = smooth_model_series(fq, theta, mu, BU, N)
     bare = series.coeff(alpha) * (L - ONE)
     t = tits_form(fq, ext(alpha, 0))

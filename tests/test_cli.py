@@ -60,6 +60,13 @@ class TestExamples:
         assert "1,0\t(-v)/(1)" in out.splitlines()
         assert "1,1\t(v^4+v^2)/(1)" in out.splitlines()
 
+    def test_omega_conifold_euler_point_is_v_one(self, capsys):
+        # Omega = -v reads -1 at v = 1; the point v = -1 would give +1
+        code, out, _ = invoke(capsys, "omega", quiver("conifold"), "--trunc", "2",
+                              "--euler")
+        assert code == 0
+        assert out.splitlines() == ["0,1\t-1", "1,0\t-1", "1,1\t2"]
+
     def test_transfer_jordan(self, capsys):
         code, out, _ = invoke(capsys, "transfer", quiver("jordan"))
         assert code == 0

@@ -38,6 +38,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="disagree on q"):
             count_stack(JORDAN, (1,), "all", 3, FiniteFieldConfig(2))
 
+    def test_q_mismatch_caught_by_every_entry_point(self):
+        cfg = FiniteFieldConfig(2)
+        calls = [
+            lambda: count_framed_stable(JORDAN, (1,), (0,), 0, "plus", 3, cfg),
+            lambda: hall_filtration_check(JORDAN, (1,), (0,), 0, 3, cfg),
+            lambda: count_stack_isoclasses(JORDAN, (1,), 3, cfg),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="config and argument disagree on q"):
+                call()
+
 
 class TestGLOrder:
     def test_values(self):
@@ -176,3 +187,8 @@ class TestHallFiltration:
     def test_dim_cap(self):
         with pytest.raises(BudgetError, match="total dimension 5 > max_total_dim 4"):
             hall_filtration_check(JORDAN, (5,), (0,), 0, 2)
+
+    def test_infinite_c_refused(self):
+        for c in (PLUS_INF, MINUS_INF):
+            with pytest.raises(ValueError, match="^hall_filtration_check needs a finite c$"):
+                hall_filtration_check(JORDAN, (1,), (0,), c, 2)
