@@ -312,6 +312,23 @@ def _build_parser() -> _Parser:
     return p
 
 
+# argparse reads a separate value that starts with "-" and is not a plain
+# negative number (-1/2, -inf, -1,0) as an option; these options get it attached
+_RATIONAL_OPTIONS = ("--c", "--theta", "--mu")
+_NEGATIVE_VALUE = re.compile(r"^-(\d|inf$)")
+
+
+def _attach_negative_values(argv: list) -> list:
+    """["--c", "-1/2"] -> ["--c=-1/2"] for the options that take rationals."""
+    out: list = []
+    for tok in argv:
+        if out and out[-1] in _RATIONAL_OPTIONS and _NEGATIVE_VALUE.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def _job_from_args(args) -> JobSpec:
     job = JobSpec(quiver_path=args.quiver, subcommand=args.subcommand)
     if hasattr(args, "trunc"):
@@ -341,7 +358,8 @@ def _job_from_args(args) -> JobSpec:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _build_parser().parse_args(_attach_negative_values(argv))
         job = _job_from_args(args)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)

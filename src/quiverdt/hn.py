@@ -9,13 +9,13 @@ remultiply_check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .qtorus import TorusSeries, pleth_exp, torus_mul
 from .quiver import (ExtDimVector, FramedQuiver, dim_vectors_up_to, ext,
                      skew_form, sub_vectors, tits_form)
-from .scalar import ONE, L, Scalar
+from .scalar import ONE, L, Scalar, _acc_term, _settle
 from .stability import theta_slope
 
 SOURCES = ("trivial_potential", "builtin_c3", "builtin_conifold", "user_supplied")
@@ -25,6 +25,8 @@ SOURCES = ("trivial_potential", "builtin_c3", "builtin_conifold", "user_supplied
 class UniversalSeries:
     series: TorusSeries
     source: str = "user_supplied"
+    # hn_factorize results by (theta as Fractions, N)
+    _hn: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.source not in SOURCES:
@@ -102,12 +104,20 @@ def hn_factorize(BU: UniversalSeries, theta, N: int) -> dict:
     Recursion: the coefficient of B at alpha is the B_U coefficient minus the
     contributions of all HN chains alpha = a_1 + ... + a_k with k >= 2 and
     strictly decreasing slopes, each chain twisted by (-v)^{sum_{i<j} <a_i, a_j>}.
+    Each (theta, N) is split once per UniversalSeries; every call returns a
+    new dict.
     """
-    series = BU.series
-    if N > series.trunc:
+    if N > BU.series.trunc:
         raise ValueError("N exceeds the series truncation")
-    fq = series.fq
     theta = tuple(Fraction(t) for t in theta)
+    parts = BU._hn.get((theta, N))
+    if parts is None:
+        parts = BU._hn[(theta, N)] = _hn_split(BU.series, theta, N)
+    return dict(parts)
+
+
+def _hn_split(series: TorusSeries, theta: tuple, N: int) -> dict:
+    fq = series.fq
     n = fq.n_vertices
     classes = [a for a in dim_vectors_up_to(n, N) if sum(a)]
     classes.sort(key=sum)
@@ -125,46 +135,30 @@ def hn_factorize(BU: UniversalSeries, theta, N: int) -> dict:
         key = (rho, bound)
         if key in memo:
             return memo[key]
-        total = Scalar.of(0)
+        acc: dict = {}
         for beta in sub_vectors(rho):
-            if not sum(beta):
-                continue
-            coeff = b.get(beta)
-            if coeff is None or not coeff:
-                continue
-            mb = slope[beta]
-            if mb >= bound:
+            coeff = b.get(beta)  # b holds nonzero classes and coefficients only
+            if coeff is None or slope[beta] >= bound:
                 continue
             rest = tuple(r - x for r, x in zip(rho, beta))
-            tail = chains(rest, mb)
-            if not tail:
-                continue
-            term = coeff * tail
-            tw = skew(beta, rest)
-            if tw:
-                term = term * Scalar.neg_v_pow(tw)
-            total = total + term
-        memo[key] = total
+            tail = chains(rest, slope[beta])
+            if tail:
+                _acc_term(acc, coeff, tail, skew(beta, rest))
+        memo[key] = total = _settle(acc)
         return total
 
     for alpha in classes:
-        val = series.coeff(alpha)
+        acc = {}
+        _acc_term(acc, series.coeff(alpha), ONE, 0)
         for beta in sub_vectors(alpha):
-            if not sum(beta) or beta == alpha:
-                continue
             coeff = b.get(beta)
-            if coeff is None or not coeff:
+            if coeff is None or beta == alpha:
                 continue
-            mb = slope[beta]
             rest = tuple(r - x for r, x in zip(alpha, beta))
-            tail = chains(rest, mb)
-            if not tail:
-                continue
-            term = coeff * tail
-            tw = skew(beta, rest)
-            if tw:
-                term = term * Scalar.neg_v_pow(tw)
-            val = val - term
+            tail = chains(rest, slope[beta])
+            if tail:
+                _acc_term(acc, -coeff, tail, skew(beta, rest))
+        val = _settle(acc)
         if val:
             b[alpha] = val
 

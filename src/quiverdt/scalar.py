@@ -16,6 +16,10 @@ polynomials exactly; with xi > 2 min(|f|, |g|) + 1 for the max-norms, that
 proves it is the gcd.  When no xi succeeds, a primitive remainder sequence
 over Z finishes the job.  Products pack each polynomial into one integer
 (Kronecker substitution) so that CPython's big-integer multiply does the work.
+Sums split off the gcd of the two denominators first (Henrici), so only that
+common part is tested against the new numerator.  Callers that add many
+products into one coefficient collect them unreduced, one numerator sum per
+denominator (_acc_term), and reduce each group once (_settle).
 The public `num` and `den` are the same value with rational coefficients and
 a monic denominator.
 """
@@ -161,6 +165,17 @@ def _gcd_cofactors(a, b):
     return _pquo(a, h), _pquo(b, h)
 
 
+def _content(n, d):
+    """n/d with the integer content of the pair removed and d[-1] > 0."""
+    c = gcd(*n, *d)
+    if d[-1] < 0:
+        c = -c
+    if c != 1:
+        n = tuple(x // c for x in n)
+        d = tuple(x // c for x in d)
+    return n, d
+
+
 def _canonical(n, d):
     """The canonical pair of n/d for integer polynomials n and d != 0."""
     if not n:
@@ -172,13 +187,74 @@ def _canonical(n, d):
         n, d = n[k:], d[k:]
     if len(n) > 1 and len(d) > 1:
         n, d = _gcd_cofactors(n, d)
-    c = gcd(*n, *d)
-    if d[-1] < 0:
-        c = -c
-    if c != 1:
-        n = tuple(x // c for x in n)
-        d = tuple(x // c for x in d)
-    return n, d
+    return _content(n, d)
+
+
+def _sum(a, b, c, d):
+    """The canonical pair of a/b + c/d for canonical pairs (a, b) and (c, d).
+
+    Henrici's split (Knuth, TAOCP 4.5.1): with h = gcd(b, d), b = h b' and
+    d = h d', the sum is t/(b d') for t = a d' + c b'.  t is coprime to b'
+    and to d', so only gcd(t, h) can cancel.
+    """
+    if len(b) == 1 or len(d) == 1:
+        return _canonical(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
+    b1, d1 = _gcd_cofactors(b, d)
+    t = _padd(_pmul(a, d1), _pmul(c, b1))
+    if not t:
+        return (), (1,)
+    if len(b1) == len(b) or len(t) == 1:  # h or t is a constant
+        return _content(t, _pmul(b, d1))
+    t, h1 = _gcd_cofactors(t, _pquo(b, b1))
+    return _content(t, _pmul(_pmul(b1, d1), h1))
+
+
+def _acc_term(acc, a, b, k):
+    """Add a*b*(-v)^k, unreduced, to acc, a {denominator: numerator sum} dict.
+
+    a and b are Scalars and k an integer; the twist is a shift and a sign.
+    Denominators are keyed without their power of v, which moves into the
+    numerator: acc[d] = (e, n) stands for v^e n / d, e of either sign.
+    """
+    n = _pmul(a._n, b._n)
+    if not n:
+        return
+    d = _pmul(a._d, b._d)
+    if k & 1:
+        n = tuple(-x for x in n)
+    z = 0
+    while not d[z]:
+        z += 1
+    if z:
+        d = d[z:]
+    e = k - z
+    if d in acc:
+        e0, n0 = acc[d]
+        if e < e0:
+            n0 = (0,) * (e0 - e) + n0
+        elif e > e0:
+            n = (0,) * (e - e0) + n
+            e = e0
+        n = _padd(n0, n)
+    acc[d] = (e, n)
+
+
+def _settle(acc, div=1):
+    """The Scalar (sum over acc of v^e n / d) / div, for an integer div.
+
+    Each distinct denominator is reduced once; the groups are then added.
+    """
+    total = ZERO
+    for d, (e, n) in acc.items():
+        if n:
+            if e > 0:
+                n = (0,) * e + n
+            elif e < 0:
+                d = (0,) * -e + d
+            if div != 1:
+                d = tuple(div * x for x in d)
+            total = total + Scalar._reduced(n, d)
+    return total
 
 
 def _psubst_pow(a, n):
@@ -320,8 +396,7 @@ class Scalar:
             return self
         if not self._n:
             return other
-        a, b, c, d = self._n, self._d, other._n, other._d
-        return Scalar._reduced(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
+        return Scalar._raw(*_sum(self._n, self._d, other._n, other._d))
 
     __radd__ = __add__
 

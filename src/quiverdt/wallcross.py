@@ -113,7 +113,10 @@ def uniform_series(fq: FramedQuiver, BU: UniversalSeries, theta, a,
     the upper product on both sides, side minus the lower one.
     """
     N = BU.series.trunc
-    parts = hn_factorize(BU, theta, N)
+    return _uniform(fq, hn_factorize(BU, theta, N), N, a, side)
+
+
+def _uniform(fq, parts, N, a, side) -> TorusSeries:
     if a not in (PLUS_INF, MINUS_INF):
         a = Fraction(a)
     left_strict = {"exact": False, "plus": False, "minus": True}[side]
@@ -135,19 +138,18 @@ def framed_at(fq: FramedQuiver, BU: UniversalSeries, theta, N: int,
     """
     if N > BU.series.trunc:
         raise ValueError("truncation exceeds the given universal series")
-    if N < BU.series.trunc:
-        BU = UniversalSeries(BU.series.retrunc(N), BU.source)
     params = StabilityParams(theta, c, side)
     if c == MINUS_INF:
         return FramedSeries(TorusSeries.one(fq, N), params, None)
     if c == PLUS_INF:
-        ser = torus_mul(s_twist(BU.series, nu_weights(fq, 1)),
-                        torus_inverse(s_twist(BU.series, nu_weights(fq, -1))))
+        bu = BU.series.retrunc(N)
+        ser = torus_mul(s_twist(bu, nu_weights(fq, 1)),
+                        torus_inverse(s_twist(bu, nu_weights(fq, -1))))
         return FramedSeries(ser, params, None)
     if mu is None:
         raise ValueError("finite c needs a slope mu")
     mu = Fraction(mu)
-    uni = uniform_series(fq, BU, theta, mu, side)
+    uni = _uniform(fq, hn_factorize(BU, theta, N), N, mu, side)
     ser = truncate_tau(uni, theta, Fraction(c), mu)
     if ser.is_zero():
         # empty slope class: only the bare framing line remains
@@ -189,8 +191,6 @@ def smooth_model_series(fq: FramedQuiver, theta, mu, BU: UniversalSeries,
     (1/(L-1)) S_{2nu}(B_mu) . B_mu^{-1}."""
     if N > BU.series.trunc:
         raise ValueError("truncation exceeds the given universal series")
-    if N < BU.series.trunc:
-        BU = UniversalSeries(BU.series.retrunc(N), BU.source)
     parts = hn_factorize(BU, theta, N)
     B = parts.get(Fraction(mu), TorusSeries.one(fq, N))
     prod = torus_mul(s_twist(B, nu_weights(fq, 2)), torus_inverse(B))

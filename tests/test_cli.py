@@ -183,6 +183,47 @@ class TestErrors:
         assert code == 1 and text.startswith("error:")
 
 
+class TestNegativeValues:
+    """A negative rational after --c, --theta or --mu may be its own argument."""
+
+    CASES = {
+        "framed_jordan": ("framed", "jordan", "--theta", "-1/2", "--c", "-1/2",
+                          "--side", "+", "--mu", "-1/2", "-N", "3"),
+        "framed_minus_inf": ("framed", "jordan", "--c", "-inf", "-N", "3"),
+        "hn_kronecker": ("hn", "kronecker", "--theta", "-1,0", "-N", "3"),
+        "smooth_model": ("smooth-model", "kronecker", "--theta", "-1,0",
+                         "--mu", "-1/2", "-N", "3"),
+        "check_oracle": ("check-oracle", "kronecker", "--q", "2", "--max-dim", "2",
+                         "--theta", "-1,0", "--c", "-3/2"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_separate_value_matches_attached(self, capsys, case):
+        sub, name, *rest = self.CASES[case]
+        attached = []
+        for tok in rest:
+            if attached and attached[-1] in ("--c", "--theta", "--mu"):
+                attached[-1] += "=" + tok
+            else:
+                attached.append(tok)
+        assert len(attached) < len(rest)
+        code, out, err = invoke(capsys, sub, quiver(name), *rest)
+        assert (code, err) == (0, "") and out
+        assert invoke(capsys, sub, quiver(name), *attached) == (code, out, err)
+
+    @pytest.mark.parametrize("value", ["-1/x", "-1.5", "-inf/2"])
+    def test_bad_negative_value_is_one_error_line(self, capsys, value):
+        code, out, err = invoke(capsys, "framed", quiver("jordan"), "--c", value,
+                                "--mu", "0")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_missing_value_still_refused(self, capsys):
+        code, out, err = invoke(capsys, "framed", quiver("jordan"), "--c", "--mu", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: argument --c: expected one argument\n"
+
+
 class TestCheckOracle:
     def test_passes_on_jordan(self, capsys):
         code, out, _ = invoke(capsys, "check-oracle", quiver("jordan"),

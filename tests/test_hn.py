@@ -155,3 +155,48 @@ class TestRemultiply:
         parts = hn_factorize(bu, (1, 0), 3)
         flipped = {-mu: piece for mu, piece in parts.items()}
         assert not remultiply_check(flipped, bu)
+
+
+class TestSplitOnce:
+    """hn_factorize splits each (theta, N) once per UniversalSeries."""
+
+    def test_second_call_equal_in_new_dict(self):
+        bu = universal_trivial(kronecker_quiver(), 3)
+        first, second = hn_factorize(bu, (1, 0), 3), hn_factorize(bu, (1, 0), 3)
+        assert first == second and first is not second
+        assert list(first) == list(second)
+        assert all(first[mu] is second[mu] for mu in first)
+
+    def test_mutating_a_result_does_not_leak(self):
+        bu = universal_trivial(kronecker_quiver(), 3)
+        first = hn_factorize(bu, (1, 0), 3)
+        want = dict(first)
+        first.pop(Fraction(1, 2))
+        first[Fraction(7)] = TorusSeries.one(bu.series.fq, 3)
+        assert hn_factorize(bu, (1, 0), 3) == want
+
+    def test_int_and_fraction_theta_share_an_entry(self, monkeypatch):
+        import quiverdt.hn as hn
+        calls = []
+        split = hn._hn_split
+        monkeypatch.setattr(hn, "_hn_split", lambda *a: calls.append(a) or split(*a))
+        bu = universal_trivial(kronecker_quiver(), 3)
+        ints = hn_factorize(bu, (1, 0), 3)
+        fracs = hn_factorize(bu, (Fraction(1), Fraction(0, 5)), 3)
+        assert ints == fracs and len(calls) == 1
+        hn_factorize(bu, (1, 0), 2)
+        hn_factorize(bu, (Fraction(1, 2), 0), 3)
+        assert len(calls) == 3
+
+    def test_equality_and_repr_ignore_the_memo(self):
+        used, fresh = (universal_trivial(kronecker_quiver(), 3) for _ in range(2))
+        hn_factorize(used, (1, 0), 3)
+        assert used == fresh
+        assert repr(used) == repr(fresh) == \
+            f"UniversalSeries(series={fresh.series!r}, source='trivial_potential')"
+
+    def test_smaller_N_matches_a_fresh_series(self):
+        big = universal_for(kronecker_quiver(), 5)
+        small = universal_for(kronecker_quiver(), 3)
+        assert hn_factorize(big, (1, 0), 3) == hn_factorize(small, (1, 0), 3)
+

@@ -119,6 +119,44 @@ class TestAgainstReference:
             assert (a * b) / b == a and hash((a * b) / b) == hash(a)
 
 
+def _poly(*factors):
+    out = (Fraction(1),)
+    for f in factors:
+        out = ref._pmul(out, tuple(Fraction(c) for c in f))
+    return out
+
+
+V_MINUS_ONE, V_PLUS_ONE, V_PLUS_TWO, VV = (-1, 1), (1, 1), (2, 1), (0, 1)
+
+# (a, b, c, d) for a/b + c/d: the denominators share a factor h, except
+# that one denominator is a constant in the last case
+HENRICI = {
+    # t = 2(v+2) - 3(v+1) = -(v-1) cancels against h = v-1
+    "t_meets_h": ((2,), _poly(V_MINUS_ONE, V_PLUS_ONE), (-3,), _poly(V_MINUS_ONE, V_PLUS_TWO)),
+    "shared_L_powers": ((1,), _poly(_l_minus_one(1), _l_minus_one(2)),
+                        (0, 1), _poly(_l_minus_one(2), _l_minus_one(3))),
+    # h = v and t = (v+1)^2 + (v-1) = v(v+3)
+    "shared_v": ((1, 1), _poly(VV, V_MINUS_ONE), (1,), _poly(VV, V_PLUS_ONE)),
+    "exact_zero": ((0, 1), _poly(_l_minus_one(1), _l_minus_one(2)),
+                   (0, -1), _poly(_l_minus_one(1), _l_minus_one(2))),
+    "zero_after_reduction": ((1,), _l_minus_one(1), (-1, 0, -1), _l_minus_one(2)),
+    "constant_denominator": ((1,), (3,), (0, 1), _poly(_l_minus_one(1), V_PLUS_ONE)),
+}
+
+
+@pytest.mark.parametrize("case", HENRICI)
+def test_henrici_sum(case):
+    a, b, c, d = (tuple(Fraction(x) for x in p) for p in HENRICI[case])
+    x, rx = new.Scalar(a, b), ref.Scalar(a, b)
+    y, ry = new.Scalar(c, d), ref.Scalar(c, d)
+    for got, want in ((x + y, rx + ry), (y + x, ry + rx), (x - y, rx - ry)):
+        assert_same(got, want)
+    if case.startswith(("exact", "zero")):
+        assert (x + y).is_zero()
+    if case == "t_meets_h":
+        assert x + y == new.Scalar((-1,), _poly(V_PLUS_ONE, V_PLUS_TWO))
+
+
 def _ints(p):
     return tuple(int(c) for c in p)
 

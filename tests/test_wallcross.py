@@ -157,6 +157,23 @@ class TestFramedAt:
         a = framed_at(JORDAN, bu, (0,), 2, PLUS_INF)
         assert a.series.trunc == 2
 
+    def test_smaller_N_matches_a_fresh_series(self, monkeypatch):
+        import quiverdt.hn as hn
+        calls = []
+        split = hn._hn_split
+        monkeypatch.setattr(hn, "_hn_split", lambda *a: calls.append(a) or split(*a))
+        big, small = universal_for(KRON, 5), universal_for(KRON, 3)
+        for c, side, mu in [(HALF, "minus", HALF), (HALF, "exact", HALF),
+                            (HALF, "plus", HALF), (2, "exact", 1),
+                            (PLUS_INF, "exact", None), (MINUS_INF, "exact", None)]:
+            assert framed_at(KRON, big, (1, 0), 3, c, side, mu) == \
+                framed_at(KRON, small, (1, 0), 3, c, side, mu)
+        for mu in (HALF, Fraction(1), Fraction(2, 3)):
+            assert smooth_model_series(KRON, (1, 0), mu, big, 3) == \
+                smooth_model_series(KRON, (1, 0), mu, small, 3)
+        # one split of each universal series at N = 3, however many calls
+        assert len(calls) == 2
+
 
 class TestWallCrossingTheorem:
     def test_kronecker_at_the_interior_wall(self):
