@@ -18,7 +18,7 @@ from fractions import Fraction
 from .hn import hn_factorize, universal_for
 from .oracle import (FiniteFieldConfig, count_stack, hall_filtration_check,
                      verify_coefficient)
-from .quiver import FramedQuiver, QuiverFileError, ext, load_quiver_file, tits_form
+from .quiver import FramedQuiver, ext, load_quiver_file, tits_form
 from .qtorus import TorusSeries, serialize
 from .stability import MINUS_INF, PLUS_INF, find_walls, theta_slope
 from .wallcross import (dt_omega, framed_at, ncdt, smooth_model_series,
@@ -109,11 +109,9 @@ def run(job: JobSpec):
     """Execute one job; returns (exit_code, report_text)."""
     try:
         return _dispatch(job)
-    except CLIError as exc:
-        return 1, f"error: {exc}"
-    except QuiverFileError as exc:
-        return 1, f"error: {exc}"
-    except (ValueError, ZeroDivisionError, RuntimeError, OverflowError) as exc:
+    # CLIError and QuiverFileError are ValueErrors; OSError is from --out-dir
+    except (ValueError, ZeroDivisionError, RuntimeError, OverflowError,
+            OSError) as exc:
         return 1, f"error: {exc}"
 
 
@@ -329,30 +327,25 @@ def _attach_negative_values(argv: list) -> list:
     return out
 
 
+# the JobSpec fields that options set, in parsing order, with their parsers
+_OPTION_PARSERS = {
+    "trunc": None, "fmt": None,
+    "theta": parse_rat_vector,
+    "w": lambda text: parse_int_vector(text, "framing"),
+    "alpha": lambda text: parse_int_vector(text, "alpha"),
+    "c": parse_level,
+    "side": SIDE_FLAGS.__getitem__,
+    "mu": parse_rational,
+    "q": None, "max_dim": None, "out_dir": None,
+}
+
+
 def _job_from_args(args) -> JobSpec:
     job = JobSpec(quiver_path=args.quiver, subcommand=args.subcommand)
-    if hasattr(args, "trunc"):
-        job.trunc = args.trunc
-    if getattr(args, "fmt", None):
-        job.fmt = args.fmt
-    if getattr(args, "theta", None):
-        job.theta = parse_rat_vector(args.theta)
-    if getattr(args, "w", None):
-        job.w = parse_int_vector(args.w, "framing")
-    if getattr(args, "alpha", None):
-        job.alpha = parse_int_vector(args.alpha, "alpha")
-    if getattr(args, "c", None):
-        job.c = parse_level(args.c)
-    if getattr(args, "side", None):
-        job.side = SIDE_FLAGS[args.side]
-    if getattr(args, "mu", None):
-        job.mu = parse_rational(args.mu)
-    if getattr(args, "q", None):
-        job.q = args.q
-    if getattr(args, "max_dim", None):
-        job.max_dim = args.max_dim
-    if getattr(args, "out_dir", None):
-        job.out_dir = args.out_dir
+    for name, parse in _OPTION_PARSERS.items():
+        value = getattr(args, name, None)
+        if value is not None:  # zero and "" are values too
+            setattr(job, name, parse(value) if parse else value)
     return job
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .qtorus import TorusSeries, pleth_exp, torus_mul
-from .quiver import (ExtDimVector, FramedQuiver, dim_vectors_up_to, ext,
-                     skew_form, sub_vectors, tits_form)
+from .quiver import (ExtDimVector, FramedQuiver, check_builtin_shape,
+                     dim_vectors_up_to, ext, skew_form, sub_vectors, tits_form)
 from .scalar import ONE, L, Scalar, _acc_term, _settle
 from .stability import theta_slope
 
@@ -68,18 +68,12 @@ def universal_trivial(fq: FramedQuiver, N: int) -> UniversalSeries:
 
 def builtin_BU(fq: FramedQuiver, name: str, N: int) -> UniversalSeries:
     """The closed-form universal series of the two stock potentials."""
+    check_builtin_shape(fq, name)
     if name == "c3":
-        if fq.base.n_vertices != 1 or fq.base.arrows[0][0] != 3:
-            raise ValueError("c3 needs one vertex with three loops")
         lm1 = L - 1
         arg = TorusSeries(fq, N, {ext((n,)): (L * L) / lm1 for n in range(1, N + 1)})
         return UniversalSeries(pleth_exp(arg), "builtin_c3")
     if name == "conifold":
-        ok = (fq.base.n_vertices == 2
-              and fq.base.arrows[0][1] == 2 and fq.base.arrows[1][0] == 2
-              and fq.base.arrows[0][0] == 0 and fq.base.arrows[1][1] == 0)
-        if not ok:
-            raise ValueError("conifold needs two vertices with two arrows each way")
         lm1 = L - 1
         head = TorusSeries(fq, N, {
             ext((1, 1)): (L + L * L) / lm1,

@@ -16,6 +16,12 @@ DimVector = tuple  # coords in N^{Q_0}
 
 BUILTIN_SOURCES = ("trivial_potential", "c3", "conifold")
 
+# the arrow matrix each built-in potential lives on, and its description
+_BUILTIN_SHAPES = {
+    "c3": (((3,),), "one vertex with three loops"),
+    "conifold": (((0, 2), (2, 0)), "two vertices with two arrows each way"),
+}
+
 
 class ExtDimVector(NamedTuple):
     unframed: tuple
@@ -150,21 +156,18 @@ def load_quiver_file(path: str) -> FramedQuiver:
     if source not in BUILTIN_SOURCES:
         raise QuiverFileError(f"{path}: builtin_BU must be one of {BUILTIN_SOURCES}")
     fq = FramedQuiver(Quiver(n, tuple(tuple(r) for r in mat)), tuple(w), source)
-    _check_builtin_shape(fq, path)
+    try:
+        check_builtin_shape(fq, source)
+    except ValueError as exc:
+        raise QuiverFileError(f"{path}: builtin_BU {exc}") from None
     return fq
 
 
-def _check_builtin_shape(fq: FramedQuiver, path: str) -> None:
-    if fq.bu_source == "c3":
-        if fq.base.n_vertices != 1 or fq.base.arrows[0][0] != 3:
-            raise QuiverFileError(f"{path}: builtin_BU c3 needs one vertex with three loops")
-    elif fq.bu_source == "conifold":
-        ok = (fq.base.n_vertices == 2
-              and fq.base.arrows[0][0] == 0 and fq.base.arrows[1][1] == 0
-              and fq.base.arrows[0][1] == 2 and fq.base.arrows[1][0] == 2)
-        if not ok:
-            raise QuiverFileError(f"{path}: builtin_BU conifold needs two vertices with "
-                                  "two arrows each way")
+def check_builtin_shape(fq: FramedQuiver, name: str) -> None:
+    """Refuse the built-in potential `name` on a quiver of the wrong shape."""
+    shape = _BUILTIN_SHAPES.get(name)
+    if shape is not None and fq.base.arrows != shape[0]:
+        raise ValueError(f"{name} needs {shape[1]}")
 
 
 # a few stock quivers used all over the tests and scripts

@@ -18,13 +18,14 @@ from .quiver import FramedQuiver, ext, is_symmetric, nu, tits_form
 from .qtorus import (TorusSeries, nu_weights, pleth_exp, pleth_log, s_twist,
                      torus_inverse, torus_mul, truncate_tau)
 from .scalar import L, ONE, Scalar, V
-from .stability import MINUS_INF, PLUS_INF, StabilityParams, theta_slope
+from .stability import (MINUS_INF, PLUS_INF, SIDES, StabilityParams,
+                        theta_slope)
 
 # motive of the bare framing line with its scalar automorphisms
 A_STAR = -V / (L - ONE)
 
-DIRECTIONS = ("minus_to_exact", "exact_to_minus", "exact_to_plus",
-              "plus_to_exact", "minus_to_plus", "plus_to_minus")
+DIRECTIONS = tuple(f"{src}_to_{dst}" for src in SIDES for dst in SIDES
+                   if src != dst)
 
 
 @dataclass(frozen=True)
@@ -46,19 +47,25 @@ class DTInvariants:
                            {ext(k): c for k, c in self.omega.items()})
 
 
+def _crossing(fq: FramedQuiver, left: TorusSeries,
+              right: TorusSeries) -> TorusSeries:
+    """S_nu(left) . S_{-nu}(right)^{-1}, the product form of a framed series."""
+    return torus_mul(s_twist(left, nu_weights(fq, 1)),
+                     torus_inverse(s_twist(right, nu_weights(fq, -1))))
+
+
+def _cyclic(fq: FramedQuiver, B: TorusSeries) -> TorusSeries:
+    """S_{2nu}(B) . B^{-1}, the cyclic-stability product form."""
+    return torus_mul(s_twist(B, nu_weights(fq, 2)), torus_inverse(B))
+
+
 def transfer_series(B_mu: TorusSeries, fq: FramedQuiver) -> TorusSeries:
     """C_mu = S_nu(B_mu) . S_{-nu}(B_mu)^{-1}, one slope's crossing factor."""
     if not is_symmetric(fq):
         raise ValueError("use general_wallcross")
     if B_mu.constant_term() != ONE:
         raise ValueError("transfer series needs constant term 1")
-    up, down = nu_weights(fq, 1), nu_weights(fq, -1)
-    out = torus_mul(s_twist(B_mu, up), torus_inverse(s_twist(B_mu, down)))
-    # second closed form, evaluated independently
-    alt = s_twist(torus_mul(s_twist(B_mu, nu_weights(fq, 2)),
-                            torus_inverse(B_mu)), down)
-    assert out == alt
-    return out
+    return _crossing(fq, B_mu, B_mu)
 
 
 def general_wallcross(a_in: FramedSeries, B_mu: TorusSeries,
@@ -76,32 +83,18 @@ def general_wallcross(a_in: FramedSeries, B_mu: TorusSeries,
     if any(k.star for k in B_mu.coeffs):
         raise ValueError("B_mu must be star-0")
     fq = a_in.series.fq
-    snu_b = s_twist(B_mu, nu_weights(fq, 1))
-    sdn_b = s_twist(B_mu, nu_weights(fq, -1))
-    a = a_in.series
-    if direction == "minus_to_exact":
-        out = torus_mul(snu_b, a)
-    elif direction == "exact_to_minus":
-        out = torus_mul(torus_inverse(snu_b), a)
-    elif direction == "exact_to_plus":
-        out = torus_mul(a, torus_inverse(sdn_b))
-    elif direction == "plus_to_exact":
-        out = torus_mul(a, sdn_b)
-    elif direction == "minus_to_plus":
-        out = torus_mul(torus_mul(snu_b, a), torus_inverse(sdn_b))
-    else:  # plus_to_minus
-        out = torus_mul(torus_inverse(snu_b), torus_mul(a, sdn_b))
+    # A_side = S_nu(B)^{-[side = minus]} . A_exact . S_{-nu}(B)^{-[side = plus]}
+    left = (src == "minus") - (dst == "minus")
+    right = (src == "plus") - (dst == "plus")
+    out = a_in.series
+    if left:
+        snu_b = s_twist(B_mu, nu_weights(fq, 1))
+        out = torus_mul(snu_b if left > 0 else torus_inverse(snu_b), out)
+    if right:
+        sdn_b = s_twist(B_mu, nu_weights(fq, -1))
+        out = torus_mul(out, sdn_b if right > 0 else torus_inverse(sdn_b))
     params = StabilityParams(a_in.params.theta, a_in.params.c, dst)
     return FramedSeries(out, params, a_in.mu)
-
-
-def _slope_product(fq, parts, trunc, a, strict) -> TorusSeries:
-    """Decreasing-slope product of the B_b over slopes b < a (or b <= a)."""
-    out = TorusSeries.one(fq, trunc)
-    for b in sorted(parts, reverse=True):
-        if b < a or (not strict and b == a):
-            out = torus_mul(out, parts[b])
-    return out
 
 
 def uniform_series(fq: FramedQuiver, BU: UniversalSeries, theta, a,
@@ -119,12 +112,13 @@ def uniform_series(fq: FramedQuiver, BU: UniversalSeries, theta, a,
 def _uniform(fq, parts, N, a, side) -> TorusSeries:
     if a not in (PLUS_INF, MINUS_INF):
         a = Fraction(a)
-    left_strict = {"exact": False, "plus": False, "minus": True}[side]
-    right_strict = {"exact": True, "plus": False, "minus": True}[side]
-    left = _slope_product(fq, parts, N, a, left_strict)
-    right = _slope_product(fq, parts, N, a, right_strict)
-    return torus_mul(s_twist(left, nu_weights(fq, 1)),
-                     torus_inverse(s_twist(right, nu_weights(fq, -1))))
+    below = TorusSeries.one(fq, N)  # P_{<a}, decreasing slope
+    for b in sorted(parts, reverse=True):
+        if b < a:
+            below = torus_mul(below, parts[b])
+    upto = torus_mul(parts[a], below) if a in parts else below  # P_{<=a}
+    return _crossing(fq, below if side == "minus" else upto,
+                     upto if side == "plus" else below)
 
 
 def framed_at(fq: FramedQuiver, BU: UniversalSeries, theta, N: int,
@@ -143,9 +137,7 @@ def framed_at(fq: FramedQuiver, BU: UniversalSeries, theta, N: int,
         return FramedSeries(TorusSeries.one(fq, N), params, None)
     if c == PLUS_INF:
         bu = BU.series.retrunc(N)
-        ser = torus_mul(s_twist(bu, nu_weights(fq, 1)),
-                        torus_inverse(s_twist(bu, nu_weights(fq, -1))))
-        return FramedSeries(ser, params, None)
+        return FramedSeries(_crossing(fq, bu, bu), params, None)
     if mu is None:
         raise ValueError("finite c needs a slope mu")
     mu = Fraction(mu)
@@ -173,16 +165,7 @@ def transfer_slope_product(fq: FramedQuiver, parts: dict, trunc: int,
 
 def ncdt(fq: FramedQuiver, BU: UniversalSeries) -> TorusSeries:
     """The cyclic-stability series S_{2nu}(B_U) . B_U^{-1}."""
-    if BU.series.constant_term() != ONE:
-        raise ValueError("universal series needs constant term 1")
-    out = torus_mul(s_twist(BU.series, nu_weights(fq, 2)),
-                    torus_inverse(BU.series))
-    if is_symmetric(fq):
-        # closed Exp form, available when the support commutes
-        om = pleth_log(BU.series)
-        alt = pleth_exp(s_twist(om, nu_weights(fq, 2)) - om)
-        assert out == alt
-    return out
+    return _cyclic(fq, BU.series)
 
 
 def smooth_model_series(fq: FramedQuiver, theta, mu, BU: UniversalSeries,
@@ -193,8 +176,7 @@ def smooth_model_series(fq: FramedQuiver, theta, mu, BU: UniversalSeries,
         raise ValueError("truncation exceeds the given universal series")
     parts = hn_factorize(BU, theta, N)
     B = parts.get(Fraction(mu), TorusSeries.one(fq, N))
-    prod = torus_mul(s_twist(B, nu_weights(fq, 2)), torus_inverse(B))
-    return prod * (ONE / (L - ONE))
+    return _cyclic(fq, B) * (ONE / (L - ONE))
 
 
 def smooth_model_motive(fq: FramedQuiver, theta, BU: UniversalSeries,

@@ -183,6 +183,24 @@ class TestErrors:
         assert code == 1 and text.startswith("error:")
 
 
+class TestFalsyValues:
+    """Zero and empty option values reach the job; they are not defaults."""
+
+    @pytest.mark.parametrize("args, message", [
+        (("--q", "0", "--max-dim", "1"), "q must be a prime at most 5"),
+        (("--max-dim", "0"), "max_total_dim must be between 1 and 4"),
+        (("--theta", ""), "not an exact rational: '' (write p/q, no decimals)"),
+    ], ids=["q_zero", "max_dim_zero", "theta_empty"])
+    def test_check_oracle_refuses(self, capsys, args, message):
+        code, out, err = invoke(capsys, "check-oracle", quiver("jordan"), *args)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_empty_out_dir_is_one_error_line(self, capsys):
+        code, out, err = invoke(capsys, "hn", quiver("jordan"), "--out-dir", "")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestNegativeValues:
     """A negative rational after --c, --theta or --mu may be its own argument."""
 

@@ -205,5 +205,17 @@ class TestLoader:
         with pytest.raises(QuiverFileError):
             load_quiver_file(path)
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"vertices": 1, "arrows": [[0, 0, 2]], "builtin_BU": "c3"},
+         "builtin_BU c3 needs one vertex with three loops"),
+        ({"vertices": 2, "arrows": [[0, 1, 2], [1, 0, 1]], "builtin_BU": "conifold"},
+         "builtin_BU conifold needs two vertices with two arrows each way"),
+    ], ids=["c3", "conifold"])
+    def test_builtin_shape_message(self, tmp_path, raw, message):
+        path = self.write(tmp_path, raw)
+        with pytest.raises(QuiverFileError) as info:
+            load_quiver_file(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_sources_constant(self):
         assert set(BUILTIN_SOURCES) == {"trivial_potential", "c3", "conifold"}

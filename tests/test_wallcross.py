@@ -4,9 +4,9 @@ import pytest
 
 from quiverdt.hn import hn_factorize, universal_for
 from quiverdt.quiver import (c3_quiver, conifold_quiver, ext, jordan_quiver,
-                             kronecker_quiver, tits_form)
-from quiverdt.qtorus import (TorusSeries, nu_weights, pleth_exp, s_twist,
-                             torus_inverse, torus_mul, truncate_tau)
+                             kronecker_quiver, loop_quiver, tits_form)
+from quiverdt.qtorus import (TorusSeries, nu_weights, pleth_exp, pleth_log,
+                             s_twist, torus_inverse, torus_mul, truncate_tau)
 from quiverdt.scalar import L, ONE, Scalar, V
 from quiverdt.stability import MINUS_INF, PLUS_INF, StabilityParams
 from quiverdt.wallcross import (A_STAR, DIRECTIONS, DTInvariants,
@@ -97,6 +97,23 @@ class TestGeneralWallcross:
         assert two.series == one.series
 
 
+@pytest.fixture(scope="module", params=["kronecker", "conifold"])
+def wall_sides(request):
+    """B at the wall mu = c = 1/2 (theta = (1, 0)) and framed_at on each side."""
+    fq = {"kronecker": KRON, "conifold": conifold_quiver()}[request.param]
+    bu = universal_for(fq, 4)
+    B = hn_factorize(bu, (1, 0), 4)[HALF]
+    return B, {side: framed_at(fq, bu, (1, 0), 4, HALF, side, HALF)
+               for side in ("minus", "exact", "plus")}
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+def test_direction_maps_source_side_to_target_side(wall_sides, direction):
+    B, at = wall_sides
+    src, dst = direction.split("_to_")
+    assert general_wallcross(at[src], B, direction) == at[dst]
+
+
 class TestUniformSeries:
     def test_below_all_walls(self):
         bu = universal_for(KRON, 3)
@@ -114,6 +131,25 @@ class TestUniformSeries:
         exact = uniform_series(KRON, bu, (1, 0), a, "exact")
         assert uniform_series(KRON, bu, (1, 0), a, "plus") == exact
         assert uniform_series(KRON, bu, (1, 0), a, "minus") == exact
+
+    @pytest.mark.parametrize("side", ["minus", "exact", "plus"])
+    def test_slope_products_on_a_slope(self, side):
+        bu = universal_for(KRON, 4)
+        parts = hn_factorize(bu, (1, 0), 4)
+
+        def product(keep):  # decreasing slope, left to right
+            out = TorusSeries.one(KRON, 4)
+            for b in sorted(parts, reverse=True):
+                if keep(b):
+                    out = torus_mul(out, parts[b])
+            return out
+
+        upto, below = product(lambda b: b <= HALF), product(lambda b: b < HALF)
+        left = below if side == "minus" else upto
+        right = upto if side == "plus" else below
+        want = torus_mul(s_twist(left, nu_weights(KRON, 1)),
+                         torus_inverse(s_twist(right, nu_weights(KRON, -1))))
+        assert uniform_series(KRON, bu, (1, 0), HALF, side) == want
 
     def test_sides_differ_on_a_slope(self):
         bu = universal_for(KRON, 3)
@@ -204,6 +240,27 @@ class TestWallCrossingTheorem:
         assert truncate_tau(lifted, theta, HALF, HALF) == a_plus
         assert truncate_tau(thru, theta, HALF, HALF) == \
             truncate_tau(lifted, theta, HALF, HALF)
+
+
+SYMMETRIC = {"jordan": JORDAN, "c3": c3_quiver(), "conifold": conifold_quiver(),
+             "two_loops": loop_quiver(2)}
+
+
+@pytest.mark.parametrize("name", SYMMETRIC)
+class TestSecondRoutes:
+    """Each product form against a second closed form of the same series."""
+
+    def test_transfer_is_twisted_cyclic_product(self, name):
+        fq = SYMMETRIC[name]
+        B = universal_for(fq, 6).series
+        cyclic = torus_mul(s_twist(B, nu_weights(fq, 2)), torus_inverse(B))
+        assert transfer_series(B, fq) == s_twist(cyclic, nu_weights(fq, -1))
+
+    def test_ncdt_is_exp_of_twisted_log(self, name):
+        fq = SYMMETRIC[name]
+        bu = universal_for(fq, 6)
+        log = pleth_log(bu.series)
+        assert ncdt(fq, bu) == pleth_exp(s_twist(log, nu_weights(fq, 2)) - log)
 
 
 class TestNCDT:
