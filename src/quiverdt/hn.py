@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .qtorus import TorusSeries, pleth_exp, torus_mul
+from .qtorus import TorusSeries, pleth_exp, torus_mul, torus_product
 from .quiver import (ExtDimVector, FramedQuiver, check_builtin_shape,
                      dim_vectors_up_to, ext, skew_form, sub_vectors, tits_form)
 from .scalar import ONE, L, Scalar, _acc_term, _settle
@@ -171,7 +171,6 @@ def remultiply_check(parts: dict, BU: UniversalSeries) -> bool:
     """Re-multiply the slope pieces (decreasing slope) and compare with B_U."""
     series = BU.series
     fq, N = series.fq, series.trunc
-    prod = TorusSeries.one(fq, N)
-    for mu in sorted(parts, reverse=True):
-        prod = torus_mul(prod, parts[mu].retrunc(N) if parts[mu].trunc != N else parts[mu])
+    prod = torus_product(fq, N, (parts[mu].retrunc(N) if parts[mu].trunc != N else parts[mu]
+                                 for mu in sorted(parts, reverse=True)))
     return prod == series

@@ -15,13 +15,23 @@ tuples of every matrix tuple:
   column images and gives each source subspace the bitmask of the images of
   its basis; a subspace tuple is invariant when, for every arrow, that mask
   lies inside the mask of the target subspace.
+- A subspace tuple is invariant under M exactly when it is invariant under
+  lam M for lam != 0, and, for a loop, under M + mu I.  So each arrow runs
+  over one normal form per class {lam M + mu I}: the first nonzero entry in
+  column order is 1, and a loop's entry (0, 0) is 0.  A normal form stands
+  for its class, q - 1 matrices if it is nonzero and 1 if not, times q for a
+  loop; a tuple of normal forms stands for the product of these weights, and
+  the weights of one shape sum to q^(mn).
 - Slopes depend on dimension vectors only, so each entry point decides its
   slope tests once per candidate tuple before the matrix loop, and c-minus
   once per quotient class.
 - A tuple of framing vectors is a point of the product of the framed
   vertices' spaces.  The framing tuples inside a subspace tuple form the
   product of its member masks, so stable framing points are counted by
-  popcount.
+  popcount and weighted by the normal-form tuple's weight.
+- The budget prices one step of work: a run visits the normal-form tuples,
+  and each costs the streamed arrow's image pass (the points and subspaces
+  of its source space) plus one test per candidate subspace tuple.
 """
 
 from __future__ import annotations
@@ -131,18 +141,27 @@ def _sum_tables(q: int, m: int):
     return scaled, norm, bit
 
 
-def _req_tables(q: int, m: int, n: int):
-    """The image pass: for every matrix F_q^n -> F_q^m, in column-tuple
-    order, the list over the subspaces S of F_q^n of the bitmask of the
-    images of S's basis."""
+def _req_tables(q: int, m: int, n: int, loop: bool):
+    """The image pass: for every normal-form matrix F_q^n -> F_q^m (a loop's
+    when loop is set), in column-tuple order, (weight, req).  The weight is
+    the size of the matrix's class {lam M + mu I}, and req lists over the
+    subspaces S of F_q^n the bitmask of the images of S's basis."""
     dims, _, bases = _subspaces(q, n)
     if n == 0:
-        yield [0]
+        yield 1, [0]
         return
     # basis point indices column by column, per dimension, in subspace order
     groups = [tuple(zip(*(b for d, b in zip(dims, bases) if d == k)))
               for k in range(1, n + 1)]
     scaled, norm, bit = _sum_tables(q, m)
+    points = list(itertools.product(range(q), repeat=m))
+    # (first column, nonzero entry seen) -> the allowed columns, in point
+    # order, each with whether a nonzero entry has been seen after it
+    choices = {(first, seen): [(us, seen or any(p)) for p, us in zip(points, scaled)
+                               if (seen or next((x for x in p if x), 1) == 1)
+                               and not (loop and first and p[0])]
+               for first in (False, True) for seen in (False, True)}
+    shift = q if loop else 1
 
     def req(img):
         out = [0]
@@ -153,16 +172,16 @@ def _req_tables(q: int, m: int, n: int):
             out += acc
         return out
 
-    def columns(k, partial):
+    def columns(k, partial, seen):
         # partial: codes of the images of the points (x_0, .., x_{k-1}, 0, ..)
         if k == n - 1:
-            for us in scaled:
-                yield req([bit[x + u] for x in partial for u in us])
+            for us, now in choices[k == 0, seen]:
+                yield (q - 1 if now else 1) * shift, req([bit[x + u] for x in partial for u in us])
         else:
-            for us in scaled:
-                yield from columns(k + 1, [norm[x + u] for x in partial for u in us])
+            for us, now in choices[k == 0, seen]:
+                yield from columns(k + 1, [norm[x + u] for x in partial for u in us], now)
 
-    yield from columns(0, [0])
+    yield from columns(0, [0], False)
 
 
 def _framing_masks(alpha, slots, q: int, cands):
@@ -201,8 +220,10 @@ def _candidates(alpha, q: int):
 
 
 def _invariant_runs(fq: FramedQuiver, alpha, q: int, cands):
-    """The one enumeration loop: for every tuple of arrow matrices of class
-    alpha, the increasing positions in cands of the arrow-invariant tuples.
+    """The one enumeration loop: for every tuple of normal-form arrow
+    matrices of class alpha, (weight, the increasing positions in cands of
+    the arrow-invariant tuples).  The weight, the product of the arrows'
+    class sizes, is the number of matrix tuples with these invariant tuples.
 
     The arrow with the most entries streams its image tables; the other
     shapes are tabulated once and reused for every matrix of that arrow.
@@ -210,19 +231,20 @@ def _invariant_runs(fq: FramedQuiver, alpha, q: int, cands):
     arrows = sorted(_arrow_list(fq), key=lambda a: -alpha[a[0]] * alpha[a[1]])
     every = range(len(cands))
     if not arrows:
-        yield every
+        yield 1, every
         return
     masks = [_subspaces(q, a)[1] for a in alpha]
     checks = [([c[i] for c in cands], [~masks[j][c[j]] for c in cands])
               for i, j in arrows]
-    shapes = [(alpha[j], alpha[i]) for i, j in arrows]
+    shapes = [(alpha[j], alpha[i], i == j) for i, j in arrows]
     stored = {s: list(_req_tables(q, *s)) for s in shapes[1:]}
-    for first in _req_tables(q, *shapes[0]):
+    for head in _req_tables(q, *shapes[0]):
         for rest in itertools.product(*(stored[s] for s in shapes[1:])):
-            keep = every
-            for req, (src, out) in zip((first,) + rest, checks):
+            weight, keep = 1, every
+            for (w, req), (src, out) in zip((head,) + rest, checks):
+                weight *= w
                 keep = [p for p in keep if not req[src[p]] & out[p]]
-            yield keep
+            yield weight, keep
 
 
 def _count_points(fq: FramedQuiver, alpha, q: int, slots, bad, watch) -> int:
@@ -232,13 +254,13 @@ def _count_points(fq: FramedQuiver, alpha, q: int, slots, bad, watch) -> int:
     total = q ** sum(alpha[i] for i in slots)
     nbad = len(bad)
     count = 0
-    for inv in _invariant_runs(fq, alpha, q, bad + watch):
+    for weight, inv in _invariant_runs(fq, alpha, q, bad + watch):
         if inv and inv[0] < nbad:
             continue
         hit = 0
         for p in inv:
             hit |= fmasks[p - nbad]
-        count += total - hit.bit_count()
+        count += weight * (total - hit.bit_count())
     return count
 
 
@@ -254,12 +276,28 @@ def _enumerate_matrices(shape_list, q):
         yield tuple(mats)
 
 
-def _check_budget(cfg: FiniteFieldConfig, points: int, per_point: int) -> None:
-    per_point = max(per_point, 1)
-    if points * per_point > cfg.budget:
+def _check_budget(cfg: FiniteFieldConfig, fq: FramedQuiver, alpha, q: int,
+                  cands, once: int = 0) -> None:
+    """Refuse a kernel run whose work exceeds the budget: the normal-form
+    matrix tuples it visits times the work per tuple, which is the streamed
+    arrow's image pass (its source points and subspaces) plus one test per
+    candidate tuple, plus any one-off work."""
+    arrows = _arrow_list(fq)
+    tuples = 1
+    for i, j in arrows:
+        entries = alpha[i] * alpha[j]
+        free = entries - (i == j and entries > 0)  # a loop's (0, 0) entry is 0
+        tuples *= (q ** free - 1) // (q - 1) + 1  # the nonzero normal forms and 0
+    per_tuple = len(cands)
+    if arrows:
+        n = alpha[max(arrows, key=lambda a: alpha[a[0]] * alpha[a[1]])[0]]
+        per_tuple += q ** n + len(_subspaces(q, n)[0])
+    work = tuples * per_tuple + once
+    if work > cfg.budget:
+        extra = f" + {once} once" if once else ""
         raise BudgetError(
-            f"budget exceeded: {points} points x {per_point} work per point = "
-            f"{points * per_point} > budget {cfg.budget} (set WALLCROSS_BUDGET to change it)")
+            f"budget exceeded: {tuples} matrix tuples x {per_tuple} work per tuple{extra} = "
+            f"{work} > budget {cfg.budget} (set WALLCROSS_BUDGET to change it)")
 
 
 def _check_dim(cfg: FiniteFieldConfig, alpha) -> None:
@@ -322,7 +360,7 @@ def count_stack(fq: FramedQuiver, alpha, sp, q: int,
         return Fraction(q ** entries, group)
 
     cands, dims = _candidates(a, q)
-    _check_budget(cfg, q ** entries, len(cands) * 4)
+    _check_budget(cfg, fq, a, q, cands)
     bad = [cand for cand, d in zip(cands, dims)
            if sum(d) and theta_slope(theta, d) > target]
     # star 1: a subobject through the framing destabilizes the framing tuples inside it
@@ -358,12 +396,9 @@ def count_framed_stable(fq: FramedQuiver, alpha, theta, c, side: str, q: int,
     else:
         c_eff = resolve_side(find_walls(fq, theta, alpha, sum(alpha)), c, side)
 
-    arrows = _arrow_list(fq)
     slots = _framing_slots(fq)
-    entries = sum(alpha[i] * alpha[j] for i, j in arrows)
     cands, dims = _candidates(alpha, q)
-    _check_budget(cfg, q ** entries,
-                  len(cands) * 4 + q ** sum(alpha[i] for i in slots))
+    _check_budget(cfg, fq, alpha, q, cands)
 
     if c_eff is None:
         # plus infinity: no proper subobject may contain the framing
@@ -498,12 +533,10 @@ def hall_filtration_check(fq: FramedQuiver, alpha, theta, c, q: int,
     if c in (PLUS_INF, MINUS_INF):
         raise ValueError("hall_filtration_check needs a finite c")
     c = Fraction(c)
-    arrows = _arrow_list(fq)
     slots = _framing_slots(fq)
     cands, dims = _candidates(alpha, q)
-    entries = sum(alpha[i] * alpha[j] for i, j in arrows)
-    _check_budget(cfg, q ** (entries + sum(alpha[i] for i in slots)),
-                  len(cands) * 16)
+    # the right side's pre-pass compares every pair of candidate tuples
+    _check_budget(cfg, fq, alpha, q, cands, once=len(cands) ** 2)
 
     target = theta_slope(theta, alpha, c)
     masks = [_subspaces(q, a)[1] for a in alpha]
@@ -545,7 +578,7 @@ def hall_filtration_check(fq: FramedQuiver, alpha, theta, c, q: int,
                     above.append(t)
         right.append((p, dead, above))
 
-    for inv in _invariant_runs(fq, alpha, q, cands):
+    for _, inv in _invariant_runs(fq, alpha, q, cands):
         bits = 0
         for p in inv:
             bits |= 1 << p

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .hn import UniversalSeries, hn_factorize
 from .quiver import FramedQuiver, ext, is_symmetric, nu, tits_form
 from .qtorus import (TorusSeries, nu_weights, pleth_exp, pleth_log, s_twist,
-                     torus_inverse, torus_mul, truncate_tau)
+                     torus_inverse, torus_mul, torus_product, truncate_tau)
 from .scalar import L, ONE, Scalar, V
 from .stability import (MINUS_INF, PLUS_INF, SIDES, StabilityParams,
                         theta_slope)
@@ -112,11 +112,11 @@ def uniform_series(fq: FramedQuiver, BU: UniversalSeries, theta, a,
 def _uniform(fq, parts, N, a, side) -> TorusSeries:
     if a not in (PLUS_INF, MINUS_INF):
         a = Fraction(a)
-    below = TorusSeries.one(fq, N)  # P_{<a}, decreasing slope
-    for b in sorted(parts, reverse=True):
-        if b < a:
-            below = torus_mul(below, parts[b])
-    upto = torus_mul(parts[a], below) if a in parts else below  # P_{<=a}
+    lower = [parts[b] for b in sorted(parts, reverse=True) if b < a]
+    below = torus_product(fq, N, lower)  # P_{<a}, decreasing slope
+    upto = below  # P_{<=a}
+    if a in parts:
+        upto = torus_mul(parts[a], below) if lower else parts[a]
     return _crossing(fq, below if side == "minus" else upto,
                      upto if side == "plus" else below)
 
@@ -156,11 +156,8 @@ def transfer_slope_product(fq: FramedQuiver, parts: dict, trunc: int,
     Symmetric quivers only; the factors commute, the order is fixed
     decreasing for definiteness.
     """
-    out = TorusSeries.one(fq, trunc)
-    for b in sorted(parts, reverse=True):
-        if pred(b):
-            out = torus_mul(out, transfer_series(parts[b], fq))
-    return out
+    return torus_product(fq, trunc, (transfer_series(parts[b], fq)
+                                     for b in sorted(parts, reverse=True) if pred(b)))
 
 
 def ncdt(fq: FramedQuiver, BU: UniversalSeries) -> TorusSeries:

@@ -283,10 +283,14 @@ class TestCheckOracle:
 
     def test_budget_error_states_work_and_budget(self, capsys, monkeypatch):
         monkeypatch.delenv("WALLCROSS_BUDGET", raising=False)
-        code, out, err = invoke(capsys, "check-oracle", quiver("jordan"), "--q", "3",
+        code, out, err = invoke(capsys, "check-oracle", quiver("two_loops"), "--q", "3",
                                 "--max-dim", "3", "--theta", "0", "--c", "0")
         assert code == 1 and out == ""
         [line] = err.splitlines()
         assert line.startswith("error: budget exceeded")
-        work = 3 ** 12 * 28 * 16  # points x (subspace tuples x 16) in the filtration check
+        # the filtration check at alpha = 3: 3281 normal forms per 3 x 3 loop
+        # (3^8 matrices with entry (0, 0) zero, up to scaling, plus zero);
+        # per tuple, an image pass over the 27 points and 28 subspaces of
+        # F_3^3 and 28 candidate tuples; once, the 28^2 pre-pass
+        work = 3281 ** 2 * (27 + 28 + 28) + 28 ** 2
         assert str(work) in line and str(DEFAULT_BUDGET) in line

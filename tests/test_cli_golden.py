@@ -66,8 +66,8 @@ COMMANDS = [
     "check-oracle quivers/kronecker.json --q 2 --max-dim 2 --theta -1,0 --c -3/2",
     "check-oracle quivers/two_loops.json --max-dim 2",
     "check-oracle quivers/point.json --q 3 --max-dim 3 --theta 0 --c 0",
-    # refusals and bad input
     "check-oracle quivers/jordan.json --q 3 --max-dim 3 --theta 0 --c 0",
+    # refusals and bad input
     "check-oracle quivers/c3.json",
     "transfer quivers/kronecker.json -N 3",
     "universal quivers/jordan.json --euler",

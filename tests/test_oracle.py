@@ -1,7 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from quiverdt import oracle
 from quiverdt.hn import gl_motive, hn_factorize, universal_trivial
 from quiverdt.oracle import (BudgetError, FiniteFieldConfig,
                              count_framed_stable, count_stack,
@@ -146,7 +148,7 @@ class TestFramedStable:
     def test_budget_env(self, monkeypatch):
         monkeypatch.setenv("WALLCROSS_BUDGET", "10")
         with pytest.raises(BudgetError, match="> budget 10 .*WALLCROSS_BUDGET"):
-            count_framed_stable(JORDAN, (1,), (0,), 0, "plus", 2)
+            count_framed_stable(JORDAN, (2,), (0,), 0, "plus", 2)
 
     def test_dim_cap(self):
         with pytest.raises(BudgetError, match="total dimension 5 > max_total_dim 4"):
@@ -192,3 +194,41 @@ class TestHallFiltration:
         for c in (PLUS_INF, MINUS_INF):
             with pytest.raises(ValueError, match="^hall_filtration_check needs a finite c$"):
                 hall_filtration_check(JORDAN, (1,), (0,), c, 2)
+
+
+def normal_forms(q, m, n, loop):
+    """The matrices F_q^n -> F_q^m that the image pass visits, as tuples of
+    columns, with their weights; each column is read back from the image of
+    the line through a basis vector."""
+    dims, _, bases = oracle._subspaces(q, n)
+    lines = {b[0]: k for k, (d, b) in enumerate(zip(dims, bases)) if d == 1}
+    units = [oracle._index([int(r == c) for r in range(n)], q) for c in range(n)]
+    points = list(itertools.product(range(q), repeat=m))
+    for weight, req in oracle._req_tables(q, m, n, loop):
+        yield weight, tuple(points[req[lines[u]].bit_length() - 1] for u in units)
+
+
+def matrix_class(cols, q, loop):
+    """{lam M + mu I}: lam != 0, and mu = 0 unless M is a loop."""
+    return {tuple(tuple((lam * x + mu * (r == c)) % q for r, x in enumerate(col))
+                  for c, col in enumerate(cols))
+            for lam in range(1, q) for mu in (range(q) if loop else (0,))}
+
+
+# every shape up to 2 x 2 at q = 2, 3, 5 and 3 x 3 at q <= 3; loops are square
+SHAPES = [(q, m, n, loop) for q in (2, 3, 5) for m in range(3) for n in range(3)
+          for loop in (False, True) if m == n or not loop] + \
+    [(q, 3, 3, loop) for q in (2, 3) for loop in (False, True)]
+
+
+@pytest.mark.parametrize("q,m,n,loop", SHAPES)
+def test_normal_forms_partition_the_matrices(q, m, n, loop):
+    forms = list(normal_forms(q, m, n, loop))
+    assert sum(weight for weight, _ in forms) == q ** (m * n)
+    seen = set()
+    for weight, cols in forms:
+        cls = matrix_class(cols, q, loop)
+        assert len(cls) == weight
+        assert not cls & seen  # distinct normal forms, disjoint classes
+        seen |= cls
+    assert len(seen) == q ** (m * n)  # the classes cover every matrix

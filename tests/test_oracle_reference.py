@@ -14,7 +14,8 @@ import pytest
 
 import reference_oracle as ref
 from quiverdt import oracle
-from quiverdt.quiver import ext, jordan_quiver, kronecker_quiver, loop_quiver
+from quiverdt.quiver import (FramedQuiver, Quiver, ext, jordan_quiver,
+                             kronecker_quiver, loop_quiver)
 from quiverdt.stability import MINUS_INF, PLUS_INF, StabilityParams, find_walls
 
 QUIVERS = {
@@ -24,6 +25,8 @@ QUIVERS = {
     "kronecker": kronecker_quiver(),
     "jordan_w2": jordan_quiver(w=(2,)),
     "kronecker_w11": kronecker_quiver(w=(1, 1)),
+    # a loop at vertex 0 next to an arrow 0 -> 1: both kinds of normal form
+    "loop_arrow": FramedQuiver(Quiver(2, ((1, 1), (0, 0))), (1, 0)),
 }
 
 # (quiver, q, alpha): every class at q = 2, the smaller ones at q = 3 too
@@ -35,11 +38,13 @@ CASES = [(name, q, alpha) for name, alphas in [
     ("jordan_w2", [(1,), (2,)]),
     ("kronecker_w11", [(1, 0), (1, 1), (2, 1)]),
 ] for alpha in alphas for q in (2, 3) if q == 2 or sum(alpha) == 1 or name == "jordan"
-    or alpha == (1, 1)]
+    or alpha == (1, 1)] + [("loop_arrow", q, alpha)
+                           for q, alpha in [(3, (1, 1)), (5, (1, 1)), (3, (1, 2))]]
 # the reference needs from 10 s to over 2 min for the entry points on each
 # of these, so only the kernel is compared on them
 KERNEL_ONLY = [("jordan", 2, (3,)), ("jordan", 3, (3,)), ("two_loops", 3, (2,)),
-               ("jordan_w2", 3, (2,)), ("kronecker", 3, (2, 1)), ("kronecker", 2, (2, 2))]
+               ("jordan_w2", 3, (2,)), ("kronecker", 3, (2, 1)), ("kronecker", 2, (2, 2)),
+               ("loop_arrow", 3, (2, 1))]
 
 # theta = (1, 1) gives every class the same slope: it lies on every wall
 THETAS = {1: [(Fraction(0),), (Fraction(1),)],
@@ -85,11 +90,25 @@ def test_entry_points_agree(case):
                 ref.count_framed_stable(fq, alpha, theta, c, "exact", q), c
 
 
+@pytest.mark.parametrize("case", [c for c in CASES if c[0] == "loop_arrow"], ids=case_id)
+def test_loop_arrow_counts_are_nonzero(case):
+    """The loop-and-arrow comparisons above are not all between zeros."""
+    name, q, alpha = case
+    fq = QUIVERS[name]
+    semistable = [oracle.count_stack(fq, alpha, StabilityParams(theta), q)
+                  for theta in THETAS[2]]
+    framed = [oracle.count_framed_stable(fq, alpha, theta, c, side, q)
+              for theta in THETAS[2] for c in levels(fq, theta, alpha)
+              for side in ("exact", "plus", "minus")]
+    assert any(semistable + framed)
+
+
 @pytest.mark.parametrize("case", [c for c in CASES + KERNEL_ONLY if c[0] != "point"],
                          ids=case_id)
 def test_invariant_tuples_agree(case):
     """Over all matrix tuples, the kernel finds the same invariant subspace
-    tuples as the reference's matrix-vector test (the orders differ)."""
+    tuples as the reference's matrix-vector test (the orders differ), each
+    normal-form run counted as often as its weight says."""
     name, q, alpha = case
     fq = QUIVERS[name]
     cands, _ = oracle._candidates(alpha, q)
@@ -98,8 +117,9 @@ def test_invariant_tuples_agree(case):
     def key(cand):  # a subspace tuple as its members, comparable across both
         return tuple(members[i][k] for i, k in enumerate(cand))
 
-    got = Counter(frozenset(key(cands[p]) for p in inv)
-                  for inv in oracle._invariant_runs(fq, alpha, q, cands))
+    got = Counter()
+    for weight, inv in oracle._invariant_runs(fq, alpha, q, cands):
+        got[frozenset(key(cands[p]) for p in inv)] += weight
     arrows = ref._arrow_list(fq)
     shape = [(alpha[j], alpha[i]) for i, j in arrows]
     ref_cands = ref._candidate_tuples(alpha, q)

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from quiverdt.hn import hn_factorize, universal_for
+from quiverdt import hn, qtorus, wallcross
+from quiverdt.hn import hn_factorize, remultiply_check, universal_for
 from quiverdt.quiver import (c3_quiver, conifold_quiver, ext, jordan_quiver,
                              kronecker_quiver, loop_quiver, tits_form)
 from quiverdt.qtorus import (TorusSeries, nu_weights, pleth_exp, pleth_log,
-                             s_twist, torus_inverse, torus_mul, truncate_tau)
+                             s_twist, torus_inverse, torus_mul, torus_product,
+                             truncate_tau)
 from quiverdt.scalar import L, ONE, Scalar, V
 from quiverdt.stability import MINUS_INF, PLUS_INF, StabilityParams
 from quiverdt.wallcross import (A_STAR, DIRECTIONS, DTInvariants,
@@ -49,6 +51,84 @@ class TestTransferSeries:
         at = transfer_slope_product(fq, parts, 4, lambda b: b == HALF)
         above = transfer_slope_product(fq, parts, 4, lambda b: b > HALF)
         assert whole == torus_mul(above, torus_mul(at, below))
+
+
+def count_torus_muls(monkeypatch):
+    """Count torus_mul calls through every module that multiplies series."""
+    calls = []
+
+    def counted(f, g):
+        calls.append(None)
+        return torus_mul(f, g)
+
+    for module in (qtorus, hn, wallcross):
+        monkeypatch.setattr(module, "torus_mul", counted)
+    return calls
+
+
+def product_from_one(fq, N, factors):
+    """The slope product as it was formed before: one times each factor."""
+    out = TorusSeries.one(fq, N)
+    for f in factors:
+        out = torus_mul(out, f)
+    return out
+
+
+class TestSlopeProducts:
+    """A product of k slope factors costs k - 1 torus_mul calls, and the
+    result is the product started from one."""
+
+    def setup_method(self):
+        self.bu = universal_for(KRON, 4)
+        self.parts = hn_factorize(self.bu, (1, 0), 4)
+        self.slopes = sorted(self.parts, reverse=True)
+
+    def test_torus_product(self, monkeypatch):
+        factors = [self.parts[b] for b in self.slopes]
+        want = [product_from_one(KRON, 4, factors[:k]) for k in range(len(factors) + 1)]
+        calls = count_torus_muls(monkeypatch)
+        for k in range(len(factors) + 1):
+            calls.clear()
+            assert torus_product(KRON, 4, factors[:k]) == want[k]
+            assert len(calls) == max(k - 1, 0)
+
+    def test_remultiply_check(self, monkeypatch):
+        calls = count_torus_muls(monkeypatch)
+        assert remultiply_check(self.parts, self.bu)
+        assert len(calls) == len(self.parts) - 1
+
+    def test_transfer_slope_product(self, monkeypatch):
+        fq = conifold_quiver()
+        parts = hn_factorize(universal_for(fq, 4), (1, 0), 4)
+        slopes = sorted(parts, reverse=True)
+        cuts = [None] + slopes  # keep the slopes above each cut
+        want = [product_from_one(fq, 4, [transfer_series(parts[b], fq)
+                                         for b in slopes if cut is None or b > cut])
+                for cut in cuts]
+        calls = count_torus_muls(monkeypatch)
+        for cut, expected in zip(cuts, want):
+            calls.clear()
+            got = transfer_slope_product(fq, parts, 4, lambda b: cut is None or b > cut)
+            k = sum(cut is None or b > cut for b in slopes)
+            assert got == expected
+            # one torus_mul inside each transfer series, k - 1 between them
+            assert len(calls) == k + max(k - 1, 0)
+
+    def test_uniform_series(self, monkeypatch):
+        levels = [MINUS_INF, PLUS_INF, Fraction(1, 3)] + self.slopes
+        want = {}
+        for a in levels:
+            lower = [self.parts[b] for b in self.slopes if b < a]
+            below = product_from_one(KRON, 4, lower)
+            upto = torus_mul(self.parts[a], below) if a in self.parts else below
+            want[a] = (len(lower), wallcross._crossing(KRON, upto, below))
+        calls = count_torus_muls(monkeypatch)
+        for a in levels:
+            k, expected = want[a]
+            calls.clear()
+            assert uniform_series(KRON, self.bu, (1, 0), a, "exact") == expected
+            # k - 1 products below a, one more with the factor at a, one crossing
+            assert len(calls) == max(k - 1, 0) + (a in self.parts and k > 0) + 1
 
 
 class TestGeneralWallcross:
