@@ -12,7 +12,6 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .hn import hn_factorize, universal_for
@@ -61,10 +60,9 @@ def parse_rat_vector(text: str) -> tuple:
     return tuple(parse_rational(p) for p in text.split(","))
 
 
-@dataclass
 class JobSpec:
-    quiver_path: str
-    subcommand: str
+    """One CLI job; the class attributes are the option defaults."""
+
     trunc: int = 4
     theta: tuple | None = None
     c: object = None  # Fraction or one of the infinity sentinels
@@ -76,6 +74,13 @@ class JobSpec:
     q: int = 2
     max_dim: int = 3
     out_dir: str | None = None
+
+    def __init__(self, quiver_path: str, subcommand: str, **options):
+        self.quiver_path, self.subcommand = quiver_path, subcommand
+        for name, value in options.items():
+            if name not in JobSpec.__annotations__:
+                raise TypeError(f"JobSpec got an unexpected keyword argument {name!r}")
+            setattr(self, name, value)
 
 
 # ---- report formatting ------------------------------------------------------
@@ -225,10 +230,14 @@ def _check_oracle(job: JobSpec, fq: FramedQuiver):
     cfg = FiniteFieldConfig(q, max_total_dim=min(job.max_dim, 4))
     n = fq.base.n_vertices
     N = job.max_dim
-    BU = universal_for(fq, N)
     theta = job.theta
     if theta is not None and len(theta) != n:
         raise CLIError("theta must list one rational per vertex")
+    if job.c is not None and theta is None:
+        raise CLIError("check-oracle --c needs --theta")
+    if job.c in (PLUS_INF, MINUS_INF):
+        raise CLIError(f"check-oracle --c needs a finite level, not {job.c:+}")
+    BU = universal_for(fq, N)
     parts = hn_factorize(BU, theta, N) if theta is not None else None
 
     rows = []
@@ -249,7 +258,7 @@ def _check_oracle(job: JobSpec, fq: FramedQuiver):
         ok = verify_coefficient(coeff, scnt, q, chi=chi)
         failed |= not ok
         rows.append(f"semistable\talpha={','.join(map(str, a))}\t{'ok' if ok else 'FAIL'}")
-        if job.c is not None and job.c not in (PLUS_INF, MINUS_INF):
+        if job.c is not None:
             ok = hall_filtration_check(fq, a, theta, job.c, q, cfg)
             failed |= not ok
             rows.append(f"filtration\talpha={','.join(map(str, a))}\t{'ok' if ok else 'FAIL'}")

@@ -9,11 +9,11 @@ remultiply_check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .qtorus import TorusSeries, pleth_exp, torus_mul, torus_product
-from .quiver import (ExtDimVector, FramedQuiver, check_builtin_shape,
+from .quiver import (ExtDimVector, FramedQuiver, Record, check_builtin_shape,
                      dim_vectors_up_to, ext, skew_form, sub_vectors, tits_form)
 from .scalar import ONE, L, Scalar, _acc_term, _settle
 from .stability import theta_slope
@@ -21,22 +21,21 @@ from .stability import theta_slope
 SOURCES = ("trivial_potential", "builtin_c3", "builtin_conifold", "user_supplied")
 
 
-@dataclass(frozen=True)
-class UniversalSeries:
-    series: TorusSeries
-    source: str = "user_supplied"
-    # hn_factorize results by (theta as Fractions, N)
-    _hn: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+class UniversalSeries(Record):
+    __slots__ = ("series", "source", "_hn")
+    _hidden = ("_hn",)  # hn_factorize results by (theta as Fractions, N)
 
-    def __post_init__(self):
-        if self.source not in SOURCES:
-            raise ValueError(f"unknown source {self.source!r}")
-        if any(k.star for k in self.series.coeffs):
+    def __init__(self, series: TorusSeries, source: str = "user_supplied"):
+        if source not in SOURCES:
+            raise ValueError(f"unknown source {source!r}")
+        if any(k.star for k in series.coeffs):
             raise ValueError("universal series must be star-0")
-        if self.series.constant_term() != ONE:
+        if series.constant_term() != ONE:
             raise ValueError("universal series needs constant term 1")
+        self._set(series=series, source=source, _hn={})
 
 
+@lru_cache(maxsize=None)
 def gl_motive(n: int) -> Scalar:
     """[GL_n] = prod_{k<n} (L^n - L^k)."""
     out = ONE

@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .quiver import ExtDimVector, FramedQuiver, ext, sub_vectors
+from .quiver import ExtDimVector, FramedQuiver, Record, ext, sub_vectors
 from .scalar import Scalar
 from .stability import (MINUS_INF, PLUS_INF, StabilityParams, find_walls,
                         resolve_side, theta_slope)
@@ -54,22 +53,20 @@ class BudgetError(RuntimeError):
     pass
 
 
-def _env_budget() -> int:
-    raw = os.environ.get("WALLCROSS_BUDGET")
-    return int(raw) if raw else DEFAULT_BUDGET
+class FiniteFieldConfig(Record):
+    """budget defaults to WALLCROSS_BUDGET as set when the config is built."""
 
+    __slots__ = ("q", "max_total_dim", "budget")
 
-@dataclass(frozen=True)
-class FiniteFieldConfig:
-    q: int
-    max_total_dim: int = 4
-    budget: int = field(default_factory=_env_budget)
-
-    def __post_init__(self):
-        if self.q not in (2, 3, 5):
+    def __init__(self, q: int, max_total_dim: int = 4, budget: int | None = None):
+        if budget is None:
+            raw = os.environ.get("WALLCROSS_BUDGET")
+            budget = int(raw) if raw else DEFAULT_BUDGET
+        if q not in (2, 3, 5):
             raise ValueError("q must be a prime at most 5")
-        if not 1 <= self.max_total_dim <= 4:
+        if not 1 <= max_total_dim <= 4:
             raise ValueError("max_total_dim must be between 1 and 4")
+        self._set(q=q, max_total_dim=max_total_dim, budget=budget)
 
 
 def gl_order(n: int, q: int) -> int:

@@ -19,11 +19,11 @@ grade by grade:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .quiver import ExtDimVector, FramedQuiver, ext, skew_form, zero_vector
+from .quiver import (ExtDimVector, FramedQuiver, Record, ext, nu, skew_form,
+                     zero_vector)
 from .scalar import ONE, Scalar, _acc_term, _settle
 from .stability import theta_slope
 
@@ -34,23 +34,20 @@ def _zero_key(fq: FramedQuiver) -> Key:
     return ExtDimVector(zero_vector(fq.n_vertices), 0)
 
 
-@dataclass(frozen=True)
-class TorusSeries:
+class TorusSeries(Record):
     """A truncated series: fq fixes the skew form, trunc the region."""
 
-    fq: FramedQuiver
-    trunc: int
-    coeffs: Mapping[Key, Scalar]
+    __slots__ = ("fq", "trunc", "coeffs")
 
-    def __post_init__(self):
+    def __init__(self, fq: FramedQuiver, trunc: int, coeffs: Mapping[Key, Scalar]):
         clean = {}
-        for key, c in self.coeffs.items():
+        for key, c in coeffs.items():
             key = ExtDimVector(tuple(key[0]), key[1])
-            if not _in_region(key, self.trunc):
+            if not _in_region(key, trunc):
                 continue
             if c:
                 clean[key] = c
-        object.__setattr__(self, "coeffs", clean)
+        self._set(fq=fq, trunc=trunc, coeffs=clean)
 
     @classmethod
     def zero(cls, fq: FramedQuiver, trunc: int) -> "TorusSeries":
@@ -168,17 +165,25 @@ def _mul_into(fq: FramedQuiver, trunc: int, acc: dict, left, right) -> None:
 
     acc maps each key to a {denominator: numerator sum} dict for
     scalar._settle.  Products with star >= 2 or total degree > trunc drop.
+    The skew form comes from one row per left key a:
+    <a, b> = sum_j r_j b_j + b* nu(a), r_j = sum_i (m_ji - m_ij) a_i - a* w_j.
     """
+    m, w = fq.base.arrows, fq.w
     for ka, ca in left:
+        a = ka.unframed
+        row = [sum((mj[i] - m[i][j]) * x for i, x in enumerate(a)) - ka.star * w[j]
+               for j, mj in enumerate(m)]
+        nu_a = nu(fq, a)
         for kb, cb in right:
             star = ka.star + kb.star
             if star > 1:
                 continue
-            alpha = tuple(x + y for x, y in zip(ka.unframed, kb.unframed))
+            b = kb.unframed
+            alpha = tuple(x + y for x, y in zip(a, b))
             if sum(alpha) > trunc:
                 continue
-            _acc_term(acc.setdefault(ExtDimVector(alpha, star), {}),
-                      ca, cb, skew_form(fq, ka, kb))
+            skew = sum(r * y for r, y in zip(row, b)) + kb.star * nu_a
+            _acc_term(acc.setdefault(ExtDimVector(alpha, star), {}), ca, cb, skew)
 
 
 def _settled(acc: dict, div: int = 1) -> dict:

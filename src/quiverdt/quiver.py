@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 DimVector = tuple  # coords in N^{Q_0}
@@ -35,35 +34,63 @@ def ext(coords, star: int = 0) -> ExtDimVector:
     return a
 
 
-@dataclass(frozen=True)
-class Quiver:
-    n_vertices: int
-    arrows: tuple  # arrows[i][j] = number of arrows i -> j
+class Record:
+    """An immutable value: its fields are its __slots__, set once in __init__
+    through _set; ==, hash and repr run over them, less those in _hidden.
+    (dataclasses would cost every start-up its import of inspect and ast.)"""
 
-    def __post_init__(self):
-        if self.n_vertices < 1:
+    __slots__ = ()
+    _hidden = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple((n, getattr(self, n)) for n in self.__slots__ if n not in self._hidden)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        body = ", ".join(f"{n}={v!r}" for n, v in self._fields())
+        return f"{type(self).__qualname__}({body})"
+
+
+class Quiver(Record):
+    __slots__ = ("n_vertices", "arrows")  # arrows[i][j] = number of arrows i -> j
+
+    def __init__(self, n_vertices: int, arrows):
+        if n_vertices < 1:
             raise ValueError("quiver needs at least one vertex")
-        rows = tuple(tuple(int(m) for m in row) for row in self.arrows)
-        if len(rows) != self.n_vertices or any(len(r) != self.n_vertices for r in rows):
+        rows = tuple(tuple(int(m) for m in row) for row in arrows)
+        if len(rows) != n_vertices or any(len(r) != n_vertices for r in rows):
             raise ValueError("arrow matrix must be n x n")
         if any(m < 0 for r in rows for m in r):
             raise ValueError("arrow multiplicities must be nonnegative")
-        object.__setattr__(self, "arrows", rows)
+        self._set(n_vertices=n_vertices, arrows=rows)
 
 
-@dataclass(frozen=True)
-class FramedQuiver:
-    base: Quiver
-    w: tuple
-    bu_source: str = "trivial_potential"
+class FramedQuiver(Record):
+    __slots__ = ("base", "w", "bu_source")
 
-    def __post_init__(self):
-        w = tuple(int(x) for x in self.w)
-        if len(w) != self.base.n_vertices or any(x < 0 for x in w):
+    def __init__(self, base: Quiver, w, bu_source: str = "trivial_potential"):
+        w = tuple(int(x) for x in w)
+        if len(w) != base.n_vertices or any(x < 0 for x in w):
             raise ValueError("framing vector must match the vertex count")
-        object.__setattr__(self, "w", w)
-        if self.bu_source not in BUILTIN_SOURCES and self.bu_source != "user_supplied":
-            raise ValueError(f"unknown builtin_BU {self.bu_source!r}")
+        if bu_source not in BUILTIN_SOURCES and bu_source != "user_supplied":
+            raise ValueError(f"unknown builtin_BU {bu_source!r}")
+        self._set(base=base, w=w, bu_source=bu_source)
 
     @property
     def n_vertices(self) -> int:

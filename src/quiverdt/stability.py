@@ -9,10 +9,9 @@ as exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .quiver import ExtDimVector, FramedQuiver, sub_vectors
+from .quiver import ExtDimVector, FramedQuiver, Record, sub_vectors
 
 PLUS_INF = float("inf")
 MINUS_INF = float("-inf")
@@ -20,36 +19,30 @@ MINUS_INF = float("-inf")
 SIDES = ("exact", "plus", "minus")
 
 
-@dataclass(frozen=True)
-class StabilityParams:
-    theta: tuple
-    c: object = Fraction(0)  # Fraction or one of the infinities
-    side: str = "exact"
+class StabilityParams(Record):
+    __slots__ = ("theta", "c", "side")  # c: Fraction or one of the infinities
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", tuple(Fraction(t) for t in self.theta))
-        if self.side not in SIDES:
+    def __init__(self, theta, c=Fraction(0), side: str = "exact"):
+        theta = tuple(Fraction(t) for t in theta)
+        if side not in SIDES:
             raise ValueError(f"side must be one of {SIDES}")
-        if self.c in (PLUS_INF, MINUS_INF):
-            if self.side != "exact":
+        if c in (PLUS_INF, MINUS_INF):
+            if side != "exact":
                 raise ValueError("side tags need a finite c")
-            object.__setattr__(self, "c", float(self.c))
+            c = float(c)
         else:
-            object.__setattr__(self, "c", Fraction(self.c))
+            c = Fraction(c)
+        self._set(theta=theta, c=c, side=side)
 
     def is_finite(self) -> bool:
         return isinstance(self.c, Fraction)
 
 
-@dataclass(frozen=True)
-class WallList:
-    alpha: tuple
-    walls: tuple  # strictly increasing Fractions
+class WallList(Record):
+    __slots__ = ("alpha", "walls")  # walls strictly increasing Fractions
 
-    def __post_init__(self):
-        ws = tuple(sorted(set(Fraction(w) for w in self.walls)))
-        object.__setattr__(self, "walls", ws)
-        object.__setattr__(self, "alpha", tuple(self.alpha))
+    def __init__(self, alpha, walls):
+        self._set(walls=tuple(sorted(set(Fraction(w) for w in walls))), alpha=tuple(alpha))
 
 
 def theta_slope(theta, d, c=None) -> Fraction:

@@ -10,11 +10,10 @@ the integer DT invariants Omega.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .hn import UniversalSeries, hn_factorize
-from .quiver import FramedQuiver, ext, is_symmetric, nu, tits_form
+from .quiver import FramedQuiver, Record, ext, is_symmetric, nu, tits_form
 from .qtorus import (TorusSeries, nu_weights, pleth_exp, pleth_log, s_twist,
                      torus_inverse, torus_mul, torus_product, truncate_tau)
 from .scalar import L, ONE, Scalar, V
@@ -28,19 +27,20 @@ DIRECTIONS = tuple(f"{src}_to_{dst}" for src in SIDES for dst in SIDES
                    if src != dst)
 
 
-@dataclass(frozen=True)
-class FramedSeries:
+class FramedSeries(Record):
     """A framed generating series in star-0 normal form."""
-    series: TorusSeries
-    params: StabilityParams
-    mu: Fraction | None = None
+    __slots__ = ("series", "params", "mu")
+
+    def __init__(self, series: TorusSeries, params: StabilityParams, mu=None):
+        self._set(series=series, params=params, mu=mu)
 
 
-@dataclass(frozen=True)
-class DTInvariants:
+class DTInvariants(Record):
     """The invariants Omega with B = Exp(Omega / (L-1)) on one slope class."""
-    omega: dict  # DimVector -> Scalar
-    trunc: int
+    __slots__ = ("omega", "trunc")  # omega: DimVector -> Scalar
+
+    def __init__(self, omega: dict, trunc: int):
+        self._set(omega=omega, trunc=trunc)
 
     def as_series(self, fq: FramedQuiver) -> TorusSeries:
         return TorusSeries(fq, self.trunc,

@@ -294,3 +294,24 @@ class TestCheckOracle:
         # F_3^3 and 28 candidate tuples; once, the 28^2 pre-pass
         work = 3281 ** 2 * (27 + 28 + 28) + 28 ** 2
         assert str(work) in line and str(DEFAULT_BUDGET) in line
+
+
+class TestCheckOracleLevel:
+    """--c only feeds the filtration check, which needs --theta and a finite level."""
+
+    @pytest.mark.parametrize("args, message", [
+        (("--c", "0"), "check-oracle --c needs --theta"),
+        (("--theta", "0", "--c", "+inf"), "check-oracle --c needs a finite level, not +inf"),
+        (("--theta", "0", "--c", "-inf"), "check-oracle --c needs a finite level, not -inf"),
+    ], ids=["no_theta", "plus_inf", "minus_inf"])
+    def test_refused_not_dropped(self, capsys, args, message):
+        code, out, err = invoke(capsys, "check-oracle", quiver("jordan"),
+                                "--max-dim", "1", *args)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_finite_level_adds_filtration_rows(self, capsys):
+        code, out, err = invoke(capsys, "check-oracle", quiver("jordan"),
+                                "--max-dim", "1", "--theta", "0", "--c", "0")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["universal\talpha=1\tok", "semistable\talpha=1\tok",
+                                    "filtration\talpha=1\tok"]

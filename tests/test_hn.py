@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import quiverdt.hn as hn
 from quiverdt.hn import (UniversalSeries, builtin_BU, gl_motive, hn_factorize,
                          remultiply_check, universal_for, universal_trivial)
 from quiverdt.quiver import (c3_quiver, conifold_quiver, ext, jordan_quiver,
@@ -200,3 +201,17 @@ class TestSplitOnce:
         small = universal_for(kronecker_quiver(), 3)
         assert hn_factorize(big, (1, 0), 3) == hn_factorize(small, (1, 0), 3)
 
+
+
+class TestGLMotiveCache:
+    def test_each_n_built_once(self):
+        gl_motive.cache_clear()
+        universal_trivial(kronecker_quiver(), 7)
+        info = gl_motive.cache_info()
+        assert (info.misses, info.currsize) == (8, 8)  # n = 0..7
+
+    def test_output_unchanged(self, monkeypatch):
+        cached = universal_trivial(kronecker_quiver(), 5)
+        monkeypatch.setattr(hn, "gl_motive", gl_motive.__wrapped__)
+        assert universal_trivial(kronecker_quiver(), 5) == cached
+        assert all(gl_motive(n) == gl_motive.__wrapped__(n) for n in range(6))

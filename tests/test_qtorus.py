@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quiverdt.quiver import ext, jordan_quiver, kronecker_quiver, skew_form
-from quiverdt.qtorus import (TorusSeries, adams_series, nu_weights, pleth_exp,
-                             pleth_log, s_twist, serialize, slope_of,
+from quiverdt.quiver import (c3_quiver, conifold_quiver, dim_vectors_up_to, ext,
+                             jordan_quiver, kronecker_quiver, loop_quiver, skew_form)
+from quiverdt.qtorus import (TorusSeries, _mul_into, adams_series, nu_weights,
+                             pleth_exp, pleth_log, s_twist, serialize, slope_of,
                              torus_inverse, torus_mul, truncate_tau)
-from quiverdt.scalar import ONE, Scalar, V
+from quiverdt.scalar import ONE, Scalar, V, _settle
 
 KRON = kronecker_quiver()
 JORDAN = jordan_quiver()
@@ -281,3 +282,26 @@ def test_random_product_sanity():
     for _ in range(10):
         f, g, h = rand_series(), rand_series(), rand_series()
         assert (f * g) * h == f * (g * h)
+
+
+class TestSkewRows:
+    """_mul_into reads <a, b> off one integer row per left key; each
+    monomial product must carry (-v)^skew_form(a, b)."""
+
+    @pytest.mark.parametrize("fq", [
+        jordan_quiver(), loop_quiver(2), kronecker_quiver(), c3_quiver(),
+        conifold_quiver(), kronecker_quiver(w=(1, 1)),
+    ], ids=["jordan", "two_loops", "kronecker", "c3", "conifold", "kronecker_w11"])
+    def test_matches_skew_form(self, fq):
+        keys = [ext(a, s) for a in dim_vectors_up_to(fq.n_vertices, 2) for s in (0, 1)]
+        for ka in keys:
+            for kb in keys:
+                acc: dict = {}
+                _mul_into(fq, 4, acc, [(ka, ONE)], [(kb, ONE)])
+                if ka.star + kb.star > 1:
+                    assert acc == {}
+                    continue
+                [(key, parts)] = acc.items()
+                assert key == ext(tuple(x + y for x, y in zip(ka.unframed, kb.unframed)),
+                                  ka.star + kb.star)
+                assert _settle(parts) == Scalar.neg_v_pow(skew_form(fq, ka, kb))
