@@ -19,7 +19,7 @@ from .oracle import (FiniteFieldConfig, count_stack, hall_filtration_check,
                      verify_coefficient)
 from .quiver import FramedQuiver, ext, load_quiver_file, tits_form
 from .qtorus import TorusSeries, serialize
-from .stability import MINUS_INF, PLUS_INF, find_walls, theta_slope
+from .stability import MINUS_INF, PLUS_INF, check_theta, find_walls, theta_slope
 from .wallcross import (dt_omega, framed_at, ncdt, smooth_model_series,
                         transfer_series)
 
@@ -132,9 +132,7 @@ def _load(job: JobSpec) -> FramedQuiver:
 def _theta_for(job: JobSpec, fq: FramedQuiver) -> tuple:
     if job.theta is None:
         return (Fraction(0),) * fq.base.n_vertices
-    if len(job.theta) != fq.base.n_vertices:
-        raise CLIError("theta must list one rational per vertex")
-    return job.theta
+    return check_theta(fq, job.theta)
 
 
 def _dispatch(job: JobSpec):
@@ -227,12 +225,10 @@ def _check_oracle(job: JobSpec, fq: FramedQuiver):
     if fq.bu_source != "trivial_potential":
         raise CLIError("check-oracle needs a trivial-potential quiver")
     q = job.q
-    cfg = FiniteFieldConfig(q, max_total_dim=min(job.max_dim, 4))
+    cfg = FiniteFieldConfig(q, max_total_dim=job.max_dim)
     n = fq.base.n_vertices
     N = job.max_dim
-    theta = job.theta
-    if theta is not None and len(theta) != n:
-        raise CLIError("theta must list one rational per vertex")
+    theta = None if job.theta is None else check_theta(fq, job.theta)
     if job.c is not None and theta is None:
         raise CLIError("check-oracle --c needs --theta")
     if job.c in (PLUS_INF, MINUS_INF):

@@ -2,9 +2,10 @@
 
 B_U collects the motives of all representations (trivial stability); for a
 weight vector theta it factors uniquely as the ordered product of slope
-pieces B_mu, decreasing slope left to right.  The factorization is computed
-by the standard recursion over first HN pieces and certified by
-remultiply_check.
+pieces B_mu, decreasing slope left to right.  The factorization peels the
+top slope off one rest at a time, leaving the ladder of partial products the
+framed series are read from; remultiply_check certifies it by multiplying
+the pieces again on its own.
 """
 
 from __future__ import annotations
@@ -12,18 +13,18 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .qtorus import TorusSeries, pleth_exp, torus_mul, torus_product
-from .quiver import (ExtDimVector, FramedQuiver, Record, check_builtin_shape,
-                     dim_vectors_up_to, ext, skew_form, sub_vectors, tits_form)
-from .scalar import ONE, L, Scalar, _acc_term, _settle
-from .stability import theta_slope
+from .qtorus import TorusSeries, pleth_exp, torus_inverse, torus_mul, torus_product
+from .quiver import (BUILTIN_SOURCES, FramedQuiver, Record, check_builtin_shape,
+                     dim_vectors_up_to, ext, tits_form)
+from .scalar import ONE, L, Scalar
+from .stability import check_theta, theta_slope
 
-SOURCES = ("trivial_potential", "builtin_c3", "builtin_conifold", "user_supplied")
+SOURCES = BUILTIN_SOURCES + ("user_supplied",)
 
 
 class UniversalSeries(Record):
     __slots__ = ("series", "source", "_hn")
-    _hidden = ("_hn",)  # hn_factorize results by (theta as Fractions, N)
+    _hidden = ("_hn",)  # slope ladders by (theta as Fractions, N)
 
     def __init__(self, series: TorusSeries, source: str = "user_supplied"):
         if source not in SOURCES:
@@ -71,7 +72,7 @@ def builtin_BU(fq: FramedQuiver, name: str, N: int) -> UniversalSeries:
     if name == "c3":
         lm1 = L - 1
         arg = TorusSeries(fq, N, {ext((n,)): (L * L) / lm1 for n in range(1, N + 1)})
-        return UniversalSeries(pleth_exp(arg), "builtin_c3")
+        return UniversalSeries(pleth_exp(arg), name)
     if name == "conifold":
         lm1 = L - 1
         head = TorusSeries(fq, N, {
@@ -80,7 +81,7 @@ def builtin_BU(fq: FramedQuiver, name: str, N: int) -> UniversalSeries:
             ext((0, 1)): -Scalar.v_pow(1) / lm1,
         })
         diag = TorusSeries(fq, N, {ext((n, n)): ONE for n in range(N // 2 + 1)})
-        return UniversalSeries(pleth_exp(torus_mul(head, diag)), "builtin_conifold")
+        return UniversalSeries(pleth_exp(torus_mul(head, diag)), name)
     raise ValueError(f"no builtin series named {name!r}")
 
 
@@ -91,85 +92,54 @@ def universal_for(fq: FramedQuiver, N: int) -> UniversalSeries:
     return builtin_BU(fq, fq.bu_source, N)
 
 
-def hn_factorize(BU: UniversalSeries, theta, N: int) -> dict:
-    """Split B_U into slope pieces: {mu: B_mu}, constant terms 1.
+def slope_ladder(BU: UniversalSeries, theta, N: int) -> tuple:
+    """The HN split of B_U as a ladder ((mu, B_mu, P_<mu), ...), mu decreasing.
 
-    Recursion: the coefficient of B at alpha is the B_U coefficient minus the
-    contributions of all HN chains alpha = a_1 + ... + a_k with k >= 2 and
-    strictly decreasing slopes, each chain twisted by (-v)^{sum_{i<j} <a_i, a_j>}.
-    Each (theta, N) is split once per UniversalSeries; every call returns a
-    new dict.
+    P_<mu is the decreasing-slope product of the pieces below mu, so the rest
+    one rung up (B_U above the top rung) is B_mu . P_<mu, and the last rest
+    is 1.  Each (theta, N) is split once per UniversalSeries.
     """
     if N > BU.series.trunc:
         raise ValueError("N exceeds the series truncation")
-    theta = tuple(Fraction(t) for t in theta)
-    parts = BU._hn.get((theta, N))
-    if parts is None:
-        parts = BU._hn[(theta, N)] = _hn_split(BU.series, theta, N)
-    return dict(parts)
+    theta = check_theta(BU.series.fq, theta)
+    ladder = BU._hn.get((theta, N))
+    if ladder is None:
+        ladder = BU._hn[(theta, N)] = _hn_split(BU.series, theta, N)
+    return ladder
 
 
-def _hn_split(series: TorusSeries, theta: tuple, N: int) -> dict:
-    fq = series.fq
-    n = fq.n_vertices
-    classes = [a for a in dim_vectors_up_to(n, N) if sum(a)]
-    classes.sort(key=sum)
-    slope = {a: theta_slope(theta, a) for a in classes}
-    b: dict = {}
-    memo: dict = {}
+def hn_factorize(BU: UniversalSeries, theta, N: int) -> dict:
+    """Split B_U into slope pieces: a new dict {mu: B_mu}, mu increasing,
+    constant terms 1, read off slope_ladder."""
+    return {mu: piece for mu, piece, _ in reversed(slope_ladder(BU, theta, N))}
 
-    def skew(x, y) -> int:
-        return skew_form(fq, ExtDimVector(tuple(x), 0), ExtDimVector(tuple(y), 0))
 
-    def chains(rho, bound) -> Scalar:
-        # sum over HN chains of rho with all slopes strictly below bound
-        if not sum(rho):
-            return ONE
-        key = (rho, bound)
-        if key in memo:
-            return memo[key]
-        acc: dict = {}
-        for beta in sub_vectors(rho):
-            coeff = b.get(beta)  # b holds nonzero classes and coefficients only
-            if coeff is None or slope[beta] >= bound:
-                continue
-            rest = tuple(r - x for r, x in zip(rho, beta))
-            tail = chains(rest, slope[beta])
-            if tail:
-                _acc_term(acc, coeff, tail, skew(beta, rest))
-        memo[key] = total = _settle(acc)
-        return total
+def _hn_split(series: TorusSeries, theta: tuple, N: int) -> tuple:
+    # A product of classes of slope <= mu has slope mu only when every factor
+    # has, so the top piece of a rest is the rest cut to its top slope (and
+    # the constant 1), and the rest below it is piece^{-1} . rest.
+    slopes: dict = {}
 
-    for alpha in classes:
-        acc = {}
-        _acc_term(acc, series.coeff(alpha), ONE, 0)
-        for beta in sub_vectors(alpha):
-            coeff = b.get(beta)
-            if coeff is None or beta == alpha:
-                continue
-            rest = tuple(r - x for r, x in zip(alpha, beta))
-            tail = chains(rest, slope[beta])
-            if tail:
-                _acc_term(acc, -coeff, tail, skew(beta, rest))
-        val = _settle(acc)
-        if val:
-            b[alpha] = val
+    def slope(key) -> Fraction:
+        mu = slopes.get(key)
+        if mu is None:
+            mu = slopes[key] = theta_slope(theta, key.unframed)
+        return mu
 
-    parts: dict = {}
-    for alpha, coeff in b.items():
-        parts.setdefault(slope[alpha], {})[ext(alpha)] = coeff
-    out = {}
-    for mu in sorted(parts):
-        terms = parts[mu]
-        terms[ext((0,) * n)] = ONE
-        out[mu] = TorusSeries(fq, N, terms)
-    return out
+    rest, one = series.retrunc(N), TorusSeries.one(series.fq, N)
+    ladder = []
+    while len(rest.coeffs) > 1:  # the constant term is 1 throughout
+        top = max(slope(k) for k in rest.coeffs if any(k.unframed))
+        piece = rest.restrict(lambda k: not any(k.unframed) or slope(k) == top)
+        rest = one if len(piece.coeffs) == len(rest.coeffs) else \
+            torus_mul(torus_inverse(piece), rest)
+        ladder.append((top, piece, rest))
+    return tuple(ladder)
 
 
 def remultiply_check(parts: dict, BU: UniversalSeries) -> bool:
     """Re-multiply the slope pieces (decreasing slope) and compare with B_U."""
     series = BU.series
     fq, N = series.fq, series.trunc
-    prod = torus_product(fq, N, (parts[mu].retrunc(N) if parts[mu].trunc != N else parts[mu]
-                                 for mu in sorted(parts, reverse=True)))
+    prod = torus_product(fq, N, (parts[mu].retrunc(N) for mu in sorted(parts, reverse=True)))
     return prod == series

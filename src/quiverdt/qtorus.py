@@ -82,7 +82,9 @@ class TorusSeries(Record):
                            {k: c for k, c in self.coeffs.items() if keep(k)})
 
     def retrunc(self, n: int) -> "TorusSeries":
-        """The same series in a smaller region."""
+        """The same series in a smaller region (itself in the same one)."""
+        if n == self.trunc:
+            return self
         if n > self.trunc:
             raise ValueError("cannot grow the truncation region")
         return TorusSeries(self.fq, n, dict(self.coeffs))
@@ -350,13 +352,6 @@ def pleth_log(g: TorusSeries) -> TorusSeries:
         for key, c in row:
             _adams_into(out, trunc, key, c, lambda n: Fraction(_mobius(n), n * d))
     return TorusSeries(fq, trunc, _settled(out))
-
-
-def slope_of(theta, c, key: Key) -> Fraction:
-    """mu_c(alpha, star) = (theta.alpha + c star) / (|alpha| + star)."""
-    if sum(key.unframed) + key.star == 0:
-        raise ValueError("slope of the zero class")
-    return theta_slope(theta, key.unframed, Fraction(c) if key.star else None)
 
 
 def truncate_tau(f: TorusSeries, theta, c, mu) -> TorusSeries:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .quiver import ExtDimVector, FramedQuiver, Record, sub_vectors
+from .quiver import FramedQuiver, Record, sub_vectors
 
 PLUS_INF = float("inf")
 MINUS_INF = float("-inf")
@@ -59,13 +59,13 @@ def theta_slope(theta, d, c=None) -> Fraction:
     return Fraction(num, den)
 
 
-def slope(sp: StabilityParams, a: ExtDimVector) -> Fraction:
-    """mu_c(alpha, star) = (theta.alpha + c star)/(|alpha| + star)."""
-    if sum(a.unframed) + a.star == 0:
-        raise ValueError("slope of the zero class")
-    if a.star and not sp.is_finite():
-        raise ValueError("framed slope needs a finite c")
-    return theta_slope(sp.theta, a.unframed, sp.c if a.star else None)
+def check_theta(fq: FramedQuiver, theta) -> tuple:
+    """theta as Fractions, refused unless it lists one weight per vertex."""
+    theta = tuple(Fraction(t) for t in theta)
+    if len(theta) != fq.n_vertices:
+        raise ValueError(f"theta must list one weight per vertex: "
+                         f"got {len(theta)} for {fq.n_vertices} vertices")
+    return theta
 
 
 def find_walls(fq: FramedQuiver, theta, alpha, trunc: int) -> WallList:
@@ -76,9 +76,14 @@ def find_walls(fq: FramedQuiver, theta, alpha, trunc: int) -> WallList:
     exactly one wall; the collected set is finite.
     """
     alpha = tuple(alpha)
+    if len(alpha) != fq.n_vertices:
+        raise ValueError(f"alpha must list one dimension per vertex: "
+                         f"got {len(alpha)} for {fq.n_vertices} vertices")
+    if any(a < 0 for a in alpha):
+        raise ValueError(f"alpha {alpha} has a negative entry")
     if sum(alpha) > trunc:
         raise ValueError("alpha outside the truncation region")
-    theta = tuple(Fraction(t) for t in theta)
+    theta = check_theta(fq, theta)
     ta = sum(t * a for t, a in zip(theta, alpha))
     na = sum(alpha)
     walls = set()

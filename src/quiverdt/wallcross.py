@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .hn import UniversalSeries, hn_factorize
+from .hn import UniversalSeries, hn_factorize, slope_ladder
 from .quiver import FramedQuiver, Record, ext, is_symmetric, nu, tits_form
 from .qtorus import (TorusSeries, nu_weights, pleth_exp, pleth_log, s_twist,
                      torus_inverse, torus_mul, torus_product, truncate_tau)
@@ -102,21 +102,23 @@ def uniform_series(fq: FramedQuiver, BU: UniversalSeries, theta, a,
     """The one-parameter framed series A^a assembled from slope factors.
 
     A^a = S_nu(P_{<=a}) . S_{-nu}(P_{<a})^{-1} where P is the
-    decreasing-order product of the slope factors of B_U; side plus uses
-    the upper product on both sides, side minus the lower one.
+    decreasing-order product of the slope factors of B_U, both read off the
+    slope ladder; side plus uses the upper product on both sides, side minus
+    the lower one.
     """
-    N = BU.series.trunc
-    return _uniform(fq, hn_factorize(BU, theta, N), N, a, side)
+    return _uniform(fq, BU, theta, BU.series.trunc, a, side)
 
 
-def _uniform(fq, parts, N, a, side) -> TorusSeries:
+def _uniform(fq, BU, theta, N, a, side) -> TorusSeries:
     if a not in (PLUS_INF, MINUS_INF):
         a = Fraction(a)
-    lower = [parts[b] for b in sorted(parts, reverse=True) if b < a]
-    below = torus_product(fq, N, lower)  # P_{<a}, decreasing slope
-    upto = below  # P_{<=a}
-    if a in parts:
-        upto = torus_mul(parts[a], below) if lower else parts[a]
+    # P_{<a} is the rest at the lowest slope >= a, P_{<=a} the one at the
+    # lowest slope > a; above every rung both are B_U
+    upto = below = BU.series.retrunc(N)
+    for mu, _, rest in slope_ladder(BU, theta, N):
+        if mu < a:
+            break
+        upto, below = (rest if mu > a else upto), rest
     return _crossing(fq, below if side == "minus" else upto,
                      upto if side == "plus" else below)
 
@@ -141,7 +143,7 @@ def framed_at(fq: FramedQuiver, BU: UniversalSeries, theta, N: int,
     if mu is None:
         raise ValueError("finite c needs a slope mu")
     mu = Fraction(mu)
-    uni = _uniform(fq, hn_factorize(BU, theta, N), N, mu, side)
+    uni = _uniform(fq, BU, theta, N, mu, side)
     ser = truncate_tau(uni, theta, Fraction(c), mu)
     if ser.is_zero():
         # empty slope class: only the bare framing line remains

@@ -1,0 +1,97 @@
+"""Reference HN split for the differential test of quiverdt.hn.
+
+hn_split is the recursion over HN chains (Reineke, arXiv:math/0204059) that
+quiverdt.hn replaced by peeling the top slope, kept verbatim except for its
+name and absolute imports: the coefficient of B at alpha is the B_U
+coefficient minus every chain alpha = a_1 + ... + a_k, k >= 2, of strictly
+decreasing slopes, twisted by (-v)^{sum_{i<j} <a_i, a_j>}.  _uniform and
+framed_at assemble the framed series from its pieces the way
+quiverdt.wallcross did before it read them off the slope ladder: every call
+multiplies the pieces below the level again.  Nothing under src/ imports it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from quiverdt.qtorus import TorusSeries, torus_mul, torus_product, truncate_tau
+from quiverdt.quiver import ExtDimVector, dim_vectors_up_to, ext, skew_form, sub_vectors
+from quiverdt.scalar import ONE, Scalar, _acc_term, _settle
+from quiverdt.stability import MINUS_INF, PLUS_INF, theta_slope
+from quiverdt.wallcross import _crossing
+
+
+def hn_split(series: TorusSeries, theta: tuple, N: int) -> dict:
+    fq = series.fq
+    n = fq.n_vertices
+    classes = [a for a in dim_vectors_up_to(n, N) if sum(a)]
+    classes.sort(key=sum)
+    slope = {a: theta_slope(theta, a) for a in classes}
+    b: dict = {}
+    memo: dict = {}
+
+    def skew(x, y) -> int:
+        return skew_form(fq, ExtDimVector(tuple(x), 0), ExtDimVector(tuple(y), 0))
+
+    def chains(rho, bound) -> Scalar:
+        # sum over HN chains of rho with all slopes strictly below bound
+        if not sum(rho):
+            return ONE
+        key = (rho, bound)
+        if key in memo:
+            return memo[key]
+        acc: dict = {}
+        for beta in sub_vectors(rho):
+            coeff = b.get(beta)  # b holds nonzero classes and coefficients only
+            if coeff is None or slope[beta] >= bound:
+                continue
+            rest = tuple(r - x for r, x in zip(rho, beta))
+            tail = chains(rest, slope[beta])
+            if tail:
+                _acc_term(acc, coeff, tail, skew(beta, rest))
+        memo[key] = total = _settle(acc)
+        return total
+
+    for alpha in classes:
+        acc = {}
+        _acc_term(acc, series.coeff(alpha), ONE, 0)
+        for beta in sub_vectors(alpha):
+            coeff = b.get(beta)
+            if coeff is None or beta == alpha:
+                continue
+            rest = tuple(r - x for r, x in zip(alpha, beta))
+            tail = chains(rest, slope[beta])
+            if tail:
+                _acc_term(acc, -coeff, tail, skew(beta, rest))
+        val = _settle(acc)
+        if val:
+            b[alpha] = val
+
+    parts: dict = {}
+    for alpha, coeff in b.items():
+        parts.setdefault(slope[alpha], {})[ext(alpha)] = coeff
+    out = {}
+    for mu in sorted(parts):
+        terms = parts[mu]
+        terms[ext((0,) * n)] = ONE
+        out[mu] = TorusSeries(fq, N, terms)
+    return out
+
+
+def _uniform(fq, parts, N, a, side) -> TorusSeries:
+    if a not in (PLUS_INF, MINUS_INF):
+        a = Fraction(a)
+    lower = [parts[b] for b in sorted(parts, reverse=True) if b < a]
+    below = torus_product(fq, N, lower)  # P_{<a}, decreasing slope
+    upto = below  # P_{<=a}
+    if a in parts:
+        upto = torus_mul(parts[a], below) if lower else parts[a]
+    return _crossing(fq, below if side == "minus" else upto,
+                     upto if side == "plus" else below)
+
+
+def framed_at(fq, parts, theta, N, c, side, mu) -> TorusSeries:
+    """The finite-level framed series of quiverdt.wallcross.framed_at, from parts."""
+    mu = Fraction(mu)
+    ser = truncate_tau(_uniform(fq, parts, N, mu, side), theta, Fraction(c), mu)
+    return TorusSeries.one(fq, N) if ser.is_zero() else ser

@@ -22,7 +22,7 @@ from quiverdt.quiver import (c3_quiver, conifold_quiver, dim_vectors_up_to,
 from quiverdt.qtorus import (TorusSeries, nu_weights, pleth_exp, pleth_log,
                              s_twist, torus_inverse, torus_mul, truncate_tau)
 from quiverdt.scalar import L, ONE, Scalar, V
-from quiverdt.stability import (PLUS_INF, StabilityParams, find_walls, slope)
+from quiverdt.stability import PLUS_INF, StabilityParams, find_walls, theta_slope
 from quiverdt.wallcross import (dt_omega, framed_at, general_wallcross, ncdt,
                                 smooth_model_motive, transfer_series,
                                 transfer_slope_product)
@@ -184,14 +184,13 @@ def test_criterion_7_walls_are_finite_and_intervals_are_stable():
             assert len(walls) < 2 * len(list(sub_vectors(alpha)))
 
             def signature(c):
-                sp = StabilityParams(theta, c)
-                target = slope(sp, ext(alpha, 1))
+                target = theta_slope(theta, alpha, c)
                 out = []
                 for b in sub_vectors(alpha):
                     for s in (0, 1):
                         if (sum(b) == 0 and s == 0) or (b == alpha and s == 1):
                             continue
-                        d = slope(sp, ext(b, s)) - target
+                        d = theta_slope(theta, b, c if s else None) - target
                         out.append((d > 0) - (d < 0))
                 return tuple(out)
 

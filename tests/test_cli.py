@@ -315,3 +315,34 @@ class TestCheckOracleLevel:
         assert (code, err) == (0, "")
         assert out.splitlines() == ["universal\talpha=1\tok", "semistable\talpha=1\tok",
                                     "filtration\talpha=1\tok"]
+
+
+class TestBadClassesAndTheta:
+    """A negative class, a wrong-length theta and a too-large --max-dim are
+    refused at once with one error line, not run or silently cut."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("walls", "kronecker", "--alpha=-1,2"), "alpha (-1, 2) has a negative entry"),
+        (("walls", "kronecker", "--alpha", "1,1", "--theta", "1"),
+         "theta must list one weight per vertex: got 1 for 2 vertices"),
+        (("walls", "kronecker", "--alpha", "1,1", "--theta", "1,0,2"),
+         "theta must list one weight per vertex: got 3 for 2 vertices"),
+        (("hn", "kronecker", "--theta", "1"),
+         "theta must list one weight per vertex: got 1 for 2 vertices"),
+        (("check-oracle", "kronecker", "--max-dim", "2", "--theta", "1"),
+         "theta must list one weight per vertex: got 1 for 2 vertices"),
+    ], ids=["walls_negative_alpha", "walls_short_theta", "walls_long_theta",
+            "hn_short_theta", "check_oracle_short_theta"])
+    def test_one_error_line(self, capsys, argv, message):
+        sub, name, *rest = argv
+        code, out, err = invoke(capsys, sub, quiver(name), *rest)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_max_dim_above_the_cap_counts_nothing(self, capsys, monkeypatch):
+        def count_stack(*args):
+            raise AssertionError("check-oracle counted before refusing --max-dim")
+
+        monkeypatch.setattr(cli, "count_stack", count_stack)
+        code, out, err = invoke(capsys, "check-oracle", quiver("kronecker"),
+                                "--max-dim", "5")
+        assert (code, out, err) == (1, "", "error: max_total_dim must be between 1 and 4\n")

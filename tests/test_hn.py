@@ -76,20 +76,20 @@ class TestBuiltins:
 
     def test_c3_series(self):
         bu = builtin_BU(c3_quiver(), "c3", 3)
-        assert bu.source == "builtin_c3"
+        assert bu.source == "c3"
         assert bu.series.constant_term() == ONE
         assert bu.series.coeff((1,)) == L * L / (L - 1)
 
     def test_conifold_series(self):
         bu = builtin_BU(conifold_quiver(), "conifold", 2)
-        assert bu.source == "builtin_conifold"
+        assert bu.source == "conifold"
         assert bu.series.coeff((1, 0)) == -V / (L - 1)
         assert bu.series.coeff((0, 1)) == -V / (L - 1)
 
     def test_universal_for_dispatch(self):
         assert universal_for(jordan_quiver(), 2).source == "trivial_potential"
-        assert universal_for(c3_quiver(), 2).source == "builtin_c3"
-        assert universal_for(conifold_quiver(), 2).source == "builtin_conifold"
+        assert universal_for(c3_quiver(), 2).source == "c3"
+        assert universal_for(conifold_quiver(), 2).source == "conifold"
 
 
 class TestFactorization:
@@ -126,6 +126,13 @@ class TestFactorization:
         bu = universal_trivial(kronecker_quiver(), 3)
         for piece in hn_factorize(bu, (1, 0), 3).values():
             assert piece.constant_term() == ONE
+
+    @pytest.mark.parametrize("theta, got", [((1,), 1), ((1, 0, 2), 3)])
+    def test_theta_one_weight_per_vertex(self, theta, got):
+        bu = universal_trivial(kronecker_quiver(), 3)
+        with pytest.raises(ValueError, match=f"^theta must list one weight per vertex: "
+                                             f"got {got} for 2 vertices$"):
+            hn_factorize(bu, theta, 3)
 
     def test_trunc_guard(self):
         bu = universal_trivial(jordan_quiver(), 2)

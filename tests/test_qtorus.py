@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from quiverdt.quiver import (c3_quiver, conifold_quiver, dim_vectors_up_to, ext,
                              jordan_quiver, kronecker_quiver, loop_quiver, skew_form)
 from quiverdt.qtorus import (TorusSeries, _mul_into, adams_series, nu_weights,
-                             pleth_exp, pleth_log, s_twist, serialize, slope_of,
+                             pleth_exp, pleth_log, s_twist, serialize,
                              torus_inverse, torus_mul, truncate_tau)
 from quiverdt.scalar import ONE, Scalar, V, _settle
 
@@ -210,15 +210,6 @@ class TestExpLog:
 
 
 class TestSlopesAndTau:
-    def test_slope_values(self):
-        assert slope_of((1, 0), 2, ext((1, 1))) == Fraction(1, 2)
-        assert slope_of((1, 0), Fraction(1, 2), ext((1, 1), 1)) == Fraction(1, 2)
-        assert slope_of((0,), 3, ext((0,), 1)) == 3
-
-    def test_slope_of_zero_class(self):
-        with pytest.raises(ValueError, match="zero class"):
-            slope_of((1, 0), 0, ext((0, 0)))
-
     def test_tau_keeps_matching_framed_slope(self):
         f = TorusSeries(KRON, N, {ext((1, 1)): ONE, ext((1, 0)): V,
                                   ext((0, 0)): Scalar.of(2)})

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quiverdt.quiver import ext, jordan_quiver, kronecker_quiver, sub_vectors
+from quiverdt.quiver import jordan_quiver, kronecker_quiver, sub_vectors
 from quiverdt.stability import (MINUS_INF, PLUS_INF, StabilityParams,
-                                WallList, find_walls, resolve_side, slope)
+                                WallList, find_walls, resolve_side, theta_slope)
 
 KRON = kronecker_quiver()
 JORDAN = jordan_quiver()
@@ -34,21 +34,14 @@ class TestParams:
 
 class TestSlope:
     def test_framed_and_unframed(self):
-        sp = StabilityParams((1, 0), Fraction(1, 2))
-        assert slope(sp, ext((1, 1))) == Fraction(1, 2)
-        assert slope(sp, ext((1, 1), 1)) == Fraction(1, 2)
-        assert slope(sp, ext((1, 0), 1)) == Fraction(3, 4)
+        assert theta_slope((1, 0), (1, 1)) == Fraction(1, 2)
+        assert theta_slope((1, 0), (1, 1), Fraction(1, 2)) == Fraction(1, 2)
+        assert theta_slope((1, 0), (1, 0), Fraction(1, 2)) == Fraction(3, 4)
+        assert theta_slope((0,), (0,), 3) == 3  # the bare framing line
 
     def test_zero_class(self):
-        sp = StabilityParams((1, 0))
-        with pytest.raises(ValueError, match="zero class"):
-            slope(sp, ext((0, 0)))
-
-    def test_star_needs_finite_c(self):
-        sp = StabilityParams((1, 0), PLUS_INF)
-        assert slope(sp, ext((1, 0))) == 1  # unframed classes are fine
-        with pytest.raises(ValueError, match="finite c"):
-            slope(sp, ext((1, 0), 1))
+        with pytest.raises(ZeroDivisionError):
+            theta_slope((1, 0), (0, 0))
 
 
 class TestFindWalls:
@@ -62,6 +55,16 @@ class TestFindWalls:
     def test_zero_class_has_no_walls(self):
         assert find_walls(KRON, (1, 0), (0, 0), 4).walls == ()
 
+    @pytest.mark.parametrize("theta, alpha, message", [
+        ((1,), (1, 1), "theta must list one weight per vertex: got 1 for 2 vertices"),
+        ((1, 0, 2), (1, 1), "theta must list one weight per vertex: got 3 for 2 vertices"),
+        ((1, 0), (1,), "alpha must list one dimension per vertex: got 1 for 2 vertices"),
+        ((1, 0), (-1, 2), r"alpha \(-1, 2\) has a negative entry"),
+    ])
+    def test_refuses_bad_input(self, theta, alpha, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            find_walls(KRON, theta, alpha, 4)
+
     def test_region_guard(self):
         with pytest.raises(ValueError, match="truncation region"):
             find_walls(KRON, (1, 0), (3, 2), 4)
@@ -70,9 +73,8 @@ class TestFindWalls:
         alpha = (1, 1)
         wl = find_walls(KRON, (1, 0), alpha, 4)
         for w in wl.walls:
-            sp = StabilityParams((1, 0), w)
-            target = slope(sp, ext(alpha, 1))
-            hit = any(slope(sp, ext(b, s)) == target
+            target = theta_slope((1, 0), alpha, w)
+            hit = any(theta_slope((1, 0), b, w if s else None) == target
                       for b in sub_vectors(alpha) for s in (0, 1)
                       if (sum(b), s) not in ((0, 0),) and (b, s) != (alpha, 1))
             assert hit
@@ -119,14 +121,13 @@ class TestResolveSide:
 
 class TestComparisonConstancy:
     def probe_signs(self, fq, theta, alpha, c):
-        sp = StabilityParams(theta, c)
-        target = slope(sp, ext(alpha, 1))
+        target = theta_slope(theta, alpha, c)
         signs = []
         for b in sub_vectors(alpha):
             for s in (0, 1):
                 if (sum(b) == 0 and s == 0) or (b == alpha and s == 1):
                     continue
-                d = slope(sp, ext(b, s)) - target
+                d = theta_slope(theta, b, c if s else None) - target
                 signs.append((b, s, (d > 0) - (d < 0)))
         return signs
 
