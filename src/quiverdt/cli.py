@@ -17,9 +17,11 @@ from fractions import Fraction
 from .hn import hn_factorize, universal_for
 from .oracle import (FiniteFieldConfig, count_stack, hall_filtration_check,
                      verify_coefficient)
-from .quiver import FramedQuiver, ext, load_quiver_file, tits_form
+from .quiver import (FramedQuiver, dim_vectors_up_to, ext, load_quiver_file,
+                     tits_form)
 from .qtorus import TorusSeries, serialize
-from .stability import MINUS_INF, PLUS_INF, check_theta, find_walls, theta_slope
+from .stability import (MINUS_INF, PLUS_INF, StabilityParams, check_theta,
+                        find_walls, theta_slope)
 from .wallcross import (dt_omega, framed_at, ncdt, smooth_model_series,
                         transfer_series)
 
@@ -168,8 +170,6 @@ def _dispatch(job: JobSpec):
     if sub == "walls":
         if job.alpha is None:
             raise CLIError("walls needs --alpha")
-        if len(job.alpha) != fq.base.n_vertices:
-            raise CLIError("alpha must list one dimension per vertex")
         theta = _theta_for(job, fq)
         wl = find_walls(fq, theta, job.alpha, max(N, sum(job.alpha)))
         return 0, " ".join(str(w) for w in wl.walls)
@@ -219,9 +219,6 @@ def _dispatch(job: JobSpec):
 
 def _check_oracle(job: JobSpec, fq: FramedQuiver):
     """Pass/fail table comparing series coefficients with finite-field counts."""
-    from .quiver import dim_vectors_up_to
-    from .stability import StabilityParams
-
     if fq.bu_source != "trivial_potential":
         raise CLIError("check-oracle needs a trivial-potential quiver")
     q = job.q
@@ -274,9 +271,9 @@ def _build_parser() -> _Parser:
 
     def common(sp, theta=True):
         sp.add_argument("quiver", help="quiver spec file (JSON)")
-        sp.add_argument("--trunc", "-N", type=int, default=4,
+        sp.add_argument("--trunc", "-N", type=int,
                         help="truncation: keep classes with total dimension <= N")
-        sp.add_argument("--format", choices=FORMATS, default="tsv", dest="fmt")
+        sp.add_argument("--format", choices=FORMATS, dest="fmt")
         sp.add_argument("--euler", action="store_const", const="euler", dest="fmt",
                         help="shorthand for --format euler")
         sp.add_argument("--w", help="framing override, comma-separated weights")
@@ -294,7 +291,7 @@ def _build_parser() -> _Parser:
     fr = subs.add_parser("framed", help="framed series at a stability level")
     common(fr)
     fr.add_argument("--c", required=True, help="stability level: rational, +inf, or -inf")
-    fr.add_argument("--side", choices=sorted(SIDE_FLAGS), default="0",
+    fr.add_argument("--side", choices=sorted(SIDE_FLAGS),
                     help="+ for just above c, - for just below, 0 for exactly c")
     fr.add_argument("--mu", help="slope class, rational")
     sm = subs.add_parser("smooth-model", help="smooth-model motive series at one slope")
@@ -308,25 +305,38 @@ def _build_parser() -> _Parser:
     tr.add_argument("--mu", help="slope class; omitted means the whole universal series")
     co = subs.add_parser("check-oracle", help="verify coefficients by finite-field counting")
     co.add_argument("quiver", help="quiver spec file (JSON)")
-    co.add_argument("--q", type=int, default=2, help="field size, prime <= 5")
-    co.add_argument("--max-dim", type=int, default=3, help="largest total dimension")
+    co.add_argument("--q", type=int, help="field size, prime <= 5")
+    co.add_argument("--max-dim", type=int, help="largest total dimension")
     co.add_argument("--theta", help="also check semistable counts at this theta")
     co.add_argument("--c", help="also run the filtration check at this level")
     return p
 
 
 # argparse reads a separate value that starts with "-" and is not a plain
-# negative number (-1/2, -inf, -1,0) as an option; these options get it attached
-_RATIONAL_OPTIONS = ("--c", "--theta", "--mu")
+# negative number (-1/2, -inf, -1,0) as an option; options that take a value
+# get it attached
 _NEGATIVE_VALUE = re.compile(r"^-(\d|inf$)")
 
 
-def _attach_negative_values(argv: list) -> list:
-    """["--c", "-1/2"] -> ["--c=-1/2"] for the options that take rationals."""
+def _value_options(parser: argparse.ArgumentParser) -> set:
+    """Every option string, of the parser or its subcommands, that takes a value."""
+    out = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                out |= _value_options(sub)
+        elif action.nargs != 0:
+            out.update(action.option_strings)
+    return out
+
+
+def _attach_negative_values(argv: list, options: set) -> list:
+    """["--c", "-1/2"] -> ["--c=-1/2"] and ["-N", "-1"] -> ["-N-1"] for the
+    given options."""
     out: list = []
     for tok in argv:
-        if out and out[-1] in _RATIONAL_OPTIONS and _NEGATIVE_VALUE.match(tok):
-            out[-1] += "=" + tok
+        if out and out[-1] in options and _NEGATIVE_VALUE.match(tok):
+            out[-1] += ("=" if out[-1].startswith("--") else "") + tok
         else:
             out.append(tok)
     return out
@@ -357,7 +367,8 @@ def _job_from_args(args) -> JobSpec:
 def main(argv=None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else argv
-        args = _build_parser().parse_args(_attach_negative_values(argv))
+        parser = _build_parser()
+        args = parser.parse_args(_attach_negative_values(argv, _value_options(parser)))
         job = _job_from_args(args)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,7 +7,9 @@ coefficients at L = q via verify_coefficient.
 
 count_stack, count_framed_stable and hall_filtration_check are predicates
 over one kernel, _invariant_runs, which yields the arrow-invariant subspace
-tuples of every matrix tuple:
+tuples of every matrix tuple.  The three share one path to it: _config
+refuses a q mismatch and a class above the dimension cap, _level resolves
+c-plus and c-minus, and the two counts go through _points.
 
 - The points of F_q^n are numbered in itertools.product order, and each
   subspace is stored as the int bitmask of its members.
@@ -22,9 +24,12 @@ tuples of every matrix tuple:
   for its class, q - 1 matrices if it is nonzero and 1 if not, times q for a
   loop; a tuple of normal forms stands for the product of these weights, and
   the weights of one shape sum to q^(mn).
-- Slopes depend on dimension vectors only, so each entry point decides its
-  slope tests once per candidate tuple before the matrix loop, and c-minus
-  once per quotient class.
+- Slopes depend on dimension vectors only, so the slope tests are decided
+  once per class d <= alpha before the matrix loop.  A nonzero class is
+  bad when its unframed subobjects destabilize every point, and a proper
+  class is watched when its framed subobjects destabilize the framing
+  tuples inside them; with no class of either kind, every point counts and
+  nothing is enumerated.
 - A tuple of framing vectors is a point of the product of the framed
   vertices' spaces.  The framing tuples inside a subspace tuple form the
   product of its member masks, so stable framing points are counted by
@@ -37,6 +42,8 @@ tuples of every matrix tuple:
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import os
 from fractions import Fraction
 from functools import lru_cache
@@ -261,18 +268,6 @@ def _count_points(fq: FramedQuiver, alpha, q: int, slots, bad, watch) -> int:
     return count
 
 
-def _enumerate_matrices(shape_list, q):
-    """All tuples of matrices with the given (rows, cols) shapes."""
-    sizes = [r * c for r, c in shape_list]
-    for flat in itertools.product(range(q), repeat=sum(sizes)):
-        mats, pos = [], 0
-        for (r, c), size in zip(shape_list, sizes):
-            chunk = flat[pos:pos + size]
-            pos += size
-            mats.append(tuple(chunk[i * c:(i + 1) * c] for i in range(r)))
-        yield tuple(mats)
-
-
 def _check_budget(cfg: FiniteFieldConfig, fq: FramedQuiver, alpha, q: int,
                   cands, once: int = 0) -> None:
     """Refuse a kernel run whose work exceeds the budget: the normal-form
@@ -297,13 +292,67 @@ def _check_budget(cfg: FiniteFieldConfig, fq: FramedQuiver, alpha, q: int,
             f"{work} > budget {cfg.budget} (set WALLCROSS_BUDGET to change it)")
 
 
-def _check_dim(cfg: FiniteFieldConfig, alpha) -> None:
+# ---- the shared path of the entry points -------------------------------------
+
+def _config(cfg: FiniteFieldConfig | None, q: int, alpha) -> FiniteFieldConfig:
+    """cfg, or the default config for q; refuses a q that cfg does not share
+    and a class above the dimension cap."""
+    cfg = cfg or FiniteFieldConfig(q)
+    if cfg.q != q:
+        raise ValueError("config and argument disagree on q")
     if sum(alpha) > cfg.max_total_dim:
         raise BudgetError(f"budget exceeded: total dimension {sum(alpha)} > "
                           f"max_total_dim {cfg.max_total_dim}")
+    return cfg
 
 
-# ---- the three oracle entry points ------------------------------------------
+def _level(fq: FramedQuiver, theta, alpha, c, side: str) -> Fraction:
+    """c itself, or a rational realizing c-plus or c-minus for alpha's walls."""
+    if side == "exact":
+        return Fraction(c)
+    return resolve_side(find_walls(fq, theta, alpha, sum(alpha)), c, side)
+
+
+def _never(d) -> bool:
+    return False
+
+
+def _slope_tests(theta, alpha, c, semistable: bool):
+    """(bad_if, watch_if) for the class (alpha, 1) at level c, or alpha alone
+    when c is None: a class destabilizes when its slope is above alpha's, or
+    equal to it when stability rather than semistability is tested."""
+    target = theta_slope(theta, alpha, c)
+    beats = operator.gt if semistable else operator.ge
+    return (lambda d: beats(theta_slope(theta, d), target),
+            _never if c is None else lambda d: beats(theta_slope(theta, d, c), target))
+
+
+def _flagged(alpha, bad_if, watch_if):
+    """The nonzero classes d <= alpha with bad_if(d) and the proper ones with
+    watch_if(d): each slope test is decided once per class."""
+    subs = list(sub_vectors(alpha))
+    return ({d for d in subs if sum(d) and bad_if(d)},
+            {d for d in subs if d != alpha and watch_if(d)})
+
+
+def _points(fq: FramedQuiver, alpha, q: int, cfg: FiniteFieldConfig, slots,
+            bad_if, watch_if) -> int:
+    """Points (matrix tuple, framing tuple) of class alpha with no invariant
+    subspace tuple of a bad class, and the framing tuple inside no invariant
+    subspace tuple of a watched class.  With no class flagged every point
+    counts, and nothing is enumerated."""
+    bad, watch = _flagged(alpha, bad_if, watch_if)
+    if not bad and not watch:
+        return q ** (sum(alpha[i] * alpha[j] for i, j in _arrow_list(fq))
+                     + sum(alpha[i] for i in slots))
+    cands, dims = _candidates(alpha, q)
+    _check_budget(cfg, fq, alpha, q, cands)
+    return _count_points(fq, alpha, q, slots,
+                         [cand for cand, d in zip(cands, dims) if d in bad],
+                         [cand for cand, d in zip(cands, dims) if d in watch])
+
+
+# ---- the oracle entry points -------------------------------------------------
 
 def count_stack(fq: FramedQuiver, alpha, sp, q: int,
                 cfg: FiniteFieldConfig | None = None) -> Fraction:
@@ -315,55 +364,24 @@ def count_stack(fq: FramedQuiver, alpha, sp, q: int,
     """
     if not isinstance(alpha, ExtDimVector):
         alpha = ext(alpha, 0)
-    cfg = cfg or FiniteFieldConfig(q)
-    if cfg.q != q:
-        raise ValueError("config and argument disagree on q")
     a = alpha.unframed
-    _check_dim(cfg, a)
+    cfg = _config(cfg, q, a)
     if sum(a) == 0 and alpha.star == 0:
         return Fraction(1)
-
-    group = 1
-    for ai in a:
-        group *= gl_order(ai, q)
-    if alpha.star:
-        group *= q - 1
-    arrows = _arrow_list(fq)
-    entries = sum(a[i] * a[j] for i, j in arrows)
-    slots = _framing_slots(fq) if alpha.star else []
-    entries += sum(a[i] for i in slots)
-
     if sp == "all":
-        return Fraction(q ** entries, group)
-
-    if not isinstance(sp, StabilityParams):
+        tests = _never, _never
+    elif not isinstance(sp, StabilityParams):
         raise TypeError("sp must be 'all' or StabilityParams")
-    theta = sp.theta
-    if alpha.star:
-        if not sp.is_finite():
-            raise ValueError("semistable framed counting needs a finite c")
-        c_eff = sp.c if sp.side == "exact" else \
-            resolve_side(find_walls(fq, theta, a, sum(a)), sp.c, sp.side)
+    elif alpha.star and not sp.is_finite():
+        raise ValueError("semistable framed counting needs a finite c")
     else:
-        c_eff = None  # unframed slopes never see c
-
-    target = theta_slope(theta, a, c_eff)
-
-    # if no subclass could have a bigger slope, every point is semistable
-    stars = (0, 1) if alpha.star else (0,)
-    if not any(theta_slope(theta, d, c_eff if s else None) > target
-               for d in sub_vectors(a) for s in stars
-               if sum(d) + s and (d != a or s != alpha.star)):
-        return Fraction(q ** entries, group)
-
-    cands, dims = _candidates(a, q)
-    _check_budget(cfg, fq, a, q, cands)
-    bad = [cand for cand, d in zip(cands, dims)
-           if sum(d) and theta_slope(theta, d) > target]
-    # star 1: a subobject through the framing destabilizes the framing tuples inside it
-    watch = [cand for cand, d in zip(cands, dims)
-             if alpha.star and d != a and theta_slope(theta, d, c_eff) > target]
-    return Fraction(_count_points(fq, a, q, slots, bad, watch), group)
+        # unframed slopes never see c; star 1: a subobject through the
+        # framing destabilizes the framing tuples inside it
+        c = _level(fq, sp.theta, a, sp.c, sp.side) if alpha.star else None
+        tests = _slope_tests(sp.theta, a, c, semistable=True)
+    slots = _framing_slots(fq) if alpha.star else []
+    group = math.prod(gl_order(ai, q) for ai in a) * (q - 1 if alpha.star else 1)
+    return Fraction(_points(fq, a, q, cfg, slots, *tests), group)
 
 
 def count_framed_stable(fq: FramedQuiver, alpha, theta, c, side: str, q: int,
@@ -375,137 +393,30 @@ def count_framed_stable(fq: FramedQuiver, alpha, theta, c, side: str, q: int,
     F_q-points of the stable moduli space.
     """
     alpha = tuple(int(x) for x in alpha)
-    cfg = cfg or FiniteFieldConfig(q)
-    if cfg.q != q:
-        raise ValueError("config and argument disagree on q")
-    _check_dim(cfg, alpha)
+    cfg = _config(cfg, q, alpha)
     if c == MINUS_INF:
         # the only minus-infinity stable object is the bare framing line
         return Fraction(1) if sum(alpha) == 0 else Fraction(0)
     if sum(alpha) == 0:
         return Fraction(1)
-
     theta = tuple(Fraction(t) for t in theta)
     if c == PLUS_INF:
-        c_eff = None
-    elif side == "exact":
-        c_eff = Fraction(c)
-    else:
-        c_eff = resolve_side(find_walls(fq, theta, alpha, sum(alpha)), c, side)
-
-    slots = _framing_slots(fq)
-    cands, dims = _candidates(alpha, q)
-    _check_budget(cfg, fq, alpha, q, cands)
-
-    if c_eff is None:
         # plus infinity: no proper subobject may contain the framing
-        bad = []
-        watch = [cand for cand, d in zip(cands, dims) if d != alpha]
+        tests = _never, (lambda d: True)
     else:
-        target = theta_slope(theta, alpha, c_eff)
-        # star-0 subobjects destabilize independently of the framing vector
-        bad = [cand for cand, d in zip(cands, dims)
-               if sum(d) and theta_slope(theta, d) >= target]
-        watch = [cand for cand, d in zip(cands, dims)
-                 if d != alpha and theta_slope(theta, d, c_eff) >= target]
-
-    group = 1
-    for ai in alpha:
-        group *= gl_order(ai, q)
-    return Fraction(_count_points(fq, alpha, q, slots, bad, watch), group)
+        # (alpha, 0) or (0, 1) is always flagged, since the slope of
+        # (alpha, 1) is a weighted mean of theirs: this count always enumerates
+        tests = _slope_tests(theta, alpha, _level(fq, theta, alpha, c, side),
+                             semistable=False)
+    group = math.prod(gl_order(ai, q) for ai in alpha)
+    return Fraction(_points(fq, alpha, q, cfg, _framing_slots(fq), *tests), group)
 
 
-def verify_coefficient(series_coeff: Scalar, count, q: int, *,
-                       chi: int = 0, prefactor: Scalar | None = None) -> bool:
-    """Strip the recorded prefactors, evaluate at L = q, compare exactly.
-
-    chi is the exponent of the (-v)^chi normalization carried by the series;
-    prefactor covers any extra recorded factor (framed normalizations).
-    """
-    raw = series_coeff
-    if prefactor is not None:
-        raw = raw / prefactor
-    if chi:
-        raw = raw * Scalar.neg_v_pow(-chi)
+def verify_coefficient(series_coeff: Scalar, count, q: int, *, chi: int = 0) -> bool:
+    """Strip the (-v)^chi normalization carried by the series, evaluate at
+    L = q, compare exactly."""
+    raw = series_coeff * Scalar.neg_v_pow(-chi) if chi else series_coeff
     return raw.specialize_L(q) == Fraction(count)
-
-
-# ---- second, slower counting path: explicit orbit enumeration ---------------
-
-def _invertible_matrices(n: int, q: int):
-    if n == 0:
-        return [()]
-    out = []
-    for mat in _enumerate_matrices([(n, n)], q):
-        M = mat[0]
-        # invertible iff the rows span everything
-        ech = []
-        for row in M:
-            v = list(row)
-            for b in ech:
-                lead = next(i for i, x in enumerate(b) if x)
-                if v[lead]:
-                    f = (v[lead] * pow(b[lead], q - 2, q)) % q
-                    v = [(x - f * y) % q for x, y in zip(v, b)]
-            if any(v):
-                ech.append(v)
-        if len(ech) == n:
-            out.append(M)
-    return out
-
-
-def _matmul(A, B, q):
-    return tuple(tuple(sum(a * b for a, b in zip(row, col)) % q
-                       for col in zip(*B)) for row in A)
-
-
-def count_stack_isoclasses(fq: FramedQuiver, alpha, q: int,
-                           cfg: FiniteFieldConfig | None = None) -> Fraction:
-    """Sum of 1/#Aut over isomorphism classes, by explicit orbit enumeration.
-
-    Cross-validates count_stack's orbit formula on small classes.  No
-    stability; star 0 only.
-    """
-    alpha = tuple(int(x) for x in alpha)
-    cfg = cfg or FiniteFieldConfig(q)
-    if cfg.q != q:
-        raise ValueError("config and argument disagree on q")
-    if sum(alpha) > 2:
-        raise BudgetError(f"budget exceeded: total dimension {sum(alpha)} > 2, "
-                          "the cap of orbit enumeration")
-    arrows = _arrow_list(fq)
-    gls = [_invertible_matrices(ai, q) for ai in alpha]
-    inverses = []
-    for group_mats in gls:
-        inv_map = {}
-        for g in group_mats:
-            for h in group_mats:
-                if _matmul(g, h, q) == _ident(len(g)):
-                    inv_map[g] = h
-                    break
-        inverses.append(inv_map)
-    shape = [(alpha[j], alpha[i]) for i, j in arrows]
-    seen = set()
-    total = Fraction(0)
-    for mats in _enumerate_matrices(shape, q):
-        if mats in seen:
-            continue
-        orbit = set()
-        aut = 0
-        for gtuple in itertools.product(*gls):
-            moved = tuple(
-                _matmul(_matmul(gtuple[j], M, q), inverses[i][gtuple[i]], q)
-                for (i, j), M in zip(arrows, mats))
-            orbit.add(moved)
-            if moved == mats:
-                aut += 1
-        seen |= orbit
-        total += Fraction(1, aut)
-    return total
-
-
-def _ident(n: int):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 # ---- counting-level wall-crossing check -------------------------------------
@@ -522,10 +433,7 @@ def hall_filtration_check(fq: FramedQuiver, alpha, theta, c, q: int,
     invariant tuples of the one kernel.
     """
     alpha = tuple(int(x) for x in alpha)
-    cfg = cfg or FiniteFieldConfig(q)
-    if cfg.q != q:
-        raise ValueError("config and argument disagree on q")
-    _check_dim(cfg, alpha)
+    cfg = _config(cfg, q, alpha)
     theta = tuple(Fraction(t) for t in theta)
     if c in (PLUS_INF, MINUS_INF):
         raise ValueError("hall_filtration_check needs a finite c")
@@ -541,24 +449,25 @@ def hall_filtration_check(fq: FramedQuiver, alpha, theta, c, q: int,
     full = (1 << q ** sum(alpha[i] for i in slots)) - 1
     mu = {d: theta_slope(theta, d) for d in set(dims) if sum(d)}
 
-    # left side: star-0 subobjects kill every framing tuple, star-1 ones
-    # kill the framing tuples inside them
-    bad = sum(1 << p for p, d in enumerate(dims) if sum(d) and mu[d] > target)
-    watch = [f if d != alpha and theta_slope(theta, d, c) > target else 0
-             for f, d in zip(fm, dims)]
+    # left side, the classes count_stack flags: star-0 subobjects kill every
+    # framing tuple, star-1 ones kill the framing tuples inside them
+    bad_classes, watch_classes = _flagged(
+        alpha, *_slope_tests(theta, alpha, c, semistable=True))
+    bad = sum(1 << p for p, d in enumerate(dims) if d in bad_classes)
+    watch = [f if d in watch_classes else 0 for f, d in zip(fm, dims)]
 
     # right side: for each slope-matched S, the tuples T whose invariance
     # kills S, and the tuples T above S that kill the framing tuples inside
-    c_minus = {}  # quotient class -> (its c-minus level, its slope there)
+    quotient = {}  # quotient class -> the classes its c-minus stability flags
     right = []
     for p, (cand, d) in enumerate(zip(cands, dims)):
         if sum(d) and mu[d] != target:
             continue
         gamma = tuple(a - x for a, x in zip(alpha, d))
-        if sum(gamma) and gamma not in c_minus:
-            cm = resolve_side(find_walls(fq, theta, gamma, sum(gamma)), c, "minus")
-            c_minus[gamma] = cm, theta_slope(theta, gamma, cm)
-        cm, top = c_minus.get(gamma, (None, None))
+        if sum(gamma) and gamma not in quotient:
+            quotient[gamma] = _flagged(gamma, *_slope_tests(
+                theta, gamma, _level(fq, theta, gamma, c, "minus"), semistable=False))
+        bad_q, watch_q = quotient.get(gamma, ((), ()))
         m_s = [ms[k] for ms, k in zip(masks, cand)]
         dead, above = 0, []
         for t, (other, e) in enumerate(zip(cands, dims)):
@@ -569,9 +478,9 @@ def hall_filtration_check(fq: FramedQuiver, alpha, theta, c, q: int,
             elif sum(gamma) and all(y & ~x == 0 for x, y in zip(m_t, m_s)):
                 # T above S: T / S is a subobject of the quotient, of class dd
                 dd = tuple(x - y for x, y in zip(e, d))
-                if sum(dd) and mu[dd] >= top:
+                if dd in bad_q:
                     dead |= 1 << t
-                elif dd != gamma and theta_slope(theta, dd, cm) >= top:
+                elif dd in watch_q:
                     above.append(t)
         right.append((p, dead, above))
 

@@ -195,6 +195,14 @@ class TestFalsyValues:
         code, out, err = invoke(capsys, "check-oracle", quiver("jordan"), *args)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    def test_unset_options_keep_the_jobspec_defaults(self):
+        parser = cli._build_parser()
+        for argv in (["framed", "q.json", "--c", "0"], ["check-oracle", "q.json"]):
+            args = parser.parse_args(argv)
+            set_by_parser = {name for name in cli._OPTION_PARSERS
+                             if getattr(args, name, None) is not None}
+            assert set_by_parser <= {"c"}
+
     def test_empty_out_dir_is_one_error_line(self, capsys):
         code, out, err = invoke(capsys, "hn", quiver("jordan"), "--out-dir", "")
         assert (code, out) == (1, "")
@@ -202,7 +210,7 @@ class TestFalsyValues:
 
 
 class TestNegativeValues:
-    """A negative rational after --c, --theta or --mu may be its own argument."""
+    """A negative value after any option that takes one may be its own argument."""
 
     CASES = {
         "framed_jordan": ("framed", "jordan", "--theta", "-1/2", "--c", "-1/2",
@@ -235,6 +243,25 @@ class TestNegativeValues:
                                 "--mu", "0")
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (("walls", "kronecker", "--alpha", "-1,2"), "alpha (-1, 2) has a negative entry"),
+        (("framed", "kronecker", "--theta", "1,0", "--c", "1/2", "--mu", "1/2",
+          "--w", "-1,0"), "framing override must list one weight per vertex"),
+        (("universal", "jordan", "-N", "-1"), "truncation must be nonnegative"),
+        (("check-oracle", "jordan", "--max-dim", "-1"),
+         "max_total_dim must be between 1 and 4"),
+    ], ids=["walls_alpha", "framed_w", "short_trunc", "check_oracle_max_dim"])
+    def test_every_value_option(self, capsys, argv, message):
+        sub, name, *rest = argv
+        code, out, err = invoke(capsys, sub, quiver(name), *rest)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_value_options_read_off_the_parser(self):
+        options = cli._value_options(cli._build_parser())
+        assert {"--alpha", "--w", "--trunc", "-N", "--q", "--max-dim", "--out-dir",
+                "--c", "--theta", "--mu", "--side", "--format"} <= options
+        assert not {"--euler", "--help", "-h"} & options
 
     def test_missing_value_still_refused(self, capsys):
         code, out, err = invoke(capsys, "framed", quiver("jordan"), "--c", "--mu", "0")

@@ -3,16 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+import reference_oracle as ref
 from quiverdt import oracle
 from quiverdt.hn import gl_motive, hn_factorize, universal_trivial
 from quiverdt.oracle import (BudgetError, FiniteFieldConfig,
-                             count_framed_stable, count_stack,
-                             count_stack_isoclasses, gl_order,
+                             count_framed_stable, count_stack, gl_order,
                              hall_filtration_check, verify_coefficient)
 from quiverdt.quiver import (ext, jordan_quiver, kronecker_quiver,
                              loop_quiver, tits_form)
 from quiverdt.scalar import L, Scalar, V
-from quiverdt.stability import MINUS_INF, PLUS_INF, StabilityParams
+from quiverdt.stability import MINUS_INF, PLUS_INF, StabilityParams, theta_slope
 
 JORDAN = jordan_quiver()
 KRON = kronecker_quiver()
@@ -45,7 +45,6 @@ class TestConfig:
         calls = [
             lambda: count_framed_stable(JORDAN, (1,), (0,), 0, "plus", 3, cfg),
             lambda: hall_filtration_check(JORDAN, (1,), (0,), 0, 3, cfg),
-            lambda: count_stack_isoclasses(JORDAN, (1,), 3, cfg),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="config and argument disagree on q"):
@@ -87,14 +86,15 @@ class TestCountAll:
                 assert verify_coefficient(bu.coeff(alpha), n, q, chi=chi)
 
     def test_isoclass_cross_check(self):
+        """The orbit formula against explicit orbit enumeration."""
         cases = [(JORDAN, (2,)), (KRON, (1, 1)), (loop_quiver(2), (2,))]
         for fq, alpha in cases:
-            assert count_stack_isoclasses(fq, alpha, 2) == \
+            assert ref.count_stack_isoclasses(fq, alpha, 2) == \
                 count_stack(fq, alpha, "all", 2)
 
     def test_isoclass_budget(self):
-        with pytest.raises(BudgetError, match="total dimension 3 > 2"):
-            count_stack_isoclasses(JORDAN, (3,), 2)
+        with pytest.raises(ref.BudgetError, match="total dimension 3 > 2"):
+            ref.count_stack_isoclasses(JORDAN, (3,), 2)
 
     def test_bad_sp(self):
         with pytest.raises(TypeError, match="StabilityParams"):
@@ -118,6 +118,23 @@ class TestCountSemistable:
     def test_dim_cap(self):
         with pytest.raises(BudgetError, match="total dimension 5 > max_total_dim 4"):
             count_stack(JORDAN, (5,), "all", 2)
+
+
+class TestSlopeTestsPerClass:
+    def test_star_one_decides_each_class_once(self, monkeypatch):
+        """Slopes depend on the dimension vector only: one test per class and
+        side of the framing, plus alpha's own slope, not one per subspace tuple."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return theta_slope(*args)
+
+        monkeypatch.setattr(oracle, "theta_slope", counted)
+        alpha = (2, 2)
+        got = count_stack(KRON, ext(alpha, 1), StabilityParams((1, 0), HALF), 2)
+        assert got == ref.count_stack(KRON, ext(alpha, 1), StabilityParams((1, 0), HALF), 2)
+        assert 0 < len(calls) <= 2 * (alpha[0] + 1) * (alpha[1] + 1) + 1
 
 
 class TestFramedStable:
@@ -163,11 +180,6 @@ class TestVerifyCoefficient:
     def test_chi_strips_sign_normalization(self):
         coeff = -V / (L - 1)  # normalized with chi = 1
         assert verify_coefficient(coeff, 1, 2, chi=1)
-
-    def test_prefactor(self):
-        coeff = (L ** 2) / (L - 1)
-        assert verify_coefficient(coeff, 4, 2, prefactor=1 / (L - 1))
-        assert verify_coefficient(coeff, 2, 2, prefactor=L / (L - 1))
 
     def test_wrong_parity_raises(self):
         with pytest.raises(ValueError, match="half-power"):
