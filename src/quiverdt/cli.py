@@ -261,85 +261,70 @@ def _check_oracle(job: JobSpec, fq: FramedQuiver):
 # ---- argument parsing -------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        # a separate value that starts with "-" (-1/2, -inf, -1,0) is a value,
+        # also after an abbreviated option; argparse alone reads only -1 and
+        # -1.5 that way (and no option string here looks like a value)
+        self._negative_number_matcher = re.compile(r"^-(\d|inf$)")
+
     def error(self, message):  # argparse default exits with 2; keep 2 for verification
         raise CLIError(message)
 
 
-def _build_parser() -> _Parser:
+_MU = "slope class, rational"
+_WHOLE = "slope class; omitted means the whole universal series"
+
+# subcommand: (help, takes the common options, its own options in order)
+_SUBCOMMANDS = {
+    "universal": ("universal series coefficients", True, ()),
+    "hn": ("slope factorization of the universal series", True, (
+        ("--out-dir", dict(help="write one series file per slope here")),)),
+    "walls": ("critical stability levels for one class", True, (
+        ("--alpha", dict(required=True, help="dimension vector, comma-separated")),)),
+    "ncdt": ("cyclic-stability series", True, ()),
+    "framed": ("framed series at a stability level", True, (
+        ("--c", dict(required=True, help="stability level: rational, +inf, or -inf")),
+        ("--side", dict(choices=sorted(SIDE_FLAGS),
+                        help="+ for just above c, - for just below, 0 for exactly c")),
+        ("--mu", dict(help=_MU)))),
+    "smooth-model": ("smooth-model motive series at one slope", True, (
+        ("--mu", dict(required=True, help=_MU)),)),
+    "omega": ("DT invariants of a slope factor", True, (("--mu", dict(help=_WHOLE)),)),
+    "transfer": ("wall-crossing transfer series", True, (("--mu", dict(help=_WHOLE)),)),
+    "check-oracle": ("verify coefficients by finite-field counting", False, (
+        ("quiver", dict(help="quiver spec file (JSON)")),
+        ("--q", dict(type=int, help="field size, prime <= 5")),
+        ("--max-dim", dict(type=int, help="largest total dimension")),
+        ("--theta", dict(help="also check semistable counts at this theta")),
+        ("--c", dict(help="also run the filtration check at this level")))),
+}
+
+
+def _build_parser(only=None) -> _Parser:
+    """The parser with every subcommand, or with subcommand `only` alone.
+
+    A job parses with the parser of its own subcommand, which reads its
+    arguments exactly as the full one does.
+    """
     p = _Parser(prog="quiverdt", description=__doc__.splitlines()[0])
     subs = p.add_subparsers(dest="subcommand", required=True)
-
-    def common(sp, theta=True):
-        sp.add_argument("quiver", help="quiver spec file (JSON)")
-        sp.add_argument("--trunc", "-N", type=int,
-                        help="truncation: keep classes with total dimension <= N")
-        sp.add_argument("--format", choices=FORMATS, dest="fmt")
-        sp.add_argument("--euler", action="store_const", const="euler", dest="fmt",
-                        help="shorthand for --format euler")
-        sp.add_argument("--w", help="framing override, comma-separated weights")
-        if theta:
+    for name, (text, common, options) in _SUBCOMMANDS.items():
+        if only not in (None, name):
+            continue
+        sp = subs.add_parser(name, help=text)
+        if common:
+            sp.add_argument("quiver", help="quiver spec file (JSON)")
+            sp.add_argument("--trunc", "-N", type=int,
+                            help="truncation: keep classes with total dimension <= N")
+            sp.add_argument("--format", choices=FORMATS, dest="fmt")
+            sp.add_argument("--euler", action="store_const", const="euler", dest="fmt",
+                            help="shorthand for --format euler")
+            sp.add_argument("--w", help="framing override, comma-separated weights")
             sp.add_argument("--theta", help="stability weights, comma-separated rationals")
-
-    common(subs.add_parser("universal", help="universal series coefficients"))
-    hn = subs.add_parser("hn", help="slope factorization of the universal series")
-    common(hn)
-    hn.add_argument("--out-dir", help="write one series file per slope here")
-    walls = subs.add_parser("walls", help="critical stability levels for one class")
-    common(walls)
-    walls.add_argument("--alpha", required=True, help="dimension vector, comma-separated")
-    common(subs.add_parser("ncdt", help="cyclic-stability series"))
-    fr = subs.add_parser("framed", help="framed series at a stability level")
-    common(fr)
-    fr.add_argument("--c", required=True, help="stability level: rational, +inf, or -inf")
-    fr.add_argument("--side", choices=sorted(SIDE_FLAGS),
-                    help="+ for just above c, - for just below, 0 for exactly c")
-    fr.add_argument("--mu", help="slope class, rational")
-    sm = subs.add_parser("smooth-model", help="smooth-model motive series at one slope")
-    common(sm)
-    sm.add_argument("--mu", required=True, help="slope class, rational")
-    om = subs.add_parser("omega", help="DT invariants of a slope factor")
-    common(om)
-    om.add_argument("--mu", help="slope class; omitted means the whole universal series")
-    tr = subs.add_parser("transfer", help="wall-crossing transfer series")
-    common(tr)
-    tr.add_argument("--mu", help="slope class; omitted means the whole universal series")
-    co = subs.add_parser("check-oracle", help="verify coefficients by finite-field counting")
-    co.add_argument("quiver", help="quiver spec file (JSON)")
-    co.add_argument("--q", type=int, help="field size, prime <= 5")
-    co.add_argument("--max-dim", type=int, help="largest total dimension")
-    co.add_argument("--theta", help="also check semistable counts at this theta")
-    co.add_argument("--c", help="also run the filtration check at this level")
+        for flag, kwargs in options:
+            sp.add_argument(flag, **kwargs)
     return p
-
-
-# argparse reads a separate value that starts with "-" and is not a plain
-# negative number (-1/2, -inf, -1,0) as an option; options that take a value
-# get it attached
-_NEGATIVE_VALUE = re.compile(r"^-(\d|inf$)")
-
-
-def _value_options(parser: argparse.ArgumentParser) -> set:
-    """Every option string, of the parser or its subcommands, that takes a value."""
-    out = set()
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                out |= _value_options(sub)
-        elif action.nargs != 0:
-            out.update(action.option_strings)
-    return out
-
-
-def _attach_negative_values(argv: list, options: set) -> list:
-    """["--c", "-1/2"] -> ["--c=-1/2"] and ["-N", "-1"] -> ["-N-1"] for the
-    given options."""
-    out: list = []
-    for tok in argv:
-        if out and out[-1] in options and _NEGATIVE_VALUE.match(tok):
-            out[-1] += ("=" if out[-1].startswith("--") else "") + tok
-        else:
-            out.append(tok)
-    return out
 
 
 # the JobSpec fields that options set, in parsing order, with their parsers
@@ -366,9 +351,9 @@ def _job_from_args(args) -> JobSpec:
 
 def main(argv=None) -> int:
     try:
-        argv = sys.argv[1:] if argv is None else argv
-        parser = _build_parser()
-        args = parser.parse_args(_attach_negative_values(argv, _value_options(parser)))
+        argv = sys.argv[1:] if argv is None else list(argv)
+        only = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+        args = _build_parser(only).parse_args(argv)
         job = _job_from_args(args)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)

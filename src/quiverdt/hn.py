@@ -62,7 +62,8 @@ def universal_trivial(fq: FramedQuiver, N: int) -> UniversalSeries:
         denom = ONE
         for ai in alpha:
             denom = denom * gl_motive(ai)
-        coeffs[a] = Scalar.neg_v_pow(chi) * (L ** arrow_dim) / denom
+        # (-v)^chi L^arrow_dim = (-v)^(chi + 2 arrow_dim), one monomial
+        coeffs[a] = Scalar.neg_v_pow(chi + 2 * arrow_dim) / denom
     return UniversalSeries(TorusSeries(fq, N, coeffs), "trivial_potential")
 
 

@@ -8,10 +8,15 @@ Adams operations and Exp/Log identities survive truncation exactly.
 
 Each output coefficient is formed once.  The term products that land on a
 key are summed unreduced, grouped by denominator, and each group is reduced
-once (scalar._acc_term, scalar._settle).  The grade of a key is
-|alpha| + star; products add grades, so the inverse and Exp/Log are solved
-grade by grade:
-  torus_inverse  g_d = -c0^{-1} sum_{e=1..d} f_e g_{d-e}
+once (scalar._acc_term, scalar._settle).  A factor with constant term 1
+passes the other factor's coefficients through exactly: a key that no other
+term product reaches keeps its coefficient and is never reduced.  The grade
+of a key is |alpha| + star; products add grades, so a quotient and Exp/Log
+are solved grade by grade, a quotient also on a set of keys only (a keep
+predicate closed under removing the divisor's keys):
+  torus_div      f g^{-1} = y with y g = f:
+                 y_d = (f_d - sum_{e=1..d} y_{d-e} g_e) g_0^{-1},
+                 and torus_inverse(g) = torus_div(1, g)
   pleth_exp      d g_d = sum_{k=1..d} k T_k g_{d-k},  T = sum_n psi_n(f)/n
   pleth_log      d l_d = d g_d - sum_{k=1..d-1} k l_k g_{d-k},
                  then Log g = sum_n mu(n)/n psi_n(l)
@@ -26,6 +31,8 @@ from .quiver import (ExtDimVector, FramedQuiver, Record, ext, nu, skew_form,
                      zero_vector)
 from .scalar import ONE, Scalar, _acc_term, _settle
 from .stability import theta_slope
+
+MINUS_ONE = -ONE
 
 Key = ExtDimVector
 
@@ -162,11 +169,12 @@ def _grades(coeffs: Mapping) -> dict:
     return out
 
 
-def _mul_into(fq: FramedQuiver, trunc: int, acc: dict, left, right) -> None:
+def _mul_into(fq: FramedQuiver, trunc: int, acc: dict, left, right, keep=None) -> None:
     """Add the twisted product of two (key, coeff) lists to acc, unreduced.
 
     acc maps each key to a {denominator: numerator sum} dict for
-    scalar._settle.  Products with star >= 2 or total degree > trunc drop.
+    scalar._settle.  Products with star >= 2 or total degree > trunc drop,
+    and so do those whose key keep (when given) refuses.
     The skew form comes from one row per left key a:
     <a, b> = sum_j r_j b_j + b* nu(a), r_j = sum_i (m_ji - m_ij) a_i - a* w_j.
     """
@@ -184,8 +192,11 @@ def _mul_into(fq: FramedQuiver, trunc: int, acc: dict, left, right) -> None:
             alpha = tuple(x + y for x, y in zip(a, b))
             if sum(alpha) > trunc:
                 continue
+            key = ExtDimVector(alpha, star)
+            if keep is not None and not keep(key):
+                continue
             skew = sum(r * y for r, y in zip(row, b)) + kb.star * nu_a
-            _acc_term(acc.setdefault(ExtDimVector(alpha, star), {}), ca, cb, skew)
+            _acc_term(acc.setdefault(key, {}), ca, cb, skew)
 
 
 def _settled(acc: dict, div: int = 1) -> dict:
@@ -208,9 +219,27 @@ def _adams_into(acc: dict, trunc: int, key: Key, c: Scalar, weight) -> None:
 def torus_mul(f: TorusSeries, g: TorusSeries) -> TorusSeries:
     """Twisted product; out-of-region keys (and star >= 2) are dropped."""
     _check(f, g)
+    fq, zero = f.fq, _zero_key(f.fq)
+    left, right, through = list(f.coeffs.items()), list(g.coeffs.items()), []
+    # f . 1 = f and 1 . g = g: a unit constant term passes the other side through
+    if g.coeffs.get(zero) == ONE:
+        right = [(k, c) for k, c in right if k != zero]
+        through += left
+    if f.coeffs.get(zero) == ONE:
+        left = [(k, c) for k, c in left if k != zero]
+        through += right
     acc: dict = {}
-    _mul_into(f.fq, f.trunc, acc, list(f.coeffs.items()), list(g.coeffs.items()))
-    return TorusSeries(f.fq, f.trunc, _settled(acc))
+    _mul_into(fq, f.trunc, acc, left, right)
+    out = {}
+    for k, c in through:
+        if k in acc:
+            _acc_term(acc[k], c, ONE, 0)
+        elif k in out:  # a key of both sides, both passed through
+            out[k] = out[k] + c
+        else:
+            out[k] = c
+    out.update(_settled(acc))
+    return TorusSeries(fq, f.trunc, out)
 
 
 def torus_product(fq: FramedQuiver, trunc: int, factors) -> TorusSeries:
@@ -222,26 +251,46 @@ def torus_product(fq: FramedQuiver, trunc: int, factors) -> TorusSeries:
     return TorusSeries.one(fq, trunc) if out is None else out
 
 
-def torus_inverse(f: TorusSeries) -> TorusSeries:
-    """Two-sided inverse; needs a nonzero constant term c0.
+def torus_div(f: TorusSeries, g: TorusSeries, keep=None) -> TorusSeries:
+    """f . g^{-1} by one solve of y . g = f; g needs a nonzero constant term g_0.
 
-    Degree by degree, g_d = -c0^{-1} sum_{e=1..d} f_e g_{d-e} with f_e the
-    grade-e part of f (grade |alpha| + star), f kept on the left.
+    Grade by grade (grade |alpha| + star),
+    y_d = (f_d - sum_{e=1..d} y_{d-e} g_e) g_0^{-1}, g kept on the right.
+    A key of f_d that no product reaches passes through (times g_0^{-1}).
+    With keep, only the keys it accepts are solved for.  That is exact on
+    them when keep accepts k - e for every key k it accepts and every key e
+    of g (with k - e in the region): y_k then reads only accepted keys.
     """
-    c0 = f.constant_term()
+    _check(f, g)
+    c0 = g.constant_term()
     if not c0:
         raise ValueError("not invertible")
     fq, trunc = f.fq, f.trunc
-    parts = _grades(f.coeffs)
-    inv0 = c0.inverse()
-    g = {0: [(_zero_key(fq), inv0)]}
-    for d in range(1, trunc + 2):
+    fparts, gparts = _grades(f.coeffs), _grades(g.coeffs)
+    inv0 = None if c0 == ONE else c0.inverse()
+    y: dict = {}
+    for d in range(trunc + 2):
         acc: dict = {}
         for e in range(1, d + 1):
-            _mul_into(fq, trunc, acc, parts.get(e, ()), g[d - e])
-        g[d] = [(k, -c if c0 == ONE else -(inv0 * c))
-                for k, c in _settled(acc).items() if c]
-    return TorusSeries(fq, trunc, {k: c for row in g.values() for k, c in row})
+            _mul_into(fq, trunc, acc, y[d - e], gparts.get(e, ()), keep)
+        row = {}
+        for k, c in fparts.get(d, ()):
+            if keep is not None and not keep(k):
+                continue
+            if k in acc:
+                _acc_term(acc[k], c, MINUS_ONE, 0)
+            else:
+                row[k] = c if inv0 is None else c * inv0
+        for k, c in _settled(acc).items():  # acc = sum y g_e - f_d
+            if c:
+                row[k] = -c if inv0 is None else -(c * inv0)
+        y[d] = list(row.items())
+    return TorusSeries(fq, trunc, {k: c for row in y.values() for k, c in row})
+
+
+def torus_inverse(g: TorusSeries) -> TorusSeries:
+    """Two-sided inverse, torus_div(1, g); needs a nonzero constant term."""
+    return torus_div(TorusSeries.one(g.fq, g.trunc), g)
 
 
 def s_twist(f: TorusSeries, lam) -> TorusSeries:
@@ -252,8 +301,8 @@ def s_twist(f: TorusSeries, lam) -> TorusSeries:
     weights, star_w = tuple(lam[0]), int(lam[1])
 
     def scale(key, c):
-        e = sum(w * a for w, a in zip(weights, key.unframed)) + star_w * key.star
-        return c * Scalar.neg_v_pow(e) if e else c
+        return c.times_neg_v_pow(sum(w * a for w, a in zip(weights, key.unframed))
+                                 + star_w * key.star)
 
     return f.map_coeffs(scale)
 

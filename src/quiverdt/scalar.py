@@ -3,7 +3,8 @@
 Every series coefficient in this package is a Scalar: a reduced ratio of dense
 univariate polynomials in v with exact rational coefficients.  The Lefschetz
 motive L is v^2, so half-integer powers of L are integer powers of v.  Signs
-like (-L^(1/2))^k are produced at call sites via Scalar.neg_v_pow(k).
+like (-L^(1/2))^k are produced at call sites via Scalar.neg_v_pow(k), and
+applied to a value as a shift by its times_neg_v_pow(k).
 
 A Scalar is stored as a pair of integer polynomials, numerator and
 denominator, in a canonical form: coprime over Q[v], the denominator's leading
@@ -14,8 +15,10 @@ integer xi, take the integer gcd, and read a candidate back from its balanced
 base-xi digits.  The candidate is accepted only if it divides both
 polynomials exactly; with xi > 2 min(|f|, |g|) + 1 for the max-norms, that
 proves it is the gcd.  When no xi succeeds, a primitive remainder sequence
-over Z finishes the job.  Products pack each polynomial into one integer
-(Kronecker substitution) so that CPython's big-integer multiply does the work.
+over Z finishes the job.  A monomial side needs no gcd: its only common
+factor with the other side is a power of v, which is cancelled first.
+Products pack each polynomial into one integer (Kronecker substitution) so
+that CPython's big-integer multiply does the work.
 Sums split off the gcd of the two denominators first (Henrici), so only that
 common part is tested against the new numerator.  Callers that add many
 products into one coefficient collect them unreduced, one numerator sum per
@@ -185,7 +188,8 @@ def _canonical(n, d):
         while not (n[k] or d[k]):
             k += 1
         n, d = n[k:], d[k:]
-    if len(n) > 1 and len(d) > 1:
+    # a monomial's only common factor with the other side is a power of v
+    if any(n[:-1]) and any(d[:-1]):
         n, d = _gcd_cofactors(n, d)
     return _content(n, d)
 
@@ -373,6 +377,23 @@ class Scalar:
         """(-v)^k = (-1)^k v^k, any integer k."""
         s = cls.v_pow(k)
         return -s if k % 2 else s
+
+    def times_neg_v_pow(self, k: int) -> "Scalar":
+        """self * (-v)^k as a shift and a sign: only a power of v can cancel."""
+        n, d = self._n, self._d
+        if not (n and k):
+            return self
+        if k & 1:
+            n = tuple(-x for x in n)
+        if k < 0:  # divide: shift d up, after cancelling n's low zeros
+            z = 0
+            while z < -k and not n[z]:
+                z += 1
+            return Scalar._raw(n[z:], (0,) * (-k - z) + d)
+        z = 0
+        while z < k and not d[z]:
+            z += 1
+        return Scalar._raw((0,) * (k - z) + n, d[z:])
 
     def is_zero(self) -> bool:
         return not self._n

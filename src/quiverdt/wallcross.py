@@ -15,7 +15,7 @@ from fractions import Fraction
 from .hn import UniversalSeries, hn_factorize, slope_ladder
 from .quiver import FramedQuiver, Record, ext, is_symmetric, nu, tits_form
 from .qtorus import (TorusSeries, nu_weights, pleth_exp, pleth_log, s_twist,
-                     torus_inverse, torus_mul, torus_product, truncate_tau)
+                     torus_div, torus_inverse, torus_mul, torus_product)
 from .scalar import L, ONE, Scalar, V
 from .stability import (MINUS_INF, PLUS_INF, SIDES, StabilityParams,
                         theta_slope)
@@ -47,16 +47,17 @@ class DTInvariants(Record):
                            {ext(k): c for k, c in self.omega.items()})
 
 
-def _crossing(fq: FramedQuiver, left: TorusSeries,
-              right: TorusSeries) -> TorusSeries:
-    """S_nu(left) . S_{-nu}(right)^{-1}, the product form of a framed series."""
-    return torus_mul(s_twist(left, nu_weights(fq, 1)),
-                     torus_inverse(s_twist(right, nu_weights(fq, -1))))
+def _crossing(fq: FramedQuiver, left: TorusSeries, right: TorusSeries,
+              keep=None) -> TorusSeries:
+    """S_nu(left) . S_{-nu}(right)^{-1}, the product form of a framed series:
+    one solve, on the keys keep accepts (see torus_div) when given."""
+    return torus_div(s_twist(left, nu_weights(fq, 1)), s_twist(right, nu_weights(fq, -1)),
+                     keep)
 
 
 def _cyclic(fq: FramedQuiver, B: TorusSeries) -> TorusSeries:
     """S_{2nu}(B) . B^{-1}, the cyclic-stability product form."""
-    return torus_mul(s_twist(B, nu_weights(fq, 2)), torus_inverse(B))
+    return torus_div(s_twist(B, nu_weights(fq, 2)), B)
 
 
 def transfer_series(B_mu: TorusSeries, fq: FramedQuiver) -> TorusSeries:
@@ -92,7 +93,7 @@ def general_wallcross(a_in: FramedSeries, B_mu: TorusSeries,
         out = torus_mul(snu_b if left > 0 else torus_inverse(snu_b), out)
     if right:
         sdn_b = s_twist(B_mu, nu_weights(fq, -1))
-        out = torus_mul(out, sdn_b if right > 0 else torus_inverse(sdn_b))
+        out = torus_mul(out, sdn_b) if right > 0 else torus_div(out, sdn_b)
     params = StabilityParams(a_in.params.theta, a_in.params.c, dst)
     return FramedSeries(out, params, a_in.mu)
 
@@ -109,7 +110,7 @@ def uniform_series(fq: FramedQuiver, BU: UniversalSeries, theta, a,
     return _uniform(fq, BU, theta, BU.series.trunc, a, side)
 
 
-def _uniform(fq, BU, theta, N, a, side) -> TorusSeries:
+def _uniform(fq, BU, theta, N, a, side, keep=None) -> TorusSeries:
     if a not in (PLUS_INF, MINUS_INF):
         a = Fraction(a)
     # P_{<a} is the rest at the lowest slope >= a, P_{<=a} the one at the
@@ -120,17 +121,17 @@ def _uniform(fq, BU, theta, N, a, side) -> TorusSeries:
             break
         upto, below = (rest if mu > a else upto), rest
     return _crossing(fq, below if side == "minus" else upto,
-                     upto if side == "plus" else below)
+                     upto if side == "plus" else below, keep)
 
 
 def framed_at(fq: FramedQuiver, BU: UniversalSeries, theta, N: int,
               c, side: str = "exact", mu=None) -> FramedSeries:
     """The framed series A at level c (or c plus/minus) and slope mu.
 
-    Finite c reduces to the uniform series at a = mu cut down to the mu
-    slope class; the infinities come from their characterizations directly:
-    nothing but the bare framing line below all walls, the full cyclic
-    series above them.
+    Finite c gives the uniform series at a = mu on the mu slope class, the
+    classes alpha whose framed slope (theta.alpha + c)/(|alpha| + 1) is mu;
+    the infinities come from their characterizations directly: nothing but
+    the bare framing line below all walls, the full cyclic series above them.
     """
     if N > BU.series.trunc:
         raise ValueError("truncation exceeds the given universal series")
@@ -142,9 +143,20 @@ def framed_at(fq: FramedQuiver, BU: UniversalSeries, theta, N: int,
         return FramedSeries(_crossing(fq, bu, bu), params, None)
     if mu is None:
         raise ValueError("finite c needs a slope mu")
-    mu = Fraction(mu)
-    uni = _uniform(fq, BU, theta, N, mu, side)
-    ser = truncate_tau(uni, theta, Fraction(c), mu)
+    mu, c = Fraction(mu), Fraction(c)
+    slopes: dict = {}
+
+    def framed_slope(key) -> Fraction:  # once per key
+        s = slopes.get(key)
+        if s is None:
+            s = slopes[key] = theta_slope(theta, key.unframed, c)
+        return s
+
+    # The divisor P_{<=mu} or P_{<mu} has classes of slope <= mu only, and
+    # removing one never lowers a framed slope below mu, so the solve on the
+    # classes of framed slope >= mu reads nothing else: only they are formed.
+    ser = _uniform(fq, BU, theta, N, mu, side, lambda k: framed_slope(k) >= mu)
+    ser = ser.restrict(lambda k: slopes[k] == mu)
     if ser.is_zero():
         # empty slope class: only the bare framing line remains
         ser = TorusSeries.one(fq, N)

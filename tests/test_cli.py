@@ -1,3 +1,6 @@
+import argparse
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -183,6 +186,49 @@ class TestErrors:
         assert code == 1 and text.startswith("error:")
 
 
+class TestOneSubcommandParser:
+    """A job builds the parser of its own subcommand only, which reads its
+    arguments exactly as the parser of every subcommand does."""
+
+    def test_main_builds_one_subcommand(self, capsys, monkeypatch):
+        built = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda only=None: built.append(only)
+                            or build(only))
+        for argv, only in [(("walls", quiver("jordan"), "--alpha", "2"), "walls"),
+                           (("summon", quiver("jordan")), None), (("-h",), None),
+                           ((), None)]:
+            built.clear()
+            try:
+                cli.main(list(argv))
+            except SystemExit:  # -h
+                pass
+            assert built == [only]
+        capsys.readouterr()
+
+    def test_same_arguments_as_the_full_parser(self):
+        from test_cli_golden import COMMANDS
+        for command in COMMANDS:
+            argv = shlex.split(command)
+            try:
+                want = vars(cli._build_parser().parse_args(argv))
+            except CLIError as exc:
+                with pytest.raises(CLIError, match=re.escape(str(exc))):
+                    cli._build_parser(argv[0]).parse_args(argv)
+                continue
+            assert vars(cli._build_parser(argv[0]).parse_args(argv)) == want, command
+
+    @pytest.mark.parametrize("argv", [("-h",), ("universal", "-h"), ("check-oracle", "-h")])
+    def test_help_is_unchanged(self, capsys, argv):
+        """The help of a subcommand is its help in the parser of every subcommand."""
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args(list(argv))
+        full = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli.main(list(argv))
+        assert capsys.readouterr().out == full and "usage: quiverdt" in full
+
+
 class TestFalsyValues:
     """Zero and empty option values reach the job; they are not defaults."""
 
@@ -251,17 +297,40 @@ class TestNegativeValues:
         (("universal", "jordan", "-N", "-1"), "truncation must be nonnegative"),
         (("check-oracle", "jordan", "--max-dim", "-1"),
          "max_total_dim must be between 1 and 4"),
-    ], ids=["walls_alpha", "framed_w", "short_trunc", "check_oracle_max_dim"])
+        (("walls", "kronecker", "--alp", "-1,2"), "alpha (-1, 2) has a negative entry"),
+        (("smooth-model", "kronecker", "--theta", "1,0", "--m", "-1/2", "-N", "-1"),
+         "truncation must be nonnegative"),
+    ], ids=["walls_alpha", "framed_w", "short_trunc", "check_oracle_max_dim",
+            "walls_abbreviated_alpha", "smooth_model_abbreviated_mu"])
     def test_every_value_option(self, capsys, argv, message):
         sub, name, *rest = argv
         code, out, err = invoke(capsys, sub, quiver(name), *rest)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
-    def test_value_options_read_off_the_parser(self):
-        options = cli._value_options(cli._build_parser())
-        assert {"--alpha", "--w", "--trunc", "-N", "--q", "--max-dim", "--out-dir",
-                "--c", "--theta", "--mu", "--side", "--format"} <= options
-        assert not {"--euler", "--help", "-h"} & options
+    def test_every_option_reads_a_negative_value(self):
+        """Every option that takes a value, of every subcommand, in full and
+        by its shortest unique prefix, reads a separate -1 as its value."""
+        subs = next(a for a in cli._build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        for name, sp in subs.choices.items():
+            options = [o for a in sp._actions for o in a.option_strings]
+            required = [tok for a in sp._actions if a.required and a.option_strings
+                        for tok in (a.option_strings[0], "1")]
+            for action in sp._actions:
+                if not action.option_strings or action.nargs == 0:
+                    continue
+                opt = action.option_strings[0]
+                forms = {opt} | {opt[:n] for n in range(3, len(opt))
+                                 if sum(o.startswith(opt[:n]) for o in options) == 1}
+                for form in forms:
+                    argv = [name, "q.json", *required, form, "-1"]
+                    try:
+                        value = getattr(cli._build_parser(name).parse_args(argv),
+                                        action.dest)
+                    except CLIError as exc:  # read as a value, then refused
+                        assert "invalid choice: '-1'" in str(exc), argv
+                    else:
+                        assert value in ("-1", -1), argv
 
     def test_missing_value_still_refused(self, capsys):
         code, out, err = invoke(capsys, "framed", quiver("jordan"), "--c", "--mu", "0")

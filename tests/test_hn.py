@@ -43,6 +43,20 @@ class TestUniversalTrivial:
     def test_source_label(self):
         assert universal_trivial(jordan_quiver(), 2).source == "trivial_potential"
 
+    @pytest.mark.parametrize("fq", [kronecker_quiver(), loop_quiver(2), conifold_quiver()])
+    def test_one_monomial_is_the_product_form(self, fq):
+        # (-v)^chi L^arrow_dim / [GL_alpha], the twist and L power multiplied out
+        bu = universal_trivial(fq, 4).series
+        for key, c in bu.coeffs.items():
+            alpha = key.unframed
+            arrow_dim = sum(m * alpha[i] * alpha[j]
+                            for i, row in enumerate(fq.base.arrows) for j, m in enumerate(row))
+            denom = ONE
+            for a in alpha:
+                denom = denom * gl_motive(a)
+            chi = sum(a * a for a in alpha) - arrow_dim
+            assert c == Scalar.neg_v_pow(chi) * L ** arrow_dim / denom, alpha
+
 
 class TestValidation:
     def test_unknown_source(self):

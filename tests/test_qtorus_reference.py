@@ -16,17 +16,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_hn as ref_hn
 import reference_qtorus as ref
+import test_hn_reference as hn_ref
 from quiverdt import qtorus as new
-from quiverdt.hn import universal_trivial
+from quiverdt.hn import universal_for, universal_trivial
 from quiverdt.quiver import (c3_quiver, conifold_quiver, dim_vectors_up_to, ext,
                              jordan_quiver, kronecker_quiver, loop_quiver)
 from quiverdt.scalar import ONE, L, Scalar, V
+from quiverdt.stability import SIDES, find_walls, theta_slope
+from quiverdt.wallcross import framed_at
 
 JORDAN, C3, CONIFOLD = jordan_quiver(), c3_quiver(), conifold_quiver()
 KRON, TWO_LOOPS = kronecker_quiver(), loop_quiver(2)
 
 LM1, LM2, LM3 = L - 1, L ** 2 - 1, L ** 3 - 1
+HALF = Fraction(1, 2)
 POOL = [ONE, -ONE, Scalar.of(Fraction(1, 2)), V, -V ** 3, V ** -1,
         ONE / LM1, -ONE / LM1, L / LM2, -V / (LM1 * LM2), (L + 1) / LM3,
         V ** 2 / (LM2 * LM2), LM1 / (L + 1), -V ** -1 / (LM1 * LM3)]
@@ -205,3 +210,133 @@ class TestRandom:
         one = ext((0,) * f.fq.n_vertices)
         g, rg = pair(f.fq, f.trunc, {**f.coeffs, one: ONE})
         assert_same(outcome(new.pleth_log, g), outcome(ref.pleth_log, rg))
+
+
+UNITS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+@st.composite
+def on_torus(draw, fq, trunc, stars, constant):
+    """A series on the torus of (fq, trunc) in both kernels, with the given
+    constant term (None: none)."""
+    coeffs = dict(draw(series_pairs([fq], stars))[0].coeffs)
+    if constant is not None:
+        coeffs[ext((0,) * fq.n_vertices)] = constant
+    return pair(fq, trunc, coeffs)
+
+
+class TestQuotientAndPassThrough:
+    """torus_div against the reference's product with the inverse, also on a
+    half-space of keys, and the unit-constant pass-through of torus_mul."""
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_div(self, data):
+        quivers, stars = data.draw(st.sampled_from([(COMMUTING, (0,)), (TWISTED, (0, 1))]))
+        f, rf = data.draw(series_pairs(quivers, stars))
+        c0 = data.draw(st.sampled_from([ONE, -ONE, V / LM2, Scalar.of(Fraction(1, 2)), None]))
+        g, rg = data.draw(on_torus(f.fq, f.trunc, stars, c0))
+        want = outcome(lambda rg: ref.torus_mul(rf, ref.torus_inverse(rg)), rg)
+        assert_same(outcome(lambda g: new.torus_div(f, g), g), want)
+        if not isinstance(want, str):
+            assert_same(new.torus_inverse(g), ref.torus_inverse(rg))
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_div_on_a_half_space(self, data):
+        # keep = {k : phi(k) >= t} for a linear phi <= 0 on g's keys, so keep
+        # accepts k - e whenever it accepts k
+        quivers, stars = data.draw(st.sampled_from([(COMMUTING, (0,)), (TWISTED, (0, 1))]))
+        f, rf = data.draw(series_pairs(quivers, stars))
+        fq, trunc = f.fq, f.trunc
+        weights = data.draw(st.lists(st.integers(-2, 2), min_size=fq.n_vertices + 1,
+                                     max_size=fq.n_vertices + 1))
+
+        def phi(key):
+            return sum(w * a for w, a in zip(weights, key.unframed)) + weights[-1] * key.star
+
+        t = data.draw(st.integers(-4, 2))
+        keys = [k for k in keys_of(fq, trunc, stars) if phi(k) <= 0]
+        picks = data.draw(st.lists(st.tuples(st.sampled_from(keys), st.sampled_from(POOL)),
+                                   max_size=6)) if keys else []
+        coeffs = {ext((0,) * fq.n_vertices): data.draw(st.sampled_from([ONE, V / LM2]))}
+        for key, c in picks:
+            coeffs[key] = coeffs.get(key, Scalar.of(0)) + c
+        g, rg = pair(fq, trunc, coeffs)
+
+        def keep(key):
+            return phi(key) >= t
+
+        want = ref.torus_mul(rf, ref.torus_inverse(rg)).restrict(keep)
+        assert_same(new.torus_div(f, g, keep), want)
+
+    def test_div_on_a_half_space_forms_no_other_key(self):
+        # framed_at's case: a divisor of slope <= 1/2 at theta = (1, 0), and
+        # the classes of framed slope >= 1/2 at c = 1/2; f has every class
+        bu = universal_trivial(KRON, 5).series
+        g = bu.restrict(lambda k: 2 * k.unframed[0] <= sum(k.unframed))
+
+        def keep(key):
+            return theta_slope((1, 0), key.unframed, HALF) >= HALF
+
+        got = new.torus_div(bu, g, keep)
+        rbu, rg = (ref.TorusSeries(KRON, 5, s.coeffs) for s in (bu, g))
+        assert got.coeffs and all(keep(k) for k in got.coeffs)
+        assert_same(got, ref.torus_mul(rbu, ref.torus_inverse(rg)).restrict(keep))
+
+    @settings(max_examples=100)
+    @given(st.data(), st.sampled_from(UNITS))
+    def test_mul_unit_constants(self, data, units):
+        quivers, stars = data.draw(st.sampled_from([(COMMUTING, (0,)), (TWISTED, (0, 1))]))
+        fq = data.draw(st.sampled_from(quivers))
+        trunc = data.draw(st.integers(0, 6))
+        other = data.draw(st.sampled_from([V / LM2, -ONE, None]))
+        f, rf = data.draw(on_torus(fq, trunc, stars, ONE if units[0] else other))
+        g, rg = data.draw(on_torus(fq, trunc, stars, ONE if units[1] else other))
+        assert_same(new.torus_mul(f, g), ref.torus_mul(rf, rg))
+
+    def test_pass_through_keeps_untouched_coefficients(self):
+        # (1 + a x^(1,0)) . (1 + b x^(0,1)) on Kronecker: only x^(1,1) is a product
+        a, b = ONE / LM1, V / LM2
+        f = new.TorusSeries(KRON, 3, {ext((0, 0)): ONE, ext((1, 0)): a})
+        g = new.TorusSeries(KRON, 3, {ext((0, 0)): ONE, ext((0, 1)): b})
+        got = new.torus_mul(f, g)
+        assert got.coeff((1, 0)) is a and got.coeff((0, 1)) is b
+        assert_same(got, ref.torus_mul(*(ref.TorusSeries(KRON, 3, s.coeffs) for s in (f, g))))
+
+
+def reference_framed(fq, parts, theta, N, c, side, mu):
+    """The finite-level framed series from the reference HN split's pieces,
+    in the reference torus: the whole crossing, then truncate_tau."""
+    def product(slopes):  # decreasing slope, left to right
+        out = ref.TorusSeries.one(fq, N)
+        for b in sorted(slopes, reverse=True):
+            out = ref.torus_mul(out, ref.TorusSeries(fq, N, parts[b].coeffs))
+        return out
+
+    below, upto = product(b for b in parts if b < mu), product(b for b in parts if b <= mu)
+    left = below if side == "minus" else upto
+    right = upto if side == "plus" else below
+    crossing = ref.torus_mul(ref.s_twist(left, ref.nu_weights(fq, 1)),
+                             ref.torus_inverse(ref.s_twist(right, ref.nu_weights(fq, -1))))
+    return ref.truncate_tau(crossing, theta, c, mu).coeffs or {ext((0,) * fq.n_vertices): ONE}
+
+
+@pytest.mark.parametrize("name, fq, thetas, _, N", hn_ref.CASES, ids=hn_ref.IDS)
+def test_framed_slope_line(name, fq, thetas, _, N):
+    """framed_at, solved for the classes of framed slope >= mu only, against
+    truncate_tau of the whole crossing: at every wall of every class and at
+    empty slope classes (the levels tests/test_hn_reference.py enumerates),
+    on all three sides."""
+    bu = universal_for(fq, N)
+    alphas = [a for a in dim_vectors_up_to(fq.n_vertices, N) if sum(a)]
+    for theta in thetas:
+        parts = ref_hn.hn_split(bu.series, tuple(Fraction(t) for t in theta), N)
+        levels = {(c, theta_slope(theta, a, c))
+                  for a in alphas for c in find_walls(fq, theta, a, N).walls}
+        levels |= {(c, mu) for mu in hn_ref.between(sorted(parts)) for c in (mu, mu + 1)}
+        for c, mu in sorted(levels):
+            for side in SIDES:
+                got = framed_at(fq, bu, theta, N, c, side, mu).series
+                assert got.coeffs == reference_framed(fq, parts, theta, N, c, side, mu), \
+                    (theta, c, mu, side)

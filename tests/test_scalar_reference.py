@@ -119,6 +119,51 @@ class TestAgainstReference:
             assert (a * b) / b == a and hash((a * b) / b) == hash(a)
 
 
+@st.composite
+def monomials(draw):
+    """c v^j as coefficients, low degree first, c a nonzero rational."""
+    c = draw(coeffs.filter(bool))
+    return (Fraction(0),) * draw(st.integers(0, 6)) + (Fraction(c),)
+
+
+@st.composite
+def monomial_operands(draw):
+    """A rational function with a monomial numerator or denominator (or both)
+    in both kernels; the other side may carry a power of v too."""
+    mono, other = draw(monomials()), draw(polys(max_size=7, max_factors=2))
+    other = (Fraction(0),) * draw(st.integers(0, 3)) + other
+    num, den = draw(st.sampled_from([(mono, other), (other, mono), (mono, draw(monomials()))]))
+    return new.Scalar(num, den), ref.Scalar(num, den)
+
+
+class TestMonomials:
+    """The twist by (-v)^k as a shift, and the reduction that skips the gcd
+    when one side is a monomial, against the reference's full reduction."""
+
+    @given(operands(), st.integers(-7, 7))
+    def test_times_neg_v_pow(self, x, k):
+        a, ra = x
+        assert_same(a.times_neg_v_pow(k), ra * ref.Scalar.neg_v_pow(k))
+        assert_same(a.times_neg_v_pow(k), a * new.Scalar.neg_v_pow(k))
+
+    @given(monomial_operands(), st.integers(-7, 7))
+    def test_times_neg_v_pow_of_monomial_sides(self, x, k):
+        a, ra = x
+        assert_same(a.times_neg_v_pow(k), ra * ref.Scalar.neg_v_pow(k))
+
+    @settings(max_examples=100)
+    @given(monomial_operands(), operands(max_size=7, max_factors=2))
+    def test_canonical_with_a_monomial_side(self, x, y):
+        (a, ra), (b, rb) = x, y
+        assert_same(a, ra)
+        for op in (operator.mul, operator.truediv, operator.add):
+            got, want = outcome(op, a, b), outcome(op, ra, rb)
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert_same(got, want)
+
+
 def _poly(*factors):
     out = (Fraction(1),)
     for f in factors:

@@ -53,16 +53,19 @@ class TestTransferSeries:
         assert whole == torus_mul(above, torus_mul(at, below))
 
 
-def count_torus_muls(monkeypatch):
-    """Count torus_mul calls through every module that multiplies series."""
+def count_calls(monkeypatch, name="torus_mul"):
+    """Count calls of one qtorus product (torus_mul or torus_div) through
+    every module that forms series."""
     calls = []
+    fn = getattr(qtorus, name)
 
-    def counted(f, g):
+    def counted(*args):
         calls.append(None)
-        return torus_mul(f, g)
+        return fn(*args)
 
     for module in (qtorus, hn, wallcross):
-        monkeypatch.setattr(module, "torus_mul", counted)
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -76,8 +79,9 @@ def product_from_one(fq, N, factors):
 
 class TestSlopeProducts:
     """A product of k slope factors costs k - 1 torus_mul calls, and the
-    result is the product started from one; a uniform series reads its
-    products off the slope ladder."""
+    result is the product started from one; a crossing factor and a uniform
+    series are one torus_div each, the latter with its products read off
+    the slope ladder."""
 
     def setup_method(self):
         self.bu = universal_for(KRON, 4)
@@ -87,14 +91,14 @@ class TestSlopeProducts:
     def test_torus_product(self, monkeypatch):
         factors = [self.parts[b] for b in self.slopes]
         want = [product_from_one(KRON, 4, factors[:k]) for k in range(len(factors) + 1)]
-        calls = count_torus_muls(monkeypatch)
+        calls = count_calls(monkeypatch)
         for k in range(len(factors) + 1):
             calls.clear()
             assert torus_product(KRON, 4, factors[:k]) == want[k]
             assert len(calls) == max(k - 1, 0)
 
     def test_remultiply_check(self, monkeypatch):
-        calls = count_torus_muls(monkeypatch)
+        calls = count_calls(monkeypatch)
         assert remultiply_check(self.parts, self.bu)
         assert len(calls) == len(self.parts) - 1
 
@@ -106,14 +110,16 @@ class TestSlopeProducts:
         want = [product_from_one(fq, 4, [transfer_series(parts[b], fq)
                                          for b in slopes if cut is None or b > cut])
                 for cut in cuts]
-        calls = count_torus_muls(monkeypatch)
+        calls = count_calls(monkeypatch)
+        divs = count_calls(monkeypatch, "torus_div")
         for cut, expected in zip(cuts, want):
             calls.clear()
+            divs.clear()
             got = transfer_slope_product(fq, parts, 4, lambda b: cut is None or b > cut)
             k = sum(cut is None or b > cut for b in slopes)
             assert got == expected
-            # one torus_mul inside each transfer series, k - 1 between them
-            assert len(calls) == k + max(k - 1, 0)
+            # one torus_div for each transfer series, k - 1 torus_mul between them
+            assert (len(divs), len(calls)) == (k, max(k - 1, 0))
 
     def test_uniform_series(self, monkeypatch):
         levels = [MINUS_INF, PLUS_INF, Fraction(1, 3)] + self.slopes
@@ -123,12 +129,14 @@ class TestSlopeProducts:
             below = product_from_one(KRON, 4, lower)
             upto = torus_mul(self.parts[a], below) if a in self.parts else below
             want[a] = wallcross._crossing(KRON, upto, below)
-        calls = count_torus_muls(monkeypatch)
+        calls = count_calls(monkeypatch)
+        divs = count_calls(monkeypatch, "torus_div")
         for a in levels:
             calls.clear()
+            divs.clear()
             assert uniform_series(KRON, self.bu, (1, 0), a, "exact") == want[a]
-            # P_<a and P_<=a come off the memoized slope ladder: only the crossing
-            assert len(calls) == 1
+            # P_<a and P_<=a come off the memoized slope ladder: one solve
+            assert (len(calls), len(divs)) == (0, 1)
 
 
 class TestGeneralWallcross:
