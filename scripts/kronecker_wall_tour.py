@@ -8,12 +8,11 @@ motives of the small classes.
 """
 
 import argparse
-from fractions import Fraction
 
 from quiverdt.quiver import kronecker_quiver
 from quiverdt.hn import hn_factorize, universal_for
 from quiverdt.qtorus import TorusSeries, nu_weights, s_twist, torus_mul, truncate_tau
-from quiverdt.stability import find_walls
+from quiverdt.stability import find_walls, theta_slope
 from quiverdt.wallcross import framed_at, smooth_model_motive
 
 
@@ -39,7 +38,7 @@ def main():
 
     for c in walls:
         # the slope the framed class (1, 1, 1) sits on at this wall
-        mu = (Fraction(1) + c) / 3
+        mu = theta_slope(theta, (1, 1), c)
         print(f"\n== wall c = {c}, slope class {mu}")
         B = parts.get(mu)
         below = framed_at(fq, bu, theta, N, c, "minus", mu)

@@ -7,19 +7,20 @@ ideal, so the truncated algebra is an honest quotient and associativity,
 Adams operations and Exp/Log identities survive truncation exactly.
 
 Each output coefficient is formed once.  The term products that land on a
-key are summed unreduced, grouped by denominator, and each group is reduced
-once (scalar._acc_term, scalar._settle).  A factor with constant term 1
-passes the other factor's coefficients through exactly: a key that no other
-term product reaches keeps its coefficient and is never reduced.  The grade
-of a key is |alpha| + star; products add grades, so a quotient and Exp/Log
-are solved grade by grade, a quotient also on a set of keys only (a keep
-predicate closed under removing the divisor's keys):
+key are summed unreduced, grouped by denominator, and the groups are added
+over one common denominator and reduced once (scalar._acc_term,
+scalar._settle).  A factor with constant term 1 passes the other factor's
+coefficients through exactly: a key that no other term product reaches
+keeps its coefficient and is never reduced.  The grade of a key is
+|alpha| + star; products add grades, so a quotient and Exp are solved grade
+by grade, a quotient also on a set of keys only (a keep predicate closed
+under removing the divisor's keys), and Log is a quotient:
   torus_div      f g^{-1} = y with y g = f:
                  y_d = (f_d - sum_{e=1..d} y_{d-e} g_e) g_0^{-1},
                  and torus_inverse(g) = torus_div(1, g)
   pleth_exp      d g_d = sum_{k=1..d} k T_k g_{d-k},  T = sum_n psi_n(f)/n
-  pleth_log      d l_d = d g_d - sum_{k=1..d-1} k l_k g_{d-k},
-                 then Log g = sum_n mu(n)/n psi_n(l)
+  pleth_log      D l = D g . g^{-1}, one torus_div, D the derivation
+                 x^a -> grade(a) x^a; then Log g = sum_n mu(n)/n psi_n(l)
 """
 
 from __future__ import annotations
@@ -160,12 +161,16 @@ def _lift(x, like: TorusSeries) -> TorusSeries:
     raise TypeError(f"cannot treat {type(x).__name__} as a series")
 
 
+def _grade(key: Key) -> int:
+    return sum(key.unframed) + key.star
+
+
 def _grades(coeffs: Mapping) -> dict:
     """{grade: [(key, coeff)]} over the nonzero coefficients; grade = |alpha| + star."""
     out: dict = {}
     for k, c in coeffs.items():
         if c:
-            out.setdefault(sum(k.unframed) + k.star, []).append((k, c))
+            out.setdefault(_grade(k), []).append((k, c))
     return out
 
 
@@ -349,7 +354,7 @@ def pleth_exp(f: TorusSeries) -> TorusSeries:
     fq, trunc = f.fq, f.trunc
     kt: dict = {}
     for key, c in f.coeffs.items():
-        e = sum(key.unframed) + key.star
+        e = _grade(key)
         _adams_into(kt, trunc, key, c, lambda n: e)
     kt = _grades(_settled(kt))
     g = {0: [(_zero_key(fq), ONE)]}
@@ -379,28 +384,20 @@ def _mobius(n: int) -> int:
 def pleth_log(g: TorusSeries) -> TorusSeries:
     """Inverse of pleth_exp via Moebius inversion of the formal logarithm.
 
-    The logarithm l = log g comes degree by degree from
-    d l_d = d g_d - sum_{k=1..d-1} k l_k g_{d-k} (g_d the grade-d part,
-    g_0 = 1); then Log(g) = sum_n mu(n)/n psi_n(l).
+    With D the derivation x^a -> grade(a) x^a, the logarithm l = log g has
+    D l = D g . g^{-1} on commuting support: one torus_div.  Then
+    Log(g) = sum_n mu(n)/n psi_n(l), the 1/grade of l = D^{-1} D l folded
+    into the weights.
     """
     if g.constant_term() != ONE:
         raise ValueError("Log needs constant term 1")
     _check_commuting(g)
-    fq, trunc = g.fq, g.trunc
-    parts = _grades(g.coeffs)
-    neg_kl: dict = {}  # k -> [(key, -k l_k)]
+    dl = torus_div(g.map_coeffs(lambda key, c: c * _grade(key)), g)
     out: dict = {}
-    for d in range(1, trunc + 2):
-        acc: dict = {}
-        for key, c in parts.get(d, ()):
-            _acc_term(acc.setdefault(key, {}), c, Scalar.of(d), 0)
-        for k in range(1, d):
-            _mul_into(fq, trunc, acc, neg_kl[k], parts.get(d - k, ()))
-        row = [(key, c) for key, c in _settled(acc).items() if c]
-        neg_kl[d] = [(key, -c) for key, c in row]
-        for key, c in row:
-            _adams_into(out, trunc, key, c, lambda n: Fraction(_mobius(n), n * d))
-    return TorusSeries(fq, trunc, _settled(out))
+    for key, c in dl.coeffs.items():
+        d = _grade(key)
+        _adams_into(out, g.trunc, key, c, lambda n: Fraction(_mobius(n), n * d))
+    return TorusSeries(g.fq, g.trunc, _settled(out))
 
 
 def truncate_tau(f: TorusSeries, theta, c, mu) -> TorusSeries:

@@ -151,6 +151,8 @@ def load_quiver_file(path: str) -> FramedQuiver:
     """Read a quiver spec file: JSON with vertices, arrows, framing, builtin_BU.
 
     arrows is a list of [i, j, multiplicity] entries; framing is the vector w.
+    Every count and weight must be a JSON integer: a float, a bool (an int
+    subclass, hence `type(x) is int`) or a string is refused.
     """
     try:
         with open(path) as fh:
@@ -161,24 +163,24 @@ def load_quiver_file(path: str) -> FramedQuiver:
         raise QuiverFileError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise QuiverFileError(f"{path}: top level must be an object")
-    try:
-        n = int(raw["vertices"])
-    except (KeyError, TypeError, ValueError):
-        raise QuiverFileError(f"{path}: missing or bad 'vertices'") from None
+    n = raw.get("vertices")
+    if type(n) is not int:
+        raise QuiverFileError(f"{path}: missing or bad 'vertices'")
     if n < 1:
         raise QuiverFileError(f"{path}: need at least one vertex")
     mat = [[0] * n for _ in range(n)]
-    for entry in raw.get("arrows", []):
-        try:
-            i, j, m = (int(x) for x in entry)
-        except (TypeError, ValueError):
-            raise QuiverFileError(f"{path}: arrow entries are [i, j, multiplicity]") from None
+    arrows = raw.get("arrows", [])
+    for entry in arrows if isinstance(arrows, list) else [arrows]:
+        if not (isinstance(entry, list) and len(entry) == 3
+                and all(type(x) is int for x in entry)):
+            raise QuiverFileError(f"{path}: arrow entries are [i, j, multiplicity]")
+        i, j, m = entry
         if not (0 <= i < n and 0 <= j < n) or m < 0:
             raise QuiverFileError(f"{path}: arrow [{i}, {j}, {m}] out of range")
         mat[i][j] += m
     w = raw.get("framing", [0] * n)
-    if not isinstance(w, list) or len(w) != n:
-        raise QuiverFileError(f"{path}: framing must be a list of {n} integers")
+    if not (isinstance(w, list) and len(w) == n and all(type(x) is int and x >= 0 for x in w)):
+        raise QuiverFileError(f"{path}: framing must be a list of {n} non-negative integers")
     source = raw.get("builtin_BU", "trivial_potential")
     if source not in BUILTIN_SOURCES:
         raise QuiverFileError(f"{path}: builtin_BU must be one of {BUILTIN_SOURCES}")

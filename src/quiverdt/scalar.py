@@ -19,10 +19,10 @@ over Z finishes the job.  A monomial side needs no gcd: its only common
 factor with the other side is a power of v, which is cancelled first.
 Products pack each polynomial into one integer (Kronecker substitution) so
 that CPython's big-integer multiply does the work.
-Sums split off the gcd of the two denominators first (Henrici), so only that
-common part is tested against the new numerator.  Callers that add many
-products into one coefficient collect them unreduced, one numerator sum per
-denominator (_acc_term), and reduce each group once (_settle).
+A sum goes over the lcm of its denominators, found from gcds of the
+denominators only, and is reduced once.  Callers that add many products into
+one coefficient collect them unreduced, one numerator sum per denominator
+(_acc_term), and _settle adds them all that way; so does Scalar.__add__.
 The public `num` and `den` are the same value with rational coefficients and
 a monic denominator.
 """
@@ -194,25 +194,6 @@ def _canonical(n, d):
     return _content(n, d)
 
 
-def _sum(a, b, c, d):
-    """The canonical pair of a/b + c/d for canonical pairs (a, b) and (c, d).
-
-    Henrici's split (Knuth, TAOCP 4.5.1): with h = gcd(b, d), b = h b' and
-    d = h d', the sum is t/(b d') for t = a d' + c b'.  t is coprime to b'
-    and to d', so only gcd(t, h) can cancel.
-    """
-    if len(b) == 1 or len(d) == 1:
-        return _canonical(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
-    b1, d1 = _gcd_cofactors(b, d)
-    t = _padd(_pmul(a, d1), _pmul(c, b1))
-    if not t:
-        return (), (1,)
-    if len(b1) == len(b) or len(t) == 1:  # h or t is a constant
-        return _content(t, _pmul(b, d1))
-    t, h1 = _gcd_cofactors(t, _pquo(b, b1))
-    return _content(t, _pmul(_pmul(b1, d1), h1))
-
-
 def _acc_term(acc, a, b, k):
     """Add a*b*(-v)^k, unreduced, to acc, a {denominator: numerator sum} dict.
 
@@ -246,19 +227,31 @@ def _acc_term(acc, a, b, k):
 def _settle(acc, div=1):
     """The Scalar (sum over acc of v^e n / d) / div, for an integer div.
 
-    Each distinct denominator is reduced once; the groups are then added.
+    The groups are brought to the lcm of their denominators, which needs
+    gcds of denominators only (acc's keys carry no power of v, so the v^e
+    align by shifting numerators); the numerators are added and the sum is
+    reduced once.
     """
-    total = ZERO
+    e0 = min((e for e, n in acc.values() if n), default=0)
+    num, den = (), (1,)
     for d, (e, n) in acc.items():
-        if n:
-            if e > 0:
-                n = (0,) * e + n
-            elif e < 0:
-                d = (0,) * -e + d
-            if div != 1:
-                d = tuple(div * x for x in d)
-            total = total + Scalar._reduced(n, d)
-    return total
+        if not n:
+            continue
+        if e > e0:
+            n = (0,) * (e - e0) + n
+        # den = h den1 and d = h d1, so the lcm is den d1
+        den1, d1 = _gcd_cofactors(den, d) if len(den) > 1 and len(d) > 1 else (den, d)
+        num = _padd(_pmul(num, d1), _pmul(n, den1))
+        den = _pmul(den, d1)
+    if not num:
+        return ZERO
+    if e0 > 0:
+        num = (0,) * e0 + num
+    elif e0 < 0:
+        den = (0,) * -e0 + den
+    if div != 1:
+        den = tuple(div * x for x in den)
+    return Scalar._reduced(num, den)
 
 
 def _psubst_pow(a, n):
@@ -417,7 +410,10 @@ class Scalar:
             return self
         if not self._n:
             return other
-        return Scalar._raw(*_sum(self._n, self._d, other._n, other._d))
+        acc: dict = {}
+        _acc_term(acc, self, ONE, 0)
+        _acc_term(acc, other, ONE, 0)
+        return _settle(acc)
 
     __radd__ = __add__
 

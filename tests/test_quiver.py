@@ -132,6 +132,10 @@ class TestStockQuivers:
         assert conifold_quiver().base.arrows == ((0, 2), (2, 0))
 
 
+ARROW = "arrow entries are [i, j, multiplicity]"
+FRAMING = "framing must be a list of 2 non-negative integers"
+
+
 class TestLoader:
     def write(self, tmp_path, payload):
         p = tmp_path / "q.json"
@@ -189,6 +193,29 @@ class TestLoader:
         path = self.write(tmp_path, {"vertices": 2, "framing": [1]})
         with pytest.raises(QuiverFileError, match="framing"):
             load_quiver_file(path)
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"vertices": 2, "arrows": [[0, 1, 2.7]], "framing": [1, 0]}, ARROW),
+        ({"vertices": 2, "arrows": [[0, True, 2]]}, ARROW),
+        ({"vertices": 2, "arrows": ["012"]}, ARROW),
+        ({"vertices": 2, "arrows": 3}, ARROW),
+        ({"vertices": 2, "arrows": [[0, 1, 2]], "framing": [1.5, 0]}, FRAMING),
+        ({"vertices": 2, "framing": [True, 0]}, FRAMING),
+        ({"vertices": 2, "framing": ["x", 0]}, FRAMING),
+        ({"vertices": 2, "framing": [-1, 0]}, FRAMING),
+        ({"vertices": 1.9}, "missing or bad 'vertices'"),
+        ({"vertices": True}, "missing or bad 'vertices'"),
+        ({"vertices": "2"}, "missing or bad 'vertices'"),
+    ], ids=["float_multiplicity", "bool_vertex", "string_entry", "arrows_not_list",
+            "float_framing", "bool_framing", "string_framing", "negative_framing",
+            "float_vertices", "bool_vertices", "string_vertices"])
+    def test_only_json_integers(self, tmp_path, raw, message):
+        """int() truncation, bools and strings are refused, not read as
+        a different quiver; each refusal is one line with the path."""
+        path = self.write(tmp_path, raw)
+        with pytest.raises(QuiverFileError) as info:
+            load_quiver_file(path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_unknown_builtin(self, tmp_path):
         path = self.write(tmp_path, {"vertices": 1, "builtin_BU": "nope"})

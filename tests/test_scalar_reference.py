@@ -202,6 +202,59 @@ def test_henrici_sum(case):
         assert x + y == new.Scalar((-1,), _poly(V_PLUS_ONE, V_PLUS_TWO))
 
 
+@st.composite
+def shared_denominators(draw):
+    """A product of L^k - 1, v + 1 and a power of v, from few enough
+    factors that the denominators of one accumulator share some."""
+    den = _poly(*draw(st.lists(st.sampled_from([_l_minus_one(1), _l_minus_one(2),
+                                                _l_minus_one(3), V_PLUS_ONE]),
+                               max_size=3)))
+    return (Fraction(0),) * draw(st.integers(0, 2)) + den
+
+
+@st.composite
+def sum_terms(draw):
+    """1-6 terms a b (-v)^k for _acc_term, in both kernels, and whether every
+    term comes with a term that cancels it (otherwise some terms do), so that
+    such accumulators settle to zero.  The cancelling term is written with
+    the twist one lower and a factor q moved from a to b, which usually puts
+    it in another denominator group."""
+    terms, cancel_all = [], draw(st.booleans())
+    for _ in range(draw(st.integers(1, 6))):
+        a = new.Scalar(draw(polys(max_size=5, max_factors=1)), draw(shared_denominators()))
+        ra = ref.Scalar(a.num, a.den)
+        b = tuple(Fraction(c) for c in draw(st.sampled_from(
+            [(1,), (-2,), (0, 1), (1, 1), (3, 0, 1)])))
+        b, rb = new.Scalar(b), ref.Scalar(b)
+        k = draw(st.integers(-4, 4))
+        terms.append((a, ra, b, rb, k))
+        if cancel_all or draw(st.integers(0, 3)) == 0:
+            q = draw(shared_denominators())
+            q, rq = new.Scalar(q), ref.Scalar(q)
+            # (a v / q) (b q) (-v)^(k-1) = -a b (-v)^k
+            terms.append((a * new.V / q, ra * ref.Scalar.v_pow(1) / rq, b * q, rb * rq, k - 1))
+    return terms, cancel_all
+
+
+class TestSettle:
+    """_settle brings the groups of an _acc_term accumulator to one common
+    denominator and reduces once; the reference adds the same terms one by
+    one with Euclid's reduction after every step."""
+
+    @settings(max_examples=150)
+    @given(sum_terms(), st.integers(1, 4))
+    def test_settle_matches_reference(self, drawn, div):
+        terms, cancel_all = drawn
+        acc, want = {}, ref.Scalar.of(0)
+        for a, ra, b, rb, k in terms:
+            new._acc_term(acc, a, b, k)
+            want = want + ra * rb * ref.Scalar.neg_v_pow(k)
+        got = new._settle(acc, div)
+        assert_same(got, want / ref.Scalar.of(div))
+        if cancel_all:
+            assert got.is_zero()
+
+
 def _ints(p):
     return tuple(int(c) for c in p)
 
