@@ -2,18 +2,18 @@
 
 For theta = (1, 0) and the class (1, 1) the critical levels are -1, 1/2,
 and 2.  The script prints the framed series on each side of every wall
-(restricted to the slope class the wall belongs to), checks the two
-crossing products against each other, and ends with the smooth-model
-motives of the small classes.
+(restricted to the slope class the wall belongs to), checks that
+general_wallcross carries either side onto the series at the wall, and
+ends with the smooth-model motives of the small classes.
 """
 
 import argparse
 
 from quiverdt.quiver import kronecker_quiver
 from quiverdt.hn import hn_factorize, universal_for
-from quiverdt.qtorus import TorusSeries, nu_weights, s_twist, torus_mul, truncate_tau
+from quiverdt.qtorus import TorusSeries, truncate_tau
 from quiverdt.stability import find_walls, theta_slope
-from quiverdt.wallcross import framed_at, smooth_model_motive
+from quiverdt.wallcross import framed_at, general_wallcross, smooth_model_motive
 
 
 def show(label, series):
@@ -52,8 +52,8 @@ def main():
                 t = truncate_tau(series, theta, c, mu)
                 return TorusSeries.one(fq, N) if t.is_zero() else t
 
-            lhs = cut(torus_mul(s_twist(B, nu_weights(fq, 1)), below.series))
-            rhs = cut(torus_mul(above.series, s_twist(B, nu_weights(fq, -1))))
+            lhs = cut(general_wallcross(below, B, "minus_to_exact").series)
+            rhs = cut(general_wallcross(above, B, "plus_to_exact").series)
             print(f"  crossing products agree: {lhs == exact.series == rhs}")
 
     print("\n# smooth-model motives")

@@ -17,28 +17,19 @@ from quiverdt.wallcross import ncdt
 def plane_partitions(n: int) -> int:
     """Number of plane partitions of n, by row-by-row enumeration."""
 
-    def rows_under(bound, smax):
-        for k in range(1, min(len(bound), smax) + 1):
-            for row in _rows(tuple(bound[:k]), smax):
-                yield row
-
-    def _rows(bound, smax):
-        if not bound:
-            yield ()
-            return
-        for first in range(1, min(bound[0], smax) + 1):
-            for rest in _rows(bound[1:], first):
-                yield (first,) + rest
+    def rows_under(bound, left):
+        # nonempty weakly decreasing rows r with r[i] <= bound[i], sum(r) <= left
+        for first in range(1, min(bound[0], left) + 1):
+            yield (first,)
+            if len(bound) > 1:
+                for rest in rows_under((min(first, bound[1]),) + bound[2:], left - first):
+                    yield (first,) + rest
 
     @lru_cache(maxsize=None)
     def fill(row_bound, left):
         if left == 0:
             return 1
-        total = 0
-        for row in rows_under(row_bound, left):
-            if sum(row) <= left:
-                total += fill(row, left - sum(row))
-        return total
+        return sum(fill(row, left - sum(row)) for row in rows_under(row_bound, left))
 
     return fill((n,) * n, n) if n else 1
 

@@ -10,8 +10,7 @@ the pieces again on its own.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
+from functools import cache, partial
 
 from .qtorus import TorusSeries, pleth_exp, torus_inverse, torus_mul, torus_product
 from .quiver import (BUILTIN_SOURCES, FramedQuiver, Record, check_builtin_shape,
@@ -36,7 +35,7 @@ class UniversalSeries(Record):
         self._set(series=series, source=source, _hn={})
 
 
-@lru_cache(maxsize=None)
+@cache
 def gl_motive(n: int) -> Scalar:
     """[GL_n] = prod_{k<n} (L^n - L^k)."""
     out = ONE
@@ -119,19 +118,12 @@ def _hn_split(series: TorusSeries, theta: tuple, N: int) -> tuple:
     # A product of classes of slope <= mu has slope mu only when every factor
     # has, so the top piece of a rest is the rest cut to its top slope (and
     # the constant 1), and the rest below it is piece^{-1} . rest.
-    slopes: dict = {}
-
-    def slope(key) -> Fraction:
-        mu = slopes.get(key)
-        if mu is None:
-            mu = slopes[key] = theta_slope(theta, key.unframed)
-        return mu
-
+    slope = cache(partial(theta_slope, theta))  # once per class
     rest, one = series.retrunc(N), TorusSeries.one(series.fq, N)
     ladder = []
     while len(rest.coeffs) > 1:  # the constant term is 1 throughout
-        top = max(slope(k) for k in rest.coeffs if any(k.unframed))
-        piece = rest.restrict(lambda k: not any(k.unframed) or slope(k) == top)
+        top = max(slope(k.unframed) for k in rest.coeffs if any(k.unframed))
+        piece = rest.restrict(lambda k: not any(k.unframed) or slope(k.unframed) == top)
         rest = one if len(piece.coeffs) == len(rest.coeffs) else \
             torus_mul(torus_inverse(piece), rest)
         ladder.append((top, piece, rest))

@@ -8,8 +8,9 @@ coefficients at L = q via verify_coefficient.
 count_stack, count_framed_stable and hall_filtration_check are predicates
 over one kernel, _invariant_runs, which yields the arrow-invariant subspace
 tuples of every matrix tuple.  The three share one path to it: _config
-refuses a q mismatch and a class above the dimension cap, _level resolves
-c-plus and c-minus, and the two counts go through _points.
+checks alpha and theta against the quiver and refuses a q mismatch and a
+class above the dimension cap, _level resolves c-plus and c-minus, and the
+two counts go through _points.
 
 - The points of F_q^n are numbered in itertools.product order, and each
   subspace is stored as the int bitmask of its members.
@@ -50,8 +51,8 @@ from functools import lru_cache
 
 from .quiver import ExtDimVector, FramedQuiver, Record, ext, sub_vectors
 from .scalar import Scalar
-from .stability import (MINUS_INF, PLUS_INF, StabilityParams, find_walls,
-                        resolve_side, theta_slope)
+from .stability import (MINUS_INF, PLUS_INF, StabilityParams, check_alpha,
+                        check_theta, find_walls, resolve_side, theta_slope)
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -294,16 +295,20 @@ def _check_budget(cfg: FiniteFieldConfig, fq: FramedQuiver, alpha, q: int,
 
 # ---- the shared path of the entry points -------------------------------------
 
-def _config(cfg: FiniteFieldConfig | None, q: int, alpha) -> FiniteFieldConfig:
-    """cfg, or the default config for q; refuses a q that cfg does not share
-    and a class above the dimension cap."""
+def _config(fq: FramedQuiver, cfg: FiniteFieldConfig | None, q: int, alpha,
+            theta=None):
+    """(cfg or the default config for q, alpha, theta), alpha and theta (unless
+    None) checked against fq; refuses a q that cfg does not share and a class
+    above the dimension cap."""
+    alpha = check_alpha(fq, alpha)
+    theta = None if theta is None else check_theta(fq, theta)
     cfg = cfg or FiniteFieldConfig(q)
     if cfg.q != q:
         raise ValueError("config and argument disagree on q")
     if sum(alpha) > cfg.max_total_dim:
         raise BudgetError(f"budget exceeded: total dimension {sum(alpha)} > "
                           f"max_total_dim {cfg.max_total_dim}")
-    return cfg
+    return cfg, alpha, theta
 
 
 def _level(fq: FramedQuiver, theta, alpha, c, side: str) -> Fraction:
@@ -364,8 +369,8 @@ def count_stack(fq: FramedQuiver, alpha, sp, q: int,
     """
     if not isinstance(alpha, ExtDimVector):
         alpha = ext(alpha, 0)
-    a = alpha.unframed
-    cfg = _config(cfg, q, a)
+    theta = sp.theta if isinstance(sp, StabilityParams) else None
+    cfg, a, theta = _config(fq, cfg, q, alpha.unframed, theta)
     if sum(a) == 0 and alpha.star == 0:
         return Fraction(1)
     if sp == "all":
@@ -377,8 +382,8 @@ def count_stack(fq: FramedQuiver, alpha, sp, q: int,
     else:
         # unframed slopes never see c; star 1: a subobject through the
         # framing destabilizes the framing tuples inside it
-        c = _level(fq, sp.theta, a, sp.c, sp.side) if alpha.star else None
-        tests = _slope_tests(sp.theta, a, c, semistable=True)
+        c = _level(fq, theta, a, sp.c, sp.side) if alpha.star else None
+        tests = _slope_tests(theta, a, c, semistable=True)
     slots = _framing_slots(fq) if alpha.star else []
     group = math.prod(gl_order(ai, q) for ai in a) * (q - 1 if alpha.star else 1)
     return Fraction(_points(fq, a, q, cfg, slots, *tests), group)
@@ -392,14 +397,12 @@ def count_framed_stable(fq: FramedQuiver, alpha, theta, c, side: str, q: int,
     trivial and the weighted count is #points / #GL_alpha: the number of
     F_q-points of the stable moduli space.
     """
-    alpha = tuple(int(x) for x in alpha)
-    cfg = _config(cfg, q, alpha)
+    cfg, alpha, theta = _config(fq, cfg, q, alpha, theta)
     if c == MINUS_INF:
         # the only minus-infinity stable object is the bare framing line
         return Fraction(1) if sum(alpha) == 0 else Fraction(0)
     if sum(alpha) == 0:
         return Fraction(1)
-    theta = tuple(Fraction(t) for t in theta)
     if c == PLUS_INF:
         # plus infinity: no proper subobject may contain the framing
         tests = _never, (lambda d: True)
@@ -432,9 +435,7 @@ def hall_filtration_check(fq: FramedQuiver, alpha, theta, c, q: int,
     T / S exactly when it lies in T; so both sides are read off the
     invariant tuples of the one kernel.
     """
-    alpha = tuple(int(x) for x in alpha)
-    cfg = _config(cfg, q, alpha)
-    theta = tuple(Fraction(t) for t in theta)
+    cfg, alpha, theta = _config(fq, cfg, q, alpha, theta)
     if c in (PLUS_INF, MINUS_INF):
         raise ValueError("hall_filtration_check needs a finite c")
     c = Fraction(c)

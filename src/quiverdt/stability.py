@@ -68,6 +68,17 @@ def check_theta(fq: FramedQuiver, theta) -> tuple:
     return theta
 
 
+def check_alpha(fq: FramedQuiver, alpha) -> tuple:
+    """alpha as ints, refused unless it lists one nonnegative dimension per vertex."""
+    alpha = tuple(int(a) for a in alpha)
+    if len(alpha) != fq.n_vertices:
+        raise ValueError(f"alpha must list one dimension per vertex: "
+                         f"got {len(alpha)} for {fq.n_vertices} vertices")
+    if any(a < 0 for a in alpha):
+        raise ValueError(f"alpha {alpha} has a negative entry")
+    return alpha
+
+
 def find_walls(fq: FramedQuiver, theta, alpha, trunc: int) -> WallList:
     """All c where some 0 < beta < (alpha, 1) matches the slope of (alpha, 1).
 
@@ -75,12 +86,7 @@ def find_walls(fq: FramedQuiver, theta, alpha, trunc: int) -> WallList:
     nonzero leading coefficient s|alpha| - |b|, so each class contributes
     exactly one wall; the collected set is finite.
     """
-    alpha = tuple(alpha)
-    if len(alpha) != fq.n_vertices:
-        raise ValueError(f"alpha must list one dimension per vertex: "
-                         f"got {len(alpha)} for {fq.n_vertices} vertices")
-    if any(a < 0 for a in alpha):
-        raise ValueError(f"alpha {alpha} has a negative entry")
+    alpha = check_alpha(fq, alpha)
     if sum(alpha) > trunc:
         raise ValueError("alpha outside the truncation region")
     theta = check_theta(fq, theta)

@@ -11,17 +11,15 @@ the integer DT invariants Omega.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, partial
 
 from .hn import UniversalSeries, hn_factorize, slope_ladder
 from .quiver import FramedQuiver, Record, ext, is_symmetric, nu, tits_form
 from .qtorus import (TorusSeries, nu_weights, pleth_exp, pleth_log, s_twist,
                      torus_div, torus_inverse, torus_mul, torus_product)
-from .scalar import L, ONE, Scalar, V
-from .stability import (MINUS_INF, PLUS_INF, SIDES, StabilityParams,
-                        theta_slope)
-
-# motive of the bare framing line with its scalar automorphisms
-A_STAR = -V / (L - ONE)
+from .scalar import L, ONE, Scalar
+from .stability import (MINUS_INF, PLUS_INF, SIDES, StabilityParams, check_alpha,
+                        check_theta, theta_slope)
 
 DIRECTIONS = tuple(f"{src}_to_{dst}" for src in SIDES for dst in SIDES
                    if src != dst)
@@ -143,20 +141,13 @@ def framed_at(fq: FramedQuiver, BU: UniversalSeries, theta, N: int,
         return FramedSeries(_crossing(fq, bu, bu), params, None)
     if mu is None:
         raise ValueError("finite c needs a slope mu")
-    mu, c = Fraction(mu), Fraction(c)
-    slopes: dict = {}
-
-    def framed_slope(key) -> Fraction:  # once per key
-        s = slopes.get(key)
-        if s is None:
-            s = slopes[key] = theta_slope(theta, key.unframed, c)
-        return s
-
+    mu = Fraction(mu)
+    slope = cache(partial(theta_slope, params.theta, c=params.c))  # once per class
     # The divisor P_{<=mu} or P_{<mu} has classes of slope <= mu only, and
     # removing one never lowers a framed slope below mu, so the solve on the
     # classes of framed slope >= mu reads nothing else: only they are formed.
-    ser = _uniform(fq, BU, theta, N, mu, side, lambda k: framed_slope(k) >= mu)
-    ser = ser.restrict(lambda k: slopes[k] == mu)
+    ser = _uniform(fq, BU, theta, N, mu, side, lambda k: slope(k.unframed) >= mu)
+    ser = ser.restrict(lambda k: slope(k.unframed) == mu)
     if ser.is_zero():
         # empty slope class: only the bare framing line remains
         ser = TorusSeries.one(fq, N)
@@ -183,8 +174,6 @@ def smooth_model_series(fq: FramedQuiver, theta, mu, BU: UniversalSeries,
                         N: int) -> TorusSeries:
     """Generating series of smooth-model motives on one slope class:
     (1/(L-1)) S_{2nu}(B_mu) . B_mu^{-1}."""
-    if N > BU.series.trunc:
-        raise ValueError("truncation exceeds the given universal series")
     parts = hn_factorize(BU, theta, N)
     B = parts.get(Fraction(mu), TorusSeries.one(fq, N))
     return _cyclic(fq, B) * (ONE / (L - ONE))
@@ -197,10 +186,10 @@ def smooth_model_motive(fq: FramedQuiver, theta, BU: UniversalSeries,
     The slope is the one alpha itself determines; the quadratic-form twist
     (-v)^{T(alpha)} recorded in the series is stripped.
     """
-    alpha = tuple(int(x) for x in alpha)
+    alpha = check_alpha(fq, alpha)
     if sum(alpha) == 0:
         raise ValueError("the zero class has no smooth model")
-    theta = tuple(Fraction(t) for t in theta)
+    theta = check_theta(fq, theta)
     mu = theta_slope(theta, alpha)
     series = smooth_model_series(fq, theta, mu, BU, N)
     bare = series.coeff(alpha) * (L - ONE)

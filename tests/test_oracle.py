@@ -51,6 +51,42 @@ class TestConfig:
                 call()
 
 
+THETA = "theta must list one weight per vertex: got 1 for 2 vertices"
+
+
+def alpha_length(n):
+    return f"alpha must list one dimension per vertex: got {n} for 2 vertices"
+
+
+class TestRefusals:
+    """theta and alpha are checked against the quiver by every entry point:
+    one line naming both lengths, or the class with a negative entry."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: count_stack(KRON, ext((1, 1), 0), StabilityParams((0,)), 2), THETA),
+        (lambda: count_stack(KRON, ext((1, 1), 1), StabilityParams((0,), 0, "plus"), 2),
+         THETA),
+        (lambda: count_framed_stable(KRON, (1, 1), (0,), Fraction(1, 3), "exact", 2), THETA),
+        (lambda: count_framed_stable(KRON, (1, 1), (0,), MINUS_INF, "exact", 2), THETA),
+        (lambda: hall_filtration_check(KRON, (1, 1), (0,), HALF, 2), THETA),
+        (lambda: count_stack(KRON, (1, 1, 0), "all", 2), alpha_length(3)),
+        (lambda: count_stack(KRON, (1,), "all", 2), alpha_length(1)),
+        (lambda: count_framed_stable(KRON, (1,), (1, 0), HALF, "plus", 2), alpha_length(1)),
+        (lambda: count_framed_stable(KRON, (1, 0, 0), (1, 0), PLUS_INF, "exact", 2),
+         alpha_length(3)),
+        (lambda: hall_filtration_check(KRON, (1,), (1, 0), HALF, 2), alpha_length(1)),
+        (lambda: count_framed_stable(KRON, (1, -1), (1, 0), HALF, "plus", 2),
+         r"alpha \(1, -1\) has a negative entry"),
+        (lambda: hall_filtration_check(KRON, (-1, 1), (1, 0), HALF, 2),
+         r"alpha \(-1, 1\) has a negative entry"),
+    ], ids=["stack-theta", "stack-framed-theta", "stable-theta", "stable-minus-inf-theta",
+            "hall-theta", "stack-alpha-3", "stack-alpha-1", "stable-alpha-1",
+            "stable-plus-inf-alpha-3", "hall-alpha-1", "stable-negative", "hall-negative"])
+    def test_one_line_value_error(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
 class TestGLOrder:
     def test_values(self):
         assert gl_order(0, 2) == 1

@@ -4,14 +4,14 @@ import pytest
 
 from quiverdt import hn, qtorus, wallcross
 from quiverdt.hn import hn_factorize, remultiply_check, universal_for
-from quiverdt.quiver import (c3_quiver, conifold_quiver, ext, jordan_quiver,
-                             kronecker_quiver, loop_quiver, tits_form)
+from quiverdt.quiver import (c3_quiver, conifold_quiver, dim_vectors_up_to, ext,
+                             jordan_quiver, kronecker_quiver, loop_quiver, tits_form)
 from quiverdt.qtorus import (TorusSeries, nu_weights, pleth_exp, pleth_log,
                              s_twist, torus_inverse, torus_mul, torus_product,
                              truncate_tau)
 from quiverdt.scalar import L, ONE, Scalar, V
 from quiverdt.stability import MINUS_INF, PLUS_INF, StabilityParams
-from quiverdt.wallcross import (A_STAR, DIRECTIONS, DTInvariants,
+from quiverdt.wallcross import (DIRECTIONS, DTInvariants,
                                 FramedSeries, dt_omega, euler_transfer,
                                 framed_at, general_wallcross, ncdt,
                                 smooth_model_motive, smooth_model_series,
@@ -367,9 +367,6 @@ class TestNCDT:
         assert [out.coeff((n,)).specialize("euler") for n in range(4)] == \
             [1, 1, 3, 6]
 
-    def test_framing_constant(self):
-        assert A_STAR == -V / (L - 1)
-
 
 class TestSmoothModel:
     def test_kronecker_motives(self):
@@ -386,6 +383,20 @@ class TestSmoothModel:
     def test_zero_class_refused(self):
         with pytest.raises(ValueError, match="no smooth model"):
             smooth_model_motive(JORDAN, (0,), jordan_BU(), 4, (0,))
+
+    @pytest.mark.parametrize("theta, alpha, message", [
+        ((1, 0), (1, 1, 0), "alpha must list one dimension per vertex: got 3 for 2 vertices"),
+        ((1, 0), (1,), "alpha must list one dimension per vertex: got 1 for 2 vertices"),
+        ((1, 0), (1, -1), r"alpha \(1, -1\) has a negative entry"),
+        ((1,), (1, 1), "theta must list one weight per vertex: got 1 for 2 vertices"),
+    ])
+    def test_refuses_bad_input(self, theta, alpha, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            smooth_model_motive(KRON, theta, universal_for(KRON, 4), 4, alpha)
+
+    def test_series_trunc_guard(self):
+        with pytest.raises(ValueError, match="^N exceeds the series truncation$"):
+            smooth_model_series(KRON, (1, 0), HALF, universal_for(KRON, 3), 4)
 
     def test_series_carries_the_twist(self):
         bu = universal_for(KRON, 3)
@@ -437,3 +448,15 @@ class TestOmega:
         out = euler_transfer(dt_omega(bu.series), fq)
         assert out.coeff((0, 1)) == Scalar.of(0)
         assert out.coeff((1, 0)) == ONE
+
+    @pytest.mark.parametrize("fq, N", [
+        (c3_quiver(), 6), (c3_quiver(w=(2,)), 5),
+        (conifold_quiver(), 6), (conifold_quiver(w=(1, 1)), 5),
+        (loop_quiver(2), 5),
+    ], ids=["c3-w1", "c3-w2", "conifold-w10", "conifold-w11", "loop2"])
+    def test_euler_transfer_is_transfer_at_v_1(self, fq, N):
+        B = universal_for(fq, N).series
+        limit = euler_transfer(dt_omega(B), fq)
+        full = transfer_series(B, fq)
+        for a in dim_vectors_up_to(fq.n_vertices, N):
+            assert limit.coeff(a).specialize("euler") == full.coeff(a).specialize("euler"), a
