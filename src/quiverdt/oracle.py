@@ -6,38 +6,52 @@ independent of the series machinery, so its numbers can certify series
 coefficients at L = q via verify_coefficient.
 
 count_stack, count_framed_stable and hall_filtration_check are predicates
-over one kernel, _invariant_runs, which yields the arrow-invariant subspace
-tuples of every matrix tuple.  The three share one path to it: _config
-checks alpha and theta against the quiver and refuses a q mismatch and a
-class above the dimension cap, _level resolves c-plus and c-minus, and the
-two counts go through _points.
+over one kernel, _invariant_runs, which yields each set of arrow-invariant
+subspace tuples that occurs, as a bitmask over the candidate tuples, with
+the number of matrix tuples that have it.  The three share one path to it:
+_config checks alpha and theta against the quiver and refuses a q mismatch
+and a class above the dimension cap, _level resolves c-plus and c-minus,
+and the two counts go through _points.
 
 - The points of F_q^n are numbered in itertools.product order, and each
   subspace is stored as the int bitmask of its members.
-- One image pass per arrow matrix builds the images of all points from the
-  column images and gives each source subspace the bitmask of the images of
-  its basis; a subspace tuple is invariant when, for every arrow, that mask
-  lies inside the mask of the target subspace.
+- A subspace tuple is invariant when every arrow i -> j maps each echelon
+  basis vector of its subspace at i into its subspace at j.  An echelon
+  basis vector is a normalized point (its first nonzero coordinate is 1),
+  so a matrix is known on every candidate through the images of these
+  points.  Once per run, after the budget has accepted it, each arrow gets
+  fail tables: Z[b][y] is the bitmask of the candidates with b in the basis
+  of their subspace at i and y outside their subspace at j.  A matrix's
+  fail mask is the OR of Z[b][image of b] over the points b, and a matrix
+  tuple's invariant candidates are those outside the OR of its arrows'
+  fail masks.
 - A subspace tuple is invariant under M exactly when it is invariant under
-  lam M for lam != 0, and, for a loop, under M + mu I.  So each arrow runs
-  over one normal form per class {lam M + mu I}: the first nonzero entry in
+  lam M for lam != 0, and, for a loop, under M + mu I.  So each arrow walks
+  one normal form per class {lam M + mu I}: the first nonzero entry in
   column order is 1, and a loop's entry (0, 0) is 0.  A normal form stands
   for its class, q - 1 matrices if it is nonzero and 1 if not, times q for a
-  loop; a tuple of normal forms stands for the product of these weights, and
-  the weights of one shape sum to q^(mn).
+  loop, and the weights of one shape sum to q^(mn).  The walk adds the
+  columns one by one to carry-free codes of the points' images: column k
+  moves only the points with a nonzero k-th coordinate, and a point's table
+  is read as soon as its last nonzero coordinate's column is in.
+- Each arrow's walk tallies its class sizes per fail mask, and the arrows'
+  tallies are joined by OR with the sizes multiplied, so matrix tuples
+  with the same fail mask are handled once.
 - Slopes depend on dimension vectors only, so the slope tests are decided
-  once per class d <= alpha before the matrix loop.  A nonzero class is
-  bad when its unframed subobjects destabilize every point, and a proper
-  class is watched when its framed subobjects destabilize the framing
-  tuples inside them; with no class of either kind, every point counts and
-  nothing is enumerated.
+  once per class d <= alpha before the matrix loop, reading each slope
+  through one cache per call.  A nonzero class is bad when its unframed
+  subobjects destabilize every point, and a proper class is watched when
+  its framed subobjects destabilize the framing tuples inside them; with
+  no class of either kind, every point counts and nothing is enumerated.
 - A tuple of framing vectors is a point of the product of the framed
   vertices' spaces.  The framing tuples inside a subspace tuple form the
   product of its member masks, so stable framing points are counted by
-  popcount and weighted by the normal-form tuple's weight.
-- The budget prices one step of work: a run visits the normal-form tuples,
-  and each costs the streamed arrow's image pass (the points and subspaces
-  of its source space) plus one test per candidate subspace tuple.
+  popcount and weighted by the number of matrix tuples.
+- The budget prices one step of work with the formula of an earlier
+  kernel, which still bounds this one's (see _check_budget): a run visits
+  the normal-form tuples, and each costs the streamed arrow's image pass
+  (the points and subspaces of its source space) plus one test per
+  candidate subspace tuple.
 """
 
 from __future__ import annotations
@@ -47,7 +61,7 @@ import math
 import operator
 import os
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 
 from .quiver import ExtDimVector, FramedQuiver, Record, ext, sub_vectors
 from .scalar import Scalar
@@ -127,38 +141,53 @@ def _subspaces(q: int, n: int):
 
 @lru_cache(maxsize=None)
 def _sum_tables(q: int, m: int):
-    """Carry-free addition in F_q^m: (scaled, norm, bit).
+    """Carry-free addition in F_q^m: (scaled, norm, index).
 
     A point is coded by its coordinates as digits in base 2q - 1, so two
     codes add without carries.  scaled[p] holds the codes of t * (point p)
     for t in range(q); for a sum s of two codes, norm[s] is the code and
-    bit[s] is 1 << (index) of the reduced point.  Each table has at most
+    index[s] the index of the reduced point.  Each table has at most
     (2q - 1)^m entries.
     """
     base = 2 * q - 1
     scaled = tuple(tuple(_index([t * x % q for x in p], base) for t in range(q))
                    for p in itertools.product(range(q), repeat=m))
-    norm, bit = [], []
+    norm, index = [], []
     for digits in itertools.product(range(base), repeat=m):
         reduced = [x % q for x in digits]
         norm.append(_index(reduced, base))
-        bit.append(1 << _index(reduced, q))
-    return scaled, norm, bit
+        index.append(_index(reduced, q))
+    return scaled, norm, index
 
 
-def _req_tables(q: int, m: int, n: int, loop: bool):
-    """The image pass: for every normal-form matrix F_q^n -> F_q^m (a loop's
-    when loop is set), in column-tuple order, (weight, req).  The weight is
-    the size of the matrix's class {lam M + mu I}, and req lists over the
-    subspaces S of F_q^n the bitmask of the images of S's basis."""
-    dims, _, bases = _subspaces(q, n)
+def _fail_tables(q: int, alpha, cands, i: int, j: int):
+    """The tables Z of an arrow i -> j: Z[b][y] is the bitmask of the
+    candidates whose subspace at i has the point b in its echelon basis and
+    whose subspace at j misses the point y.  Only the points b with a
+    nonzero row are keys."""
+    bases = _subspaces(q, alpha[i])[2]
+    masks = _subspaces(q, alpha[j])[1]
+    size = q ** alpha[j]
+    Z = {}
+    for p, cand in enumerate(cands):
+        missed = [y for y in range(size) if not masks[cand[j]] >> y & 1]
+        if missed:
+            for b in bases[cand[i]]:
+                row = Z.setdefault(b, [0] * size)
+                for y in missed:
+                    row[y] |= 1 << p
+    return Z
+
+
+def _fail_runs(q: int, m: int, n: int, loop: bool, Z):
+    """The normal-form walk: for every normal-form matrix F_q^n -> F_q^m (a
+    loop's when loop is set), in column-tuple order, (weight, fail).  The
+    weight is the size of the matrix's class {lam M + mu I}, and fail is the
+    OR of Z[b][image of b] over the points b keyed in Z."""
     if n == 0:
-        yield 1, [0]
+        yield 1, 0
         return
-    # basis point indices column by column, per dimension, in subspace order
-    groups = [tuple(zip(*(b for d, b in zip(dims, bases) if d == k)))
-              for k in range(1, n + 1)]
-    scaled, norm, bit = _sum_tables(q, m)
+    scaled, norm, index = _sum_tables(q, m)
     points = list(itertools.product(range(q), repeat=m))
     # (first column, nonzero entry seen) -> the allowed columns, in point
     # order, each with whether a nonzero entry has been seen after it
@@ -167,26 +196,41 @@ def _req_tables(q: int, m: int, n: int, loop: bool):
                                and not (loop and first and p[0])]
                for first in (False, True) for seen in (False, True)}
     shift = q if loop else 1
+    coords = list(itertools.product(range(q), repeat=n))
+    walked = [coords[b] for b in Z]
+    last = [max(k for k, x in enumerate(b) if x) for b in walked]
+    # Z[b] read at a sum of two codes, so that b's table is read as its last
+    # column is added, with no reduction
+    tables = [[row[y] for y in index] for row in Z.values()]
+    # per column k, the points with a nonzero k-th coordinate: those with a
+    # later one move their partial image on, the others read their table
+    move = [[(s, b[k]) for s, b in enumerate(walked) if b[k] and last[s] > k]
+            for k in range(n)]
+    done = [[(tables[s], s, b[k]) for s, b in enumerate(walked) if last[s] == k]
+            for k in range(n)]
 
-    def req(img):
-        out = [0]
-        for first, *rest in groups:
-            acc = [img[p] for p in first]
-            for col in rest:
-                acc = [a | img[p] for a, p in zip(acc, col)]
-            out += acc
-        return out
-
-    def columns(k, partial, seen):
-        # partial: codes of the images of the points (x_0, .., x_{k-1}, 0, ..)
+    def prefixes(k, codes, fail, seen):
+        # columns 0 .. k - 1 chosen: the codes of the partial images of the
+        # walked points, and the OR of the tables read so far
         if k == n - 1:
-            for us, now in choices[k == 0, seen]:
-                yield (q - 1 if now else 1) * shift, req([bit[x + u] for x in partial for u in us])
-        else:
-            for us, now in choices[k == 0, seen]:
-                yield from columns(k + 1, [norm[x + u] for x in partial for u in us], now)
+            yield codes, fail, seen
+            return
+        for us, now in choices[k == 0, seen]:
+            f = fail
+            for table, s, t in done[k]:
+                f |= table[codes[s] + us[t]]
+            moved = codes.copy()
+            for s, t in move[k]:
+                moved[s] = norm[codes[s] + us[t]]
+            yield from prefixes(k + 1, moved, f, now)
 
-    yield from columns(0, [0], False)
+    for codes, fail, seen in prefixes(0, [0] * len(walked), 0, False):
+        reads = [(table, codes[s], t) for table, s, t in done[n - 1]]
+        for us, now in choices[n == 1, seen]:
+            f = fail
+            for table, x, t in reads:
+                f |= table[x + us[t]]
+            yield (q - 1 if now else 1) * shift, f
 
 
 def _framing_masks(alpha, slots, q: int, cands):
@@ -225,31 +269,40 @@ def _candidates(alpha, q: int):
 
 
 def _invariant_runs(fq: FramedQuiver, alpha, q: int, cands):
-    """The one enumeration loop: for every tuple of normal-form arrow
-    matrices of class alpha, (weight, the increasing positions in cands of
-    the arrow-invariant tuples).  The weight, the product of the arrows'
-    class sizes, is the number of matrix tuples with these invariant tuples.
+    """The one enumeration kernel: for each set of arrow-invariant tuples
+    that occurs among the matrix tuples of class alpha, (weight, the bitmask
+    of their positions in cands), the weight being the number of matrix
+    tuples with exactly these invariant tuples.
 
-    The arrow with the most entries streams its image tables; the other
-    shapes are tabulated once and reused for every matrix of that arrow.
+    Each arrow walks its normal forms once, tallying the class sizes per
+    fail mask; a matrix tuple fails the union of its arrows' fail masks.
     """
-    arrows = sorted(_arrow_list(fq), key=lambda a: -alpha[a[0]] * alpha[a[1]])
-    every = range(len(cands))
-    if not arrows:
-        yield 1, every
-        return
-    masks = [_subspaces(q, a)[1] for a in alpha]
-    checks = [([c[i] for c in cands], [~masks[j][c[j]] for c in cands])
-              for i, j in arrows]
-    shapes = [(alpha[j], alpha[i], i == j) for i, j in arrows]
-    stored = {s: list(_req_tables(q, *s)) for s in shapes[1:]}
-    for head in _req_tables(q, *shapes[0]):
-        for rest in itertools.product(*(stored[s] for s in shapes[1:])):
-            weight, keep = 1, every
-            for (w, req), (src, out) in zip((head,) + rest, checks):
-                weight *= w
-                keep = [p for p in keep if not req[src[p]] & out[p]]
-            yield weight, keep
+    fails = {0: 1}  # fail mask -> matrix tuples of the arrows so far
+    tallies = {}
+    for i, j in _arrow_list(fq):
+        if (i, j) not in tallies:
+            tally = tallies[i, j] = {}
+            Z = _fail_tables(q, alpha, cands, i, j)
+            for w, f in _fail_runs(q, alpha[j], alpha[i], i == j, Z):
+                tally[f] = tally.get(f, 0) + w
+        joined = {}
+        for f0, w0 in fails.items():
+            for f, w in tallies[i, j].items():
+                joined[f0 | f] = joined.get(f0 | f, 0) + w0 * w
+        fails = joined
+    full = (1 << len(cands)) - 1
+    for f, w in fails.items():
+        yield w, full & ~f
+
+
+def _union(masks, bits: int) -> int:
+    """The OR of masks[p] over the set bits p of bits."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= masks[low.bit_length() - 1]
+        bits ^= low
+    return out
 
 
 def _count_points(fq: FramedQuiver, alpha, q: int, slots, bad, watch) -> int:
@@ -260,12 +313,8 @@ def _count_points(fq: FramedQuiver, alpha, q: int, slots, bad, watch) -> int:
     nbad = len(bad)
     count = 0
     for weight, inv in _invariant_runs(fq, alpha, q, bad + watch):
-        if inv and inv[0] < nbad:
-            continue
-        hit = 0
-        for p in inv:
-            hit |= fmasks[p - nbad]
-        count += weight * (total - hit.bit_count())
+        if not inv & ((1 << nbad) - 1):
+            count += weight * (total - _union(fmasks, inv >> nbad).bit_count())
     return count
 
 
@@ -274,7 +323,18 @@ def _check_budget(cfg: FiniteFieldConfig, fq: FramedQuiver, alpha, q: int,
     """Refuse a kernel run whose work exceeds the budget: the normal-form
     matrix tuples it visits times the work per tuple, which is the streamed
     arrow's image pass (its source points and subspaces) plus one test per
-    candidate tuple, plus any one-off work."""
+    candidate tuple, plus any one-off work.
+
+    The formula was written for a kernel that passed over all q^n images of
+    every matrix; it still bounds the fail-mask kernel.  Each arrow reads at
+    most (q^n - 1)/(q - 1) < q^n tables per normal form, and the join of
+    the arrows' tallies and the popcounts after it cost at most one step per
+    tuple and candidate.  The one-off tables of an arrow i -> j cost at most
+    len(cands) * n * q^m bit updates and (q^n - 1)/(q - 1) * (2q - 1)^m
+    entries (n = alpha_i, m = alpha_j).  Over every class within the caps
+    on the Jordan, Kronecker and 2-loop quivers and a loop beside an arrow,
+    they stay below the formula's figure whenever it exceeds 10^4, and are
+    at most four times it below that."""
     arrows = _arrow_list(fq)
     tuples = 1
     for i, j in arrows:
@@ -322,14 +382,18 @@ def _never(d) -> bool:
     return False
 
 
-def _slope_tests(theta, alpha, c, semistable: bool):
+def _slope_tests(slope, theta, alpha, c, semistable: bool):
     """(bad_if, watch_if) for the class (alpha, 1) at level c, or alpha alone
     when c is None: a class destabilizes when its slope is above alpha's, or
-    equal to it when stability rather than semistability is tested."""
-    target = theta_slope(theta, alpha, c)
+    equal to it when stability rather than semistability is tested.  slope
+    is the calling entry point's cached unframed slope."""
     beats = operator.gt if semistable else operator.ge
-    return (lambda d: beats(theta_slope(theta, d), target),
-            _never if c is None else lambda d: beats(theta_slope(theta, d, c), target))
+    if c is None:
+        target = slope(alpha)
+        return (lambda d: beats(slope(d), target)), _never
+    framed = cache(lambda d: theta_slope(theta, d, c))  # once per class
+    target = framed(alpha)
+    return (lambda d: beats(slope(d), target)), (lambda d: beats(framed(d), target))
 
 
 def _flagged(alpha, bad_if, watch_if):
@@ -383,7 +447,8 @@ def count_stack(fq: FramedQuiver, alpha, sp, q: int,
         # unframed slopes never see c; star 1: a subobject through the
         # framing destabilizes the framing tuples inside it
         c = _level(fq, theta, a, sp.c, sp.side) if alpha.star else None
-        tests = _slope_tests(theta, a, c, semistable=True)
+        slope = cache(partial(theta_slope, theta))  # once per class
+        tests = _slope_tests(slope, theta, a, c, semistable=True)
     slots = _framing_slots(fq) if alpha.star else []
     group = math.prod(gl_order(ai, q) for ai in a) * (q - 1 if alpha.star else 1)
     return Fraction(_points(fq, a, q, cfg, slots, *tests), group)
@@ -409,7 +474,8 @@ def count_framed_stable(fq: FramedQuiver, alpha, theta, c, side: str, q: int,
     else:
         # (alpha, 0) or (0, 1) is always flagged, since the slope of
         # (alpha, 1) is a weighted mean of theirs: this count always enumerates
-        tests = _slope_tests(theta, alpha, _level(fq, theta, alpha, c, side),
+        slope = cache(partial(theta_slope, theta))  # once per class
+        tests = _slope_tests(slope, theta, alpha, _level(fq, theta, alpha, c, side),
                              semistable=False)
     group = math.prod(gl_order(ai, q) for ai in alpha)
     return Fraction(_points(fq, alpha, q, cfg, _framing_slots(fq), *tests), group)
@@ -418,8 +484,7 @@ def count_framed_stable(fq: FramedQuiver, alpha, theta, c, side: str, q: int,
 def verify_coefficient(series_coeff: Scalar, count, q: int, *, chi: int = 0) -> bool:
     """Strip the (-v)^chi normalization carried by the series, evaluate at
     L = q, compare exactly."""
-    raw = series_coeff * Scalar.neg_v_pow(-chi) if chi else series_coeff
-    return raw.specialize_L(q) == Fraction(count)
+    return series_coeff.times_neg_v_pow(-chi).specialize_L(q) == Fraction(count)
 
 
 # ---- counting-level wall-crossing check -------------------------------------
@@ -445,15 +510,20 @@ def hall_filtration_check(fq: FramedQuiver, alpha, theta, c, q: int,
     _check_budget(cfg, fq, alpha, q, cands, once=len(cands) ** 2)
 
     target = theta_slope(theta, alpha, c)
+    slope = cache(partial(theta_slope, theta))  # once per class
+    # a tuple's members, vertex by vertex, as one mask: T lies in S exactly
+    # when T's mask lies in S's
     masks = [_subspaces(q, a)[1] for a in alpha]
+    shifts = list(itertools.accumulate((q ** a for a in alpha), initial=0))
+    members = [sum(ms[k] << s for ms, k, s in zip(masks, cand, shifts)) for cand in cands]
+    sizes = [sum(d) for d in dims]
     fm = _framing_masks(alpha, slots, q, cands)
     full = (1 << q ** sum(alpha[i] for i in slots)) - 1
-    mu = {d: theta_slope(theta, d) for d in set(dims) if sum(d)}
 
     # left side, the classes count_stack flags: star-0 subobjects kill every
     # framing tuple, star-1 ones kill the framing tuples inside them
     bad_classes, watch_classes = _flagged(
-        alpha, *_slope_tests(theta, alpha, c, semistable=True))
+        alpha, *_slope_tests(slope, theta, alpha, c, semistable=True))
     bad = sum(1 << p for p, d in enumerate(dims) if d in bad_classes)
     watch = [f if d in watch_classes else 0 for f, d in zip(fm, dims)]
 
@@ -461,50 +531,34 @@ def hall_filtration_check(fq: FramedQuiver, alpha, theta, c, q: int,
     # kills S, and the tuples T above S that kill the framing tuples inside
     quotient = {}  # quotient class -> the classes its c-minus stability flags
     right = []
-    for p, (cand, d) in enumerate(zip(cands, dims)):
-        if sum(d) and mu[d] != target:
+    for p, (m_s, d, n_d) in enumerate(zip(members, dims, sizes)):
+        if n_d and slope(d) != target:
             continue
         gamma = tuple(a - x for a, x in zip(alpha, d))
         if sum(gamma) and gamma not in quotient:
             quotient[gamma] = _flagged(gamma, *_slope_tests(
-                theta, gamma, _level(fq, theta, gamma, c, "minus"), semistable=False))
+                slope, theta, gamma, _level(fq, theta, gamma, c, "minus"), semistable=False))
         bad_q, watch_q = quotient.get(gamma, ((), ()))
-        m_s = [ms[k] for ms, k in zip(masks, cand)]
-        dead, above = 0, []
-        for t, (other, e) in enumerate(zip(cands, dims)):
-            m_t = [ms[k] for ms, k in zip(masks, other)]
-            if sum(d) and sum(e) and mu[e] > mu[d] \
-                    and all(x & ~y == 0 for x, y in zip(m_t, m_s)):
+        dead = above = 0
+        for t, (m_t, e, n_e) in enumerate(zip(members, dims, sizes)):
+            if n_d and n_e and slope(e) > slope(d) and not m_t & ~m_s:
                 dead |= 1 << t  # T inside S: S is not semistable
-            elif sum(gamma) and all(y & ~x == 0 for x, y in zip(m_t, m_s)):
+            elif sum(gamma) and not m_s & ~m_t:
                 # T above S: T / S is a subobject of the quotient, of class dd
                 dd = tuple(x - y for x, y in zip(e, d))
                 if dd in bad_q:
                     dead |= 1 << t
                 elif dd in watch_q:
-                    above.append(t)
-        right.append((p, dead, above))
+                    above |= 1 << t
+        right.append((1 << p, dead, above))
 
-    for _, inv in _invariant_runs(fq, alpha, q, cands):
-        bits = 0
-        for p in inv:
-            bits |= 1 << p
-        if bits & bad:
-            sst = 0
-        else:
-            hit = 0
-            for p in inv:
-                hit |= watch[p]
-            sst = full & ~hit
+    for _, bits in _invariant_runs(fq, alpha, q, cands):
+        sst = 0 if bits & bad else full & ~_union(watch, bits)
         once = twice = 0
-        for p, dead, above in right:
-            if not bits >> p & 1 or bits & dead:
+        for s, dead, above in right:
+            if not bits & s or bits & dead:
                 continue
-            hit = 0
-            for t in above:
-                if bits >> t & 1:
-                    hit |= fm[t]
-            good = full & ~hit
+            good = full & ~_union(fm, bits & above)
             twice |= once & good
             once |= good
         if twice or once != sst:

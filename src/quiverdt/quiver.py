@@ -27,9 +27,22 @@ class ExtDimVector(NamedTuple):
     star: int
 
 
+def _int_entries(values, name: str) -> tuple:
+    """values as a tuple of ints, refused at the first entry that is not
+    an integer (int() would truncate it)."""
+    values = tuple(values)
+    out = tuple(int(x) for x in values)
+    if out != values:
+        bad = next(x for x, n in zip(values, out) if x != n)
+        raise ValueError(f"{name} entry {bad} is not an integer")
+    return out
+
+
 def ext(coords, star: int = 0) -> ExtDimVector:
-    a = ExtDimVector(tuple(int(c) for c in coords), int(star))
-    if any(c < 0 for c in a.unframed) or a.star not in (0, 1):
+    if star not in (0, 1):
+        raise ValueError(f"star {star} is not 0 or 1")
+    a = ExtDimVector(_int_entries(coords, "dimension vector"), int(star))
+    if any(c < 0 for c in a.unframed):
         raise ValueError(f"bad dimension vector {a}")
     return a
 

@@ -263,8 +263,9 @@ def _psubst_pow(a, n):
     return tuple(out)
 
 
-def _peval(a, x: Fraction) -> Fraction:
-    val = Fraction(0)
+def _peval(a, x):
+    """a at x by Horner; in ints when x is an int."""
+    val = 0
     for c in reversed(a):
         val = val * x + c
     return val
@@ -507,11 +508,12 @@ class Scalar:
         n, d = self._n, self._d
         if any(n[1::2]) or any(d[1::2]):
             raise ValueError("half-power mismatch")
-        x = Fraction(q)
+        # integer coefficients at an integer q: two ints, one Fraction
+        x = q if isinstance(q, int) else Fraction(q)
         dv = _peval(d[::2], x)
         if dv == 0:
             raise ZeroDivisionError("not specializable")
-        return _peval(n[::2], x) / dv
+        return Fraction(_peval(n[::2], x), dv)
 
     def as_fraction(self) -> Fraction:
         """The value of a constant Scalar."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .quiver import FramedQuiver, Record, sub_vectors
+from .quiver import FramedQuiver, Record, _int_entries, sub_vectors
 
 PLUS_INF = float("inf")
 MINUS_INF = float("-inf")
@@ -69,8 +69,8 @@ def check_theta(fq: FramedQuiver, theta) -> tuple:
 
 
 def check_alpha(fq: FramedQuiver, alpha) -> tuple:
-    """alpha as ints, refused unless it lists one nonnegative dimension per vertex."""
-    alpha = tuple(int(a) for a in alpha)
+    """alpha as ints, refused unless it lists one nonnegative integer per vertex."""
+    alpha = _int_entries(alpha, "alpha")
     if len(alpha) != fq.n_vertices:
         raise ValueError(f"alpha must list one dimension per vertex: "
                          f"got {len(alpha)} for {fq.n_vertices} vertices")

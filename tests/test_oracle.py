@@ -5,12 +5,12 @@ import pytest
 
 import reference_oracle as ref
 from quiverdt import oracle
-from quiverdt.hn import gl_motive, hn_factorize, universal_trivial
+from quiverdt.hn import gl_motive, hn_factorize, universal_for, universal_trivial
 from quiverdt.oracle import (BudgetError, FiniteFieldConfig,
                              count_framed_stable, count_stack, gl_order,
                              hall_filtration_check, verify_coefficient)
-from quiverdt.quiver import (ext, jordan_quiver, kronecker_quiver,
-                             loop_quiver, tits_form)
+from quiverdt.quiver import (dim_vectors_up_to, ext, jordan_quiver,
+                             kronecker_quiver, loop_quiver, tits_form)
 from quiverdt.scalar import L, Scalar, V
 from quiverdt.stability import MINUS_INF, PLUS_INF, StabilityParams, theta_slope
 
@@ -79,9 +79,18 @@ class TestRefusals:
          r"alpha \(1, -1\) has a negative entry"),
         (lambda: hall_filtration_check(KRON, (-1, 1), (1, 0), HALF, 2),
          r"alpha \(-1, 1\) has a negative entry"),
+        (lambda: count_framed_stable(KRON, (1.5, 1), (1, 0), HALF, "plus", 2),
+         "alpha entry 1.5 is not an integer"),
+        (lambda: hall_filtration_check(KRON, (1, Fraction(1, 2)), (1, 0), HALF, 2),
+         "alpha entry 1/2 is not an integer"),
+        (lambda: count_stack(KRON, (1.5, 1), "all", 2),
+         "dimension vector entry 1.5 is not an integer"),
+        (lambda: count_stack(KRON, (1, 1.5), StabilityParams((1, 0)), 2),
+         "dimension vector entry 1.5 is not an integer"),
     ], ids=["stack-theta", "stack-framed-theta", "stable-theta", "stable-minus-inf-theta",
             "hall-theta", "stack-alpha-3", "stack-alpha-1", "stable-alpha-1",
-            "stable-plus-inf-alpha-3", "hall-alpha-1", "stable-negative", "hall-negative"])
+            "stable-plus-inf-alpha-3", "hall-alpha-1", "stable-negative", "hall-negative",
+            "stable-fraction", "hall-fraction", "stack-fraction", "stack-semistable-fraction"])
     def test_one_line_value_error(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
@@ -221,6 +230,31 @@ class TestVerifyCoefficient:
         with pytest.raises(ValueError, match="half-power"):
             verify_coefficient(-V / (L - 1), 1, 2, chi=0)
 
+    @pytest.mark.parametrize("fq, theta", [(KRON, (1, 0)), (JORDAN, (0,))],
+                             ids=["kronecker", "jordan"])
+    def test_twist_by_shift_matches_product(self, fq, theta):
+        """On every universal and HN-piece coefficient that check-oracle
+        compares, the shifted coefficient evaluated over the integers equals
+        the former route: the product with (-v)^(-chi), evaluated over
+        Fractions."""
+        N = 4
+        bu = universal_for(fq, N)
+        parts = hn_factorize(bu, theta, N)
+        classes = [a for a in dim_vectors_up_to(fq.n_vertices, N) if sum(a)]
+        coeffs = [(a, bu.series.coeff(a)) for a in classes] + \
+            [(a, parts[theta_slope(theta, a)].coeff(a)) for a in classes
+             if theta_slope(theta, a) in parts]
+        assert len(coeffs) > len(classes)
+        for a, coeff in coeffs:
+            chi = tits_form(fq, ext(a))
+            raw = coeff * Scalar.neg_v_pow(-chi)
+            assert coeff.times_neg_v_pow(-chi) == raw
+            for q in (2, 3, 5):
+                x = Fraction(q)
+                old = sum(c * x ** (k // 2) for k, c in enumerate(raw.num)) / \
+                    sum(c * x ** (k // 2) for k, c in enumerate(raw.den))
+                assert coeff.times_neg_v_pow(-chi).specialize_L(q) == old, (a, q)
+
 
 class TestHallFiltration:
     def test_jordan_at_the_wall(self):
@@ -245,15 +279,18 @@ class TestHallFiltration:
 
 
 def normal_forms(q, m, n, loop):
-    """The matrices F_q^n -> F_q^m that the image pass visits, as tuples of
-    columns, with their weights; each column is read back from the image of
-    the line through a basis vector."""
-    dims, _, bases = oracle._subspaces(q, n)
-    lines = {b[0]: k for k, (d, b) in enumerate(zip(dims, bases)) if d == 1}
+    """The matrices F_q^n -> F_q^m that the normal-form walk visits, as
+    tuples of columns, with their weights.  The walk reads tables that give
+    the image y of the k-th unit vector the bit k q^m + y, so each column is
+    read back from the fail mask."""
+    size = q ** m
     units = [oracle._index([int(r == c) for r in range(n)], q) for c in range(n)]
+    tables = {u: [1 << (k * size + y) for y in range(size)] for k, u in enumerate(units)}
     points = list(itertools.product(range(q), repeat=m))
-    for weight, req in oracle._req_tables(q, m, n, loop):
-        yield weight, tuple(points[req[lines[u]].bit_length() - 1] for u in units)
+    block = (1 << size) - 1
+    for weight, fail in oracle._fail_runs(q, m, n, loop, tables):
+        yield weight, tuple(points[(fail >> k * size & block).bit_length() - 1]
+                            for k in range(n))
 
 
 def matrix_class(cols, q, loop):
@@ -280,3 +317,40 @@ def test_normal_forms_partition_the_matrices(q, m, n, loop):
         assert not cls & seen  # distinct normal forms, disjoint classes
         seen |= cls
     assert len(seen) == q ** (m * n)  # the classes cover every matrix
+
+
+@pytest.mark.parametrize("q,m,n,loop", SHAPES)
+def test_fail_masks_match_matrix_vector_products(q, m, n, loop):
+    """Each normal form's fail mask, read off the fail tables of one arrow,
+    holds the candidates (S, T) with M b outside T for some basis vector b
+    of S, found here by explicit matrix-vector products on the columns.  A
+    loop's candidates are the subspaces S, with T = S; an arrow's are every
+    pair (S, T), at position s * #targets + t."""
+    sources = ref.subspaces(q, n)
+    targets = sources if loop else ref.subspaces(q, m)
+    if loop:
+        alpha, i, j, cands = (n,), 0, 0, [(s,) for s in range(len(sources))]
+    else:
+        alpha, i, j = (n, m), 0, 1
+        cands = list(itertools.product(range(len(sources)), range(len(targets))))
+    tables = oracle._fail_tables(q, alpha, cands, i, j)
+    basis = sorted({b for _, vecs, _ in sources for b in vecs})
+    missed = {}  # a set of images -> the targets missing one of them, as bits
+
+    def misses(images):
+        if images not in missed:
+            missed[images] = sum(1 << t for t, (_, _, members) in enumerate(targets)
+                                 if not images <= members)
+        return missed[images]
+
+    runs = zip(normal_forms(q, m, n, loop), oracle._fail_runs(q, m, n, loop, tables),
+               strict=True)
+    for (weight, cols), (got_weight, got) in runs:
+        rows = tuple(tuple(col[r] for col in cols) for r in range(m))
+        image = {b: ref._matvec(rows, b, q) for b in basis}
+        want = 0
+        for s, (_, vecs, _) in enumerate(sources):
+            hit = misses(frozenset(image[b] for b in vecs))
+            want |= (hit >> s & 1) << s if loop else hit << s * len(targets)
+        assert got_weight == weight
+        assert got == want, cols

@@ -119,7 +119,7 @@ def test_invariant_tuples_agree(case):
 
     got = Counter()
     for weight, inv in oracle._invariant_runs(fq, alpha, q, cands):
-        got[frozenset(key(cands[p]) for p in inv)] += weight
+        got[frozenset(key(cand) for p, cand in enumerate(cands) if inv >> p & 1)] += weight
     arrows = ref._arrow_list(fq)
     shape = [(alpha[j], alpha[i]) for i, j in arrows]
     ref_cands = ref._candidate_tuples(alpha, q)

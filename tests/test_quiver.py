@@ -25,6 +25,13 @@ class TestExtVector:
     def test_rejects_star_out_of_range(self):
         with pytest.raises(ValueError):
             ext((1,), 2)
+        with pytest.raises(ValueError, match="^star 0.5 is not 0 or 1$"):
+            ext((1, 1), 0.5)
+
+    def test_rejects_non_integer_entry(self):
+        with pytest.raises(ValueError, match="^dimension vector entry 1.5 is not an integer$"):
+            ext((1.5, 1))
+        assert ext((2.0, 1)).unframed == (2, 1)
 
 
 class TestValidation:

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from quiverdt.quiver import jordan_quiver, kronecker_quiver, sub_vectors
 from quiverdt.stability import (MINUS_INF, PLUS_INF, StabilityParams,
-                                WallList, find_walls, resolve_side, theta_slope)
+                                WallList, check_alpha, find_walls, resolve_side,
+                                theta_slope)
 
 KRON = kronecker_quiver()
 JORDAN = jordan_quiver()
@@ -60,10 +61,16 @@ class TestFindWalls:
         ((1, 0, 2), (1, 1), "theta must list one weight per vertex: got 3 for 2 vertices"),
         ((1, 0), (1,), "alpha must list one dimension per vertex: got 1 for 2 vertices"),
         ((1, 0), (-1, 2), r"alpha \(-1, 2\) has a negative entry"),
+        ((1, 0), (1.5, 1), "alpha entry 1.5 is not an integer"),
     ])
     def test_refuses_bad_input(self, theta, alpha, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             find_walls(KRON, theta, alpha, 4)
+
+    def test_check_alpha_refuses_a_fraction_and_keeps_integral_values(self):
+        with pytest.raises(ValueError, match="^alpha entry 3/2 is not an integer$"):
+            check_alpha(KRON, (Fraction(3, 2), 1))
+        assert check_alpha(KRON, (Fraction(2), 1.0)) == (2, 1)
 
     def test_region_guard(self):
         with pytest.raises(ValueError, match="truncation region"):

@@ -389,6 +389,7 @@ class TestSmoothModel:
         ((1, 0), (1,), "alpha must list one dimension per vertex: got 1 for 2 vertices"),
         ((1, 0), (1, -1), r"alpha \(1, -1\) has a negative entry"),
         ((1,), (1, 1), "theta must list one weight per vertex: got 1 for 2 vertices"),
+        ((1, 0), (Fraction(3, 2), 1), "alpha entry 3/2 is not an integer"),
     ])
     def test_refuses_bad_input(self, theta, alpha, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
