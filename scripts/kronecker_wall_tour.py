@@ -11,7 +11,7 @@ import argparse
 
 from quiverdt.quiver import kronecker_quiver
 from quiverdt.hn import hn_factorize, universal_for
-from quiverdt.qtorus import TorusSeries, truncate_tau
+from quiverdt.qtorus import TorusSeries
 from quiverdt.stability import find_walls, theta_slope
 from quiverdt.wallcross import framed_at, general_wallcross, smooth_model_motive
 
@@ -49,7 +49,7 @@ def main():
         show("  above", above.series)
         if B is not None:
             def cut(series):
-                t = truncate_tau(series, theta, c, mu)
+                t = series.restrict(lambda k: theta_slope(theta, k.unframed, c) == mu)
                 return TorusSeries.one(fq, N) if t.is_zero() else t
 
             lhs = cut(general_wallcross(below, B, "minus_to_exact").series)

@@ -3,16 +3,15 @@
 B_U collects the motives of all representations (trivial stability); for a
 weight vector theta it factors uniquely as the ordered product of slope
 pieces B_mu, decreasing slope left to right.  The factorization peels the
-top slope off one rest at a time, leaving the ladder of partial products the
-framed series are read from; remultiply_check certifies it by multiplying
-the pieces again on its own.
+top slope off one rest at a time, by one left quotient each, leaving the
+ladder of partial products the framed series are read from.
 """
 
 from __future__ import annotations
 
 from functools import cache, partial
 
-from .qtorus import TorusSeries, pleth_exp, torus_inverse, torus_mul, torus_product
+from .qtorus import TorusSeries, pleth_exp, torus_div, torus_mul
 from .quiver import (BUILTIN_SOURCES, FramedQuiver, Record, check_builtin_shape,
                      dim_vectors_up_to, ext, tits_form)
 from .scalar import ONE, L, Scalar
@@ -117,7 +116,7 @@ def hn_factorize(BU: UniversalSeries, theta, N: int) -> dict:
 def _hn_split(series: TorusSeries, theta: tuple, N: int) -> tuple:
     # A product of classes of slope <= mu has slope mu only when every factor
     # has, so the top piece of a rest is the rest cut to its top slope (and
-    # the constant 1), and the rest below it is piece^{-1} . rest.
+    # the constant 1), and the rest below it is piece^{-1} . rest, one left solve.
     slope = cache(partial(theta_slope, theta))  # once per class
     rest, one = series.retrunc(N), TorusSeries.one(series.fq, N)
     ladder = []
@@ -125,14 +124,7 @@ def _hn_split(series: TorusSeries, theta: tuple, N: int) -> tuple:
         top = max(slope(k.unframed) for k in rest.coeffs if any(k.unframed))
         piece = rest.restrict(lambda k: not any(k.unframed) or slope(k.unframed) == top)
         rest = one if len(piece.coeffs) == len(rest.coeffs) else \
-            torus_mul(torus_inverse(piece), rest)
+            torus_div(rest, piece, left=True)
         ladder.append((top, piece, rest))
     return tuple(ladder)
 
-
-def remultiply_check(parts: dict, BU: UniversalSeries) -> bool:
-    """Re-multiply the slope pieces (decreasing slope) and compare with B_U."""
-    series = BU.series
-    fq, N = series.fq, series.trunc
-    prod = torus_product(fq, N, (parts[mu].retrunc(N) for mu in sorted(parts, reverse=True)))
-    return prod == series

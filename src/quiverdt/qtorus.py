@@ -15,9 +15,9 @@ keeps its coefficient and is never reduced.  The grade of a key is
 |alpha| + star; products add grades, so a quotient and Exp are solved grade
 by grade, a quotient also on a set of keys only (a keep predicate closed
 under removing the divisor's keys), and Log is a quotient:
-  torus_div      f g^{-1} = y with y g = f:
-                 y_d = (f_d - sum_{e=1..d} y_{d-e} g_e) g_0^{-1},
-                 and torus_inverse(g) = torus_div(1, g)
+  torus_div      f g^{-1} = y with y g = f, or g^{-1} f = y with g y = f:
+                 y_d = (f_d - sum_{e=1..d} y_{d-e} g_e) g_0^{-1}, g_e on the
+                 side of the product that g is on (g_0 is a scalar)
   pleth_exp      d g_d = sum_{k=1..d} k T_k g_{d-k},  T = sum_n psi_n(f)/n
   pleth_log      D l = D g . g^{-1}, one torus_div, D the derivation
                  x^a -> grade(a) x^a; then Log g = sum_n mu(n)/n psi_n(l)
@@ -31,7 +31,6 @@ from typing import Mapping
 from .quiver import (ExtDimVector, FramedQuiver, Record, ext, nu, skew_form,
                      zero_vector)
 from .scalar import ONE, Scalar, _acc_term, _settle
-from .stability import theta_slope
 
 MINUS_ONE = -ONE
 
@@ -247,20 +246,13 @@ def torus_mul(f: TorusSeries, g: TorusSeries) -> TorusSeries:
     return TorusSeries(fq, f.trunc, out)
 
 
-def torus_product(fq: FramedQuiver, trunc: int, factors) -> TorusSeries:
-    """The product of factors, left to right, from the first factor: k - 1
-    products for k factors, and one when there is none."""
-    out = None
-    for f in factors:
-        out = f if out is None else torus_mul(out, f)
-    return TorusSeries.one(fq, trunc) if out is None else out
-
-
-def torus_div(f: TorusSeries, g: TorusSeries, keep=None) -> TorusSeries:
-    """f . g^{-1} by one solve of y . g = f; g needs a nonzero constant term g_0.
+def torus_div(f: TorusSeries, g: TorusSeries, keep=None, left=False) -> TorusSeries:
+    """f . g^{-1} by one solve of y . g = f, or g^{-1} . f by one solve of
+    g . y = f when left is set; g needs a nonzero constant term g_0.
 
     Grade by grade (grade |alpha| + star),
-    y_d = (f_d - sum_{e=1..d} y_{d-e} g_e) g_0^{-1}, g kept on the right.
+    y_d = (f_d - sum_{e=1..d} y_{d-e} g_e) g_0^{-1}, each product taken with
+    g_e on g's side; g_0 sits at the zero key and commutes with every term.
     A key of f_d that no product reaches passes through (times g_0^{-1}).
     With keep, only the keys it accepts are solved for.  That is exact on
     them when keep accepts k - e for every key k it accepts and every key e
@@ -277,7 +269,8 @@ def torus_div(f: TorusSeries, g: TorusSeries, keep=None) -> TorusSeries:
     for d in range(trunc + 2):
         acc: dict = {}
         for e in range(1, d + 1):
-            _mul_into(fq, trunc, acc, y[d - e], gparts.get(e, ()), keep)
+            terms = (gparts.get(e, ()), y[d - e])  # g_e . y_{d-e}
+            _mul_into(fq, trunc, acc, *(terms if left else terms[::-1]), keep)
         row = {}
         for k, c in fparts.get(d, ()):
             if keep is not None and not keep(k):
@@ -291,11 +284,6 @@ def torus_div(f: TorusSeries, g: TorusSeries, keep=None) -> TorusSeries:
                 row[k] = -c if inv0 is None else -(c * inv0)
         y[d] = list(row.items())
     return TorusSeries(fq, trunc, {k: c for row in y.values() for k, c in row})
-
-
-def torus_inverse(g: TorusSeries) -> TorusSeries:
-    """Two-sided inverse, torus_div(1, g); needs a nonzero constant term."""
-    return torus_div(TorusSeries.one(g.fq, g.trunc), g)
 
 
 def s_twist(f: TorusSeries, lam) -> TorusSeries:
@@ -315,21 +303,6 @@ def s_twist(f: TorusSeries, lam) -> TorusSeries:
 def nu_weights(fq: FramedQuiver, scale: int = 1):
     """The linear map scale * nu as an s_twist weight pair (star weight 0)."""
     return tuple(scale * wi for wi in fq.w), 0
-
-
-def adams_series(f: TorusSeries, n: int) -> TorusSeries:
-    """psi_n: a x^alpha -> psi_n(a) x^{n alpha}; out-of-region images drop."""
-    if n < 1:
-        raise ValueError("adams operation needs n >= 1")
-    if n == 1:
-        return f
-    out: dict = {}
-    for k, c in f.coeffs.items():
-        key = ExtDimVector(tuple(n * a for a in k.unframed), n * k.star)
-        if key.star > 1 or sum(key.unframed) > f.trunc:
-            continue
-        out[key] = out.get(key, Scalar.of(0)) + c.adams(n)
-    return TorusSeries(f.fq, f.trunc, out)
 
 
 def _check_commuting(f: TorusSeries) -> None:
@@ -398,17 +371,6 @@ def pleth_log(g: TorusSeries) -> TorusSeries:
         d = _grade(key)
         _adams_into(out, g.trunc, key, c, lambda n: Fraction(_mobius(n), n * d))
     return TorusSeries(g.fq, g.trunc, _settled(out))
-
-
-def truncate_tau(f: TorusSeries, theta, c, mu) -> TorusSeries:
-    """Keep exactly the star-0 terms whose framed slope mu_c(alpha, 1) is mu."""
-    if any(k.star for k in f.coeffs):
-        raise ValueError("tau expects a star-0 series")
-    if mu == float("inf"):
-        # r(alpha, 1) > 0 always, so no finite class ever has infinite slope
-        return TorusSeries.zero(f.fq, f.trunc)
-    mu, c = Fraction(mu), Fraction(c)
-    return f.restrict(lambda key: theta_slope(theta, key.unframed, c) == mu)
 
 
 def serialize(f: TorusSeries) -> str:

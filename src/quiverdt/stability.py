@@ -48,10 +48,11 @@ class WallList(Record):
 def theta_slope(theta, d, c=None) -> Fraction:
     """(theta.d)/|d| for a class of star 0; (theta.d + c)/(|d| + 1) for star 1.
 
-    c is None for star 0 and a finite rational for star 1.  The caller
-    keeps the zero class of star 0 away.
+    c is None for star 0 and a finite rational for star 1.  theta holds
+    ints or Fractions (check_theta's output); the caller keeps the zero
+    class of star 0 away.
     """
-    num = sum(Fraction(t) * x for t, x in zip(theta, d))
+    num = sum(t * x for t, x in zip(theta, d))
     den = sum(d)
     if c is not None:
         num += c

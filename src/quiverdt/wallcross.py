@@ -16,7 +16,7 @@ from functools import cache, partial
 from .hn import UniversalSeries, hn_factorize, slope_ladder
 from .quiver import FramedQuiver, Record, ext, is_symmetric, nu, tits_form
 from .qtorus import (TorusSeries, nu_weights, pleth_exp, pleth_log, s_twist,
-                     torus_div, torus_inverse, torus_mul, torus_product)
+                     torus_div, torus_mul)
 from .scalar import L, ONE, Scalar
 from .stability import (MINUS_INF, PLUS_INF, SIDES, StabilityParams, check_alpha,
                         check_theta, theta_slope)
@@ -88,7 +88,7 @@ def general_wallcross(a_in: FramedSeries, B_mu: TorusSeries,
     out = a_in.series
     if left:
         snu_b = s_twist(B_mu, nu_weights(fq, 1))
-        out = torus_mul(snu_b if left > 0 else torus_inverse(snu_b), out)
+        out = torus_mul(snu_b, out) if left > 0 else torus_div(out, snu_b, left=True)
     if right:
         sdn_b = s_twist(B_mu, nu_weights(fq, -1))
         out = torus_mul(out, sdn_b) if right > 0 else torus_div(out, sdn_b)
@@ -152,17 +152,6 @@ def framed_at(fq: FramedQuiver, BU: UniversalSeries, theta, N: int,
         # empty slope class: only the bare framing line remains
         ser = TorusSeries.one(fq, N)
     return FramedSeries(ser, params, mu)
-
-
-def transfer_slope_product(fq: FramedQuiver, parts: dict, trunc: int,
-                           pred) -> TorusSeries:
-    """Product of the transfer series C_b over the slopes b with pred(b).
-
-    Symmetric quivers only; the factors commute, the order is fixed
-    decreasing for definiteness.
-    """
-    return torus_product(fq, trunc, (transfer_series(parts[b], fq)
-                                     for b in sorted(parts, reverse=True) if pred(b)))
 
 
 def ncdt(fq: FramedQuiver, BU: UniversalSeries) -> TorusSeries:

@@ -7,18 +7,21 @@ coefficient minus every chain alpha = a_1 + ... + a_k, k >= 2, of strictly
 decreasing slopes, twisted by (-v)^{sum_{i<j} <a_i, a_j>}.  _uniform and
 framed_at assemble the framed series from its pieces the way
 quiverdt.wallcross did before it read them off the slope ladder: every call
-multiplies the pieces below the level again.  Nothing under src/ imports it.
+multiplies the pieces below the level again.  torus_product, truncate_tau,
+remultiply_check and transfer_slope_product are the product-side helpers
+that the tests read the production series against.  Nothing under src/
+imports it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from quiverdt.qtorus import TorusSeries, torus_mul, torus_product, truncate_tau
+from quiverdt.qtorus import TorusSeries, torus_mul
 from quiverdt.quiver import ExtDimVector, dim_vectors_up_to, ext, skew_form, sub_vectors
 from quiverdt.scalar import ONE, Scalar, _acc_term, _settle
 from quiverdt.stability import MINUS_INF, PLUS_INF, theta_slope
-from quiverdt.wallcross import _crossing
+from quiverdt.wallcross import _crossing, transfer_series
 
 
 def hn_split(series: TorusSeries, theta: tuple, N: int) -> dict:
@@ -95,3 +98,41 @@ def framed_at(fq, parts, theta, N, c, side, mu) -> TorusSeries:
     mu = Fraction(mu)
     ser = truncate_tau(_uniform(fq, parts, N, mu, side), theta, Fraction(c), mu)
     return TorusSeries.one(fq, N) if ser.is_zero() else ser
+
+
+def torus_product(fq, trunc: int, factors) -> TorusSeries:
+    """The product of factors, left to right, from the first factor: k - 1
+    products for k factors, and one when there is none."""
+    out = None
+    for f in factors:
+        out = f if out is None else torus_mul(out, f)
+    return TorusSeries.one(fq, trunc) if out is None else out
+
+
+def truncate_tau(f: TorusSeries, theta, c, mu) -> TorusSeries:
+    """Keep exactly the star-0 terms whose framed slope mu_c(alpha, 1) is mu."""
+    if any(k.star for k in f.coeffs):
+        raise ValueError("tau expects a star-0 series")
+    if mu == float("inf"):
+        # r(alpha, 1) > 0 always, so no finite class ever has infinite slope
+        return TorusSeries.zero(f.fq, f.trunc)
+    mu, c = Fraction(mu), Fraction(c)
+    return f.restrict(lambda key: theta_slope(theta, key.unframed, c) == mu)
+
+
+def remultiply_check(parts: dict, BU) -> bool:
+    """Re-multiply the slope pieces (decreasing slope) and compare with B_U."""
+    series = BU.series
+    fq, N = series.fq, series.trunc
+    prod = torus_product(fq, N, (parts[mu].retrunc(N) for mu in sorted(parts, reverse=True)))
+    return prod == series
+
+
+def transfer_slope_product(fq, parts: dict, trunc: int, pred) -> TorusSeries:
+    """Product of the transfer series C_b over the slopes b with pred(b).
+
+    Symmetric quivers only; the factors commute, the order is fixed
+    decreasing for definiteness.
+    """
+    return torus_product(fq, trunc, (transfer_series(parts[b], fq)
+                                     for b in sorted(parts, reverse=True) if pred(b)))

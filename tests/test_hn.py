@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from reference_hn import remultiply_check
 import quiverdt.hn as hn
 from quiverdt.hn import (UniversalSeries, builtin_BU, gl_motive, hn_factorize,
-                         remultiply_check, universal_for, universal_trivial)
+                         universal_for, universal_trivial)
 from quiverdt.quiver import (c3_quiver, conifold_quiver, ext, jordan_quiver,
                              kronecker_quiver, loop_quiver)
 from quiverdt.qtorus import TorusSeries

@@ -18,12 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_hn as ref
-from quiverdt.hn import hn_factorize, remultiply_check, slope_ladder, universal_for
+from reference_hn import remultiply_check, torus_product, truncate_tau
+from quiverdt.hn import hn_factorize, slope_ladder, universal_for
 from quiverdt.quiver import (FramedQuiver, Quiver, c3_quiver, conifold_quiver,
                              dim_vectors_up_to, jordan_quiver, kronecker_quiver,
                              loop_quiver)
-from quiverdt.qtorus import (TorusSeries, nu_weights, s_twist, torus_mul,
-                             torus_product, truncate_tau)
+from quiverdt.qtorus import TorusSeries, nu_weights, s_twist, torus_mul
 from quiverdt.stability import MINUS_INF, PLUS_INF, SIDES, find_walls, theta_slope
 from quiverdt.wallcross import framed_at, uniform_series
 

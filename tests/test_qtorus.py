@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference_hn import truncate_tau
+from reference_qtorus import adams_series
 from quiverdt.quiver import (c3_quiver, conifold_quiver, dim_vectors_up_to, ext,
                              jordan_quiver, kronecker_quiver, loop_quiver, skew_form)
-from quiverdt.qtorus import (TorusSeries, _mul_into, adams_series, nu_weights,
-                             pleth_exp, pleth_log, s_twist, serialize,
-                             torus_inverse, torus_mul, truncate_tau)
+from quiverdt.qtorus import (TorusSeries, _mul_into, nu_weights, pleth_exp,
+                             pleth_log, s_twist, serialize, torus_div, torus_mul)
 from quiverdt.scalar import ONE, Scalar, V, _settle
 
 KRON = kronecker_quiver()
@@ -98,19 +99,28 @@ class TestInverse:
     @given(kron_series())
     def test_two_sided(self, f):
         f = f + 1 - TorusSeries(KRON, N, {ext((0, 0)): f.constant_term()})
-        inv = torus_inverse(f)
         one = TorusSeries.one(KRON, N)
+        inv = torus_div(one, f)
         assert f * inv == one
         assert inv * f == one
+        assert torus_div(one, f, left=True) == inv
+
+    @given(kron_series(), kron_series())
+    def test_left_and_right_quotients(self, f, g):
+        g = g + 1 - TorusSeries(KRON, N, {ext((0, 0)): g.constant_term()})
+        assert g * torus_div(f, g, left=True) == f
+        assert torus_div(f, g) * g == f
 
     def test_needs_constant(self):
         f = TorusSeries.monomial(KRON, N, (1, 0))
         with pytest.raises(ValueError, match="not invertible"):
-            torus_inverse(f)
+            torus_div(TorusSeries.one(KRON, N), f)
+        with pytest.raises(ValueError, match="not invertible"):
+            torus_div(TorusSeries.one(KRON, N), f, left=True)
 
     def test_geometric(self):
         x = TorusSeries.monomial(JORDAN, N, (1,))
-        inv = torus_inverse(1 - x + TorusSeries.zero(JORDAN, N))
+        inv = torus_div(TorusSeries.one(JORDAN, N), 1 - x + TorusSeries.zero(JORDAN, N))
         assert all(inv.coeff((n,)) == ONE for n in range(N + 1))
 
 
@@ -149,6 +159,9 @@ class TestTwists:
 
 
 class TestAdams:
+    """psi_n on whole series, as the reference torus forms it; the kernels
+    apply psi_n term by term (qtorus._adams_into)."""
+
     @given(jordan_series(), st.integers(1, 3), st.integers(1, 3))
     def test_composition(self, f, m, n):
         assert adams_series(adams_series(f, m), n) == adams_series(f, m * n)
@@ -181,7 +194,7 @@ class TestExpLog:
 
     def test_log_of_geometric(self):
         x = TorusSeries.monomial(JORDAN, N, (1,))
-        geom = torus_inverse(1 - x + TorusSeries.zero(JORDAN, N))
+        geom = torus_div(TorusSeries.one(JORDAN, N), 1 - x + TorusSeries.zero(JORDAN, N))
         assert pleth_log(geom) == x
 
     @given(jordan_series(constant=Scalar.of(0)))
@@ -210,6 +223,8 @@ class TestExpLog:
 
 
 class TestSlopesAndTau:
+    """The slope cut the reference framed series are read through."""
+
     def test_tau_keeps_matching_framed_slope(self):
         f = TorusSeries(KRON, N, {ext((1, 1)): ONE, ext((1, 0)): V,
                                   ext((0, 0)): Scalar.of(2)})

@@ -3,11 +3,12 @@
 tests/reference_qtorus.py is the torus that quiverdt.qtorus replaced: every
 term product and partial sum reduced on its own, an inverse built from one
 series product per pair of degrees, and Exp/Log summed from full powers.
-torus_mul, torus_inverse, pleth_exp and pleth_log must give equal series,
-coefficient by coefficient in canonical form, on commuting support (Jordan,
-c3 and the conifold heads) and on twisted support (Kronecker and two loops
-with star-1 keys), at truncations 0 to 6.  The coefficients have
-denominators that share L^k - 1 factors, and some products cancel exactly.
+torus_mul, torus_div (on either side), pleth_exp and pleth_log must give
+equal series, coefficient by coefficient in canonical form, on commuting
+support (Jordan, c3 and the conifold heads) and on twisted support
+(Kronecker and two loops with star-1 keys), at truncations 0 to 6.  The
+coefficients have denominators that share L^k - 1 factors, and some
+products cancel exactly.
 """
 
 from fractions import Fraction
@@ -20,12 +21,12 @@ import reference_hn as ref_hn
 import reference_qtorus as ref
 import test_hn_reference as hn_ref
 from quiverdt import qtorus as new
-from quiverdt.hn import universal_for, universal_trivial
+from quiverdt.hn import hn_factorize, universal_for, universal_trivial
 from quiverdt.quiver import (c3_quiver, conifold_quiver, dim_vectors_up_to, ext,
                              jordan_quiver, kronecker_quiver, loop_quiver)
 from quiverdt.scalar import ONE, L, Scalar, V
 from quiverdt.stability import SIDES, find_walls, theta_slope
-from quiverdt.wallcross import framed_at
+from quiverdt.wallcross import framed_at, general_wallcross
 
 JORDAN, C3, CONIFOLD = jordan_quiver(), c3_quiver(), conifold_quiver()
 KRON, TWO_LOOPS = kronecker_quiver(), loop_quiver(2)
@@ -57,6 +58,14 @@ def assert_same(got, want):
     assert got.coeffs == want.coeffs
 
 
+def assert_inverse(g, rg):
+    """torus_div(1, g), solved on either side, against the reference inverse."""
+    one = new.TorusSeries.one(g.fq, g.trunc)
+    want = ref.torus_inverse(rg)
+    for left in (False, True):
+        assert_same(new.torus_div(one, g, left=left), want)
+
+
 def c3_head(trunc):
     return {ext((n,)): (L * L) / LM1 for n in range(1, trunc + 1)}
 
@@ -82,7 +91,7 @@ class TestHeads:
         g, rg = new.pleth_exp(f), ref.pleth_exp(rf)
         assert_same(g, rg)
         assert_same(new.pleth_log(g), ref.pleth_log(rg))
-        assert_same(new.torus_inverse(g), ref.torus_inverse(rg))
+        assert_inverse(g, rg)
 
     @pytest.mark.parametrize("trunc", TRUNCS)
     def test_exp_log_conifold(self, trunc):
@@ -95,7 +104,7 @@ class TestHeads:
     def test_jordan_universal(self, trunc):
         g, rg = pair(JORDAN, trunc, universal_trivial(JORDAN, trunc).series.coeffs)
         assert_same(new.pleth_log(g), ref.pleth_log(rg))
-        assert_same(new.torus_inverse(g), ref.torus_inverse(rg))
+        assert_inverse(g, rg)
         assert_same(new.torus_mul(g, g), ref.torus_mul(rg, rg))
 
     @pytest.mark.parametrize("trunc", TRUNCS)
@@ -108,13 +117,14 @@ class TestHeads:
                                               new.nu_weights(fq, 1)).coeffs)
         dn, rdn = pair(fq, trunc, new.s_twist(new.TorusSeries(fq, trunc, bu),
                                               new.nu_weights(fq, -1)).coeffs)
-        inv, rinv = new.torus_inverse(dn), ref.torus_inverse(rdn)
-        assert_same(inv, rinv)
-        assert_same(new.torus_mul(up, inv), ref.torus_mul(rup, rinv))
+        rinv = ref.torus_inverse(rdn)
+        assert_inverse(dn, rdn)
+        assert_same(new.torus_div(up, dn), ref.torus_mul(rup, rinv))
+        assert_same(new.torus_div(up, dn, left=True), ref.torus_mul(rinv, rup))
         zero = (0,) * fq.n_vertices
         starred = {**bu, ext(zero, 1): -V / LM1, ext((1,) + zero[1:], 1): ONE / LM2}
         s, rs = pair(fq, trunc, starred)
-        assert_same(new.torus_inverse(s), ref.torus_inverse(rs))
+        assert_inverse(s, rs)
         assert_same(new.torus_mul(s, up), ref.torus_mul(rs, rup))
         assert_same(outcome(new.pleth_log, s), outcome(ref.pleth_log, rs))
 
@@ -181,14 +191,12 @@ class TestRandom:
     @settings(max_examples=100)
     @given(series_pairs(TWISTED, (0, 1), constant=ONE))
     def test_inverse_twisted(self, fs):
-        f, rf = fs
-        assert_same(new.torus_inverse(f), ref.torus_inverse(rf))
+        assert_inverse(*fs)
 
     @settings(max_examples=100)
     @given(series_pairs(COMMUTING, (0,), constant=V / LM2))
     def test_inverse_constant_not_one(self, fs):
-        f, rf = fs
-        assert_same(new.torus_inverse(f), ref.torus_inverse(rf))
+        assert_inverse(*fs)
 
     @settings(max_examples=100)
     @given(series_pairs(COMMUTING, (0,)))
@@ -225,50 +233,73 @@ def on_torus(draw, fq, trunc, stars, constant):
     return pair(fq, trunc, coeffs)
 
 
+@st.composite
+def quotients(draw):
+    """f and a divisor g on one torus in both kernels; g's constant term is
+    1, -1, a non-unit, 1/2 or missing."""
+    quivers, stars = draw(st.sampled_from([(COMMUTING, (0,)), (TWISTED, (0, 1))]))
+    f, rf = draw(series_pairs(quivers, stars))
+    c0 = draw(st.sampled_from([ONE, -ONE, V / LM2, Scalar.of(Fraction(1, 2)), None]))
+    return (f, rf) + draw(on_torus(f.fq, f.trunc, stars, c0))
+
+
+@st.composite
+def half_space_quotients(draw):
+    """f, a divisor g and keep = {k : phi(k) >= t} for a linear phi <= 0 on
+    g's keys, so keep accepts k - e whenever it accepts k."""
+    quivers, stars = draw(st.sampled_from([(COMMUTING, (0,)), (TWISTED, (0, 1))]))
+    f, rf = draw(series_pairs(quivers, stars))
+    fq, trunc = f.fq, f.trunc
+    weights = draw(st.lists(st.integers(-2, 2), min_size=fq.n_vertices + 1,
+                            max_size=fq.n_vertices + 1))
+
+    def phi(key):
+        return sum(w * a for w, a in zip(weights, key.unframed)) + weights[-1] * key.star
+
+    t = draw(st.integers(-4, 2))
+    keys = [k for k in keys_of(fq, trunc, stars) if phi(k) <= 0]
+    picks = draw(st.lists(st.tuples(st.sampled_from(keys), st.sampled_from(POOL)),
+                          max_size=6)) if keys else []
+    coeffs = {ext((0,) * fq.n_vertices): draw(st.sampled_from([ONE, V / LM2]))}
+    for key, c in picks:
+        coeffs[key] = coeffs.get(key, Scalar.of(0)) + c
+    return (f, rf) + pair(fq, trunc, coeffs) + (lambda key: phi(key) >= t,)
+
+
 class TestQuotientAndPassThrough:
-    """torus_div against the reference's product with the inverse, also on a
-    half-space of keys, and the unit-constant pass-through of torus_mul."""
+    """torus_div against the reference's product with the inverse, on either
+    side, also on a half-space of keys, and the unit-constant pass-through
+    of torus_mul."""
 
     @settings(max_examples=100)
-    @given(st.data())
-    def test_div(self, data):
-        quivers, stars = data.draw(st.sampled_from([(COMMUTING, (0,)), (TWISTED, (0, 1))]))
-        f, rf = data.draw(series_pairs(quivers, stars))
-        c0 = data.draw(st.sampled_from([ONE, -ONE, V / LM2, Scalar.of(Fraction(1, 2)), None]))
-        g, rg = data.draw(on_torus(f.fq, f.trunc, stars, c0))
+    @given(quotients())
+    def test_div(self, draws):
+        f, rf, g, rg = draws
         want = outcome(lambda rg: ref.torus_mul(rf, ref.torus_inverse(rg)), rg)
         assert_same(outcome(lambda g: new.torus_div(f, g), g), want)
         if not isinstance(want, str):
-            assert_same(new.torus_inverse(g), ref.torus_inverse(rg))
+            assert_inverse(g, rg)
 
     @settings(max_examples=100)
-    @given(st.data())
-    def test_div_on_a_half_space(self, data):
-        # keep = {k : phi(k) >= t} for a linear phi <= 0 on g's keys, so keep
-        # accepts k - e whenever it accepts k
-        quivers, stars = data.draw(st.sampled_from([(COMMUTING, (0,)), (TWISTED, (0, 1))]))
-        f, rf = data.draw(series_pairs(quivers, stars))
-        fq, trunc = f.fq, f.trunc
-        weights = data.draw(st.lists(st.integers(-2, 2), min_size=fq.n_vertices + 1,
-                                     max_size=fq.n_vertices + 1))
+    @given(quotients())
+    def test_left_div(self, draws):
+        f, rf, g, rg = draws
+        want = outcome(lambda rg: ref.torus_mul(ref.torus_inverse(rg), rf), rg)
+        assert_same(outcome(lambda g: new.torus_div(f, g, left=True), g), want)
 
-        def phi(key):
-            return sum(w * a for w, a in zip(weights, key.unframed)) + weights[-1] * key.star
-
-        t = data.draw(st.integers(-4, 2))
-        keys = [k for k in keys_of(fq, trunc, stars) if phi(k) <= 0]
-        picks = data.draw(st.lists(st.tuples(st.sampled_from(keys), st.sampled_from(POOL)),
-                                   max_size=6)) if keys else []
-        coeffs = {ext((0,) * fq.n_vertices): data.draw(st.sampled_from([ONE, V / LM2]))}
-        for key, c in picks:
-            coeffs[key] = coeffs.get(key, Scalar.of(0)) + c
-        g, rg = pair(fq, trunc, coeffs)
-
-        def keep(key):
-            return phi(key) >= t
-
+    @settings(max_examples=100)
+    @given(half_space_quotients())
+    def test_div_on_a_half_space(self, draws):
+        f, rf, g, rg, keep = draws
         want = ref.torus_mul(rf, ref.torus_inverse(rg)).restrict(keep)
         assert_same(new.torus_div(f, g, keep), want)
+
+    @settings(max_examples=100)
+    @given(half_space_quotients())
+    def test_left_div_on_a_half_space(self, draws):
+        f, rf, g, rg, keep = draws
+        want = ref.torus_mul(ref.torus_inverse(rg), rf).restrict(keep)
+        assert_same(new.torus_div(f, g, keep, left=True), want)
 
     def test_div_on_a_half_space_forms_no_other_key(self):
         # framed_at's case: a divisor of slope <= 1/2 at theta = (1, 0), and
@@ -340,3 +371,23 @@ def test_framed_slope_line(name, fq, thetas, _, N):
                 got = framed_at(fq, bu, theta, N, c, side, mu).series
                 assert got.coeffs == reference_framed(fq, parts, theta, N, c, side, mu), \
                     (theta, c, mu, side)
+
+
+@pytest.mark.parametrize("fq", [KRON, CONIFOLD], ids=["kronecker", "conifold"])
+def test_wallcross_onto_the_minus_side(fq):
+    """exact_to_minus and plus_to_minus, a left quotient by S_nu(B), against
+    the reference's S_nu(B)^{-1} . A_exact at the wall c = mu = 1/2, where
+    A_exact = A_plus . S_{-nu}(B) on the plus side."""
+    N = 5
+    bu = universal_for(fq, N)
+    B = hn_factorize(bu, (1, 0), N)[HALF]
+    rb = ref.TorusSeries(fq, N, B.coeffs)
+    snu_inv = ref.torus_inverse(ref.s_twist(rb, ref.nu_weights(fq, 1)))
+    sdn = ref.s_twist(rb, ref.nu_weights(fq, -1))
+    for src in ("exact", "plus"):
+        a = framed_at(fq, bu, (1, 0), N, HALF, src, HALF)
+        exact = ref.TorusSeries(fq, N, a.series.coeffs)
+        if src == "plus":
+            exact = ref.torus_mul(exact, sdn)
+        got = general_wallcross(a, B, f"{src}_to_minus").series
+        assert_same(got, ref.torus_mul(snu_inv, exact))

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from quiverdt.quiver import jordan_quiver, kronecker_quiver, sub_vectors
 from quiverdt.stability import (MINUS_INF, PLUS_INF, StabilityParams,
-                                WallList, check_alpha, find_walls, resolve_side,
-                                theta_slope)
+                                WallList, check_alpha, check_theta, find_walls,
+                                resolve_side, theta_slope)
 
 KRON = kronecker_quiver()
 JORDAN = jordan_quiver()
@@ -43,6 +43,17 @@ class TestSlope:
     def test_zero_class(self):
         with pytest.raises(ZeroDivisionError):
             theta_slope((1, 0), (0, 0))
+
+    def test_int_and_fraction_theta_agree(self):
+        # callers pass ints or check_theta's Fractions; both give one slope
+        for theta in [(1, 0), (2, -1), (0, 3)]:
+            frac = check_theta(KRON, theta)
+            for d in [(1, 0), (1, 1), (2, 3)]:
+                assert theta_slope(theta, d) == theta_slope(frac, d)
+                for c in (Fraction(1, 2), 0, -2):
+                    got = theta_slope(theta, d, c)
+                    assert got == theta_slope(frac, d, c)
+                    assert type(got) is Fraction
 
 
 class TestFindWalls:

@@ -2,21 +2,20 @@ from fractions import Fraction
 
 import pytest
 
+from reference_hn import transfer_slope_product, truncate_tau
 from quiverdt import hn, qtorus, wallcross
-from quiverdt.hn import hn_factorize, remultiply_check, universal_for
+from quiverdt.hn import hn_factorize, slope_ladder, universal_for
 from quiverdt.quiver import (c3_quiver, conifold_quiver, dim_vectors_up_to, ext,
                              jordan_quiver, kronecker_quiver, loop_quiver, tits_form)
 from quiverdt.qtorus import (TorusSeries, nu_weights, pleth_exp, pleth_log,
-                             s_twist, torus_inverse, torus_mul, torus_product,
-                             truncate_tau)
+                             s_twist, torus_div, torus_mul)
 from quiverdt.scalar import L, ONE, Scalar, V
 from quiverdt.stability import MINUS_INF, PLUS_INF, StabilityParams
 from quiverdt.wallcross import (DIRECTIONS, DTInvariants,
                                 FramedSeries, dt_omega, euler_transfer,
                                 framed_at, general_wallcross, ncdt,
                                 smooth_model_motive, smooth_model_series,
-                                transfer_series, transfer_slope_product,
-                                uniform_series)
+                                transfer_series, uniform_series)
 
 JORDAN = jordan_quiver()
 KRON = kronecker_quiver()
@@ -25,6 +24,10 @@ HALF = Fraction(1, 2)
 
 def jordan_BU(N=4):
     return universal_for(JORDAN, N)
+
+
+def inverse(g):
+    return torus_div(TorusSeries.one(g.fq, g.trunc), g)
 
 
 class TestTransferSeries:
@@ -59,9 +62,9 @@ def count_calls(monkeypatch, name="torus_mul"):
     calls = []
     fn = getattr(qtorus, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(None)
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     for module in (qtorus, hn, wallcross):
         if hasattr(module, name):
@@ -78,48 +81,24 @@ def product_from_one(fq, N, factors):
 
 
 class TestSlopeProducts:
-    """A product of k slope factors costs k - 1 torus_mul calls, and the
-    result is the product started from one; a crossing factor and a uniform
-    series are one torus_div each, the latter with its products read off
-    the slope ladder."""
+    """The split is one left torus_div per rung and no torus_mul; a uniform
+    series is one torus_div, its products read off the slope ladder and
+    equal to the products started from one."""
 
     def setup_method(self):
         self.bu = universal_for(KRON, 4)
         self.parts = hn_factorize(self.bu, (1, 0), 4)
         self.slopes = sorted(self.parts, reverse=True)
 
-    def test_torus_product(self, monkeypatch):
-        factors = [self.parts[b] for b in self.slopes]
-        want = [product_from_one(KRON, 4, factors[:k]) for k in range(len(factors) + 1)]
-        calls = count_calls(monkeypatch)
-        for k in range(len(factors) + 1):
-            calls.clear()
-            assert torus_product(KRON, 4, factors[:k]) == want[k]
-            assert len(calls) == max(k - 1, 0)
-
-    def test_remultiply_check(self, monkeypatch):
-        calls = count_calls(monkeypatch)
-        assert remultiply_check(self.parts, self.bu)
-        assert len(calls) == len(self.parts) - 1
-
-    def test_transfer_slope_product(self, monkeypatch):
-        fq = conifold_quiver()
-        parts = hn_factorize(universal_for(fq, 4), (1, 0), 4)
-        slopes = sorted(parts, reverse=True)
-        cuts = [None] + slopes  # keep the slopes above each cut
-        want = [product_from_one(fq, 4, [transfer_series(parts[b], fq)
-                                         for b in slopes if cut is None or b > cut])
-                for cut in cuts]
+    def test_split_solves_once_per_rung(self, monkeypatch):
+        # each rung but the last peels its piece off the rest by one left
+        # solve; the last rest is 1 and costs nothing
+        bu = universal_for(KRON, 5)
         calls = count_calls(monkeypatch)
         divs = count_calls(monkeypatch, "torus_div")
-        for cut, expected in zip(cuts, want):
-            calls.clear()
-            divs.clear()
-            got = transfer_slope_product(fq, parts, 4, lambda b: cut is None or b > cut)
-            k = sum(cut is None or b > cut for b in slopes)
-            assert got == expected
-            # one torus_div for each transfer series, k - 1 torus_mul between them
-            assert (len(divs), len(calls)) == (k, max(k - 1, 0))
+        ladder = slope_ladder(bu, (1, 0), 5)
+        assert len(ladder) > 2 and ladder[-1][2] == TorusSeries.one(KRON, 5)
+        assert (len(calls), len(divs)) == (0, len(ladder) - 1)
 
     def test_uniform_series(self, monkeypatch):
         levels = [MINUS_INF, PLUS_INF, Fraction(1, 3)] + self.slopes
@@ -236,7 +215,7 @@ class TestUniformSeries:
         left = below if side == "minus" else upto
         right = upto if side == "plus" else below
         want = torus_mul(s_twist(left, nu_weights(KRON, 1)),
-                         torus_inverse(s_twist(right, nu_weights(KRON, -1))))
+                         inverse(s_twist(right, nu_weights(KRON, -1))))
         assert uniform_series(KRON, bu, (1, 0), HALF, side) == want
 
     def test_sides_differ_on_a_slope(self):
@@ -324,7 +303,7 @@ class TestWallCrossingTheorem:
         above = transfer_slope_product(fq, parts, 4, lambda b: b > HALF)
         thru = transfer_slope_product(fq, parts, 4, lambda b: b <= HALF)
         assert truncate_tau(below, theta, HALF, HALF) == a_minus
-        lifted = torus_mul(torus_inverse(above), a_top)
+        lifted = torus_mul(inverse(above), a_top)
         assert truncate_tau(lifted, theta, HALF, HALF) == a_plus
         assert truncate_tau(thru, theta, HALF, HALF) == \
             truncate_tau(lifted, theta, HALF, HALF)
@@ -341,7 +320,7 @@ class TestSecondRoutes:
     def test_transfer_is_twisted_cyclic_product(self, name):
         fq = SYMMETRIC[name]
         B = universal_for(fq, 6).series
-        cyclic = torus_mul(s_twist(B, nu_weights(fq, 2)), torus_inverse(B))
+        cyclic = torus_mul(s_twist(B, nu_weights(fq, 2)), inverse(B))
         assert transfer_series(B, fq) == s_twist(cyclic, nu_weights(fq, -1))
 
     def test_ncdt_is_exp_of_twisted_log(self, name):
