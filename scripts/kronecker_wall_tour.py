@@ -33,7 +33,7 @@ def main():
     bu = universal_for(fq, N)
     parts = hn_factorize(bu, theta, N)
 
-    walls = find_walls(fq, theta, (1, 1), max(N, 2)).walls
+    walls = find_walls(fq, theta, (1, 1), max(N, 2))
     print(f"# walls for (1, 1): {' '.join(str(w) for w in walls)}")
 
     for c in walls:

@@ -171,8 +171,8 @@ def _dispatch(job: JobSpec):
         if job.alpha is None:
             raise CLIError("walls needs --alpha")
         theta = _theta_for(job, fq)
-        wl = find_walls(fq, theta, job.alpha, max(N, sum(job.alpha)))
-        return 0, " ".join(str(w) for w in wl.walls)
+        walls = find_walls(fq, theta, job.alpha, max(N, sum(job.alpha)))
+        return 0, " ".join(str(w) for w in walls)
 
     if sub == "ncdt":
         return 0, format_series(ncdt(fq, universal_for(fq, N)), job.fmt)

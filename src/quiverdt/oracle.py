@@ -10,8 +10,8 @@ over one kernel, _invariant_runs, which yields each set of arrow-invariant
 subspace tuples that occurs, as a bitmask over the candidate tuples, with
 the number of matrix tuples that have it.  The three share one path to it:
 _config checks alpha and theta against the quiver and refuses a q mismatch
-and a class above the dimension cap, _level resolves c-plus and c-minus,
-and the two counts go through _points.
+and a class above the dimension cap, _slope_tests reads c-plus and c-minus
+as c + eps and c - eps, and the two counts go through _points.
 
 - The points of F_q^n are numbered in itertools.product order, and each
   subspace is stored as the int bitmask of its members.
@@ -66,7 +66,7 @@ from functools import cache, lru_cache, partial
 from .quiver import ExtDimVector, FramedQuiver, Record, ext, sub_vectors
 from .scalar import Scalar
 from .stability import (MINUS_INF, PLUS_INF, StabilityParams, check_alpha,
-                        check_theta, find_walls, resolve_side, theta_slope)
+                        check_theta, theta_slope)
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -371,29 +371,27 @@ def _config(fq: FramedQuiver, cfg: FiniteFieldConfig | None, q: int, alpha,
     return cfg, alpha, theta
 
 
-def _level(fq: FramedQuiver, theta, alpha, c, side: str) -> Fraction:
-    """c itself, or a rational realizing c-plus or c-minus for alpha's walls."""
-    if side == "exact":
-        return Fraction(c)
-    return resolve_side(find_walls(fq, theta, alpha, sum(alpha)), c, side)
-
-
 def _never(d) -> bool:
     return False
 
 
-def _slope_tests(slope, theta, alpha, c, semistable: bool):
-    """(bad_if, watch_if) for the class (alpha, 1) at level c, or alpha alone
-    when c is None: a class destabilizes when its slope is above alpha's, or
-    equal to it when stability rather than semistability is tested.  slope
-    is the calling entry point's cached unframed slope."""
+def _slope_tests(slope, theta, alpha, c, side: str, semistable: bool):
+    """(bad_if, watch_if) for the class (alpha, 1) at level c + s eps, or
+    alpha alone when c is None: a class destabilizes when its slope is above
+    alpha's, or equal to it when stability rather than semistability is
+    tested.  s is 0, 1 or -1 on side exact, plus or minus, for every small
+    eps > 0: a framed class (d, 1) gains s eps / (|d| + 1) and an unframed
+    one nothing, so the tests compare the pairs (slope at c, eps-coefficient)
+    lexicographically.  slope is the entry point's cached unframed slope."""
     beats = operator.gt if semistable else operator.ge
     if c is None:
         target = slope(alpha)
         return (lambda d: beats(slope(d), target)), _never
-    framed = cache(lambda d: theta_slope(theta, d, c))  # once per class
+    s = {"exact": 0, "plus": 1, "minus": -1}[side]
+    # once per class
+    framed = cache(lambda d: (theta_slope(theta, d, c), Fraction(s, sum(d) + 1)))
     target = framed(alpha)
-    return (lambda d: beats(slope(d), target)), (lambda d: beats(framed(d), target))
+    return (lambda d: beats((slope(d), 0), target)), (lambda d: beats(framed(d), target))
 
 
 def _flagged(alpha, bad_if, watch_if):
@@ -446,9 +444,9 @@ def count_stack(fq: FramedQuiver, alpha, sp, q: int,
     else:
         # unframed slopes never see c; star 1: a subobject through the
         # framing destabilizes the framing tuples inside it
-        c = _level(fq, theta, a, sp.c, sp.side) if alpha.star else None
         slope = cache(partial(theta_slope, theta))  # once per class
-        tests = _slope_tests(slope, theta, a, c, semistable=True)
+        tests = _slope_tests(slope, theta, a, sp.c if alpha.star else None, sp.side,
+                             semistable=True)
     slots = _framing_slots(fq) if alpha.star else []
     group = math.prod(gl_order(ai, q) for ai in a) * (q - 1 if alpha.star else 1)
     return Fraction(_points(fq, a, q, cfg, slots, *tests), group)
@@ -462,21 +460,21 @@ def count_framed_stable(fq: FramedQuiver, alpha, theta, c, side: str, q: int,
     trivial and the weighted count is #points / #GL_alpha: the number of
     F_q-points of the stable moduli space.
     """
-    cfg, alpha, theta = _config(fq, cfg, q, alpha, theta)
-    if c == MINUS_INF:
+    sp = StabilityParams(theta, c, side)
+    cfg, alpha, theta = _config(fq, cfg, q, alpha, sp.theta)
+    if sp.c == MINUS_INF:
         # the only minus-infinity stable object is the bare framing line
         return Fraction(1) if sum(alpha) == 0 else Fraction(0)
     if sum(alpha) == 0:
         return Fraction(1)
-    if c == PLUS_INF:
+    if sp.c == PLUS_INF:
         # plus infinity: no proper subobject may contain the framing
         tests = _never, (lambda d: True)
     else:
         # (alpha, 0) or (0, 1) is always flagged, since the slope of
         # (alpha, 1) is a weighted mean of theirs: this count always enumerates
         slope = cache(partial(theta_slope, theta))  # once per class
-        tests = _slope_tests(slope, theta, alpha, _level(fq, theta, alpha, c, side),
-                             semistable=False)
+        tests = _slope_tests(slope, theta, alpha, sp.c, sp.side, semistable=False)
     group = math.prod(gl_order(ai, q) for ai in alpha)
     return Fraction(_points(fq, alpha, q, cfg, _framing_slots(fq), *tests), group)
 
@@ -523,7 +521,7 @@ def hall_filtration_check(fq: FramedQuiver, alpha, theta, c, q: int,
     # left side, the classes count_stack flags: star-0 subobjects kill every
     # framing tuple, star-1 ones kill the framing tuples inside them
     bad_classes, watch_classes = _flagged(
-        alpha, *_slope_tests(slope, theta, alpha, c, semistable=True))
+        alpha, *_slope_tests(slope, theta, alpha, c, "exact", semistable=True))
     bad = sum(1 << p for p, d in enumerate(dims) if d in bad_classes)
     watch = [f if d in watch_classes else 0 for f, d in zip(fm, dims)]
 
@@ -537,7 +535,7 @@ def hall_filtration_check(fq: FramedQuiver, alpha, theta, c, q: int,
         gamma = tuple(a - x for a, x in zip(alpha, d))
         if sum(gamma) and gamma not in quotient:
             quotient[gamma] = _flagged(gamma, *_slope_tests(
-                slope, theta, gamma, _level(fq, theta, gamma, c, "minus"), semistable=False))
+                slope, theta, gamma, c, "minus", semistable=False))
         bad_q, watch_q = quotient.get(gamma, ((), ()))
         dead = above = 0
         for t, (m_t, e, n_e) in enumerate(zip(members, dims, sizes)):

@@ -1,10 +1,11 @@
-"""Stability data: slopes, wall enumeration, and concrete c-plus/minus values.
+"""Stability data: slopes, the caller's theta and class, and wall enumeration.
 
 The stability function is Z_c = -d + i r with d(alpha, star) = theta.alpha
 + c star and r = |alpha| + star.  A wall for alpha is a parameter c where
 some proper nonzero class below (alpha, 1) shares its slope; between walls
-every slope comparison is constant, so c-plus and c-minus can be realized
-as exact rationals.
+every slope comparison is constant.  The side tags plus and minus mean
+c + eps and c - eps for every small eps > 0; no rational stands in for them
+(the oracle compares slopes at c and their eps-coefficients).
 """
 
 from __future__ import annotations
@@ -36,13 +37,6 @@ class StabilityParams(Record):
 
     def is_finite(self) -> bool:
         return isinstance(self.c, Fraction)
-
-
-class WallList(Record):
-    __slots__ = ("alpha", "walls")  # walls strictly increasing Fractions
-
-    def __init__(self, alpha, walls):
-        self._set(walls=tuple(sorted(set(Fraction(w) for w in walls))), alpha=tuple(alpha))
 
 
 def theta_slope(theta, d, c=None) -> Fraction:
@@ -80,8 +74,9 @@ def check_alpha(fq: FramedQuiver, alpha) -> tuple:
     return alpha
 
 
-def find_walls(fq: FramedQuiver, theta, alpha, trunc: int) -> WallList:
-    """All c where some 0 < beta < (alpha, 1) matches the slope of (alpha, 1).
+def find_walls(fq: FramedQuiver, theta, alpha, trunc: int) -> tuple:
+    """All c where some 0 < beta < (alpha, 1) matches the slope of (alpha, 1),
+    as an increasing tuple of Fractions.
 
     For each such beta = (b, s) the matching condition is linear in c with
     nonzero leading coefficient s|alpha| - |b|, so each class contributes
@@ -103,23 +98,4 @@ def find_walls(fq: FramedQuiver, theta, alpha, trunc: int) -> WallList:
             denom = s * na - nb
             # denom = 0 would force beta = 0 or beta = (alpha, 1), both excluded
             walls.add(Fraction(ta * (nb + s) - tb * (na + 1), denom))
-    return WallList(alpha, tuple(sorted(walls)))
-
-
-def resolve_side(walls: WallList, c, side: str) -> Fraction:
-    """A concrete rational realizing c-plus or c-minus for the given wall set.
-
-    Step size: half the gap to the nearest distinct wall; with no other wall
-    in sight, 1/2 if c itself is a wall and 1 otherwise.  Either way the open
-    interval between c and the result contains no wall, so every slope
-    comparison in the region is constant on it.
-    """
-    c = Fraction(c)
-    if side not in ("plus", "minus"):
-        raise ValueError("resolve_side takes side plus or minus")
-    gaps = [abs(w - c) for w in walls.walls if w != c]
-    if gaps:
-        delta = min(gaps) / 2
-    else:
-        delta = Fraction(1, 2) if c in walls.walls else Fraction(1)
-    return c + delta if side == "plus" else c - delta
+    return tuple(sorted(walls))

@@ -131,6 +131,7 @@ def framed_at(fq: FramedQuiver, BU: UniversalSeries, theta, N: int,
     the infinities come from their characterizations directly: nothing but
     the bare framing line below all walls, the full cyclic series above them.
     """
+    theta = check_theta(fq, theta)
     if N > BU.series.trunc:
         raise ValueError("truncation exceeds the given universal series")
     params = StabilityParams(theta, c, side)

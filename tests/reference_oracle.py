@@ -6,6 +6,11 @@ imports, which name quiverdt here.  Its three entry points each enumerate
 matrix tuples, filter every subspace tuple by explicit matrix-vector products
 and loop over framing vectors, so it is slow but close to the definitions.
 Nothing under src/ imports it.
+
+It also holds resolve_side, which realizes c-plus and c-minus as a concrete
+rational half a gap away from the nearest wall.  quiverdt.oracle reads them
+as c + eps and c - eps instead, so the differential tests compare two
+independent derivations of the one-sided levels.
 """
 
 from __future__ import annotations
@@ -18,8 +23,7 @@ from functools import lru_cache
 
 from quiverdt.quiver import ExtDimVector, FramedQuiver, ext, sub_vectors
 from quiverdt.scalar import Scalar
-from quiverdt.stability import (MINUS_INF, PLUS_INF, StabilityParams, find_walls,
-                        resolve_side)
+from quiverdt.stability import MINUS_INF, PLUS_INF, StabilityParams, find_walls
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -44,6 +48,25 @@ class FiniteFieldConfig:
             raise ValueError("q must be a prime at most 5")
         if not 1 <= self.max_total_dim <= 4:
             raise ValueError("max_total_dim must be between 1 and 4")
+
+
+def resolve_side(walls, c, side: str) -> Fraction:
+    """A concrete rational realizing c-plus or c-minus for the given wall set.
+
+    Step size: half the gap to the nearest distinct wall; with no other wall
+    in sight, 1/2 if c itself is a wall and 1 otherwise.  Either way the open
+    interval between c and the result contains no wall, so every slope
+    comparison in the region is constant on it.
+    """
+    c = Fraction(c)
+    if side not in ("plus", "minus"):
+        raise ValueError("resolve_side takes side plus or minus")
+    gaps = [abs(w - c) for w in walls if w != c]
+    if gaps:
+        delta = min(gaps) / 2
+    else:
+        delta = Fraction(1, 2) if c in walls else Fraction(1)
+    return c + delta if side == "plus" else c - delta
 
 
 def gl_order(n: int, q: int) -> int:

@@ -177,7 +177,7 @@ def test_criterion_7_walls_are_finite_and_intervals_are_stable():
               (kronecker_quiver(), (-1, 2))]
     for fq, theta in setups:
         for alpha in dim_vectors_up_to(fq.n_vertices, 6):
-            walls = find_walls(fq, theta, alpha, 6).walls
+            walls = find_walls(fq, theta, alpha, 6)
             if not sum(alpha):
                 assert walls == ()
                 continue

@@ -87,10 +87,17 @@ class TestRefusals:
          "dimension vector entry 1.5 is not an integer"),
         (lambda: count_stack(KRON, (1, 1.5), StabilityParams((1, 0)), 2),
          "dimension vector entry 1.5 is not an integer"),
+        (lambda: count_framed_stable(KRON, (1, 1), (1, 0), HALF, "left", 2),
+         r"side must be one of \('exact', 'plus', 'minus'\)"),
+        (lambda: count_framed_stable(KRON, (1, 1), (1, 0), PLUS_INF, "plus", 2),
+         "side tags need a finite c"),
+        (lambda: count_framed_stable(KRON, (1, 1), (1, 0), MINUS_INF, "minus", 2),
+         "side tags need a finite c"),
     ], ids=["stack-theta", "stack-framed-theta", "stable-theta", "stable-minus-inf-theta",
             "hall-theta", "stack-alpha-3", "stack-alpha-1", "stable-alpha-1",
             "stable-plus-inf-alpha-3", "hall-alpha-1", "stable-negative", "hall-negative",
-            "stable-fraction", "hall-fraction", "stack-fraction", "stack-semistable-fraction"])
+            "stable-fraction", "hall-fraction", "stack-fraction", "stack-semistable-fraction",
+            "stable-unknown-side", "stable-plus-inf-side", "stable-minus-inf-side"])
     def test_one_line_value_error(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()

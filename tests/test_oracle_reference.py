@@ -7,16 +7,19 @@ arguments, across quivers with several arrows and several framing slots,
 stability data on and off the walls on every side, and both infinities.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache, partial
 
 import pytest
 
 import reference_oracle as ref
 from quiverdt import oracle
-from quiverdt.quiver import (FramedQuiver, Quiver, ext, jordan_quiver,
-                             kronecker_quiver, loop_quiver)
-from quiverdt.stability import MINUS_INF, PLUS_INF, StabilityParams, find_walls
+from quiverdt.quiver import (FramedQuiver, Quiver, dim_vectors_up_to, ext,
+                             jordan_quiver, kronecker_quiver, loop_quiver)
+from quiverdt.stability import (MINUS_INF, PLUS_INF, StabilityParams, find_walls,
+                                theta_slope)
 
 QUIVERS = {
     "jordan": jordan_quiver(),
@@ -55,7 +58,7 @@ THETAS = {1: [(Fraction(0),), (Fraction(1),)],
 def levels(fq, theta, alpha):
     """The outer walls of alpha, a level between the first two, and one
     level beyond each end."""
-    walls = list(find_walls(fq, theta, alpha, sum(alpha)).walls)
+    walls = list(find_walls(fq, theta, alpha, sum(alpha)))
     between = [(walls[0] + walls[1]) / 2] if len(walls) > 1 else []
     return sorted({walls[0], walls[-1]}) + between + [walls[0] - 1, walls[-1] + 1]
 
@@ -129,3 +132,45 @@ def test_invariant_tuples_agree(case):
         for mats in ref._enumerate_matrices(shape, q))
     assert got == want
     assert sum(got.values()) == q ** sum(alpha[i] * alpha[j] for i, j in arrows)
+
+
+def one_sided_inputs():
+    """(theta, alpha, walls, levels): for 1, 2 and 3 vertices, the
+    zero and the all-ones theta (every class on one slope) and three drawn
+    ones; every class of total at most 6 (5 on three vertices); every wall,
+    each midpoint between neighbouring walls, and one level beyond each end.
+    Walls and slopes see only theta and the classes, so the quivers have
+    no arrows."""
+    rng = random.Random(20261019)
+    for n, top in [(1, 6), (2, 6), (3, 5)]:
+        fq = FramedQuiver(Quiver(n, ((0,) * n,) * n), (1,) + (0,) * (n - 1))
+        thetas = [(Fraction(0),) * n, (Fraction(1),) * n] + [
+            tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+            for _ in range(3)]
+        for theta in thetas:
+            for alpha in dim_vectors_up_to(n, top):
+                if sum(alpha):
+                    walls = find_walls(fq, theta, alpha, sum(alpha))
+                    mids = [(a + b) / 2 for a, b in zip(walls, walls[1:])]
+                    yield theta, alpha, walls, [*walls, *mids, walls[0] - 1, walls[-1] + 1]
+
+
+def test_one_sided_flags_match_concrete_levels():
+    """The oracle reads c-plus and c-minus as c + eps and c - eps; the
+    reference realizes them as a rational between walls.  Both give the
+    same flagged classes, for semistability and stability, with no matrix
+    enumerated."""
+    checked = 0
+    for theta, alpha, walls, cs in one_sided_inputs():
+        slope = cache(partial(theta_slope, theta))
+        for c in cs:
+            for side in ("plus", "minus"):
+                concrete = ref.resolve_side(walls, c, side)
+                for semistable in (True, False):
+                    got = oracle._flagged(alpha, *oracle._slope_tests(
+                        slope, theta, alpha, c, side, semistable))
+                    want = oracle._flagged(alpha, *oracle._slope_tests(
+                        slope, theta, alpha, concrete, "exact", semistable))
+                    assert got == want, (theta, alpha, c, side, semistable)
+                    checked += 1
+    assert checked > 10 ** 4

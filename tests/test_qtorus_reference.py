@@ -364,7 +364,7 @@ def test_framed_slope_line(name, fq, thetas, _, N):
     for theta in thetas:
         parts = ref_hn.hn_split(bu.series, tuple(Fraction(t) for t in theta), N)
         levels = {(c, theta_slope(theta, a, c))
-                  for a in alphas for c in find_walls(fq, theta, a, N).walls}
+                  for a in alphas for c in find_walls(fq, theta, a, N)}
         levels |= {(c, mu) for mu in hn_ref.between(sorted(parts)) for c in (mu, mu + 1)}
         for c, mu in sorted(levels):
             for side in SIDES:

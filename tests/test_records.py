@@ -18,7 +18,7 @@ from quiverdt.hn import UniversalSeries, hn_factorize, universal_for
 from quiverdt.oracle import FiniteFieldConfig
 from quiverdt.qtorus import TorusSeries
 from quiverdt.quiver import FramedQuiver, Quiver, jordan_quiver, kronecker_quiver
-from quiverdt.stability import PLUS_INF, StabilityParams, WallList, find_walls
+from quiverdt.stability import PLUS_INF, StabilityParams
 from quiverdt.wallcross import DTInvariants, FramedSeries, dt_omega, framed_at
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,10 +46,6 @@ class TestRepr:
         assert repr(FiniteFieldConfig(2, budget=5)) == (
             "FiniteFieldConfig(q=2, max_total_dim=4, budget=5)")
 
-    def test_wall_list(self):
-        assert repr(find_walls(kronecker_quiver(), (1, 0), (1, 1), 2)) == (
-            "WallList(alpha=(1, 1), walls=(Fraction(-1, 1), Fraction(1, 2), Fraction(2, 1)))")
-
     def test_universal_series_leaves_out_the_memo(self):
         bu = _jordan_bu()
         before = repr(bu)
@@ -75,7 +71,6 @@ HASHABLE = [
     lambda: kronecker_quiver(),
     lambda: StabilityParams((1, 0), Fraction(1, 2), "minus"),
     lambda: StabilityParams((0,), PLUS_INF),
-    lambda: WallList((1, 1), (2, Fraction(1, 2), 2)),
     lambda: FiniteFieldConfig(3, 2, 10),
 ]
 
@@ -124,7 +119,7 @@ class TestValueSemantics:
 
     @pytest.mark.parametrize("make, name", [
         (HASHABLE[0], "arrows"), (HASHABLE[1], "w"), (HASHABLE[2], "c"),
-        (HASHABLE[4], "walls"), (HASHABLE[5], "budget"),
+        (HASHABLE[4], "budget"),
         (UNHASHABLE[0], "coeffs"), (UNHASHABLE[1], "source"),
         (UNHASHABLE[2], "mu"), (UNHASHABLE[3], "trunc"),
     ])
@@ -145,7 +140,6 @@ class TestConstruction:
         sp = StabilityParams(theta=[1, 0], c="1/2", side="plus")
         assert sp.theta == (1, 0) and sp.c == Fraction(1, 2)
         assert StabilityParams((0,)).c == 0 and StabilityParams((0,)).side == "exact"
-        assert WallList(alpha=[1], walls=[1, 0, 1]).walls == (0, 1)
         cfg = FiniteFieldConfig(q=5, max_total_dim=1, budget=7)
         assert (cfg.q, cfg.max_total_dim, cfg.budget) == (5, 1, 7)
         series = TorusSeries(fq=jordan_quiver(), trunc=1, coeffs={})

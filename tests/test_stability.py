@@ -5,9 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quiverdt.quiver import jordan_quiver, kronecker_quiver, sub_vectors
-from quiverdt.stability import (MINUS_INF, PLUS_INF, StabilityParams,
-                                WallList, check_alpha, check_theta, find_walls,
-                                resolve_side, theta_slope)
+from quiverdt.stability import (MINUS_INF, PLUS_INF, StabilityParams, check_alpha,
+                                check_theta, find_walls, theta_slope)
+from reference_oracle import resolve_side
 
 KRON = kronecker_quiver()
 JORDAN = jordan_quiver()
@@ -58,14 +58,14 @@ class TestSlope:
 
 class TestFindWalls:
     def test_kronecker_example(self):
-        wl = find_walls(KRON, (1, 0), (1, 1), 4)
-        assert wl.walls == (Fraction(-1), Fraction(1, 2), Fraction(2))
+        walls = find_walls(KRON, (1, 0), (1, 1), 4)
+        assert walls == (Fraction(-1), Fraction(1, 2), Fraction(2))
 
     def test_jordan_degenerate_theta(self):
-        assert find_walls(JORDAN, (0,), (3,), 4).walls == (Fraction(0),)
+        assert find_walls(JORDAN, (0,), (3,), 4) == (Fraction(0),)
 
     def test_zero_class_has_no_walls(self):
-        assert find_walls(KRON, (1, 0), (0, 0), 4).walls == ()
+        assert find_walls(KRON, (1, 0), (0, 0), 4) == ()
 
     @pytest.mark.parametrize("theta, alpha, message", [
         ((1,), (1, 1), "theta must list one weight per vertex: got 1 for 2 vertices"),
@@ -89,8 +89,7 @@ class TestFindWalls:
 
     def test_walls_on_each_wall_some_slope_matches(self):
         alpha = (1, 1)
-        wl = find_walls(KRON, (1, 0), alpha, 4)
-        for w in wl.walls:
+        for w in find_walls(KRON, (1, 0), alpha, 4):
             target = theta_slope((1, 0), alpha, w)
             hit = any(theta_slope((1, 0), b, w if s else None) == target
                       for b in sub_vectors(alpha) for s in (0, 1)
@@ -100,41 +99,42 @@ class TestFindWalls:
     @given(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
            st.tuples(st.integers(0, 2), st.integers(0, 2)))
     def test_walls_sorted_and_finite(self, theta, alpha):
-        wl = find_walls(KRON, theta, alpha, 4)
-        assert list(wl.walls) == sorted(set(wl.walls))
-        assert len(wl.walls) <= sum(1 for b in sub_vectors(alpha) for _ in (0, 1))
+        walls = find_walls(KRON, theta, alpha, 4)
+        assert list(walls) == sorted(set(walls))
+        assert len(walls) <= sum(1 for b in sub_vectors(alpha) for _ in (0, 1))
 
 
 class TestResolveSide:
+    """The reference oracle's concrete c-plus and c-minus."""
+
     def test_single_wall_at_c(self):
-        assert resolve_side(WallList((1,), (0,)), 0, "plus") == Fraction(1, 2)
+        assert resolve_side((Fraction(0),), 0, "plus") == Fraction(1, 2)
 
     def test_nearest_gap_rule(self):
-        wl = WallList((1,), (0, 1))
-        assert resolve_side(wl, 0, "plus") == Fraction(1, 2)
-        assert resolve_side(wl, 0, "minus") == Fraction(-1, 2)
+        walls = (Fraction(0), Fraction(1))
+        assert resolve_side(walls, 0, "plus") == Fraction(1, 2)
+        assert resolve_side(walls, 0, "minus") == Fraction(-1, 2)
 
     def test_no_walls(self):
-        assert resolve_side(WallList((1,), ()), 5, "minus") == 4
+        assert resolve_side((), 5, "minus") == 4
 
     def test_between_walls(self):
-        wl = WallList((1, 1), (-1, Fraction(1, 2), 2))
-        assert resolve_side(wl, Fraction(1, 2), "plus") == Fraction(5, 4)
-        assert resolve_side(wl, Fraction(1, 2), "minus") == Fraction(-1, 4)
+        walls = (Fraction(-1), Fraction(1, 2), Fraction(2))
+        assert resolve_side(walls, Fraction(1, 2), "plus") == Fraction(5, 4)
+        assert resolve_side(walls, Fraction(1, 2), "minus") == Fraction(-1, 4)
 
     def test_rejects_exact(self):
         with pytest.raises(ValueError, match="plus or minus"):
-            resolve_side(WallList((1,), ()), 0, "exact")
+            resolve_side((), 0, "exact")
 
     @given(st.lists(st.fractions(min_value=-3, max_value=3), max_size=4),
            st.fractions(min_value=-3, max_value=3),
            st.sampled_from(["plus", "minus"]))
     def test_no_wall_strictly_between(self, walls, c, side):
-        wl = WallList((1,), tuple(walls))
-        r = resolve_side(wl, c, side)
+        r = resolve_side(tuple(walls), c, side)
         lo, hi = min(c, r), max(c, r)
         assert r != c
-        assert not any(lo < w < hi for w in wl.walls)
+        assert not any(lo < w < hi for w in walls)
 
 
 class TestComparisonConstancy:
@@ -151,7 +151,7 @@ class TestComparisonConstancy:
 
     def test_constant_between_consecutive_walls(self):
         theta, alpha = (1, 0), (1, 1)
-        walls = find_walls(KRON, theta, alpha, 4).walls
+        walls = find_walls(KRON, theta, alpha, 4)
         grid = [walls[0] - 1] + list(walls) + [walls[-1] + 1]
         for lo, hi in zip(grid, grid[1:]):
             probes = [lo + (hi - lo) * t for t in (Fraction(1, 3), Fraction(1, 2),
@@ -165,8 +165,3 @@ class TestComparisonConstancy:
         left = self.probe_signs(KRON, theta, alpha, Fraction(1, 4))
         right = self.probe_signs(KRON, theta, alpha, Fraction(3, 4))
         assert left != right
-
-
-def test_wall_list_normalizes():
-    wl = WallList((1,), (1, Fraction(1, 2), 1))
-    assert wl.walls == (Fraction(1, 2), Fraction(1))

@@ -244,6 +244,13 @@ class TestFramedAt:
             [ONE, -V, V ** 2, -(V ** 3)]
         assert a.series == framed_at(JORDAN, bu, (0,), 4, PLUS_INF).series
 
+    @pytest.mark.parametrize("c", [PLUS_INF, MINUS_INF, HALF],
+                             ids=["plus_inf", "minus_inf", "finite"])
+    def test_refuses_short_theta(self, c):
+        with pytest.raises(ValueError, match="^theta must list one weight per vertex: "
+                                             "got 1 for 2 vertices$"):
+            framed_at(KRON, universal_for(KRON, 3), (1,), 3, c, "exact", HALF)
+
     def test_finite_needs_mu(self):
         with pytest.raises(ValueError, match="slope mu"):
             framed_at(JORDAN, jordan_BU(), (0,), 4, 0)
