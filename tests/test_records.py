@@ -18,7 +18,7 @@ from quiverdt.hn import UniversalSeries, hn_factorize, universal_for
 from quiverdt.oracle import FiniteFieldConfig
 from quiverdt.qtorus import TorusSeries
 from quiverdt.quiver import FramedQuiver, Quiver, jordan_quiver, kronecker_quiver
-from quiverdt.stability import PLUS_INF, StabilityParams
+from quiverdt.stability import MINUS_INF, PLUS_INF, StabilityParams
 from quiverdt.wallcross import DTInvariants, FramedSeries, dt_omega, framed_at
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,6 +72,7 @@ HASHABLE = [
     lambda: StabilityParams((1, 0), Fraction(1, 2), "minus"),
     lambda: StabilityParams((0,), PLUS_INF),
     lambda: FiniteFieldConfig(3, 2, 10),
+    lambda: StabilityParams((2, -1), MINUS_INF),
 ]
 
 UNHASHABLE = [
