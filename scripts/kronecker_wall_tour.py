@@ -17,7 +17,7 @@ from quiverdt.wallcross import framed_at, general_wallcross, smooth_model_motive
 
 
 def show(label, series):
-    body = ", ".join(f"x^({','.join(map(str, k.unframed))}): {c}"
+    body = ", ".join(f"x^({','.join(map(str, k))}): {c}"
                      for k, c in series.terms())
     print(f"{label}: {body}")
 
@@ -33,7 +33,7 @@ def main():
     bu = universal_for(fq, N)
     parts = hn_factorize(bu, theta, N)
 
-    walls = find_walls(fq, theta, (1, 1), max(N, 2))
+    walls = find_walls(fq, theta, (1, 1))
     print(f"# walls for (1, 1): {' '.join(str(w) for w in walls)}")
 
     for c in walls:
@@ -49,7 +49,7 @@ def main():
         show("  above", above.series)
         if B is not None:
             def cut(series):
-                t = series.restrict(lambda k: theta_slope(theta, k.unframed, c) == mu)
+                t = series.restrict(lambda k: theta_slope(theta, k, c) == mu)
                 return TorusSeries.one(fq, N) if t.is_zero() else t
 
             lhs = cut(general_wallcross(below, B, "minus_to_exact").series)

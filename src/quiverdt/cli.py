@@ -88,12 +88,12 @@ class JobSpec:
 # ---- report formatting ------------------------------------------------------
 
 def _fmt_alpha(key) -> str:
-    return ",".join(str(a) for a in key.unframed)
+    return ",".join(str(a) for a in key)
 
 
 def _sorted_terms(series: TorusSeries):
     return sorted(series.coeffs.items(),
-                  key=lambda kv: (sum(kv[0].unframed), kv[0].unframed, kv[0].star))
+                  key=lambda kv: (sum(kv[0]), kv[0]))
 
 
 def format_series(series: TorusSeries, fmt: str) -> str:
@@ -171,7 +171,7 @@ def _dispatch(job: JobSpec):
         if job.alpha is None:
             raise CLIError("walls needs --alpha")
         theta = _theta_for(job, fq)
-        walls = find_walls(fq, theta, job.alpha, max(N, sum(job.alpha)))
+        walls = find_walls(fq, theta, job.alpha)
         return 0, " ".join(str(w) for w in walls)
 
     if sub == "ncdt":

@@ -27,8 +27,6 @@ class UniversalSeries(Record):
     def __init__(self, series: TorusSeries, source: str = "user_supplied"):
         if source not in SOURCES:
             raise ValueError(f"unknown source {source!r}")
-        if any(k.star for k in series.coeffs):
-            raise ValueError("universal series must be star-0")
         if series.constant_term() != ONE:
             raise ValueError("universal series needs constant term 1")
         self._set(series=series, source=source, _hn={})
@@ -52,8 +50,7 @@ def universal_trivial(fq: FramedQuiver, N: int) -> UniversalSeries:
     arrows = fq.base.arrows
     coeffs = {}
     for alpha in dim_vectors_up_to(fq.n_vertices, N):
-        a = ext(alpha, 0)
-        chi = tits_form(fq, a)
+        chi = tits_form(fq, ext(alpha, 0))
         arrow_dim = sum(m * alpha[i] * alpha[j]
                         for i, row in enumerate(arrows)
                         for j, m in enumerate(row) if m)
@@ -61,7 +58,7 @@ def universal_trivial(fq: FramedQuiver, N: int) -> UniversalSeries:
         for ai in alpha:
             denom = denom * gl_motive(ai)
         # (-v)^chi L^arrow_dim = (-v)^(chi + 2 arrow_dim), one monomial
-        coeffs[a] = Scalar.neg_v_pow(chi + 2 * arrow_dim) / denom
+        coeffs[alpha] = Scalar.neg_v_pow(chi + 2 * arrow_dim) / denom
     return UniversalSeries(TorusSeries(fq, N, coeffs), "trivial_potential")
 
 
@@ -70,16 +67,16 @@ def builtin_BU(fq: FramedQuiver, name: str, N: int) -> UniversalSeries:
     check_builtin_shape(fq, name)
     if name == "c3":
         lm1 = L - 1
-        arg = TorusSeries(fq, N, {ext((n,)): (L * L) / lm1 for n in range(1, N + 1)})
+        arg = TorusSeries(fq, N, {(n,): (L * L) / lm1 for n in range(1, N + 1)})
         return UniversalSeries(pleth_exp(arg), name)
     if name == "conifold":
         lm1 = L - 1
         head = TorusSeries(fq, N, {
-            ext((1, 1)): (L + L * L) / lm1,
-            ext((1, 0)): -Scalar.v_pow(1) / lm1,
-            ext((0, 1)): -Scalar.v_pow(1) / lm1,
+            (1, 1): (L + L * L) / lm1,
+            (1, 0): -Scalar.v_pow(1) / lm1,
+            (0, 1): -Scalar.v_pow(1) / lm1,
         })
-        diag = TorusSeries(fq, N, {ext((n, n)): ONE for n in range(N // 2 + 1)})
+        diag = TorusSeries(fq, N, {(n, n): ONE for n in range(N // 2 + 1)})
         return UniversalSeries(pleth_exp(torus_mul(head, diag)), name)
     raise ValueError(f"no builtin series named {name!r}")
 
@@ -121,8 +118,8 @@ def _hn_split(series: TorusSeries, theta: tuple, N: int) -> tuple:
     rest, one = series.retrunc(N), TorusSeries.one(series.fq, N)
     ladder = []
     while len(rest.coeffs) > 1:  # the constant term is 1 throughout
-        top = max(slope(k.unframed) for k in rest.coeffs if any(k.unframed))
-        piece = rest.restrict(lambda k: not any(k.unframed) or slope(k.unframed) == top)
+        top = max(slope(k) for k in rest.coeffs if any(k))
+        piece = rest.restrict(lambda k: not any(k) or slope(k) == top)
         rest = one if len(piece.coeffs) == len(rest.coeffs) else \
             torus_div(rest, piece, left=True)
         ladder.append((top, piece, rest))

@@ -1,10 +1,13 @@
 """Truncated quantum torus over Q(v).
 
-Series are finitely supported maps (alpha, star) -> Scalar with the twisted
-product x^a x^b = (-v)^{<a,b>} x^{a+b}.  The truncation keeps unframed total
-degree <= N and star <= 1; everything discarded forms a two-sided monomial
-ideal, so the truncated algebra is an honest quotient and associativity,
-Adams operations and Exp/Log identities survive truncation exactly.
+Series are finitely supported maps alpha -> Scalar on dimension vectors
+(int tuples) with the twisted product x^a x^b = (-v)^{<a,b>} x^{a+b}.  There
+is no framing coordinate: framed series live here in star-0 normal form and
+the framing enters only through the twist s_twist by nu_weights.  The
+truncation keeps total degree <= N; everything discarded forms a two-sided
+monomial ideal, so the truncated algebra is an honest quotient and
+associativity, Adams operations and Exp/Log identities survive truncation
+exactly.
 
 Each output coefficient is formed once.  The term products that land on a
 key are summed unreduced, grouped by denominator, and the groups are added
@@ -12,7 +15,7 @@ over one common denominator and reduced once (scalar._acc_term,
 scalar._settle).  A factor with constant term 1 passes the other factor's
 coefficients through exactly: a key that no other term product reaches
 keeps its coefficient and is never reduced.  The grade of a key is
-|alpha| + star; products add grades, so a quotient and Exp are solved grade
+|alpha|; products add grades, so a quotient and Exp are solved grade
 by grade, a quotient also on a set of keys only (a keep predicate closed
 under removing the divisor's keys), and Log is a quotient:
   torus_div      f g^{-1} = y with y g = f, or g^{-1} f = y with g y = f:
@@ -28,17 +31,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .quiver import (ExtDimVector, FramedQuiver, Record, ext, nu, skew_form,
-                     zero_vector)
+from .quiver import FramedQuiver, Record, zero_vector
 from .scalar import ONE, Scalar, _acc_term, _settle
+from .stability import check_alpha
 
 MINUS_ONE = -ONE
 
-Key = ExtDimVector
+Key = tuple  # a dimension vector
 
 
 def _zero_key(fq: FramedQuiver) -> Key:
-    return ExtDimVector(zero_vector(fq.n_vertices), 0)
+    return zero_vector(fq.n_vertices)
 
 
 class TorusSeries(Record):
@@ -49,8 +52,8 @@ class TorusSeries(Record):
     def __init__(self, fq: FramedQuiver, trunc: int, coeffs: Mapping[Key, Scalar]):
         clean = {}
         for key, c in coeffs.items():
-            key = ExtDimVector(tuple(key[0]), key[1])
-            if not _in_region(key, trunc):
+            key = tuple(key)
+            if sum(key) > trunc:
                 continue
             if c:
                 clean[key] = c
@@ -65,17 +68,17 @@ class TorusSeries(Record):
         return cls(fq, trunc, {_zero_key(fq): ONE})
 
     @classmethod
-    def monomial(cls, fq, trunc, alpha, star=0, coeff=ONE) -> "TorusSeries":
-        return cls(fq, trunc, {ext(alpha, star): coeff})
+    def monomial(cls, fq, trunc, alpha, coeff=ONE) -> "TorusSeries":
+        return cls(fq, trunc, {check_alpha(fq, alpha): coeff})
 
-    def coeff(self, alpha, star: int = 0) -> Scalar:
-        return self.coeffs.get(ExtDimVector(tuple(alpha), star), Scalar.of(0))
+    def coeff(self, alpha) -> Scalar:
+        return self.coeffs.get(tuple(alpha), Scalar.of(0))
 
     def constant_term(self) -> Scalar:
         return self.coeffs.get(_zero_key(self.fq), Scalar.of(0))
 
     def terms(self):
-        """(key, coeff) pairs sorted lexicographically by (alpha, star)."""
+        """(alpha, coeff) pairs sorted lexicographically by alpha."""
         return sorted(self.coeffs.items())
 
     def support(self):
@@ -137,13 +140,8 @@ class TorusSeries(Record):
                (other.fq, other.trunc, dict(other.coeffs))
 
     def __repr__(self):
-        body = ", ".join(f"{k.unframed}{'*' if k.star else ''}: {c}"
-                         for k, c in self.terms())
+        body = ", ".join(f"{k}: {c}" for k, c in self.terms())
         return f"TorusSeries(N={self.trunc}, {{{body}}})"
-
-
-def _in_region(key: Key, trunc: int) -> bool:
-    return key.star in (0, 1) and sum(key.unframed) <= trunc
 
 
 def _check(f: TorusSeries, g: TorusSeries) -> None:
@@ -160,46 +158,38 @@ def _lift(x, like: TorusSeries) -> TorusSeries:
     raise TypeError(f"cannot treat {type(x).__name__} as a series")
 
 
-def _grade(key: Key) -> int:
-    return sum(key.unframed) + key.star
-
-
 def _grades(coeffs: Mapping) -> dict:
-    """{grade: [(key, coeff)]} over the nonzero coefficients; grade = |alpha| + star."""
+    """{grade: [(key, coeff)]} over the nonzero coefficients; grade = |alpha|."""
     out: dict = {}
     for k, c in coeffs.items():
         if c:
-            out.setdefault(_grade(k), []).append((k, c))
+            out.setdefault(sum(k), []).append((k, c))
     return out
+
+
+def _skew_row(m, a) -> list:
+    """r with <a, b> = sum_j r_j b_j: r_j = sum_i (m_ji - m_ij) a_i."""
+    return [sum((mj[i] - m[i][j]) * x for i, x in enumerate(a)) for j, mj in enumerate(m)]
 
 
 def _mul_into(fq: FramedQuiver, trunc: int, acc: dict, left, right, keep=None) -> None:
     """Add the twisted product of two (key, coeff) lists to acc, unreduced.
 
     acc maps each key to a {denominator: numerator sum} dict for
-    scalar._settle.  Products with star >= 2 or total degree > trunc drop,
-    and so do those whose key keep (when given) refuses.
-    The skew form comes from one row per left key a:
-    <a, b> = sum_j r_j b_j + b* nu(a), r_j = sum_i (m_ji - m_ij) a_i - a* w_j.
+    scalar._settle.  Products of total degree > trunc drop, and so do those
+    whose key keep (when given) refuses.  The skew form comes from one row
+    per left key (_skew_row).
     """
-    m, w = fq.base.arrows, fq.w
-    for ka, ca in left:
-        a = ka.unframed
-        row = [sum((mj[i] - m[i][j]) * x for i, x in enumerate(a)) - ka.star * w[j]
-               for j, mj in enumerate(m)]
-        nu_a = nu(fq, a)
-        for kb, cb in right:
-            star = ka.star + kb.star
-            if star > 1:
+    m = fq.base.arrows
+    for a, ca in left:
+        row = _skew_row(m, a)
+        for b, cb in right:
+            key = tuple(x + y for x, y in zip(a, b))
+            if sum(key) > trunc:
                 continue
-            b = kb.unframed
-            alpha = tuple(x + y for x, y in zip(a, b))
-            if sum(alpha) > trunc:
-                continue
-            key = ExtDimVector(alpha, star)
             if keep is not None and not keep(key):
                 continue
-            skew = sum(r * y for r, y in zip(row, b)) + kb.star * nu_a
+            skew = sum(r * y for r, y in zip(row, b))
             _acc_term(acc.setdefault(key, {}), ca, cb, skew)
 
 
@@ -211,8 +201,8 @@ def _adams_into(acc: dict, trunc: int, key: Key, c: Scalar, weight) -> None:
     """Add weight(n) psi_n(c) at n*key to acc for each n keeping n*key in the region."""
     n = 1
     while True:
-        nkey = ExtDimVector(tuple(n * a for a in key.unframed), n * key.star)
-        if not _in_region(nkey, trunc):
+        nkey = tuple(n * a for a in key)
+        if sum(nkey) > trunc:
             return
         w = weight(n)
         if w:
@@ -221,7 +211,7 @@ def _adams_into(acc: dict, trunc: int, key: Key, c: Scalar, weight) -> None:
 
 
 def torus_mul(f: TorusSeries, g: TorusSeries) -> TorusSeries:
-    """Twisted product; out-of-region keys (and star >= 2) are dropped."""
+    """Twisted product; out-of-region keys are dropped."""
     _check(f, g)
     fq, zero = f.fq, _zero_key(f.fq)
     left, right, through = list(f.coeffs.items()), list(g.coeffs.items()), []
@@ -250,7 +240,7 @@ def torus_div(f: TorusSeries, g: TorusSeries, keep=None, left=False) -> TorusSer
     """f . g^{-1} by one solve of y . g = f, or g^{-1} . f by one solve of
     g . y = f when left is set; g needs a nonzero constant term g_0.
 
-    Grade by grade (grade |alpha| + star),
+    Grade by grade (grade |alpha|),
     y_d = (f_d - sum_{e=1..d} y_{d-e} g_e) g_0^{-1}, each product taken with
     g_e on g's side; g_0 sits at the zero key and commutes with every term.
     A key of f_d that no product reaches passes through (times g_0^{-1}).
@@ -266,7 +256,7 @@ def torus_div(f: TorusSeries, g: TorusSeries, keep=None, left=False) -> TorusSer
     fparts, gparts = _grades(f.coeffs), _grades(g.coeffs)
     inv0 = None if c0 == ONE else c0.inverse()
     y: dict = {}
-    for d in range(trunc + 2):
+    for d in range(trunc + 1):
         acc: dict = {}
         for e in range(1, d + 1):
             terms = (gparts.get(e, ()), y[d - e])  # g_e . y_{d-e}
@@ -286,30 +276,26 @@ def torus_div(f: TorusSeries, g: TorusSeries, keep=None, left=False) -> TorusSer
     return TorusSeries(fq, trunc, {k: c for row in y.values() for k, c in row})
 
 
-def s_twist(f: TorusSeries, lam) -> TorusSeries:
-    """S_lam: multiply the coefficient at (alpha, star) by (-v)^{lam(alpha, star)}.
-
-    lam is (weights over Q_0, star weight), all integers.
-    """
-    weights, star_w = tuple(lam[0]), int(lam[1])
-
-    def scale(key, c):
-        return c.times_neg_v_pow(sum(w * a for w, a in zip(weights, key.unframed))
-                                 + star_w * key.star)
-
-    return f.map_coeffs(scale)
+def s_twist(f: TorusSeries, weights) -> TorusSeries:
+    """S_lam: multiply the coefficient at alpha by (-v)^{lam(alpha)}, where
+    lam(alpha) = sum_i weights_i alpha_i for integer weights over Q_0."""
+    weights = tuple(weights)
+    return f.map_coeffs(
+        lambda key, c: c.times_neg_v_pow(sum(w * a for w, a in zip(weights, key))))
 
 
-def nu_weights(fq: FramedQuiver, scale: int = 1):
-    """The linear map scale * nu as an s_twist weight pair (star weight 0)."""
-    return tuple(scale * wi for wi in fq.w), 0
+def nu_weights(fq: FramedQuiver, scale: int = 1) -> tuple:
+    """The linear map scale * nu, nu(alpha) = w . alpha, as s_twist weights:
+    the one place the framing enters the torus."""
+    return tuple(scale * wi for wi in fq.w)
 
 
 def _check_commuting(f: TorusSeries) -> None:
-    keys = list(f.coeffs)
+    m, keys = f.fq.base.arrows, list(f.coeffs)
     for i, a in enumerate(keys):
+        row = _skew_row(m, a)
         for b in keys[i + 1:]:
-            if skew_form(f.fq, a, b):
+            if sum(r * y for r, y in zip(row, b)):
                 raise ValueError("Exp undefined on non-commutative support")
 
 
@@ -327,11 +313,11 @@ def pleth_exp(f: TorusSeries) -> TorusSeries:
     fq, trunc = f.fq, f.trunc
     kt: dict = {}
     for key, c in f.coeffs.items():
-        e = _grade(key)
+        e = sum(key)
         _adams_into(kt, trunc, key, c, lambda n: e)
     kt = _grades(_settled(kt))
     g = {0: [(_zero_key(fq), ONE)]}
-    for d in range(1, trunc + 2):
+    for d in range(1, trunc + 1):
         acc: dict = {}
         for k in range(1, d + 1):
             _mul_into(fq, trunc, acc, kt.get(k, ()), g[d - k])
@@ -365,17 +351,15 @@ def pleth_log(g: TorusSeries) -> TorusSeries:
     if g.constant_term() != ONE:
         raise ValueError("Log needs constant term 1")
     _check_commuting(g)
-    dl = torus_div(g.map_coeffs(lambda key, c: c * _grade(key)), g)
+    dl = torus_div(g.map_coeffs(lambda key, c: c * sum(key)), g)
     out: dict = {}
     for key, c in dl.coeffs.items():
-        d = _grade(key)
+        d = sum(key)
         _adams_into(out, g.trunc, key, c, lambda n: Fraction(_mobius(n), n * d))
     return TorusSeries(g.fq, g.trunc, _settled(out))
 
 
 def serialize(f: TorusSeries) -> str:
-    lines = []
-    for key, c in f.terms():
-        alpha = ",".join(str(a) for a in key.unframed)
-        lines.append(f"alpha={alpha};star={key.star};coeff={c}")
-    return "\n".join(lines)
+    """One line per term; the star field is always 0, kept for file compatibility."""
+    return "\n".join(f"alpha={','.join(map(str, key))};star=0;coeff={c}"
+                     for key, c in f.terms())

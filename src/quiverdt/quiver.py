@@ -1,8 +1,9 @@
 """Quivers, framings, dimension vectors, and the bilinear forms on them.
 
 A FramedQuiver is a quiver plus one extra vertex * with w_i arrows * -> i.
-Dimension vectors are plain int tuples; ExtDimVector adds the framing
-coordinate star, restricted to {0, 1} everywhere in this package.
+Dimension vectors are plain int tuples, and so are series keys;
+ExtDimVector adds the framing coordinate star, 0 or 1, for the Euler form
+and the oracle's framed classes.
 """
 
 from __future__ import annotations

@@ -74,7 +74,7 @@ def check_alpha(fq: FramedQuiver, alpha) -> tuple:
     return alpha
 
 
-def find_walls(fq: FramedQuiver, theta, alpha, trunc: int) -> tuple:
+def find_walls(fq: FramedQuiver, theta, alpha) -> tuple:
     """All c where some 0 < beta < (alpha, 1) matches the slope of (alpha, 1),
     as an increasing tuple of Fractions.
 
@@ -83,8 +83,6 @@ def find_walls(fq: FramedQuiver, theta, alpha, trunc: int) -> tuple:
     exactly one wall; the collected set is finite.
     """
     alpha = check_alpha(fq, alpha)
-    if sum(alpha) > trunc:
-        raise ValueError("alpha outside the truncation region")
     theta = check_theta(fq, theta)
     ta = sum(t * a for t, a in zip(theta, alpha))
     na = sum(alpha)

@@ -1,11 +1,12 @@
 """Framed wall-crossing engine.
 
 Everything framed is stored star-0: the framing coordinate and its
-automorphism factor are stripped once and for all, so the wall-crossing
-identities read as products of ordinary series twisted by S_nu.  Outputs:
-transfer series C_mu, framed series A at any stability level (including
-both infinities), the cyclic-stability series, smooth-model motives, and
-the integer DT invariants Omega.
+automorphism factor are stripped once and for all, so a framed series lives
+in the same torus as B_U (keys are dimension vectors) and the wall-crossing
+identities read as products of ordinary series twisted by S_nu, the one
+place the framing enters.  Outputs: transfer series C_mu, framed series A
+at any stability level (including both infinities), the cyclic-stability
+series, smooth-model motives, and the integer DT invariants Omega.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ class DTInvariants(Record):
 
     def __init__(self, omega: dict, trunc: int):
         self._set(omega=omega, trunc=trunc)
-
-    def as_series(self, fq: FramedQuiver) -> TorusSeries:
-        return TorusSeries(fq, self.trunc,
-                           {ext(k): c for k, c in self.omega.items()})
 
 
 def _crossing(fq: FramedQuiver, left: TorusSeries, right: TorusSeries,
@@ -79,8 +76,6 @@ def general_wallcross(a_in: FramedSeries, B_mu: TorusSeries,
     src, dst = direction.split("_to_")
     if a_in.params.side != src:
         raise ValueError("input series side does not match the direction")
-    if any(k.star for k in B_mu.coeffs):
-        raise ValueError("B_mu must be star-0")
     fq = a_in.series.fq
     # A_side = S_nu(B)^{-[side = minus]} . A_exact . S_{-nu}(B)^{-[side = plus]}
     left = (src == "minus") - (dst == "minus")
@@ -147,8 +142,8 @@ def framed_at(fq: FramedQuiver, BU: UniversalSeries, theta, N: int,
     # The divisor P_{<=mu} or P_{<mu} has classes of slope <= mu only, and
     # removing one never lowers a framed slope below mu, so the solve on the
     # classes of framed slope >= mu reads nothing else: only they are formed.
-    ser = _uniform(fq, BU, theta, N, mu, side, lambda k: slope(k.unframed) >= mu)
-    ser = ser.restrict(lambda k: slope(k.unframed) == mu)
+    ser = _uniform(fq, BU, theta, N, mu, side, lambda k: slope(k) >= mu)
+    ser = ser.restrict(lambda k: slope(k) == mu)
     if ser.is_zero():
         # empty slope class: only the bare framing line remains
         ser = TorusSeries.one(fq, N)
@@ -190,7 +185,7 @@ def smooth_model_motive(fq: FramedQuiver, theta, BU: UniversalSeries,
 def dt_omega(B_mu: TorusSeries) -> DTInvariants:
     """Solve B_mu = Exp(Omega / (L-1)) for the invariants Omega."""
     om = pleth_log(B_mu) * (L - ONE)
-    return DTInvariants({k.unframed: c for k, c in om.terms()}, B_mu.trunc)
+    return DTInvariants(dict(om.terms()), B_mu.trunc)
 
 
 def euler_transfer(omega: DTInvariants, fq: FramedQuiver) -> TorusSeries:
@@ -204,10 +199,10 @@ def euler_transfer(omega: DTInvariants, fq: FramedQuiver) -> TorusSeries:
         e = c.specialize("euler")
         n = nu(fq, k)
         if n and e:
-            base[ext(k)] = Scalar.of(n * e)
+            base[k] = Scalar.of(n * e)
     g = pleth_exp(TorusSeries(fq, omega.trunc, base))
 
     def sign(key, c):
-        return -c if nu(fq, key.unframed) % 2 else c
+        return -c if nu(fq, key) % 2 else c
 
     return g.map_coeffs(sign)

@@ -9,15 +9,19 @@ framed_at assemble the framed series from its pieces the way
 quiverdt.wallcross did before it read them off the slope ladder: every call
 multiplies the pieces below the level again.  torus_product, truncate_tau,
 remultiply_check and transfer_slope_product are the product-side helpers
-that the tests read the production series against.  Nothing under src/
-imports it.
+that the tests read the production series against; at_star0 places a
+production series in the star-1 torus of reference_qtorus, and
+star_one_rungs reads the star-0 framed series against that torus.  Nothing
+under src/ imports it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from quiverdt.qtorus import TorusSeries, torus_mul
+import reference_qtorus as ref_qt
+from quiverdt.hn import slope_ladder
+from quiverdt.qtorus import TorusSeries, nu_weights, s_twist, torus_mul
 from quiverdt.quiver import ExtDimVector, dim_vectors_up_to, ext, skew_form, sub_vectors
 from quiverdt.scalar import ONE, Scalar, _acc_term, _settle
 from quiverdt.stability import MINUS_INF, PLUS_INF, theta_slope
@@ -72,11 +76,11 @@ def hn_split(series: TorusSeries, theta: tuple, N: int) -> dict:
 
     parts: dict = {}
     for alpha, coeff in b.items():
-        parts.setdefault(slope[alpha], {})[ext(alpha)] = coeff
+        parts.setdefault(slope[alpha], {})[alpha] = coeff
     out = {}
     for mu in sorted(parts):
         terms = parts[mu]
-        terms[ext((0,) * n)] = ONE
+        terms[(0,) * n] = ONE
         out[mu] = TorusSeries(fq, N, terms)
     return out
 
@@ -110,14 +114,12 @@ def torus_product(fq, trunc: int, factors) -> TorusSeries:
 
 
 def truncate_tau(f: TorusSeries, theta, c, mu) -> TorusSeries:
-    """Keep exactly the star-0 terms whose framed slope mu_c(alpha, 1) is mu."""
-    if any(k.star for k in f.coeffs):
-        raise ValueError("tau expects a star-0 series")
+    """Keep exactly the terms whose framed slope mu_c(alpha, 1) is mu."""
     if mu == float("inf"):
         # r(alpha, 1) > 0 always, so no finite class ever has infinite slope
         return TorusSeries.zero(f.fq, f.trunc)
     mu, c = Fraction(mu), Fraction(c)
-    return f.restrict(lambda key: theta_slope(theta, key.unframed, c) == mu)
+    return f.restrict(lambda key: theta_slope(theta, key, c) == mu)
 
 
 def remultiply_check(parts: dict, BU) -> bool:
@@ -136,3 +138,29 @@ def transfer_slope_product(fq, parts: dict, trunc: int, pred) -> TorusSeries:
     """
     return torus_product(fq, trunc, (transfer_series(parts[b], fq)
                                      for b in sorted(parts, reverse=True) if pred(b)))
+
+
+def at_star0(f: TorusSeries) -> ref_qt.TorusSeries:
+    """f in the star-1 torus of reference_qtorus, every key at star 0."""
+    return ref_qt.TorusSeries(f.fq, f.trunc, {ext(k): c for k, c in f.coeffs.items()})
+
+
+def star_one_rungs(BU, theta, N) -> list:
+    """[(mu, framed, normal)] over the rungs (mu, B_mu, Q) of the slope ladder.
+
+    With P the rest one rung up (B_U above the top rung), framed is
+    P . x* . Q^{-1}, formed in the star-1 torus of reference_qtorus, and
+    normal is S_{-nu}(_crossing(P, Q)) . x*, the production star-0 series
+    placed at star 0 with the framing line x* put back on its right.  The
+    two agree on every rung when the star-0 normal form is right.
+    """
+    fq = BU.series.fq
+    xs = ref_qt.TorusSeries.monomial(fq, N, (0,) * fq.n_vertices, star=1)
+    out, P = [], BU.series.retrunc(N)
+    for mu, _, Q in slope_ladder(BU, theta, N):
+        framed = ref_qt.torus_mul(ref_qt.torus_mul(at_star0(P), xs),
+                                  ref_qt.torus_inverse(at_star0(Q)))
+        normal = ref_qt.torus_mul(at_star0(s_twist(_crossing(fq, P, Q), nu_weights(fq, -1))), xs)
+        out.append((mu, framed, normal))
+        P = Q
+    return out

@@ -275,7 +275,7 @@ def count_stack(fq: FramedQuiver, alpha, sp, q: int,
         if not sp.is_finite():
             raise ValueError("semistable framed counting needs a finite c")
         c_eff = sp.c if sp.side == "exact" else \
-            resolve_side(find_walls(fq, theta, a, sum(a)), sp.c, sp.side)
+            resolve_side(find_walls(fq, theta, a), sp.c, sp.side)
     else:
         c_eff = None  # unframed slopes never see c
 
@@ -361,7 +361,7 @@ def count_framed_stable(fq: FramedQuiver, alpha, theta, c, side: str, q: int,
     elif side == "exact":
         c_eff = Fraction(c)
     else:
-        c_eff = resolve_side(find_walls(fq, theta, alpha, sum(alpha)), c, side)
+        c_eff = resolve_side(find_walls(fq, theta, alpha), c, side)
 
     arrows = _arrow_list(fq)
     slots = _framing_slots(fq)
@@ -596,8 +596,7 @@ def _quotient_framed_stable(fq, mats, vecs, cand, alpha, d, theta, c, q,
         qmats.append(tuple(tuple(col[r] for col in cols) for r in range(gamma[j])))
     qvecs = [project(v, i) for v, i in zip(vecs, slots)]
 
-    c_minus = resolve_side(find_walls(fq, theta, gamma, max(sum(gamma), 1)),
-                           c, "minus")
+    c_minus = resolve_side(find_walls(fq, theta, gamma), c, "minus")
 
     def fslope(dd, s) -> Fraction:
         val = sum(t * x for t, x in zip(theta, dd))

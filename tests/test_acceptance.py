@@ -130,9 +130,9 @@ def test_criterion_5_inversion_round_trips():
         return s
 
     for _ in range(25):
-        f = TorusSeries(fq, N, {ext((n,)): rand_scalar() for n in range(1, N + 1)})
+        f = TorusSeries(fq, N, {(n,): rand_scalar() for n in range(1, N + 1)})
         assert pleth_log(pleth_exp(f)) == f
-        g = 1 + TorusSeries(fq, N, {ext((n,)): rand_scalar() for n in range(1, N + 1)})
+        g = 1 + TorusSeries(fq, N, {(n,): rand_scalar() for n in range(1, N + 1)})
         assert pleth_exp(pleth_log(g)) == g
 
     for fq2, theta in [(kronecker_quiver(), (1, 0)), (conifold_quiver(), (1, 0))]:
@@ -142,7 +142,7 @@ def test_criterion_5_inversion_round_trips():
     co = conifold_quiver()
     bu = universal_for(co, N)
     inv = dt_omega(bu.series)
-    assert pleth_exp(inv.as_series(co) * (ONE / (L - 1))) == bu.series
+    assert pleth_exp(TorusSeries(co, inv.trunc, inv.omega) * (ONE / (L - 1))) == bu.series
     assert time.monotonic() - t0 < 60.0
 
 
@@ -177,7 +177,7 @@ def test_criterion_7_walls_are_finite_and_intervals_are_stable():
               (kronecker_quiver(), (-1, 2))]
     for fq, theta in setups:
         for alpha in dim_vectors_up_to(fq.n_vertices, 6):
-            walls = find_walls(fq, theta, alpha, 6)
+            walls = find_walls(fq, theta, alpha)
             if not sum(alpha):
                 assert walls == ()
                 continue

@@ -86,7 +86,7 @@ def check_walls(fq, theta, N, alphas) -> None:
     parts = ref.hn_split(bu.series, tuple(Fraction(t) for t in theta), N)
     levels = set()
     for alpha in alphas:
-        for c in find_walls(fq, theta, alpha, N):
+        for c in find_walls(fq, theta, alpha):
             levels.add((c, theta_slope(theta, alpha, c)))
     for c, mu in sorted(levels):
         for side in SIDES:
@@ -140,7 +140,7 @@ def test_random_quivers(case):
     bu = check_split(fq, theta, N)
     parts = hn_factorize(bu, theta, N)
     assert remultiply_check(parts, bu)
-    for c in find_walls(fq, theta, alpha, N):
+    for c in find_walls(fq, theta, alpha):
         mu = theta_slope(theta, alpha, c)
         minus, exact, plus = (framed_at(fq, bu, theta, N, c, side, mu).series
                               for side in ("minus", "exact", "plus"))

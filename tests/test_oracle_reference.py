@@ -58,7 +58,7 @@ THETAS = {1: [(Fraction(0),), (Fraction(1),)],
 def levels(fq, theta, alpha):
     """The outer walls of alpha, a level between the first two, and one
     level beyond each end."""
-    walls = list(find_walls(fq, theta, alpha, sum(alpha)))
+    walls = list(find_walls(fq, theta, alpha))
     between = [(walls[0] + walls[1]) / 2] if len(walls) > 1 else []
     return sorted({walls[0], walls[-1]}) + between + [walls[0] - 1, walls[-1] + 1]
 
@@ -150,7 +150,7 @@ def one_sided_inputs():
         for theta in thetas:
             for alpha in dim_vectors_up_to(n, top):
                 if sum(alpha):
-                    walls = find_walls(fq, theta, alpha, sum(alpha))
+                    walls = find_walls(fq, theta, alpha)
                     mids = [(a + b) / 2 for a, b in zip(walls, walls[1:])]
                     yield theta, alpha, walls, [*walls, *mids, walls[0] - 1, walls[-1] + 1]
 

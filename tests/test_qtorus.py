@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference_hn import truncate_tau
+import reference_qtorus as ref
+from reference_hn import at_star0, truncate_tau
 from reference_qtorus import adams_series
 from quiverdt.quiver import (c3_quiver, conifold_quiver, dim_vectors_up_to, ext,
                              jordan_quiver, kronecker_quiver, loop_quiver, skew_form)
@@ -17,8 +18,7 @@ KRON = kronecker_quiver()
 JORDAN = jordan_quiver()
 N = 4
 
-KRON_KEYS = [ext((0, 0)), ext((1, 0)), ext((0, 1)), ext((1, 1)),
-             ext((2, 0)), ext((0, 0), 1), ext((1, 0), 1)]
+KRON_KEYS = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1)]
 COEFF_POOL = [ONE, -ONE, Scalar.of(2), V, -V, V ** -1, Scalar.of(Fraction(1, 2))]
 
 
@@ -39,11 +39,11 @@ def jordan_series(draw, constant=None):
     for n in range(N + 1):
         c = draw(st.sampled_from(COEFF_POOL + [Scalar.of(0)]))
         if c:
-            coeffs[ext((n,))] = c
+            coeffs[(n,)] = c
     if constant is not None:
-        coeffs[ext((0,))] = constant
+        coeffs[(0,)] = constant
         if not constant:
-            coeffs.pop(ext((0,)))
+            coeffs.pop((0,))
     return TorusSeries(JORDAN, N, coeffs)
 
 
@@ -56,7 +56,8 @@ class TestProduct:
         assert (x2 * x1).coeff((1, 1)) == V ** 2
 
     def test_star_squares_to_zero(self):
-        xs = TorusSeries.monomial(KRON, N, (0, 0), star=1)
+        # the framing line of the star-1 torus, which the reference keeps
+        xs = ref.TorusSeries.monomial(KRON, N, (0, 0), star=1)
         assert (xs * xs).is_zero()
 
     def test_truncation_drops_products(self):
@@ -98,7 +99,7 @@ class TestProduct:
 class TestInverse:
     @given(kron_series())
     def test_two_sided(self, f):
-        f = f + 1 - TorusSeries(KRON, N, {ext((0, 0)): f.constant_term()})
+        f = f + 1 - TorusSeries(KRON, N, {(0, 0): f.constant_term()})
         one = TorusSeries.one(KRON, N)
         inv = torus_div(one, f)
         assert f * inv == one
@@ -107,7 +108,7 @@ class TestInverse:
 
     @given(kron_series(), kron_series())
     def test_left_and_right_quotients(self, f, g):
-        g = g + 1 - TorusSeries(KRON, N, {ext((0, 0)): g.constant_term()})
+        g = g + 1 - TorusSeries(KRON, N, {(0, 0): g.constant_term()})
         assert g * torus_div(f, g, left=True) == f
         assert torus_div(f, g) * g == f
 
@@ -127,7 +128,7 @@ class TestInverse:
 class TestTwists:
     @given(kron_series(), kron_series())
     def test_linear_twist_multiplicative(self, f, g):
-        lam = ((3, -1), 2)
+        lam = (3, -1)
         assert s_twist(f * g, lam) == s_twist(f, lam) * s_twist(g, lam)
 
     @given(kron_series())
@@ -139,51 +140,55 @@ class TestTwists:
     @given(kron_series())
     def test_commute_past_monomial(self, f):
         # f x^beta = x^beta S_lam f with lam = 2 skew(-, beta)
-        beta = ext((0, 1))
-        xb = TorusSeries.monomial(KRON, N, beta.unframed)
+        beta = (0, 1)
+        xb = TorusSeries.monomial(KRON, N, beta)
         n = KRON.n_vertices
-        lam = (tuple(2 * skew_form(KRON, ext(tuple(int(i == j) for j in range(n))), beta)
-                     for i in range(n)),
-               2 * skew_form(KRON, ext((0,) * n, 1), beta))
+        lam = tuple(2 * skew_form(KRON, ext(tuple(int(i == j) for j in range(n))), ext(beta))
+                    for i in range(n))
         assert f * xb == xb * s_twist(f, lam)
 
     @given(kron_series())
     def test_commute_past_star(self, f):
-        f = f.restrict(lambda k: k.star == 0)
-        xs = TorusSeries.monomial(KRON, N, (0, 0), star=1)
-        assert s_twist(f, nu_weights(KRON, -1)) * xs == xs * s_twist(f, nu_weights(KRON))
+        # S_{-nu}(f) x* = x* S_nu(f) in the star-1 torus the reference keeps:
+        # the framing enters a star-0 series only as the twist by nu_weights
+        f = at_star0(f)
+        xs = ref.TorusSeries.monomial(KRON, N, (0, 0), star=1)
+        assert ref.s_twist(f, (nu_weights(KRON, -1), 0)) * xs == \
+            xs * ref.s_twist(f, (nu_weights(KRON), 0))
 
     def test_nu_weights_shape(self):
-        assert nu_weights(KRON) == ((1, 0), 0)
-        assert nu_weights(KRON, -2) == ((-2, 0), 0)
+        assert nu_weights(KRON) == (1, 0)
+        assert nu_weights(KRON, -2) == (-2, 0)
 
 
 class TestAdams:
-    """psi_n on whole series, as the reference torus forms it; the kernels
-    apply psi_n term by term (qtorus._adams_into)."""
+    """psi_n on whole series of the reference torus; the kernels apply
+    psi_n term by term (qtorus._adams_into)."""
 
     @given(jordan_series(), st.integers(1, 3), st.integers(1, 3))
     def test_composition(self, f, m, n):
+        f = at_star0(f)
         assert adams_series(adams_series(f, m), n) == adams_series(f, m * n)
 
     @given(kron_series(), st.integers(1, 3))
     def test_additive(self, f, n):
-        g = TorusSeries.monomial(KRON, N, (1, 1), coeff=V)
+        f = at_star0(f)
+        g = ref.TorusSeries.monomial(KRON, N, (1, 1), coeff=V)
         assert adams_series(f + g, n) == adams_series(f, n) + adams_series(g, n)
 
     def test_scales_key_and_coeff(self):
-        f = TorusSeries.monomial(JORDAN, N, (2,), coeff=V)
+        f = ref.TorusSeries.monomial(JORDAN, N, (2,), coeff=V)
         assert adams_series(f, 2).coeff((4,)) == V ** 2
 
     def test_drops_out_of_region(self):
-        f = TorusSeries.monomial(JORDAN, N, (3,))
+        f = ref.TorusSeries.monomial(JORDAN, N, (3,))
         assert adams_series(f, 2).is_zero()
-        g = TorusSeries.monomial(JORDAN, N, (1,), star=1)
+        g = ref.TorusSeries.monomial(JORDAN, N, (1,), star=1)
         assert adams_series(g, 2).is_zero()
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
-            adams_series(TorusSeries.one(JORDAN, N), 0)
+            adams_series(ref.TorusSeries.one(JORDAN, N), 0)
 
 
 class TestExpLog:
@@ -226,10 +231,9 @@ class TestSlopesAndTau:
     """The slope cut the reference framed series are read through."""
 
     def test_tau_keeps_matching_framed_slope(self):
-        f = TorusSeries(KRON, N, {ext((1, 1)): ONE, ext((1, 0)): V,
-                                  ext((0, 0)): Scalar.of(2)})
+        f = TorusSeries(KRON, N, {(1, 1): ONE, (1, 0): V, (0, 0): Scalar.of(2)})
         t = truncate_tau(f, (1, 0), Fraction(1, 2), Fraction(1, 2))
-        assert t.support() == [ext((0, 0)), ext((1, 1))]
+        assert t.support() == [(0, 0), (1, 1)]
 
     def test_tau_zero_class_needs_mu_equal_c(self):
         one = TorusSeries.one(KRON, N)
@@ -241,37 +245,42 @@ class TestSlopesAndTau:
         assert truncate_tau(f, (1, 0), 0, float("inf")).is_zero()
 
     def test_tau_rejects_star_terms(self):
-        f = TorusSeries.monomial(KRON, N, (0, 0), star=1)
+        # only the reference torus has star-1 keys to refuse
+        f = ref.TorusSeries.monomial(KRON, N, (0, 0), star=1)
         with pytest.raises(ValueError, match="star-0"):
-            truncate_tau(f, (1, 0), 0, 0)
+            ref.truncate_tau(f, (1, 0), 0, 0)
 
 
 class TestSeriesBasics:
     def test_serialize_format(self):
-        f = TorusSeries(KRON, N, {ext((1, 0)): V, ext((0, 1), 1): ONE})
-        assert serialize(f) == ("alpha=0,1;star=1;coeff=(1)/(1)\n"
+        f = TorusSeries(KRON, N, {(1, 0): V, (0, 1): ONE})
+        assert serialize(f) == ("alpha=0,1;star=0;coeff=(1)/(1)\n"
                                 "alpha=1,0;star=0;coeff=(v)/(1)")
 
     def test_terms_sorted(self):
-        f = TorusSeries(KRON, N, {ext((1, 0)): ONE, ext((0, 1)): ONE,
-                                  ext((0, 1), 1): ONE})
-        assert [k for k, _ in f.terms()] == [ext((0, 1)), ext((0, 1), 1),
-                                             ext((1, 0))]
+        f = TorusSeries(KRON, N, {(1, 0): ONE, (0, 1): ONE, (0, 2): ONE})
+        assert [k for k, _ in f.terms()] == [(0, 1), (0, 2), (1, 0)]
 
     def test_zero_coeffs_dropped(self):
-        f = TorusSeries(KRON, N, {ext((1, 0)): Scalar.of(0)})
+        f = TorusSeries(KRON, N, {(1, 0): Scalar.of(0)})
         assert f.is_zero() and f.support() == []
 
     def test_retrunc(self):
-        f = TorusSeries(JORDAN, 4, {ext((n,)): ONE for n in range(5)})
+        f = TorusSeries(JORDAN, 4, {(n,): ONE for n in range(5)})
         g = f.retrunc(2)
-        assert g.trunc == 2 and g.support() == [ext((0,)), ext((1,)), ext((2,))]
+        assert g.trunc == 2 and g.support() == [(0,), (1,), (2,)]
         with pytest.raises(ValueError, match="cannot grow"):
             f.retrunc(5)
 
     def test_out_of_region_keys_dropped_on_build(self):
-        f = TorusSeries(JORDAN, 2, {ext((3,)): ONE})
+        f = TorusSeries(JORDAN, 2, {(3,): ONE})
         assert f.is_zero()
+
+    def test_monomial_refuses_bad_class(self):
+        with pytest.raises(ValueError, match=r"^alpha \(-1, 2\) has a negative entry$"):
+            TorusSeries.monomial(KRON, N, (-1, 2))
+        with pytest.raises(ValueError, match="^alpha must list one dimension per vertex"):
+            TorusSeries.monomial(KRON, N, (1,))
 
     def test_repr_mentions_region(self):
         assert "N=4" in repr(TorusSeries.one(KRON, 4))
@@ -280,8 +289,7 @@ class TestSeriesBasics:
 def test_random_product_sanity():
     # fixed-seed stress: associativity on denser series than hypothesis builds
     rng = random.Random(7)
-    keys = [ext((a, b), s) for a in range(3) for b in range(3) for s in (0, 1)
-            if a + b <= 3]
+    keys = [(a, b) for a in range(4) for b in range(4) if a + b <= 3]
     def rand_series():
         return TorusSeries(KRON, 3, {k: Scalar.of(rng.randint(-2, 2)) * V ** rng.randint(-1, 1)
                                      for k in rng.sample(keys, 5)})
@@ -292,22 +300,18 @@ def test_random_product_sanity():
 
 class TestSkewRows:
     """_mul_into reads <a, b> off one integer row per left key; each
-    monomial product must carry (-v)^skew_form(a, b)."""
+    monomial product must carry (-v)^skew_form(a, b) of the star-0 classes."""
 
     @pytest.mark.parametrize("fq", [
         jordan_quiver(), loop_quiver(2), kronecker_quiver(), c3_quiver(),
         conifold_quiver(), kronecker_quiver(w=(1, 1)),
     ], ids=["jordan", "two_loops", "kronecker", "c3", "conifold", "kronecker_w11"])
     def test_matches_skew_form(self, fq):
-        keys = [ext(a, s) for a in dim_vectors_up_to(fq.n_vertices, 2) for s in (0, 1)]
-        for ka in keys:
-            for kb in keys:
+        keys = list(dim_vectors_up_to(fq.n_vertices, 2))
+        for a in keys:
+            for b in keys:
                 acc: dict = {}
-                _mul_into(fq, 4, acc, [(ka, ONE)], [(kb, ONE)])
-                if ka.star + kb.star > 1:
-                    assert acc == {}
-                    continue
+                _mul_into(fq, 4, acc, [(a, ONE)], [(b, ONE)])
                 [(key, parts)] = acc.items()
-                assert key == ext(tuple(x + y for x, y in zip(ka.unframed, kb.unframed)),
-                                  ka.star + kb.star)
-                assert _settle(parts) == Scalar.neg_v_pow(skew_form(fq, ka, kb))
+                assert key == tuple(x + y for x, y in zip(a, b))
+                assert _settle(parts) == Scalar.neg_v_pow(skew_form(fq, ext(a), ext(b)))

@@ -6,9 +6,12 @@ series product per pair of degrees, and Exp/Log summed from full powers.
 torus_mul, torus_div (on either side), pleth_exp and pleth_log must give
 equal series, coefficient by coefficient in canonical form, on commuting
 support (Jordan, c3 and the conifold heads) and on twisted support
-(Kronecker and two loops with star-1 keys), at truncations 0 to 6.  The
-coefficients have denominators that share L^k - 1 factors, and some
-products cancel exactly.
+(Kronecker and two loops), at truncations 0 to 6.  The coefficients have
+denominators that share L^k - 1 factors, and some products cancel exactly.
+The production keys are dimension vectors; pair, at_star0 and assert_same
+place them at star 0 of the reference torus, which keeps its star
+coordinate: test_star_zero_normal_form checks there that the star-0 framed
+series, with the framing line put back, is the framed product.
 """
 
 from fractions import Fraction
@@ -18,11 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_hn as ref_hn
+from reference_hn import at_star0
 import reference_qtorus as ref
 import test_hn_reference as hn_ref
 from quiverdt import qtorus as new
 from quiverdt.hn import hn_factorize, universal_for, universal_trivial
-from quiverdt.quiver import (c3_quiver, conifold_quiver, dim_vectors_up_to, ext,
+from quiverdt.quiver import (c3_quiver, conifold_quiver, dim_vectors_up_to,
                              jordan_quiver, kronecker_quiver, loop_quiver)
 from quiverdt.scalar import ONE, L, Scalar, V
 from quiverdt.stability import SIDES, find_walls, theta_slope
@@ -40,7 +44,14 @@ POOL = [ONE, -ONE, Scalar.of(Fraction(1, 2)), V, -V ** 3, V ** -1,
 
 def pair(fq, trunc, coeffs):
     """The same series in the new and the reference torus."""
-    return new.TorusSeries(fq, trunc, coeffs), ref.TorusSeries(fq, trunc, coeffs)
+    f = new.TorusSeries(fq, trunc, coeffs)
+    return f, at_star0(f)
+
+
+def from_ref(coeffs) -> dict:
+    """Reference coefficients, every key at star 0, by dimension vector."""
+    assert not any(k.star for k in coeffs)
+    return {k.unframed: c for k, c in coeffs.items()}
 
 
 def outcome(fn, series):
@@ -55,7 +66,7 @@ def assert_same(got, want):
         assert got == want
         return
     assert (got.fq, got.trunc) == (want.fq, want.trunc)
-    assert got.coeffs == want.coeffs
+    assert got.coeffs == from_ref(want.coeffs)
 
 
 def assert_inverse(g, rg):
@@ -67,17 +78,16 @@ def assert_inverse(g, rg):
 
 
 def c3_head(trunc):
-    return {ext((n,)): (L * L) / LM1 for n in range(1, trunc + 1)}
+    return {(n,): (L * L) / LM1 for n in range(1, trunc + 1)}
 
 
 def conifold_head(trunc):
     head = new.TorusSeries(CONIFOLD, trunc, {
-        ext((1, 1)): (L + L * L) / LM1,
-        ext((1, 0)): -V / LM1,
-        ext((0, 1)): -V / LM1,
+        (1, 1): (L + L * L) / LM1,
+        (1, 0): -V / LM1,
+        (0, 1): -V / LM1,
     })
-    diag = new.TorusSeries(CONIFOLD, trunc,
-                           {ext((n, n)): ONE for n in range(trunc // 2 + 1)})
+    diag = new.TorusSeries(CONIFOLD, trunc, {(n, n): ONE for n in range(trunc // 2 + 1)})
     return dict(new.torus_mul(head, diag).coeffs)
 
 
@@ -110,8 +120,7 @@ class TestHeads:
     @pytest.mark.parametrize("trunc", TRUNCS)
     @pytest.mark.parametrize("fq", [KRON, TWO_LOOPS], ids=["kronecker", "two_loops"])
     def test_twisted_universal(self, fq, trunc):
-        # the framed series S_nu(B_U) . S_{-nu}(B_U)^{-1} of the c = +inf chamber,
-        # plus star-1 keys that twist against every star-0 key
+        # the framed series S_nu(B_U) . S_{-nu}(B_U)^{-1} of the c = +inf chamber
         bu = universal_trivial(fq, trunc).series.coeffs
         up, rup = pair(fq, trunc, new.s_twist(new.TorusSeries(fq, trunc, bu),
                                               new.nu_weights(fq, 1)).coeffs)
@@ -121,56 +130,48 @@ class TestHeads:
         assert_inverse(dn, rdn)
         assert_same(new.torus_div(up, dn), ref.torus_mul(rup, rinv))
         assert_same(new.torus_div(up, dn, left=True), ref.torus_mul(rinv, rup))
-        zero = (0,) * fq.n_vertices
-        starred = {**bu, ext(zero, 1): -V / LM1, ext((1,) + zero[1:], 1): ONE / LM2}
-        s, rs = pair(fq, trunc, starred)
-        assert_inverse(s, rs)
-        assert_same(new.torus_mul(s, up), ref.torus_mul(rs, rup))
-        assert_same(outcome(new.pleth_log, s), outcome(ref.pleth_log, rs))
 
 
 class TestCancellation:
     def test_same_denominator_group(self):
         c = V / (LM1 * LM2)
-        f, rf = pair(JORDAN, 4, {ext((1,)): c, ext((2,)): c})
-        g, rg = pair(JORDAN, 4, {ext((1,)): -ONE, ext((2,)): ONE})
+        f, rf = pair(JORDAN, 4, {(1,): c, (2,): c})
+        g, rg = pair(JORDAN, 4, {(1,): -ONE, (2,): ONE})
         got = new.torus_mul(f, g)
         assert_same(got, ref.torus_mul(rf, rg))
         assert got.coeff((3,)) == 0
 
     def test_across_denominator_groups(self):
         # (1/(L-1)) (L-1)/(L+1) - 1/(L+1): the groups (L-1)(L+1) and L+1 cancel
-        f, rf = pair(JORDAN, 4, {ext((1,)): ONE / LM1, ext((2,)): ONE / (L + 1)})
-        g, rg = pair(JORDAN, 4, {ext((1,)): -ONE, ext((2,)): LM1 / (L + 1)})
+        f, rf = pair(JORDAN, 4, {(1,): ONE / LM1, (2,): ONE / (L + 1)})
+        g, rg = pair(JORDAN, 4, {(1,): -ONE, (2,): LM1 / (L + 1)})
         got = new.torus_mul(f, g)
         assert_same(got, ref.torus_mul(rf, rg))
         assert got.coeff((3,)) == 0
 
     def test_exp_of_log_cancels_to_argument(self):
-        f, rf = pair(C3, 5, {ext((1,)): ONE / LM1, ext((2,)): -ONE / LM1,
-                             ext((3,)): L / LM2})
+        f, rf = pair(C3, 5, {(1,): ONE / LM1, (2,): -ONE / LM1, (3,): L / LM2})
         back = new.pleth_log(new.pleth_exp(f))
         assert_same(back, ref.pleth_log(ref.pleth_exp(rf)))
         assert back == f
 
 
-def keys_of(fq, trunc, stars):
-    return [ext(a, s) for a in dim_vectors_up_to(fq.n_vertices, trunc) for s in stars
-            if sum(a) + s]
+def keys_of(fq, trunc):
+    return [a for a in dim_vectors_up_to(fq.n_vertices, trunc) if sum(a)]
 
 
 @st.composite
-def series_pairs(draw, quivers, stars, constant=None):
+def series_pairs(draw, quivers, constant=None):
     fq = draw(st.sampled_from(quivers))
     trunc = draw(st.integers(0, 6))
-    keys = keys_of(fq, trunc, stars)
+    keys = keys_of(fq, trunc)
     picks = draw(st.lists(st.tuples(st.sampled_from(keys), st.sampled_from(POOL)),
                           max_size=6)) if keys else []
     coeffs = {}
     for key, c in picks:
         coeffs[key] = coeffs.get(key, Scalar.of(0)) + c
     if constant is not None:
-        coeffs[ext((0,) * fq.n_vertices)] = constant
+        coeffs[(0,) * fq.n_vertices] = constant
     return pair(fq, trunc, coeffs)
 
 
@@ -182,40 +183,40 @@ class TestRandom:
     @settings(max_examples=100)
     @given(st.data())
     def test_mul(self, data):
-        quivers, stars = data.draw(st.sampled_from([(COMMUTING, (0,)), (TWISTED, (0, 1))]))
-        f, rf = data.draw(series_pairs(quivers, stars))
-        g, rg = pair(f.fq, f.trunc, data.draw(series_pairs([f.fq], stars))[0].coeffs)
+        quivers = data.draw(st.sampled_from([COMMUTING, TWISTED]))
+        f, rf = data.draw(series_pairs(quivers))
+        g, rg = pair(f.fq, f.trunc, data.draw(series_pairs([f.fq]))[0].coeffs)
         assert_same(new.torus_mul(f, g), ref.torus_mul(rf, rg))
         assert_same(new.torus_mul(g, f), ref.torus_mul(rg, rf))
 
     @settings(max_examples=100)
-    @given(series_pairs(TWISTED, (0, 1), constant=ONE))
+    @given(series_pairs(TWISTED, constant=ONE))
     def test_inverse_twisted(self, fs):
         assert_inverse(*fs)
 
     @settings(max_examples=100)
-    @given(series_pairs(COMMUTING, (0,), constant=V / LM2))
+    @given(series_pairs(COMMUTING, constant=V / LM2))
     def test_inverse_constant_not_one(self, fs):
         assert_inverse(*fs)
 
     @settings(max_examples=100)
-    @given(series_pairs(COMMUTING, (0,)))
+    @given(series_pairs(COMMUTING))
     def test_exp(self, fs):
         f, rf = fs
         assert_same(outcome(new.pleth_exp, f), outcome(ref.pleth_exp, rf))
 
     @settings(max_examples=100)
-    @given(series_pairs(COMMUTING, (0,), constant=ONE))
+    @given(series_pairs(COMMUTING, constant=ONE))
     def test_log(self, fs):
         g, rg = fs
         assert_same(outcome(new.pleth_log, g), outcome(ref.pleth_log, rg))
 
     @settings(max_examples=100)
-    @given(series_pairs(TWISTED, (0, 1)))
+    @given(series_pairs(TWISTED))
     def test_exp_log_refuse_twisted_support(self, fs):
         f, rf = fs
         assert_same(outcome(new.pleth_exp, f), outcome(ref.pleth_exp, rf))
-        one = ext((0,) * f.fq.n_vertices)
+        one = (0,) * f.fq.n_vertices
         g, rg = pair(f.fq, f.trunc, {**f.coeffs, one: ONE})
         assert_same(outcome(new.pleth_log, g), outcome(ref.pleth_log, rg))
 
@@ -224,12 +225,12 @@ UNITS = [(False, False), (True, False), (False, True), (True, True)]
 
 
 @st.composite
-def on_torus(draw, fq, trunc, stars, constant):
+def on_torus(draw, fq, trunc, constant):
     """A series on the torus of (fq, trunc) in both kernels, with the given
     constant term (None: none)."""
-    coeffs = dict(draw(series_pairs([fq], stars))[0].coeffs)
+    coeffs = dict(draw(series_pairs([fq]))[0].coeffs)
     if constant is not None:
-        coeffs[ext((0,) * fq.n_vertices)] = constant
+        coeffs[(0,) * fq.n_vertices] = constant
     return pair(fq, trunc, coeffs)
 
 
@@ -237,30 +238,30 @@ def on_torus(draw, fq, trunc, stars, constant):
 def quotients(draw):
     """f and a divisor g on one torus in both kernels; g's constant term is
     1, -1, a non-unit, 1/2 or missing."""
-    quivers, stars = draw(st.sampled_from([(COMMUTING, (0,)), (TWISTED, (0, 1))]))
-    f, rf = draw(series_pairs(quivers, stars))
+    quivers = draw(st.sampled_from([COMMUTING, TWISTED]))
+    f, rf = draw(series_pairs(quivers))
     c0 = draw(st.sampled_from([ONE, -ONE, V / LM2, Scalar.of(Fraction(1, 2)), None]))
-    return (f, rf) + draw(on_torus(f.fq, f.trunc, stars, c0))
+    return (f, rf) + draw(on_torus(f.fq, f.trunc, c0))
 
 
 @st.composite
 def half_space_quotients(draw):
     """f, a divisor g and keep = {k : phi(k) >= t} for a linear phi <= 0 on
     g's keys, so keep accepts k - e whenever it accepts k."""
-    quivers, stars = draw(st.sampled_from([(COMMUTING, (0,)), (TWISTED, (0, 1))]))
-    f, rf = draw(series_pairs(quivers, stars))
+    quivers = draw(st.sampled_from([COMMUTING, TWISTED]))
+    f, rf = draw(series_pairs(quivers))
     fq, trunc = f.fq, f.trunc
-    weights = draw(st.lists(st.integers(-2, 2), min_size=fq.n_vertices + 1,
-                            max_size=fq.n_vertices + 1))
+    weights = draw(st.lists(st.integers(-2, 2), min_size=fq.n_vertices,
+                            max_size=fq.n_vertices))
 
     def phi(key):
-        return sum(w * a for w, a in zip(weights, key.unframed)) + weights[-1] * key.star
+        return sum(w * a for w, a in zip(weights, key))
 
     t = draw(st.integers(-4, 2))
-    keys = [k for k in keys_of(fq, trunc, stars) if phi(k) <= 0]
+    keys = [k for k in keys_of(fq, trunc) if phi(k) <= 0]
     picks = draw(st.lists(st.tuples(st.sampled_from(keys), st.sampled_from(POOL)),
                           max_size=6)) if keys else []
-    coeffs = {ext((0,) * fq.n_vertices): draw(st.sampled_from([ONE, V / LM2]))}
+    coeffs = {(0,) * fq.n_vertices: draw(st.sampled_from([ONE, V / LM2]))}
     for key, c in picks:
         coeffs[key] = coeffs.get(key, Scalar.of(0)) + c
     return (f, rf) + pair(fq, trunc, coeffs) + (lambda key: phi(key) >= t,)
@@ -291,49 +292,49 @@ class TestQuotientAndPassThrough:
     @given(half_space_quotients())
     def test_div_on_a_half_space(self, draws):
         f, rf, g, rg, keep = draws
-        want = ref.torus_mul(rf, ref.torus_inverse(rg)).restrict(keep)
+        want = ref.torus_mul(rf, ref.torus_inverse(rg)).restrict(lambda k: keep(k.unframed))
         assert_same(new.torus_div(f, g, keep), want)
 
     @settings(max_examples=100)
     @given(half_space_quotients())
     def test_left_div_on_a_half_space(self, draws):
         f, rf, g, rg, keep = draws
-        want = ref.torus_mul(ref.torus_inverse(rg), rf).restrict(keep)
+        want = ref.torus_mul(ref.torus_inverse(rg), rf).restrict(lambda k: keep(k.unframed))
         assert_same(new.torus_div(f, g, keep, left=True), want)
 
     def test_div_on_a_half_space_forms_no_other_key(self):
         # framed_at's case: a divisor of slope <= 1/2 at theta = (1, 0), and
         # the classes of framed slope >= 1/2 at c = 1/2; f has every class
         bu = universal_trivial(KRON, 5).series
-        g = bu.restrict(lambda k: 2 * k.unframed[0] <= sum(k.unframed))
+        g = bu.restrict(lambda k: 2 * k[0] <= sum(k))
 
         def keep(key):
-            return theta_slope((1, 0), key.unframed, HALF) >= HALF
+            return theta_slope((1, 0), key, HALF) >= HALF
 
         got = new.torus_div(bu, g, keep)
-        rbu, rg = (ref.TorusSeries(KRON, 5, s.coeffs) for s in (bu, g))
+        want = ref.torus_mul(at_star0(bu), ref.torus_inverse(at_star0(g)))
         assert got.coeffs and all(keep(k) for k in got.coeffs)
-        assert_same(got, ref.torus_mul(rbu, ref.torus_inverse(rg)).restrict(keep))
+        assert_same(got, want.restrict(lambda k: keep(k.unframed)))
 
     @settings(max_examples=100)
     @given(st.data(), st.sampled_from(UNITS))
     def test_mul_unit_constants(self, data, units):
-        quivers, stars = data.draw(st.sampled_from([(COMMUTING, (0,)), (TWISTED, (0, 1))]))
+        quivers = data.draw(st.sampled_from([COMMUTING, TWISTED]))
         fq = data.draw(st.sampled_from(quivers))
         trunc = data.draw(st.integers(0, 6))
         other = data.draw(st.sampled_from([V / LM2, -ONE, None]))
-        f, rf = data.draw(on_torus(fq, trunc, stars, ONE if units[0] else other))
-        g, rg = data.draw(on_torus(fq, trunc, stars, ONE if units[1] else other))
+        f, rf = data.draw(on_torus(fq, trunc, ONE if units[0] else other))
+        g, rg = data.draw(on_torus(fq, trunc, ONE if units[1] else other))
         assert_same(new.torus_mul(f, g), ref.torus_mul(rf, rg))
 
     def test_pass_through_keeps_untouched_coefficients(self):
         # (1 + a x^(1,0)) . (1 + b x^(0,1)) on Kronecker: only x^(1,1) is a product
         a, b = ONE / LM1, V / LM2
-        f = new.TorusSeries(KRON, 3, {ext((0, 0)): ONE, ext((1, 0)): a})
-        g = new.TorusSeries(KRON, 3, {ext((0, 0)): ONE, ext((0, 1)): b})
+        f = new.TorusSeries(KRON, 3, {(0, 0): ONE, (1, 0): a})
+        g = new.TorusSeries(KRON, 3, {(0, 0): ONE, (0, 1): b})
         got = new.torus_mul(f, g)
         assert got.coeff((1, 0)) is a and got.coeff((0, 1)) is b
-        assert_same(got, ref.torus_mul(*(ref.TorusSeries(KRON, 3, s.coeffs) for s in (f, g))))
+        assert_same(got, ref.torus_mul(at_star0(f), at_star0(g)))
 
 
 def reference_framed(fq, parts, theta, N, c, side, mu):
@@ -342,7 +343,7 @@ def reference_framed(fq, parts, theta, N, c, side, mu):
     def product(slopes):  # decreasing slope, left to right
         out = ref.TorusSeries.one(fq, N)
         for b in sorted(slopes, reverse=True):
-            out = ref.torus_mul(out, ref.TorusSeries(fq, N, parts[b].coeffs))
+            out = ref.torus_mul(out, at_star0(parts[b]))
         return out
 
     below, upto = product(b for b in parts if b < mu), product(b for b in parts if b <= mu)
@@ -350,7 +351,7 @@ def reference_framed(fq, parts, theta, N, c, side, mu):
     right = upto if side == "plus" else below
     crossing = ref.torus_mul(ref.s_twist(left, ref.nu_weights(fq, 1)),
                              ref.torus_inverse(ref.s_twist(right, ref.nu_weights(fq, -1))))
-    return ref.truncate_tau(crossing, theta, c, mu).coeffs or {ext((0,) * fq.n_vertices): ONE}
+    return from_ref(ref.truncate_tau(crossing, theta, c, mu).coeffs) or {(0,) * fq.n_vertices: ONE}
 
 
 @pytest.mark.parametrize("name, fq, thetas, _, N", hn_ref.CASES, ids=hn_ref.IDS)
@@ -364,7 +365,7 @@ def test_framed_slope_line(name, fq, thetas, _, N):
     for theta in thetas:
         parts = ref_hn.hn_split(bu.series, tuple(Fraction(t) for t in theta), N)
         levels = {(c, theta_slope(theta, a, c))
-                  for a in alphas for c in find_walls(fq, theta, a, N)}
+                  for a in alphas for c in find_walls(fq, theta, a)}
         levels |= {(c, mu) for mu in hn_ref.between(sorted(parts)) for c in (mu, mu + 1)}
         for c, mu in sorted(levels):
             for side in SIDES:
@@ -381,13 +382,28 @@ def test_wallcross_onto_the_minus_side(fq):
     N = 5
     bu = universal_for(fq, N)
     B = hn_factorize(bu, (1, 0), N)[HALF]
-    rb = ref.TorusSeries(fq, N, B.coeffs)
+    rb = at_star0(B)
     snu_inv = ref.torus_inverse(ref.s_twist(rb, ref.nu_weights(fq, 1)))
     sdn = ref.s_twist(rb, ref.nu_weights(fq, -1))
     for src in ("exact", "plus"):
         a = framed_at(fq, bu, (1, 0), N, HALF, src, HALF)
-        exact = ref.TorusSeries(fq, N, a.series.coeffs)
+        exact = at_star0(a.series)
         if src == "plus":
             exact = ref.torus_mul(exact, sdn)
         got = general_wallcross(a, B, f"{src}_to_minus").series
         assert_same(got, ref.torus_mul(snu_inv, exact))
+
+
+@pytest.mark.parametrize("fq, theta", [
+    (KRON, (1, 0)), (KRON, (2, -1)), (TWO_LOOPS, (0,)), (CONIFOLD, (1, 0)), (CONIFOLD, (-1, 2)),
+], ids=["kronecker", "kronecker_2_-1", "two_loops", "conifold", "conifold_-1_2"])
+@pytest.mark.parametrize("N", [2, 6])
+def test_star_zero_normal_form(fq, theta, N):
+    """On every rung (mu, B_mu, Q) of the slope ladder, with P the rest one
+    rung up: P . x* . Q^{-1} in the star-1 torus equals
+    S_{-nu}(_crossing(P, Q)) . x*, the production series placed at star 0.
+    Any other twist on the left (-2, 0, 1, 2 times nu) breaks it."""
+    rungs = ref_hn.star_one_rungs(universal_for(fq, N), theta, N)
+    assert rungs
+    for mu, framed, normal in rungs:
+        assert framed == normal, mu

@@ -58,14 +58,14 @@ class TestSlope:
 
 class TestFindWalls:
     def test_kronecker_example(self):
-        walls = find_walls(KRON, (1, 0), (1, 1), 4)
+        walls = find_walls(KRON, (1, 0), (1, 1))
         assert walls == (Fraction(-1), Fraction(1, 2), Fraction(2))
 
     def test_jordan_degenerate_theta(self):
-        assert find_walls(JORDAN, (0,), (3,), 4) == (Fraction(0),)
+        assert find_walls(JORDAN, (0,), (3,)) == (Fraction(0),)
 
     def test_zero_class_has_no_walls(self):
-        assert find_walls(KRON, (1, 0), (0, 0), 4) == ()
+        assert find_walls(KRON, (1, 0), (0, 0)) == ()
 
     @pytest.mark.parametrize("theta, alpha, message", [
         ((1,), (1, 1), "theta must list one weight per vertex: got 1 for 2 vertices"),
@@ -76,20 +76,16 @@ class TestFindWalls:
     ])
     def test_refuses_bad_input(self, theta, alpha, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            find_walls(KRON, theta, alpha, 4)
+            find_walls(KRON, theta, alpha)
 
     def test_check_alpha_refuses_a_fraction_and_keeps_integral_values(self):
         with pytest.raises(ValueError, match="^alpha entry 3/2 is not an integer$"):
             check_alpha(KRON, (Fraction(3, 2), 1))
         assert check_alpha(KRON, (Fraction(2), 1.0)) == (2, 1)
 
-    def test_region_guard(self):
-        with pytest.raises(ValueError, match="truncation region"):
-            find_walls(KRON, (1, 0), (3, 2), 4)
-
     def test_walls_on_each_wall_some_slope_matches(self):
         alpha = (1, 1)
-        for w in find_walls(KRON, (1, 0), alpha, 4):
+        for w in find_walls(KRON, (1, 0), alpha):
             target = theta_slope((1, 0), alpha, w)
             hit = any(theta_slope((1, 0), b, w if s else None) == target
                       for b in sub_vectors(alpha) for s in (0, 1)
@@ -99,7 +95,7 @@ class TestFindWalls:
     @given(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
            st.tuples(st.integers(0, 2), st.integers(0, 2)))
     def test_walls_sorted_and_finite(self, theta, alpha):
-        walls = find_walls(KRON, theta, alpha, 4)
+        walls = find_walls(KRON, theta, alpha)
         assert list(walls) == sorted(set(walls))
         assert len(walls) <= sum(1 for b in sub_vectors(alpha) for _ in (0, 1))
 
@@ -151,7 +147,7 @@ class TestComparisonConstancy:
 
     def test_constant_between_consecutive_walls(self):
         theta, alpha = (1, 0), (1, 1)
-        walls = find_walls(KRON, theta, alpha, 4)
+        walls = find_walls(KRON, theta, alpha)
         grid = [walls[0] - 1] + list(walls) + [walls[-1] + 1]
         for lo, hi in zip(grid, grid[1:]):
             probes = [lo + (hi - lo) * t for t in (Fraction(1, 3), Fraction(1, 2),
