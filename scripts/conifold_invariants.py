@@ -27,12 +27,12 @@ def main():
 
     fq = conifold_quiver()
     bu = universal_for(fq, args.trunc)
-    invariants = dt_omega(bu.series)
+    omega = dt_omega(bu.series)
 
     print(f"# Omega table, total dimension <= {args.trunc}")
     clean = True
-    for alpha in sorted(invariants.omega, key=lambda a: (sum(a), a)):
-        value = invariants.omega[alpha]
+    for alpha in sorted(omega.coeffs, key=lambda a: (sum(a), a)):
+        value = omega.coeffs[alpha]
         flips = flipped_coeffs(value)
         ok = all(c >= 0 and c.denominator == 1 for c in flips)
         clean &= ok
@@ -41,7 +41,7 @@ def main():
     print(f"# sign diagnostic: {'clean' if clean else 'FAILED'}")
 
     print("# euler-limit transfer series")
-    limit = euler_transfer(invariants, fq)
+    limit = euler_transfer(omega)
     for key, c in limit.terms():
         print(f"{','.join(map(str, key))}\t{c.specialize('euler')}")
 

@@ -41,9 +41,9 @@ def main():
         mu = theta_slope(theta, (1, 1), c)
         print(f"\n== wall c = {c}, slope class {mu}")
         B = parts.get(mu)
-        below = framed_at(fq, bu, theta, N, c, "minus", mu)
-        exact = framed_at(fq, bu, theta, N, c, "exact", mu)
-        above = framed_at(fq, bu, theta, N, c, "plus", mu)
+        below = framed_at(bu, theta, N, c, "minus", mu)
+        exact = framed_at(bu, theta, N, c, "exact", mu)
+        above = framed_at(bu, theta, N, c, "plus", mu)
         show("  below", below.series)
         show("  at   ", exact.series)
         show("  above", above.series)
@@ -60,7 +60,7 @@ def main():
     for alpha in [(1, 0), (1, 1), (2, 1), (2, 2)]:
         if sum(alpha) > N:
             continue
-        m = smooth_model_motive(fq, theta, bu, N, alpha)
+        m = smooth_model_motive(bu, theta, N, alpha)
         print(f"{','.join(map(str, alpha))}\t{m}")
 
 

@@ -39,8 +39,7 @@ def main():
     ap.add_argument("--trunc", "-N", type=int, default=7)
     args = ap.parse_args()
 
-    fq = c3_quiver()
-    series = ncdt(fq, universal_for(fq, args.trunc))
+    series = ncdt(universal_for(c3_quiver(), args.trunc))
 
     print("n\tseries\tdirect")
     mismatches = 0

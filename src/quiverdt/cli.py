@@ -175,20 +175,20 @@ def _dispatch(job: JobSpec):
         return 0, " ".join(str(w) for w in walls)
 
     if sub == "ncdt":
-        return 0, format_series(ncdt(fq, universal_for(fq, N)), job.fmt)
+        return 0, format_series(ncdt(universal_for(fq, N)), job.fmt)
 
     if sub == "framed":
         if job.c is None:
             raise CLIError("framed needs --c")
         theta = _theta_for(job, fq)
-        fs = framed_at(fq, universal_for(fq, N), theta, N, job.c, job.side, job.mu)
+        fs = framed_at(universal_for(fq, N), theta, N, job.c, job.side, job.mu)
         return 0, format_series(fs.series, job.fmt)
 
     if sub == "smooth-model":
         if job.mu is None:
             raise CLIError("smooth-model needs --mu")
         theta = _theta_for(job, fq)
-        series = smooth_model_series(fq, theta, job.mu, universal_for(fq, N), N)
+        series = smooth_model_series(universal_for(fq, N), theta, N, job.mu)
         return 0, format_series(series, job.fmt)
 
     if sub in ("omega", "transfer"):
@@ -200,16 +200,13 @@ def _dispatch(job: JobSpec):
         else:
             B = BU.series
         if sub == "transfer":
-            return 0, format_series(transfer_series(B, fq), job.fmt)
+            return 0, format_series(transfer_series(B), job.fmt)
         om = dt_omega(B)
-        lines = []
-        for a in sorted(om.omega, key=lambda k: (sum(k), k)):
-            val = om.omega[a]
-            if job.fmt == "euler":
-                lines.append(f"{','.join(map(str, a))}\t{val.specialize('euler')}")
-            else:
-                lines.append(f"{','.join(map(str, a))}\t{val}")
-        return 0, "\n".join(lines)
+        if job.fmt != "euler":
+            return 0, format_series(om, "tsv")
+        # one line per class, also on one vertex
+        return 0, "\n".join(f"{_fmt_alpha(k)}\t{c.specialize('euler')}"
+                            for k, c in _sorted_terms(om))
 
     if sub == "check-oracle":
         return _check_oracle(job, fq)
@@ -222,7 +219,7 @@ def _check_oracle(job: JobSpec, fq: FramedQuiver):
     if fq.bu_source != "trivial_potential":
         raise CLIError("check-oracle needs a trivial-potential quiver")
     q = job.q
-    cfg = FiniteFieldConfig(q, max_total_dim=job.max_dim)
+    cfg = FiniteFieldConfig(max_total_dim=job.max_dim)
     n = fq.base.n_vertices
     N = job.max_dim
     theta = None if job.theta is None else check_theta(fq, job.theta)

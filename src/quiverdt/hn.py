@@ -12,8 +12,8 @@ from __future__ import annotations
 from functools import cache, partial
 
 from .qtorus import TorusSeries, pleth_exp, torus_div, torus_mul
-from .quiver import (BUILTIN_SOURCES, FramedQuiver, Record, check_builtin_shape,
-                     dim_vectors_up_to, ext, tits_form)
+from .quiver import (BUILTIN_SOURCES, FramedQuiver, Record, dim_vectors_up_to, ext,
+                     tits_form)
 from .scalar import ONE, L, Scalar
 from .stability import check_theta, theta_slope
 
@@ -62,30 +62,23 @@ def universal_trivial(fq: FramedQuiver, N: int) -> UniversalSeries:
     return UniversalSeries(TorusSeries(fq, N, coeffs), "trivial_potential")
 
 
-def builtin_BU(fq: FramedQuiver, name: str, N: int) -> UniversalSeries:
-    """The closed-form universal series of the two stock potentials."""
-    check_builtin_shape(fq, name)
+def universal_for(fq: FramedQuiver, N: int) -> UniversalSeries:
+    """B_U as declared by the quiver's bu_source field: the closed form of
+    the trivial potential, or that of one of the two stock potentials."""
+    name = fq.bu_source
+    if name == "trivial_potential":
+        return universal_trivial(fq, N)
+    lm1 = L - 1
     if name == "c3":
-        lm1 = L - 1
         arg = TorusSeries(fq, N, {(n,): (L * L) / lm1 for n in range(1, N + 1)})
         return UniversalSeries(pleth_exp(arg), name)
-    if name == "conifold":
-        lm1 = L - 1
-        head = TorusSeries(fq, N, {
-            (1, 1): (L + L * L) / lm1,
-            (1, 0): -Scalar.v_pow(1) / lm1,
-            (0, 1): -Scalar.v_pow(1) / lm1,
-        })
-        diag = TorusSeries(fq, N, {(n, n): ONE for n in range(N // 2 + 1)})
-        return UniversalSeries(pleth_exp(torus_mul(head, diag)), name)
-    raise ValueError(f"no builtin series named {name!r}")
-
-
-def universal_for(fq: FramedQuiver, N: int) -> UniversalSeries:
-    """B_U as declared by the quiver's bu_source field."""
-    if fq.bu_source == "trivial_potential":
-        return universal_trivial(fq, N)
-    return builtin_BU(fq, fq.bu_source, N)
+    head = TorusSeries(fq, N, {  # the conifold
+        (1, 1): (L + L * L) / lm1,
+        (1, 0): -Scalar.v_pow(1) / lm1,
+        (0, 1): -Scalar.v_pow(1) / lm1,
+    })
+    diag = TorusSeries(fq, N, {(n, n): ONE for n in range(N // 2 + 1)})
+    return UniversalSeries(pleth_exp(torus_mul(head, diag)), name)
 
 
 def slope_ladder(BU: UniversalSeries, theta, N: int) -> tuple:

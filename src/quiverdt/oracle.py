@@ -9,9 +9,10 @@ count_stack, count_framed_stable and hall_filtration_check are predicates
 over one kernel, _invariant_runs, which yields each set of arrow-invariant
 subspace tuples that occurs, as a bitmask over the candidate tuples, with
 the number of matrix tuples that have it.  The three share one path to it:
-_config checks alpha and theta against the quiver and refuses a q mismatch
-and a class above the dimension cap, _slope_tests reads c-plus and c-minus
-as c + eps and c - eps, and the two counts go through _points.
+_config checks alpha and theta against the quiver and refuses a q that is
+not a prime at most 5 and a class above the dimension cap, _slope_tests
+reads c-plus and c-minus as c + eps and c - eps, and the two counts go
+through _points.
 
 - The points of F_q^n are numbered in itertools.product order, and each
   subspace is stored as the int bitmask of its members.
@@ -78,17 +79,15 @@ class BudgetError(RuntimeError):
 class FiniteFieldConfig(Record):
     """budget defaults to WALLCROSS_BUDGET as set when the config is built."""
 
-    __slots__ = ("q", "max_total_dim", "budget")
+    __slots__ = ("max_total_dim", "budget")
 
-    def __init__(self, q: int, max_total_dim: int = 4, budget: int | None = None):
+    def __init__(self, max_total_dim: int = 4, budget: int | None = None):
         if budget is None:
             raw = os.environ.get("WALLCROSS_BUDGET")
             budget = int(raw) if raw else DEFAULT_BUDGET
-        if q not in (2, 3, 5):
-            raise ValueError("q must be a prime at most 5")
         if not 1 <= max_total_dim <= 4:
             raise ValueError("max_total_dim must be between 1 and 4")
-        self._set(q=q, max_total_dim=max_total_dim, budget=budget)
+        self._set(max_total_dim=max_total_dim, budget=budget)
 
 
 def gl_order(n: int, q: int) -> int:
@@ -357,14 +356,14 @@ def _check_budget(cfg: FiniteFieldConfig, fq: FramedQuiver, alpha, q: int,
 
 def _config(fq: FramedQuiver, cfg: FiniteFieldConfig | None, q: int, alpha,
             theta=None):
-    """(cfg or the default config for q, alpha, theta), alpha and theta (unless
-    None) checked against fq; refuses a q that cfg does not share and a class
-    above the dimension cap."""
+    """(cfg or the default config, alpha, theta), alpha and theta (unless
+    None) checked against fq; refuses a q that is not a prime at most 5 and
+    a class above the dimension cap."""
     alpha = check_alpha(fq, alpha)
     theta = None if theta is None else check_theta(fq, theta)
-    cfg = cfg or FiniteFieldConfig(q)
-    if cfg.q != q:
-        raise ValueError("config and argument disagree on q")
+    if q not in (2, 3, 5):
+        raise ValueError("q must be a prime at most 5")
+    cfg = cfg or FiniteFieldConfig()
     if sum(alpha) > cfg.max_total_dim:
         raise BudgetError(f"budget exceeded: total dimension {sum(alpha)} > "
                           f"max_total_dim {cfg.max_total_dim}")

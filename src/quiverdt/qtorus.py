@@ -51,8 +51,12 @@ class TorusSeries(Record):
 
     def __init__(self, fq: FramedQuiver, trunc: int, coeffs: Mapping[Key, Scalar]):
         clean = {}
+        n = fq.n_vertices
         for key, c in coeffs.items():
             key = tuple(key)
+            if len(key) != n:
+                raise ValueError(f"series key {key} must list one dimension per vertex: "
+                                 f"got {len(key)} for {n} vertices")
             if sum(key) > trunc:
                 continue
             if c:

@@ -102,8 +102,11 @@ class FramedQuiver(Record):
         w = tuple(int(x) for x in w)
         if len(w) != base.n_vertices or any(x < 0 for x in w):
             raise ValueError("framing vector must match the vertex count")
-        if bu_source not in BUILTIN_SOURCES and bu_source != "user_supplied":
+        if bu_source not in BUILTIN_SOURCES:
             raise ValueError(f"unknown builtin_BU {bu_source!r}")
+        shape = _BUILTIN_SHAPES.get(bu_source)
+        if shape is not None and base.arrows != shape[0]:
+            raise ValueError(f"{bu_source} needs {shape[1]}")
         self._set(base=base, w=w, bu_source=bu_source)
 
     @property
@@ -198,19 +201,11 @@ def load_quiver_file(path: str) -> FramedQuiver:
     source = raw.get("builtin_BU", "trivial_potential")
     if source not in BUILTIN_SOURCES:
         raise QuiverFileError(f"{path}: builtin_BU must be one of {BUILTIN_SOURCES}")
-    fq = FramedQuiver(Quiver(n, tuple(tuple(r) for r in mat)), tuple(w), source)
-    try:
-        check_builtin_shape(fq, source)
+    base = Quiver(n, tuple(tuple(r) for r in mat))
+    try:  # the one refusal left is a potential on arrows of the wrong shape
+        return FramedQuiver(base, tuple(w), source)
     except ValueError as exc:
         raise QuiverFileError(f"{path}: builtin_BU {exc}") from None
-    return fq
-
-
-def check_builtin_shape(fq: FramedQuiver, name: str) -> None:
-    """Refuse the built-in potential `name` on a quiver of the wrong shape."""
-    shape = _BUILTIN_SHAPES.get(name)
-    if shape is not None and fq.base.arrows != shape[0]:
-        raise ValueError(f"{name} needs {shape[1]}")
 
 
 # a few stock quivers used all over the tests and scripts

@@ -93,7 +93,7 @@ def _uniform(fq, parts, N, a, side) -> TorusSeries:
     upto = below  # P_{<=a}
     if a in parts:
         upto = torus_mul(parts[a], below) if lower else parts[a]
-    return _crossing(fq, below if side == "minus" else upto,
+    return _crossing(below if side == "minus" else upto,
                      upto if side == "plus" else below)
 
 
@@ -136,7 +136,7 @@ def transfer_slope_product(fq, parts: dict, trunc: int, pred) -> TorusSeries:
     Symmetric quivers only; the factors commute, the order is fixed
     decreasing for definiteness.
     """
-    return torus_product(fq, trunc, (transfer_series(parts[b], fq)
+    return torus_product(fq, trunc, (transfer_series(parts[b])
                                      for b in sorted(parts, reverse=True) if pred(b)))
 
 
@@ -160,7 +160,7 @@ def star_one_rungs(BU, theta, N) -> list:
     for mu, _, Q in slope_ladder(BU, theta, N):
         framed = ref_qt.torus_mul(ref_qt.torus_mul(at_star0(P), xs),
                                   ref_qt.torus_inverse(at_star0(Q)))
-        normal = ref_qt.torus_mul(at_star0(s_twist(_crossing(fq, P, Q), nu_weights(fq, -1))), xs)
+        normal = ref_qt.torus_mul(at_star0(s_twist(_crossing(P, Q), nu_weights(fq, -1))), xs)
         out.append((mu, framed, normal))
         P = Q
     return out

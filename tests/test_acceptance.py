@@ -32,7 +32,7 @@ def test_criterion_1_cyclic_series_counts_plane_partitions():
     """Three-loop cyclic series at the euler point vs direct enumeration."""
     t0 = time.monotonic()
     fq = c3_quiver()
-    series = ncdt(fq, universal_for(fq, 7))
+    series = ncdt(universal_for(fq, 7))
     got = [series.coeff((n,)).specialize("euler") for n in range(8)]
     assert got == [plane_partitions(n) for n in range(8)]
     assert time.monotonic() - t0 < 5.0
@@ -43,7 +43,7 @@ def test_criterion_2_one_loop_framed_moduli_are_affine_spaces():
     t0 = time.monotonic()
     fq = jordan_quiver()
     bu = universal_for(fq, 8)
-    motives = {n: smooth_model_motive(fq, (0,), bu, 8, (n,)) for n in range(1, 9)}
+    motives = {n: smooth_model_motive(bu, (0,), 8, (n,)) for n in range(1, 9)}
     for n in range(1, 9):
         assert motives[n] == L ** n
     for n in (1, 2, 3):
@@ -69,7 +69,7 @@ def test_criterion_3_series_coefficients_match_finite_field_counts():
             mu = sum(Fraction(t) * a for t, a in zip(theta, alpha)) / sum(alpha)
             piece = parts.get(mu, TorusSeries.one(fq, 3)).coeff(alpha)
             for q in (2, 3):
-                cfg = FiniteFieldConfig(q)
+                cfg = FiniteFieldConfig()
                 n_all = count_stack(fq, ext(alpha), "all", q, cfg)
                 assert verify_coefficient(bu.series.coeff(alpha), n_all, q, chi=chi)
                 n_sst = count_stack(fq, ext(alpha), sp, q, cfg)
@@ -90,9 +90,9 @@ def test_criterion_4_wall_crossing_identities_hold_termwise():
         bu = universal_for(fq, N)
         parts = hn_factorize(bu, theta, N)
         B = parts[mu]
-        a_minus = framed_at(fq, bu, theta, N, mu, "minus", mu)
-        a_exact = framed_at(fq, bu, theta, N, mu, "exact", mu)
-        a_plus = framed_at(fq, bu, theta, N, mu, "plus", mu)
+        a_minus = framed_at(bu, theta, N, mu, "minus", mu)
+        a_exact = framed_at(bu, theta, N, mu, "exact", mu)
+        a_plus = framed_at(bu, theta, N, mu, "plus", mu)
         snu = s_twist(B, nu_weights(fq, 1))
         sdn = s_twist(B, nu_weights(fq, -1))
         assert a_exact.series == torus_mul(snu, a_minus.series)
@@ -103,7 +103,7 @@ def test_criterion_4_wall_crossing_identities_hold_termwise():
             below = transfer_slope_product(fq, parts, N, lambda b: b < mu)
             above = transfer_slope_product(fq, parts, N, lambda b: b > mu)
             thru = transfer_slope_product(fq, parts, N, lambda b: b <= mu)
-            top = framed_at(fq, bu, theta, N, PLUS_INF).series
+            top = framed_at(bu, theta, N, PLUS_INF).series
             lifted = torus_div(top, above, left=True)
             assert truncate_tau(below, theta, mu, mu) == a_minus.series
             assert truncate_tau(lifted, theta, mu, mu) == a_plus.series
@@ -111,7 +111,7 @@ def test_criterion_4_wall_crossing_identities_hold_termwise():
                 truncate_tau(lifted, theta, mu, mu)
         else:
             with pytest.raises(ValueError):
-                transfer_series(B, fq)
+                transfer_series(B)
     assert time.monotonic() - t0 < 60.0
 
 
@@ -141,8 +141,7 @@ def test_criterion_5_inversion_round_trips():
 
     co = conifold_quiver()
     bu = universal_for(co, N)
-    inv = dt_omega(bu.series)
-    assert pleth_exp(TorusSeries(co, inv.trunc, inv.omega) * (ONE / (L - 1))) == bu.series
+    assert pleth_exp(dt_omega(bu.series) * (ONE / (L - 1))) == bu.series
     assert time.monotonic() - t0 < 60.0
 
 
@@ -151,7 +150,7 @@ def test_criterion_6_resolved_conifold_invariants():
     diagnostic: substituting v -> -v leaves nonnegative integer coefficients."""
     t0 = time.monotonic()
     fq = conifold_quiver()
-    om = dt_omega(universal_for(fq, 6).series).omega
+    om = dt_omega(universal_for(fq, 6).series).coeffs
     expect = {}
     for n in range(1, 4):
         expect[(n, n)] = L + L * L

@@ -56,7 +56,7 @@ def test_kronecker_closed_form():
     fq = kronecker_quiver()
     omega = {}
     for piece in hn_factorize(universal_for(fq, N), (1, 0), N).values():
-        omega.update((a, om) for a, om in dt_omega(piece).omega.items() if om)
+        omega.update((a, om) for a, om in dt_omega(piece).coeffs.items() if om)
     real = {(1, 0), (0, 1)} | {r for n in range(1, N) for r in ((n + 1, n), (n, n + 1))
                                if sum(r) <= N}
     want = {a: -V for a in real}
@@ -66,7 +66,7 @@ def test_kronecker_closed_form():
 
 @pytest.mark.parametrize("m, top", [(1, 12), (2, 12), (3, 9), (4, 7)])
 def test_m_loop_euler_numbers(m, top):
-    omega = dt_omega(universal_for(loop_quiver(m), top).series).omega
+    omega = dt_omega(universal_for(loop_quiver(m), top).series).coeffs
     for d in range(1, top + 1):
         got = omega.get((d,), ZERO).specialize("euler")
         assert got == (-1) ** ((m - 1) * d) * reineke_euler(m, d), (m, d)
@@ -79,7 +79,7 @@ def test_m_loop_euler_numbers(m, top):
 def test_efimov_positivity(arrows):
     n = len(arrows)
     fq = FramedQuiver(Quiver(n, arrows), (1,) + (0,) * (n - 1))
-    omega = dt_omega(universal_for(fq, 6).series).omega
+    omega = dt_omega(universal_for(fq, 6).series).coeffs
     assert omega
     for a, om in omega.items():
         assert all(c >= 0 and c.denominator == 1 for c in flipped(om).values()), (a, om)

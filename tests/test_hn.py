@@ -4,10 +4,10 @@ import pytest
 
 from reference_hn import remultiply_check
 import quiverdt.hn as hn
-from quiverdt.hn import (UniversalSeries, builtin_BU, gl_motive, hn_factorize,
-                         universal_for, universal_trivial)
-from quiverdt.quiver import (c3_quiver, conifold_quiver, ext, jordan_quiver,
-                             kronecker_quiver, loop_quiver)
+from quiverdt.hn import (UniversalSeries, gl_motive, hn_factorize, universal_for,
+                         universal_trivial)
+from quiverdt.quiver import (FramedQuiver, c3_quiver, conifold_quiver, ext,
+                             jordan_quiver, kronecker_quiver, loop_quiver)
 from quiverdt.qtorus import TorusSeries
 from quiverdt.scalar import ONE, L, Scalar, V
 
@@ -70,26 +70,24 @@ class TestValidation:
 
 
 class TestBuiltins:
+    # a potential is refused on arrows of the wrong shape when the quiver is built
     def test_c3_shape_guard(self):
-        with pytest.raises(ValueError, match="three loops"):
-            builtin_BU(jordan_quiver(), "c3", 2)
+        with pytest.raises(ValueError, match="^c3 needs one vertex with three loops$"):
+            FramedQuiver(jordan_quiver().base, (1,), "c3")
 
     def test_conifold_shape_guard(self):
-        with pytest.raises(ValueError, match="two arrows each way"):
-            builtin_BU(kronecker_quiver(), "conifold", 2)
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="no builtin"):
-            builtin_BU(jordan_quiver(), "c4", 2)
+        with pytest.raises(ValueError,
+                           match="^conifold needs two vertices with two arrows each way$"):
+            FramedQuiver(kronecker_quiver().base, (1, 0), "conifold")
 
     def test_c3_series(self):
-        bu = builtin_BU(c3_quiver(), "c3", 3)
+        bu = universal_for(c3_quiver(), 3)
         assert bu.source == "c3"
         assert bu.series.constant_term() == ONE
         assert bu.series.coeff((1,)) == L * L / (L - 1)
 
     def test_conifold_series(self):
-        bu = builtin_BU(conifold_quiver(), "conifold", 2)
+        bu = universal_for(conifold_quiver(), 2)
         assert bu.source == "conifold"
         assert bu.series.coeff((1, 0)) == -V / (L - 1)
         assert bu.series.coeff((0, 1)) == -V / (L - 1)

@@ -68,7 +68,7 @@ def check_split(fq, theta, N):
     slopes = sorted(want)
     for a in [PLUS_INF, MINUS_INF] + slopes + between(slopes):
         for side in SIDES:
-            assert uniform_series(fq, bu, theta, a, side) == \
+            assert uniform_series(bu, theta, a, side) == \
                 ref._uniform(fq, want, N, a, side), (a, side)
     return bu
 
@@ -90,7 +90,7 @@ def check_walls(fq, theta, N, alphas) -> None:
             levels.add((c, theta_slope(theta, alpha, c)))
     for c, mu in sorted(levels):
         for side in SIDES:
-            got = framed_at(fq, bu, theta, N, c, side, mu).series
+            got = framed_at(bu, theta, N, c, side, mu).series
             assert got == ref.framed_at(fq, parts, theta, N, c, side, mu), (c, mu, side)
 
 
@@ -106,16 +106,16 @@ def test_infinities_and_empty_slope_classes(name, fq, thetas, _, N):
     bu = universal_for(fq, N)
     one = TorusSeries.one(fq, N)
     for theta in thetas:
-        assert uniform_series(fq, bu, theta, MINUS_INF) == one
-        assert uniform_series(fq, bu, theta, PLUS_INF) == \
-            framed_at(fq, bu, theta, N, PLUS_INF).series
+        assert uniform_series(bu, theta, MINUS_INF) == one
+        assert uniform_series(bu, theta, PLUS_INF) == \
+            framed_at(bu, theta, N, PLUS_INF).series
         parts = ref.hn_split(bu.series, tuple(Fraction(t) for t in theta), N)
         # a slope class with no piece: far above and below every slope, and
         # between two slopes
         for mu in between(sorted(parts)):
             for c in (mu, mu + 1):
                 for side in SIDES:
-                    got = framed_at(fq, bu, theta, N, c, side, mu).series
+                    got = framed_at(bu, theta, N, c, side, mu).series
                     assert got == ref.framed_at(fq, parts, theta, N, c, side, mu)
 
 
@@ -142,7 +142,7 @@ def test_random_quivers(case):
     assert remultiply_check(parts, bu)
     for c in find_walls(fq, theta, alpha):
         mu = theta_slope(theta, alpha, c)
-        minus, exact, plus = (framed_at(fq, bu, theta, N, c, side, mu).series
+        minus, exact, plus = (framed_at(bu, theta, N, c, side, mu).series
                               for side in ("minus", "exact", "plus"))
         B = parts.get(mu, TorusSeries.one(fq, N))
 

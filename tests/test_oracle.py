@@ -21,34 +21,26 @@ HALF = Fraction(1, 2)
 
 class TestConfig:
     def test_q_validated(self):
-        with pytest.raises(ValueError, match="prime at most 5"):
-            FiniteFieldConfig(4)
-        with pytest.raises(ValueError, match="prime at most 5"):
-            FiniteFieldConfig(7)
+        # each entry point refuses a bad q before it counts anything
+        for q in (0, 4, 7):
+            calls = [
+                lambda: count_stack(JORDAN, ext((1,)), "all", q),
+                lambda: count_framed_stable(JORDAN, (1,), (0,), 0, "plus", q),
+                lambda: hall_filtration_check(JORDAN, (1,), (0,), 0, q),
+            ]
+            for call in calls:
+                with pytest.raises(ValueError, match="^q must be a prime at most 5$"):
+                    call()
 
     def test_dim_cap_validated(self):
         with pytest.raises(ValueError, match="max_total_dim"):
-            FiniteFieldConfig(2, max_total_dim=0)
+            FiniteFieldConfig(max_total_dim=0)
         with pytest.raises(ValueError, match="max_total_dim"):
-            FiniteFieldConfig(2, max_total_dim=5)
+            FiniteFieldConfig(max_total_dim=5)
 
     def test_budget_from_env(self, monkeypatch):
         monkeypatch.setenv("WALLCROSS_BUDGET", "12345")
-        assert FiniteFieldConfig(2).budget == 12345
-
-    def test_q_mismatch_caught(self):
-        with pytest.raises(ValueError, match="disagree on q"):
-            count_stack(JORDAN, (1,), "all", 3, FiniteFieldConfig(2))
-
-    def test_q_mismatch_caught_by_every_entry_point(self):
-        cfg = FiniteFieldConfig(2)
-        calls = [
-            lambda: count_framed_stable(JORDAN, (1,), (0,), 0, "plus", 3, cfg),
-            lambda: hall_filtration_check(JORDAN, (1,), (0,), 0, 3, cfg),
-        ]
-        for call in calls:
-            with pytest.raises(ValueError, match="config and argument disagree on q"):
-                call()
+        assert FiniteFieldConfig().budget == 12345
 
 
 THETA = "theta must list one weight per vertex: got 1 for 2 vertices"

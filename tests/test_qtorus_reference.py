@@ -369,7 +369,7 @@ def test_framed_slope_line(name, fq, thetas, _, N):
         levels |= {(c, mu) for mu in hn_ref.between(sorted(parts)) for c in (mu, mu + 1)}
         for c, mu in sorted(levels):
             for side in SIDES:
-                got = framed_at(fq, bu, theta, N, c, side, mu).series
+                got = framed_at(bu, theta, N, c, side, mu).series
                 assert got.coeffs == reference_framed(fq, parts, theta, N, c, side, mu), \
                     (theta, c, mu, side)
 
@@ -386,7 +386,7 @@ def test_wallcross_onto_the_minus_side(fq):
     snu_inv = ref.torus_inverse(ref.s_twist(rb, ref.nu_weights(fq, 1)))
     sdn = ref.s_twist(rb, ref.nu_weights(fq, -1))
     for src in ("exact", "plus"):
-        a = framed_at(fq, bu, (1, 0), N, HALF, src, HALF)
+        a = framed_at(bu, (1, 0), N, HALF, src, HALF)
         exact = at_star0(a.series)
         if src == "plus":
             exact = ref.torus_mul(exact, sdn)

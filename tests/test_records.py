@@ -15,11 +15,12 @@ import pytest
 
 from quiverdt.cli import JobSpec
 from quiverdt.hn import UniversalSeries, hn_factorize, universal_for
-from quiverdt.oracle import FiniteFieldConfig
+from quiverdt.oracle import FiniteFieldConfig, count_stack
 from quiverdt.qtorus import TorusSeries
 from quiverdt.quiver import FramedQuiver, Quiver, jordan_quiver, kronecker_quiver
 from quiverdt.stability import MINUS_INF, PLUS_INF, StabilityParams
-from quiverdt.wallcross import DTInvariants, FramedSeries, dt_omega, framed_at
+from quiverdt.scalar import ONE
+from quiverdt.wallcross import FramedSeries, dt_omega, framed_at
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,8 +44,8 @@ class TestRepr:
             "StabilityParams(theta=(Fraction(0, 1),), c=inf, side='exact')")
 
     def test_finite_field_config(self):
-        assert repr(FiniteFieldConfig(2, budget=5)) == (
-            "FiniteFieldConfig(q=2, max_total_dim=4, budget=5)")
+        assert repr(FiniteFieldConfig(budget=5)) == (
+            "FiniteFieldConfig(max_total_dim=4, budget=5)")
 
     def test_universal_series_leaves_out_the_memo(self):
         bu = _jordan_bu()
@@ -55,15 +56,11 @@ class TestRepr:
             "(1,): (v^2)/(v^2-1)}), source='trivial_potential')")
 
     def test_framed_series(self):
-        fs = framed_at(jordan_quiver(), _jordan_bu(), (0,), 1, 0, "plus", 0)
+        fs = framed_at(_jordan_bu(), (0,), 1, 0, "plus", 0)
         assert repr(fs) == (
             "FramedSeries(series=TorusSeries(N=1, {(0,): (1)/(1), (1,): (-v)/(1)}), "
             "params=StabilityParams(theta=(Fraction(0, 1),), c=Fraction(0, 1), "
             "side='plus'), mu=Fraction(0, 1))")
-
-    def test_dt_invariants(self):
-        assert repr(dt_omega(_jordan_bu().series)) == (
-            "DTInvariants(omega={(1,): (v^2)/(1)}, trunc=1)")
 
 
 HASHABLE = [
@@ -71,7 +68,7 @@ HASHABLE = [
     lambda: kronecker_quiver(),
     lambda: StabilityParams((1, 0), Fraction(1, 2), "minus"),
     lambda: StabilityParams((0,), PLUS_INF),
-    lambda: FiniteFieldConfig(3, 2, 10),
+    lambda: FiniteFieldConfig(2, 10),
     lambda: StabilityParams((2, -1), MINUS_INF),
 ]
 
@@ -79,7 +76,7 @@ UNHASHABLE = [
     lambda: TorusSeries.one(jordan_quiver(), 2),
     _jordan_bu,
     lambda: FramedSeries(TorusSeries.one(jordan_quiver(), 1), StabilityParams((0,))),
-    lambda: DTInvariants({(1,): 1}, 1),
+    lambda: dt_omega(_jordan_bu().series),  # Omega is a series
 ]
 
 
@@ -105,13 +102,13 @@ class TestValueSemantics:
         assert Quiver(1, ((1,),)) != Quiver(1, ((2,),))
         assert jordan_quiver() != jordan_quiver((2,))
         assert StabilityParams((0,), 0, "plus") != StabilityParams((0,), 0, "minus")
-        assert FiniteFieldConfig(2, budget=1) != FiniteFieldConfig(2, budget=2)
+        assert FiniteFieldConfig(budget=1) != FiniteFieldConfig(budget=2)
 
     def test_other_types_are_unequal(self):
         fq = kronecker_quiver()
         assert fq != (fq.base, fq.w, fq.bu_source)
         assert fq.base != (2, ((0, 2), (0, 0)))
-        assert StabilityParams((0,)) != FiniteFieldConfig(2)
+        assert StabilityParams((0,)) != FiniteFieldConfig()
 
     def test_memo_stays_out_of_equality(self):
         a, b = _jordan_bu(), _jordan_bu()
@@ -134,22 +131,21 @@ class TestValueSemantics:
 
 class TestConstruction:
     def test_keywords(self):
-        base = Quiver(n_vertices=1, arrows=[[1]])
-        assert base.arrows == ((1,),)
+        base = Quiver(n_vertices=1, arrows=[[3]])
+        assert base.arrows == ((3,),)
         fq = FramedQuiver(base=base, w=[2], bu_source="c3")
         assert fq == FramedQuiver(base, (2,), "c3") and fq.w == (2,)
         sp = StabilityParams(theta=[1, 0], c="1/2", side="plus")
         assert sp.theta == (1, 0) and sp.c == Fraction(1, 2)
         assert StabilityParams((0,)).c == 0 and StabilityParams((0,)).side == "exact"
-        cfg = FiniteFieldConfig(q=5, max_total_dim=1, budget=7)
-        assert (cfg.q, cfg.max_total_dim, cfg.budget) == (5, 1, 7)
+        cfg = FiniteFieldConfig(max_total_dim=1, budget=7)
+        assert (cfg.max_total_dim, cfg.budget) == (1, 7)
         series = TorusSeries(fq=jordan_quiver(), trunc=1, coeffs={})
         assert series.is_zero()
         bu = UniversalSeries(series=TorusSeries.one(jordan_quiver(), 1))
         assert bu.source == "user_supplied"
         fs = FramedSeries(series=series, params=sp)
         assert fs.mu is None
-        assert DTInvariants(omega={}, trunc=2).trunc == 2
 
     def test_normalization(self):
         sp = StabilityParams((0,), float("inf"))
@@ -164,15 +160,23 @@ class TestConstruction:
         (lambda: FramedQuiver(Quiver(1, ((1,),)), (1, 0)),
          "^framing vector must match the vertex count$"),
         (lambda: FramedQuiver(Quiver(1, ((1,),)), (1,), "x"), "^unknown builtin_BU 'x'$"),
+        (lambda: FramedQuiver(Quiver(1, ((1,),)), (1,), "user_supplied"),
+         "^unknown builtin_BU 'user_supplied'$"),
+        (lambda: FramedQuiver(Quiver(1, ((2,),)), (1,), "c3"),
+         "^c3 needs one vertex with three loops$"),
+        (lambda: FramedQuiver(Quiver(2, ((0, 2), (0, 0))), (1, 0), "conifold"),
+         "^conifold needs two vertices with two arrows each way$"),
         (lambda: StabilityParams((0,), 0, "up"),
          r"^side must be one of \('exact', 'plus', 'minus'\)$"),
         (lambda: StabilityParams((0,), PLUS_INF, "plus"), "^side tags need a finite c$"),
-        (lambda: FiniteFieldConfig(4), "^q must be a prime at most 5$"),
-        (lambda: FiniteFieldConfig(2, 5), "^max_total_dim must be between 1 and 4$"),
+        (lambda: count_stack(jordan_quiver(), (1,), "all", 4), "^q must be a prime at most 5$"),
+        (lambda: FiniteFieldConfig(5), "^max_total_dim must be between 1 and 4$"),
         (lambda: UniversalSeries(TorusSeries.one(jordan_quiver(), 1), "x"),
          "^unknown source 'x'$"),
         (lambda: UniversalSeries(TorusSeries.zero(jordan_quiver(), 1)),
          "^universal series needs constant term 1$"),
+        (lambda: TorusSeries(kronecker_quiver(), 4, {(1,): ONE}),
+         r"^series key \(1,\) must list one dimension per vertex: got 1 for 2 vertices$"),
     ])
     def test_validation_messages(self, make, message):
         with pytest.raises(ValueError, match=message):
@@ -180,11 +184,11 @@ class TestConstruction:
 
     def test_budget_read_at_construction(self, monkeypatch):
         monkeypatch.setenv("WALLCROSS_BUDGET", "1234")
-        assert FiniteFieldConfig(2).budget == 1234
+        assert FiniteFieldConfig().budget == 1234
         monkeypatch.setenv("WALLCROSS_BUDGET", "99")
-        assert FiniteFieldConfig(2).budget == 99
+        assert FiniteFieldConfig().budget == 99
         monkeypatch.delenv("WALLCROSS_BUDGET")
-        assert FiniteFieldConfig(2).budget == 10 ** 8
+        assert FiniteFieldConfig().budget == 10 ** 8
 
 
 class TestJobSpec:
