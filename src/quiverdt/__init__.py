@@ -7,7 +7,7 @@ finite-field counting oracle for independent verification.
 """
 
 from .scalar import Scalar
-from .quiver import DimVector, ExtDimVector, FramedQuiver, Quiver, load_quiver_file
+from .quiver import DimVector, FramedQuiver, Quiver, load_quiver_file
 from .qtorus import TorusSeries
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "Quiver",
     "FramedQuiver",
     "DimVector",
-    "ExtDimVector",
     "TorusSeries",
     "load_quiver_file",
 ]

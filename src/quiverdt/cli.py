@@ -17,8 +17,7 @@ from fractions import Fraction
 from .hn import hn_factorize, universal_for
 from .oracle import (FiniteFieldConfig, count_stack, hall_filtration_check,
                      verify_coefficient)
-from .quiver import (FramedQuiver, dim_vectors_up_to, ext, load_quiver_file,
-                     tits_form)
+from .quiver import FramedQuiver, dim_vectors_up_to, load_quiver_file, tits_form
 from .qtorus import TorusSeries, serialize
 from .stability import (MINUS_INF, PLUS_INF, StabilityParams, check_theta,
                         find_walls, theta_slope)
@@ -125,8 +124,6 @@ def run(job: JobSpec):
 def _load(job: JobSpec) -> FramedQuiver:
     fq = load_quiver_file(job.quiver_path)
     if job.w is not None:
-        if len(job.w) != fq.base.n_vertices or any(x < 0 for x in job.w):
-            raise CLIError("framing override must list one weight per vertex")
         fq = FramedQuiver(fq.base, job.w, fq.bu_source)
     return fq
 
@@ -234,8 +231,8 @@ def _check_oracle(job: JobSpec, fq: FramedQuiver):
     failed = False
     classes = [a for a in dim_vectors_up_to(n, N) if 0 < sum(a) <= N]
     for a in sorted(classes, key=lambda x: (sum(x), x)):
-        chi = tits_form(fq, ext(a, 0))
-        cnt = count_stack(fq, ext(a, 0), "all", q, cfg)
+        chi = tits_form(fq, a)
+        cnt = count_stack(fq, a, "all", q, cfg)
         ok = verify_coefficient(BU.series.coeff(a), cnt, q, chi=chi)
         failed |= not ok
         rows.append(f"universal\talpha={','.join(map(str, a))}\t{'ok' if ok else 'FAIL'}")
@@ -244,7 +241,7 @@ def _check_oracle(job: JobSpec, fq: FramedQuiver):
         mu = theta_slope(theta, a)
         coeff = parts.get(mu, TorusSeries.one(fq, N)).coeff(a)
         sp = StabilityParams(theta)
-        scnt = count_stack(fq, ext(a, 0), sp, q, cfg)
+        scnt = count_stack(fq, a, sp, q, cfg)
         ok = verify_coefficient(coeff, scnt, q, chi=chi)
         failed |= not ok
         rows.append(f"semistable\talpha={','.join(map(str, a))}\t{'ok' if ok else 'FAIL'}")

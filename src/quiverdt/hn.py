@@ -12,24 +12,19 @@ from __future__ import annotations
 from functools import cache, partial
 
 from .qtorus import TorusSeries, pleth_exp, torus_div, torus_mul
-from .quiver import (BUILTIN_SOURCES, FramedQuiver, Record, dim_vectors_up_to, ext,
-                     tits_form)
+from .quiver import FramedQuiver, Record, dim_vectors_up_to, tits_form
 from .scalar import ONE, L, Scalar
 from .stability import check_theta, theta_slope
 
-SOURCES = BUILTIN_SOURCES + ("user_supplied",)
-
 
 class UniversalSeries(Record):
-    __slots__ = ("series", "source", "_hn")
+    __slots__ = ("series", "_hn")
     _hidden = ("_hn",)  # slope ladders by (theta as Fractions, N)
 
-    def __init__(self, series: TorusSeries, source: str = "user_supplied"):
-        if source not in SOURCES:
-            raise ValueError(f"unknown source {source!r}")
+    def __init__(self, series: TorusSeries):
         if series.constant_term() != ONE:
             raise ValueError("universal series needs constant term 1")
-        self._set(series=series, source=source, _hn={})
+        self._set(series=series, _hn={})
 
 
 @cache
@@ -50,7 +45,7 @@ def universal_trivial(fq: FramedQuiver, N: int) -> UniversalSeries:
     arrows = fq.base.arrows
     coeffs = {}
     for alpha in dim_vectors_up_to(fq.n_vertices, N):
-        chi = tits_form(fq, ext(alpha, 0))
+        chi = tits_form(fq, alpha)
         arrow_dim = sum(m * alpha[i] * alpha[j]
                         for i, row in enumerate(arrows)
                         for j, m in enumerate(row) if m)
@@ -59,7 +54,7 @@ def universal_trivial(fq: FramedQuiver, N: int) -> UniversalSeries:
             denom = denom * gl_motive(ai)
         # (-v)^chi L^arrow_dim = (-v)^(chi + 2 arrow_dim), one monomial
         coeffs[alpha] = Scalar.neg_v_pow(chi + 2 * arrow_dim) / denom
-    return UniversalSeries(TorusSeries(fq, N, coeffs), "trivial_potential")
+    return UniversalSeries(TorusSeries(fq, N, coeffs))
 
 
 def universal_for(fq: FramedQuiver, N: int) -> UniversalSeries:
@@ -71,14 +66,14 @@ def universal_for(fq: FramedQuiver, N: int) -> UniversalSeries:
     lm1 = L - 1
     if name == "c3":
         arg = TorusSeries(fq, N, {(n,): (L * L) / lm1 for n in range(1, N + 1)})
-        return UniversalSeries(pleth_exp(arg), name)
+        return UniversalSeries(pleth_exp(arg))
     head = TorusSeries(fq, N, {  # the conifold
         (1, 1): (L + L * L) / lm1,
         (1, 0): -Scalar.v_pow(1) / lm1,
         (0, 1): -Scalar.v_pow(1) / lm1,
     })
     diag = TorusSeries(fq, N, {(n, n): ONE for n in range(N // 2 + 1)})
-    return UniversalSeries(pleth_exp(torus_mul(head, diag)), name)
+    return UniversalSeries(pleth_exp(torus_mul(head, diag)))
 
 
 def slope_ladder(BU: UniversalSeries, theta, N: int) -> tuple:

@@ -64,7 +64,7 @@ import os
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 
-from .quiver import ExtDimVector, FramedQuiver, Record, ext, sub_vectors
+from .quiver import FramedQuiver, Record, sub_vectors
 from .scalar import Scalar
 from .stability import (MINUS_INF, PLUS_INF, StabilityParams, check_alpha,
                         check_theta, theta_slope)
@@ -421,34 +421,32 @@ def _points(fq: FramedQuiver, alpha, q: int, cfg: FiniteFieldConfig, slots,
 # ---- the oracle entry points -------------------------------------------------
 
 def count_stack(fq: FramedQuiver, alpha, sp, q: int,
-                cfg: FiniteFieldConfig | None = None) -> Fraction:
-    """Weighted count sum 1/#Aut of (semi)stable representations of class alpha.
+                cfg: FiniteFieldConfig | None = None, *, framed: bool = False) -> Fraction:
+    """Weighted count sum 1/#Aut of (semi)stable representations of class alpha,
+    or of framed class (alpha, 1) when framed is set.
 
-    alpha is an ExtDimVector (star 0 or 1); sp is "all" or StabilityParams.
-    Equals #points / #G by the orbit formula, G = prod GL_{a_i} times GL_1
-    at the framing vertex when star = 1.
+    sp is "all" or StabilityParams.  Equals #points / #G by the orbit
+    formula, G = prod GL_{a_i} times GL_1 at the framing vertex when framed.
     """
-    if not isinstance(alpha, ExtDimVector):
-        alpha = ext(alpha, 0)
     theta = sp.theta if isinstance(sp, StabilityParams) else None
-    cfg, a, theta = _config(fq, cfg, q, alpha.unframed, theta)
-    if sum(a) == 0 and alpha.star == 0:
+    cfg, alpha, theta = _config(fq, cfg, q, alpha, theta)
+    if sum(alpha) == 0 and not framed:
         return Fraction(1)
     if sp == "all":
         tests = _never, _never
     elif not isinstance(sp, StabilityParams):
         raise TypeError("sp must be 'all' or StabilityParams")
-    elif alpha.star and not sp.is_finite():
+    elif framed and not sp.is_finite():
         raise ValueError("semistable framed counting needs a finite c")
     else:
-        # unframed slopes never see c; star 1: a subobject through the
+        # unframed slopes never see c; framed: a subobject through the
         # framing destabilizes the framing tuples inside it
         slope = cache(partial(theta_slope, theta))  # once per class
-        tests = _slope_tests(slope, theta, a, sp.c if alpha.star else None, sp.side,
+        tests = _slope_tests(slope, theta, alpha, sp.c if framed else None, sp.side,
                              semistable=True)
-    slots = _framing_slots(fq) if alpha.star else []
-    group = math.prod(gl_order(ai, q) for ai in a) * (q - 1 if alpha.star else 1)
-    return Fraction(_points(fq, a, q, cfg, slots, *tests), group)
+    slots = _framing_slots(fq) if framed else []
+    group = math.prod(gl_order(ai, q) for ai in alpha) * (q - 1 if framed else 1)
+    return Fraction(_points(fq, alpha, q, cfg, slots, *tests), group)
 
 
 def count_framed_stable(fq: FramedQuiver, alpha, theta, c, side: str, q: int,

@@ -1,16 +1,15 @@
 """Quivers, framings, dimension vectors, and the bilinear forms on them.
 
 A FramedQuiver is a quiver plus one extra vertex * with w_i arrows * -> i.
-Dimension vectors are plain int tuples, and so are series keys;
-ExtDimVector adds the framing coordinate star, 0 or 1, for the Euler form
-and the oracle's framed classes.
+Dimension vectors are plain int tuples, and so are series keys: the framing
+vertex enters only through the weight nu(alpha) = w . alpha.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 DimVector = tuple  # coords in N^{Q_0}
 
@@ -21,31 +20,6 @@ _BUILTIN_SHAPES = {
     "c3": (((3,),), "one vertex with three loops"),
     "conifold": (((0, 2), (2, 0)), "two vertices with two arrows each way"),
 }
-
-
-class ExtDimVector(NamedTuple):
-    unframed: tuple
-    star: int
-
-
-def _int_entries(values, name: str) -> tuple:
-    """values as a tuple of ints, refused at the first entry that is not
-    an integer (int() would truncate it)."""
-    values = tuple(values)
-    out = tuple(int(x) for x in values)
-    if out != values:
-        bad = next(x for x, n in zip(values, out) if x != n)
-        raise ValueError(f"{name} entry {bad} is not an integer")
-    return out
-
-
-def ext(coords, star: int = 0) -> ExtDimVector:
-    if star not in (0, 1):
-        raise ValueError(f"star {star} is not 0 or 1")
-    a = ExtDimVector(_int_entries(coords, "dimension vector"), int(star))
-    if any(c < 0 for c in a.unframed):
-        raise ValueError(f"bad dimension vector {a}")
-    return a
 
 
 class Record:
@@ -100,13 +74,16 @@ class FramedQuiver(Record):
 
     def __init__(self, base: Quiver, w, bu_source: str = "trivial_potential"):
         w = tuple(int(x) for x in w)
-        if len(w) != base.n_vertices or any(x < 0 for x in w):
-            raise ValueError("framing vector must match the vertex count")
+        if len(w) != base.n_vertices:
+            raise ValueError(f"framing vector must match the vertex count: "
+                             f"got {len(w)} for {base.n_vertices} vertices")
+        if any(x < 0 for x in w):
+            raise ValueError(f"framing vector {w} has a negative entry")
         if bu_source not in BUILTIN_SOURCES:
             raise ValueError(f"unknown builtin_BU {bu_source!r}")
         shape = _BUILTIN_SHAPES.get(bu_source)
         if shape is not None and base.arrows != shape[0]:
-            raise ValueError(f"{bu_source} needs {shape[1]}")
+            raise ValueError(f"builtin_BU {bu_source} needs {shape[1]}")
         self._set(base=base, w=w, bu_source=bu_source)
 
     @property
@@ -114,27 +91,22 @@ class FramedQuiver(Record):
         return self.base.n_vertices
 
 
-def euler_form(fq: FramedQuiver, a: ExtDimVector, b: ExtDimVector) -> int:
-    """Euler-Ringel form of the framed quiver, chi(a, b)."""
-    arrows = fq.base.arrows
-    au, bu = a.unframed, b.unframed
-    val = sum(x * y for x, y in zip(au, bu)) + a.star * b.star
-    val -= sum(m * au[i] * bu[j]
-               for i, row in enumerate(arrows) for j, m in enumerate(row) if m)
-    val -= a.star * sum(wi * bi for wi, bi in zip(fq.w, bu))
+def euler_form(fq: FramedQuiver, a, b) -> int:
+    """Euler-Ringel form of the quiver, chi(a, b) for dimension vectors a, b."""
+    val = sum(x * y for x, y in zip(a, b))
+    val -= sum(m * a[i] * b[j]
+               for i, row in enumerate(fq.base.arrows) for j, m in enumerate(row) if m)
     return val
 
 
-def skew_form(fq: FramedQuiver, a: ExtDimVector, b: ExtDimVector) -> int:
-    return euler_form(fq, a, b) - euler_form(fq, b, a)
-
-
-def tits_form(fq: FramedQuiver, a: ExtDimVector) -> int:
+def tits_form(fq: FramedQuiver, a) -> int:
     return euler_form(fq, a, a)
 
 
 def nu(fq: FramedQuiver, alpha) -> int:
-    """The framing weight w . alpha; equals skew((alpha,0), (0,1))."""
+    """The framing weight w . alpha: the w_i arrows * -> i pair alpha with
+    the framing vertex, so this is the skew form of the classes (alpha, 0)
+    and (0, 1) of the quiver with * added."""
     return sum(wi * ai for wi, ai in zip(fq.w, alpha))
 
 
@@ -198,14 +170,11 @@ def load_quiver_file(path: str) -> FramedQuiver:
     w = raw.get("framing", [0] * n)
     if not (isinstance(w, list) and len(w) == n and all(type(x) is int and x >= 0 for x in w)):
         raise QuiverFileError(f"{path}: framing must be a list of {n} non-negative integers")
-    source = raw.get("builtin_BU", "trivial_potential")
-    if source not in BUILTIN_SOURCES:
-        raise QuiverFileError(f"{path}: builtin_BU must be one of {BUILTIN_SOURCES}")
     base = Quiver(n, tuple(tuple(r) for r in mat))
-    try:  # the one refusal left is a potential on arrows of the wrong shape
-        return FramedQuiver(base, tuple(w), source)
+    try:  # the refusals left are an unknown potential or one on the wrong arrows
+        return FramedQuiver(base, tuple(w), raw.get("builtin_BU", "trivial_potential"))
     except ValueError as exc:
-        raise QuiverFileError(f"{path}: builtin_BU {exc}") from None
+        raise QuiverFileError(f"{path}: {exc}") from None
 
 
 # a few stock quivers used all over the tests and scripts

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache, partial
 
 from .hn import UniversalSeries, hn_factorize, slope_ladder
-from .quiver import Record, ext, is_symmetric, nu, tits_form
+from .quiver import Record, is_symmetric, nu, tits_form
 from .qtorus import (TorusSeries, nu_weights, pleth_exp, pleth_log, s_twist,
                      torus_div, torus_mul)
 from .scalar import L, ONE, Scalar
@@ -171,7 +171,7 @@ def smooth_model_motive(BU: UniversalSeries, theta, N: int, alpha) -> Scalar:
     mu = theta_slope(theta, alpha)
     series = smooth_model_series(BU, theta, N, mu)
     bare = series.coeff(alpha) * (L - ONE)
-    t = tits_form(fq, ext(alpha, 0))
+    t = tits_form(fq, alpha)
     return bare * Scalar.neg_v_pow(-t)
 
 

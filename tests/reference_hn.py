@@ -22,7 +22,7 @@ from fractions import Fraction
 import reference_qtorus as ref_qt
 from quiverdt.hn import slope_ladder
 from quiverdt.qtorus import TorusSeries, nu_weights, s_twist, torus_mul
-from quiverdt.quiver import ExtDimVector, dim_vectors_up_to, ext, skew_form, sub_vectors
+from quiverdt.quiver import dim_vectors_up_to, sub_vectors
 from quiverdt.scalar import ONE, Scalar, _acc_term, _settle
 from quiverdt.stability import MINUS_INF, PLUS_INF, theta_slope
 from quiverdt.wallcross import _crossing, transfer_series
@@ -38,7 +38,8 @@ def hn_split(series: TorusSeries, theta: tuple, N: int) -> dict:
     memo: dict = {}
 
     def skew(x, y) -> int:
-        return skew_form(fq, ExtDimVector(tuple(x), 0), ExtDimVector(tuple(y), 0))
+        return ref_qt.skew_form(fq, ref_qt.ExtDimVector(tuple(x), 0),
+                                 ref_qt.ExtDimVector(tuple(y), 0))
 
     def chains(rho, bound) -> Scalar:
         # sum over HN chains of rho with all slopes strictly below bound
@@ -142,7 +143,7 @@ def transfer_slope_product(fq, parts: dict, trunc: int, pred) -> TorusSeries:
 
 def at_star0(f: TorusSeries) -> ref_qt.TorusSeries:
     """f in the star-1 torus of reference_qtorus, every key at star 0."""
-    return ref_qt.TorusSeries(f.fq, f.trunc, {ext(k): c for k, c in f.coeffs.items()})
+    return ref_qt.TorusSeries(f.fq, f.trunc, {ref_qt.ext(k): c for k, c in f.coeffs.items()})
 
 
 def star_one_rungs(BU, theta, N) -> list:

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from quiverdt.quiver import ExtDimVector, FramedQuiver, ext, sub_vectors
+from quiverdt.quiver import FramedQuiver, sub_vectors
 from quiverdt.scalar import Scalar
 from quiverdt.stability import MINUS_INF, PLUS_INF, StabilityParams, find_walls
+from reference_qtorus import ExtDimVector, ext
 
 DEFAULT_BUDGET = 10 ** 8
 

@@ -4,17 +4,57 @@ This is the truncated quantum torus that quiverdt.qtorus replaced, kept
 verbatim except for this docstring and absolute imports: torus_mul reduces
 every term product and every partial sum, torus_inverse builds one series
 product per pair of degrees, and pleth_exp and pleth_log sum full powers of
-their argument.  Nothing under src/ imports it.
+their argument.  Its keys carry the framing coordinate star, 0 or 1
+(ExtDimVector), and its products twist by the skew form of the quiver with
+the framing vertex * added.  quiverdt keeps every framed series star-0 and
+has no framing coordinate, so these classes, that Euler form and its skew
+form are defined here, for this torus and the tests that read quiverdt
+against it.  Nothing under src/ imports it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from quiverdt.quiver import ExtDimVector, FramedQuiver, ext, skew_form, zero_vector
+from quiverdt.quiver import FramedQuiver, zero_vector
 from quiverdt.scalar import ONE, Scalar
+
+
+class ExtDimVector(NamedTuple):
+    unframed: tuple
+    star: int
+
+
+def ext(coords, star: int = 0) -> ExtDimVector:
+    if star not in (0, 1):
+        raise ValueError(f"star {star} is not 0 or 1")
+    values = tuple(coords)
+    unframed = tuple(int(x) for x in values)
+    if unframed != values:  # int() would truncate a non-integer entry
+        bad = next(x for x, n in zip(values, unframed) if x != n)
+        raise ValueError(f"dimension vector entry {bad} is not an integer")
+    a = ExtDimVector(unframed, int(star))
+    if any(c < 0 for c in a.unframed):
+        raise ValueError(f"bad dimension vector {a}")
+    return a
+
+
+def euler_form(fq: FramedQuiver, a: ExtDimVector, b: ExtDimVector) -> int:
+    """Euler-Ringel form of the framed quiver, chi(a, b)."""
+    arrows = fq.base.arrows
+    au, bu = a.unframed, b.unframed
+    val = sum(x * y for x, y in zip(au, bu)) + a.star * b.star
+    val -= sum(m * au[i] * bu[j]
+               for i, row in enumerate(arrows) for j, m in enumerate(row) if m)
+    val -= a.star * sum(wi * bi for wi, bi in zip(fq.w, bu))
+    return val
+
+
+def skew_form(fq: FramedQuiver, a: ExtDimVector, b: ExtDimVector) -> int:
+    return euler_form(fq, a, b) - euler_form(fq, b, a)
+
 
 Key = ExtDimVector
 

@@ -175,7 +175,7 @@ class TestErrors:
 
     def test_w_override_length(self, capsys):
         code, _, err = invoke(capsys, "ncdt", quiver("jordan"), "--w", "1,1")
-        assert code == 1 and "one weight per vertex" in err
+        assert code == 1 and "vertex count: got 2 for 1 vertices" in err
 
     def test_pole_reported_not_raised(self, capsys):
         code, _, err = invoke(capsys, "universal", quiver("jordan"), "--euler")
@@ -293,7 +293,7 @@ class TestNegativeValues:
     @pytest.mark.parametrize("argv, message", [
         (("walls", "kronecker", "--alpha", "-1,2"), "alpha (-1, 2) has a negative entry"),
         (("framed", "kronecker", "--theta", "1,0", "--c", "1/2", "--mu", "1/2",
-          "--w", "-1,0"), "framing override must list one weight per vertex"),
+          "--w", "-1,0"), "framing vector (-1, 0) has a negative entry"),
         (("universal", "jordan", "-N", "-1"), "truncation must be nonnegative"),
         (("check-oracle", "jordan", "--max-dim", "-1"),
          "max_total_dim must be between 1 and 4"),

@@ -6,7 +6,7 @@ from reference_hn import remultiply_check
 import quiverdt.hn as hn
 from quiverdt.hn import (UniversalSeries, gl_motive, hn_factorize, universal_for,
                          universal_trivial)
-from quiverdt.quiver import (FramedQuiver, c3_quiver, conifold_quiver, ext,
+from quiverdt.quiver import (FramedQuiver, c3_quiver, conifold_quiver,
                              jordan_quiver, kronecker_quiver, loop_quiver)
 from quiverdt.qtorus import TorusSeries
 from quiverdt.scalar import ONE, L, Scalar, V
@@ -41,9 +41,6 @@ class TestUniversalTrivial:
         assert bu.coeff((1, 0)) == -V / (L - 1)
         assert bu.coeff((1, 1)) == L * L / ((L - 1) * (L - 1))
 
-    def test_source_label(self):
-        assert universal_trivial(jordan_quiver(), 2).source == "trivial_potential"
-
     @pytest.mark.parametrize("fq", [kronecker_quiver(), loop_quiver(2), conifold_quiver()])
     def test_one_monomial_is_the_product_form(self, fq):
         # (-v)^chi L^arrow_dim / [GL_alpha], the twist and L power multiplied out
@@ -59,11 +56,6 @@ class TestUniversalTrivial:
 
 
 class TestValidation:
-    def test_unknown_source(self):
-        s = TorusSeries.one(jordan_quiver(), 2)
-        with pytest.raises(ValueError, match="unknown source"):
-            UniversalSeries(s, "surprise")
-
     def test_needs_constant_one(self):
         with pytest.raises(ValueError, match="constant term 1"):
             UniversalSeries(TorusSeries.zero(jordan_quiver(), 2))
@@ -72,30 +64,32 @@ class TestValidation:
 class TestBuiltins:
     # a potential is refused on arrows of the wrong shape when the quiver is built
     def test_c3_shape_guard(self):
-        with pytest.raises(ValueError, match="^c3 needs one vertex with three loops$"):
+        with pytest.raises(ValueError, match="^builtin_BU c3 needs one vertex with three loops$"):
             FramedQuiver(jordan_quiver().base, (1,), "c3")
 
     def test_conifold_shape_guard(self):
         with pytest.raises(ValueError,
-                           match="^conifold needs two vertices with two arrows each way$"):
+                           match="^builtin_BU conifold needs two vertices "
+                                 "with two arrows each way$"):
             FramedQuiver(kronecker_quiver().base, (1, 0), "conifold")
 
     def test_c3_series(self):
         bu = universal_for(c3_quiver(), 3)
-        assert bu.source == "c3"
         assert bu.series.constant_term() == ONE
         assert bu.series.coeff((1,)) == L * L / (L - 1)
 
     def test_conifold_series(self):
         bu = universal_for(conifold_quiver(), 2)
-        assert bu.source == "conifold"
         assert bu.series.coeff((1, 0)) == -V / (L - 1)
         assert bu.series.coeff((0, 1)) == -V / (L - 1)
 
     def test_universal_for_dispatch(self):
-        assert universal_for(jordan_quiver(), 2).source == "trivial_potential"
-        assert universal_for(c3_quiver(), 2).source == "c3"
-        assert universal_for(conifold_quiver(), 2).source == "conifold"
+        # bu_source picks the series: a built-in potential on the same arrows
+        # as a trivial one gives another series
+        assert universal_for(jordan_quiver(), 2) == universal_trivial(jordan_quiver(), 2)
+        for fq in (c3_quiver(), conifold_quiver()):
+            trivial = universal_trivial(FramedQuiver(fq.base, fq.w), 3)
+            assert universal_for(fq, 3).series.coeffs != trivial.series.coeffs
 
 
 class TestFactorization:
@@ -207,7 +201,7 @@ class TestSplitOnce:
         hn_factorize(used, (1, 0), 3)
         assert used == fresh
         assert repr(used) == repr(fresh) == \
-            f"UniversalSeries(series={fresh.series!r}, source='trivial_potential')"
+            f"UniversalSeries(series={fresh.series!r})"
 
     def test_smaller_N_matches_a_fresh_series(self):
         big = universal_for(kronecker_quiver(), 5)

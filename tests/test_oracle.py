@@ -9,10 +9,11 @@ from quiverdt.hn import gl_motive, hn_factorize, universal_for, universal_trivia
 from quiverdt.oracle import (BudgetError, FiniteFieldConfig,
                              count_framed_stable, count_stack, gl_order,
                              hall_filtration_check, verify_coefficient)
-from quiverdt.quiver import (dim_vectors_up_to, ext, jordan_quiver,
+from quiverdt.quiver import (dim_vectors_up_to, jordan_quiver,
                              kronecker_quiver, loop_quiver, tits_form)
 from quiverdt.scalar import L, Scalar, V
 from quiverdt.stability import MINUS_INF, PLUS_INF, StabilityParams, theta_slope
+from reference_qtorus import ext
 
 JORDAN = jordan_quiver()
 KRON = kronecker_quiver()
@@ -24,7 +25,7 @@ class TestConfig:
         # each entry point refuses a bad q before it counts anything
         for q in (0, 4, 7):
             calls = [
-                lambda: count_stack(JORDAN, ext((1,)), "all", q),
+                lambda: count_stack(JORDAN, (1,), "all", q),
                 lambda: count_framed_stable(JORDAN, (1,), (0,), 0, "plus", q),
                 lambda: hall_filtration_check(JORDAN, (1,), (0,), 0, q),
             ]
@@ -55,8 +56,8 @@ class TestRefusals:
     one line naming both lengths, or the class with a negative entry."""
 
     @pytest.mark.parametrize("call, message", [
-        (lambda: count_stack(KRON, ext((1, 1), 0), StabilityParams((0,)), 2), THETA),
-        (lambda: count_stack(KRON, ext((1, 1), 1), StabilityParams((0,), 0, "plus"), 2),
+        (lambda: count_stack(KRON, (1, 1), StabilityParams((0,)), 2), THETA),
+        (lambda: count_stack(KRON, (1, 1), StabilityParams((0,), 0, "plus"), 2, framed=True),
          THETA),
         (lambda: count_framed_stable(KRON, (1, 1), (0,), Fraction(1, 3), "exact", 2), THETA),
         (lambda: count_framed_stable(KRON, (1, 1), (0,), MINUS_INF, "exact", 2), THETA),
@@ -76,9 +77,9 @@ class TestRefusals:
         (lambda: hall_filtration_check(KRON, (1, Fraction(1, 2)), (1, 0), HALF, 2),
          "alpha entry 1/2 is not an integer"),
         (lambda: count_stack(KRON, (1.5, 1), "all", 2),
-         "dimension vector entry 1.5 is not an integer"),
+         "alpha entry 1.5 is not an integer"),
         (lambda: count_stack(KRON, (1, 1.5), StabilityParams((1, 0)), 2),
-         "dimension vector entry 1.5 is not an integer"),
+         "alpha entry 1.5 is not an integer"),
         (lambda: count_framed_stable(KRON, (1, 1), (1, 0), HALF, "left", 2),
          r"side must be one of \('exact', 'plus', 'minus'\)"),
         (lambda: count_framed_stable(KRON, (1, 1), (1, 0), PLUS_INF, "plus", 2),
@@ -119,12 +120,12 @@ class TestCountAll:
 
     def test_framed_point(self):
         # loop entry q^1 and framing slot q^1 over GL_1 x GL_1
-        assert count_stack(JORDAN, ext((1,), 1), "all", 2) == 4
+        assert count_stack(JORDAN, (1,), "all", 2, framed=True) == 4
 
     def test_matches_universal_series(self):
         bu = universal_trivial(KRON, 3).series
         for alpha in [(1, 0), (1, 1), (2, 1)]:
-            chi = tits_form(KRON, ext(alpha))
+            chi = tits_form(KRON, alpha)
             for q in (2, 3):
                 n = count_stack(KRON, alpha, "all", q)
                 assert verify_coefficient(bu.coeff(alpha), n, q, chi=chi)
@@ -155,13 +156,22 @@ class TestCountSemistable:
         bu = universal_trivial(KRON, 3)
         parts = hn_factorize(bu, (1, 0), 3)
         for alpha, mu in [((1, 1), HALF), ((2, 1), Fraction(2, 3))]:
-            chi = tits_form(KRON, ext(alpha))
+            chi = tits_form(KRON, alpha)
             n = count_stack(KRON, alpha, StabilityParams((1, 0)), 2)
             assert verify_coefficient(parts[mu].coeff(alpha), n, 2, chi=chi)
 
     def test_dim_cap(self):
         with pytest.raises(BudgetError, match="total dimension 5 > max_total_dim 4"):
             count_stack(JORDAN, (5,), "all", 2)
+
+    def test_framed_needs_finite_c(self):
+        for c in (PLUS_INF, MINUS_INF):
+            sp = StabilityParams((0,), c)
+            with pytest.raises(ValueError,
+                               match="^semistable framed counting needs a finite c$"):
+                count_stack(JORDAN, (1,), sp, 2, framed=True)
+            # unframed slopes never see c
+            assert count_stack(JORDAN, (1,), sp, 2) == ref.count_stack(JORDAN, (1,), sp, 2)
 
 
 class TestSlopeTestsPerClass:
@@ -176,7 +186,7 @@ class TestSlopeTestsPerClass:
 
         monkeypatch.setattr(oracle, "theta_slope", counted)
         alpha = (2, 2)
-        got = count_stack(KRON, ext(alpha, 1), StabilityParams((1, 0), HALF), 2)
+        got = count_stack(KRON, alpha, StabilityParams((1, 0), HALF), 2, framed=True)
         assert got == ref.count_stack(KRON, ext(alpha, 1), StabilityParams((1, 0), HALF), 2)
         assert 0 < len(calls) <= 2 * (alpha[0] + 1) * (alpha[1] + 1) + 1
 
@@ -245,7 +255,7 @@ class TestVerifyCoefficient:
              if theta_slope(theta, a) in parts]
         assert len(coeffs) > len(classes)
         for a, coeff in coeffs:
-            chi = tits_form(fq, ext(a))
+            chi = tits_form(fq, a)
             raw = coeff * Scalar.neg_v_pow(-chi)
             assert coeff.times_neg_v_pow(-chi) == raw
             for q in (2, 3, 5):

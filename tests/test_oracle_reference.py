@@ -16,10 +16,11 @@ import pytest
 
 import reference_oracle as ref
 from quiverdt import oracle
-from quiverdt.quiver import (FramedQuiver, Quiver, dim_vectors_up_to, ext,
+from quiverdt.quiver import (FramedQuiver, Quiver, dim_vectors_up_to,
                              jordan_quiver, kronecker_quiver, loop_quiver)
 from quiverdt.stability import (MINUS_INF, PLUS_INF, StabilityParams, find_walls,
                                 theta_slope)
+from reference_qtorus import ext
 
 QUIVERS = {
     "jordan": jordan_quiver(),
@@ -73,17 +74,16 @@ def test_entry_points_agree(case):
     name, q, alpha = case
     fq = QUIVERS[name]
     for star in (0, 1):
-        a = ext(alpha, star)
-        assert oracle.count_stack(fq, a, "all", q) == ref.count_stack(fq, a, "all", q)
+        assert oracle.count_stack(fq, alpha, "all", q, framed=bool(star)) == \
+            ref.count_stack(fq, ext(alpha, star), "all", q)
     for theta in THETAS[len(alpha)]:
         sp = StabilityParams(theta)
         assert oracle.count_stack(fq, alpha, sp, q) == ref.count_stack(fq, alpha, sp, q)
         for c in levels(fq, theta, alpha):
             for side in ("exact", "plus", "minus"):
                 sp = StabilityParams(theta, c, side)
-                a = ext(alpha, 1)
-                assert oracle.count_stack(fq, a, sp, q) == ref.count_stack(fq, a, sp, q), \
-                    (theta, c, side)
+                assert oracle.count_stack(fq, alpha, sp, q, framed=True) == \
+                    ref.count_stack(fq, ext(alpha, 1), sp, q), (theta, c, side)
                 assert oracle.count_framed_stable(fq, alpha, theta, c, side, q) == \
                     ref.count_framed_stable(fq, alpha, theta, c, side, q), (theta, c, side)
             assert oracle.hall_filtration_check(fq, alpha, theta, c, q) == \

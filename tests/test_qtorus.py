@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import reference_qtorus as ref
 from reference_hn import at_star0, truncate_tau
-from reference_qtorus import adams_series
-from quiverdt.quiver import (c3_quiver, conifold_quiver, dim_vectors_up_to, ext,
-                             jordan_quiver, kronecker_quiver, loop_quiver, skew_form)
+from reference_qtorus import adams_series, ext, skew_form
+from quiverdt.quiver import (c3_quiver, conifold_quiver, dim_vectors_up_to,
+                             jordan_quiver, kronecker_quiver, loop_quiver)
 from quiverdt.qtorus import (TorusSeries, _mul_into, nu_weights, pleth_exp,
                              pleth_log, s_twist, serialize, torus_div, torus_mul)
 from quiverdt.scalar import ONE, Scalar, V, _settle

@@ -5,15 +5,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference_qtorus as ref_qt
 from quiverdt.quiver import (BUILTIN_SOURCES, FramedQuiver, Quiver,
                              QuiverFileError, c3_quiver, conifold_quiver,
-                             dim_vectors_up_to, euler_form, ext,
+                             dim_vectors_up_to, euler_form,
                              is_symmetric, jordan_quiver, kronecker_quiver,
-                             load_quiver_file, loop_quiver, nu, skew_form,
+                             load_quiver_file, loop_quiver, nu,
                              sub_vectors, tits_form, zero_vector)
+from reference_qtorus import ext, skew_form
+
+FORM_QUIVERS = [jordan_quiver((2,)), loop_quiver(0), kronecker_quiver((1, 1)),
+                conifold_quiver((2, 3)), FramedQuiver(Quiver(2, ((1, 1), (0, 0))), (1, 0))]
 
 
 class TestExtVector:
+    """The star-1 classes of the reference torus (tests/reference_qtorus.py)."""
+
     def test_round_trip(self):
         a = ext((2, 1), 1)
         assert a.unframed == (2, 1) and a.star == 1
@@ -60,17 +67,26 @@ class TestForms:
     def test_jordan_euler(self):
         fq = jordan_quiver()
         # one loop cancels the diagonal term on unframed classes
-        assert tits_form(fq, ext((3,))) == 0
-        # the framing vertex sees w arrows
-        assert euler_form(fq, ext((0,), 1), ext((2,), 0)) == -2
-        assert tits_form(fq, ext((2,), 1)) == -2 + 1
+        assert tits_form(fq, (3,)) == 0
+        # the framing vertex sees w arrows (the star form of the reference)
+        assert ref_qt.euler_form(fq, ext((0,), 1), ext((2,), 0)) == -2
+        a = ext((2,), 1)
+        assert ref_qt.euler_form(fq, a, a) == -2 + 1
 
     def test_kronecker_euler(self):
         fq = kronecker_quiver()
-        assert euler_form(fq, ext((1, 0)), ext((0, 1))) == -2
-        assert euler_form(fq, ext((0, 1)), ext((1, 0))) == 0
-        assert tits_form(fq, ext((1, 1))) == 0
-        assert tits_form(fq, ext((2, 1))) == 1
+        assert euler_form(fq, (1, 0), (0, 1)) == -2
+        assert euler_form(fq, (0, 1), (1, 0)) == 0
+        assert tits_form(fq, (1, 1)) == 0
+        assert tits_form(fq, (2, 1)) == 1
+
+    @pytest.mark.parametrize("fq", FORM_QUIVERS)
+    def test_forms_are_the_star_form_at_star_0(self, fq):
+        classes = list(dim_vectors_up_to(fq.n_vertices, 3))
+        for a in classes:
+            assert tits_form(fq, a) == ref_qt.euler_form(fq, ext(a), ext(a)), a
+            for b in classes:
+                assert euler_form(fq, a, b) == ref_qt.euler_form(fq, ext(a), ext(b)), (a, b)
 
     def test_skew_antisymmetric(self):
         fq = conifold_quiver()
@@ -86,7 +102,12 @@ class TestForms:
     def test_nu_is_framing_pairing(self):
         fq = conifold_quiver(w=(2, 3))
         assert nu(fq, (1, 1)) == 5
-        assert nu(fq, (1, 1)) == skew_form(fq, ext((1, 1), 0), ext((0, 0), 1))
+
+    @pytest.mark.parametrize("fq", FORM_QUIVERS)
+    def test_nu_is_the_skew_pairing_with_the_framing_vertex(self, fq):
+        star = ext(zero_vector(fq.n_vertices), 1)
+        for a in dim_vectors_up_to(fq.n_vertices, 3):
+            assert nu(fq, a) == skew_form(fq, ext(a, 0), star), a
 
     def test_symmetry_flags(self):
         assert is_symmetric(jordan_quiver())
@@ -225,9 +246,11 @@ class TestLoader:
         assert str(info.value) == f"{path}: {message}"
 
     def test_unknown_builtin(self, tmp_path):
+        # FramedQuiver's refusal, passed on with the path
         path = self.write(tmp_path, {"vertices": 1, "builtin_BU": "nope"})
-        with pytest.raises(QuiverFileError, match="builtin_BU"):
+        with pytest.raises(QuiverFileError) as info:
             load_quiver_file(path)
+        assert str(info.value) == f"{path}: unknown builtin_BU 'nope'"
 
     def test_builtin_shape_checked(self, tmp_path):
         path = self.write(tmp_path, {"vertices": 1, "arrows": [[0, 0, 2]],

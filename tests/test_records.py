@@ -53,7 +53,7 @@ class TestRepr:
         hn_factorize(bu, (0,), 1)
         assert repr(bu) == before == (
             "UniversalSeries(series=TorusSeries(N=1, {(0,): (1)/(1), "
-            "(1,): (v^2)/(v^2-1)}), source='trivial_potential')")
+            "(1,): (v^2)/(v^2-1)}))")
 
     def test_framed_series(self):
         fs = framed_at(_jordan_bu(), (0,), 1, 0, "plus", 0)
@@ -118,7 +118,7 @@ class TestValueSemantics:
     @pytest.mark.parametrize("make, name", [
         (HASHABLE[0], "arrows"), (HASHABLE[1], "w"), (HASHABLE[2], "c"),
         (HASHABLE[4], "budget"),
-        (UNHASHABLE[0], "coeffs"), (UNHASHABLE[1], "source"),
+        (UNHASHABLE[0], "coeffs"), (UNHASHABLE[1], "series"),
         (UNHASHABLE[2], "mu"), (UNHASHABLE[3], "trunc"),
     ])
     def test_assignment_raises(self, make, name):
@@ -143,7 +143,7 @@ class TestConstruction:
         series = TorusSeries(fq=jordan_quiver(), trunc=1, coeffs={})
         assert series.is_zero()
         bu = UniversalSeries(series=TorusSeries.one(jordan_quiver(), 1))
-        assert bu.source == "user_supplied"
+        assert bu.series == TorusSeries.one(jordan_quiver(), 1)
         fs = FramedSeries(series=series, params=sp)
         assert fs.mu is None
 
@@ -158,21 +158,21 @@ class TestConstruction:
         (lambda: Quiver(2, ((0,),)), "^arrow matrix must be n x n$"),
         (lambda: Quiver(1, ((-1,),)), "^arrow multiplicities must be nonnegative$"),
         (lambda: FramedQuiver(Quiver(1, ((1,),)), (1, 0)),
-         "^framing vector must match the vertex count$"),
+         "^framing vector must match the vertex count: got 2 for 1 vertices$"),
+        (lambda: FramedQuiver(Quiver(2, ((0, 1), (0, 0))), (-1, 0)),
+         r"^framing vector \(-1, 0\) has a negative entry$"),
         (lambda: FramedQuiver(Quiver(1, ((1,),)), (1,), "x"), "^unknown builtin_BU 'x'$"),
         (lambda: FramedQuiver(Quiver(1, ((1,),)), (1,), "user_supplied"),
          "^unknown builtin_BU 'user_supplied'$"),
         (lambda: FramedQuiver(Quiver(1, ((2,),)), (1,), "c3"),
-         "^c3 needs one vertex with three loops$"),
+         "^builtin_BU c3 needs one vertex with three loops$"),
         (lambda: FramedQuiver(Quiver(2, ((0, 2), (0, 0))), (1, 0), "conifold"),
-         "^conifold needs two vertices with two arrows each way$"),
+         "^builtin_BU conifold needs two vertices with two arrows each way$"),
         (lambda: StabilityParams((0,), 0, "up"),
          r"^side must be one of \('exact', 'plus', 'minus'\)$"),
         (lambda: StabilityParams((0,), PLUS_INF, "plus"), "^side tags need a finite c$"),
         (lambda: count_stack(jordan_quiver(), (1,), "all", 4), "^q must be a prime at most 5$"),
         (lambda: FiniteFieldConfig(5), "^max_total_dim must be between 1 and 4$"),
-        (lambda: UniversalSeries(TorusSeries.one(jordan_quiver(), 1), "x"),
-         "^unknown source 'x'$"),
         (lambda: UniversalSeries(TorusSeries.zero(jordan_quiver(), 1)),
          "^universal series needs constant term 1$"),
         (lambda: TorusSeries(kronecker_quiver(), 4, {(1,): ONE}),

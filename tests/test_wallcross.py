@@ -5,7 +5,7 @@ import pytest
 from reference_hn import transfer_slope_product, truncate_tau
 from quiverdt import hn, qtorus, wallcross
 from quiverdt.hn import hn_factorize, slope_ladder, universal_for
-from quiverdt.quiver import (c3_quiver, conifold_quiver, dim_vectors_up_to, ext,
+from quiverdt.quiver import (c3_quiver, conifold_quiver, dim_vectors_up_to,
                              jordan_quiver, kronecker_quiver, loop_quiver, tits_form)
 from quiverdt.qtorus import (TorusSeries, nu_weights, pleth_exp, pleth_log,
                              s_twist, torus_div, torus_mul)
@@ -392,7 +392,7 @@ class TestSmoothModel:
         bu = universal_for(KRON, 3)
         ser = smooth_model_series(bu, (1, 0), 3, HALF)
         alpha = (1, 1)
-        t = tits_form(KRON, ext(alpha))
+        t = tits_form(KRON, alpha)
         assert ser.coeff(alpha) * (L - 1) == \
             Scalar.neg_v_pow(t) * smooth_model_motive(bu, (1, 0), 3, alpha)
 
