@@ -61,29 +61,6 @@ def parse_rat_vector(text: str) -> tuple:
     return tuple(parse_rational(p) for p in text.split(","))
 
 
-class JobSpec:
-    """One CLI job; the class attributes are the option defaults."""
-
-    trunc: int = 4
-    theta: tuple | None = None
-    c: object = None  # Fraction or one of the infinity sentinels
-    side: str = "exact"
-    mu: Fraction | None = None
-    w: tuple | None = None
-    fmt: str = "tsv"
-    alpha: tuple | None = None
-    q: int = 2
-    max_dim: int = 3
-    out_dir: str | None = None
-
-    def __init__(self, quiver_path: str, subcommand: str, **options):
-        self.quiver_path, self.subcommand = quiver_path, subcommand
-        for name, value in options.items():
-            if name not in JobSpec.__annotations__:
-                raise TypeError(f"JobSpec got an unexpected keyword argument {name!r}")
-            setattr(self, name, value)
-
-
 # ---- report formatting ------------------------------------------------------
 
 def _fmt_alpha(key) -> str:
@@ -111,7 +88,7 @@ def format_series(series: TorusSeries, fmt: str) -> str:
 
 # ---- dispatch ---------------------------------------------------------------
 
-def run(job: JobSpec):
+def _run(job):
     """Execute one job; returns (exit_code, report_text)."""
     try:
         return _dispatch(job)
@@ -121,20 +98,20 @@ def run(job: JobSpec):
         return 1, f"error: {exc}"
 
 
-def _load(job: JobSpec) -> FramedQuiver:
-    fq = load_quiver_file(job.quiver_path)
+def _load(job) -> FramedQuiver:
+    fq = load_quiver_file(job.quiver)
     if job.w is not None:
         fq = FramedQuiver(fq.base, job.w, fq.bu_source)
     return fq
 
 
-def _theta_for(job: JobSpec, fq: FramedQuiver) -> tuple:
+def _theta_for(job, fq: FramedQuiver) -> tuple:
     if job.theta is None:
         return (Fraction(0),) * fq.base.n_vertices
     return check_theta(fq, job.theta)
 
 
-def _dispatch(job: JobSpec):
+def _dispatch(job):
     if job.trunc < 0:
         raise CLIError("truncation must be nonnegative")
     if job.fmt not in FORMATS:
@@ -205,13 +182,10 @@ def _dispatch(job: JobSpec):
         return 0, "\n".join(f"{_fmt_alpha(k)}\t{c.specialize('euler')}"
                             for k, c in _sorted_terms(om))
 
-    if sub == "check-oracle":
-        return _check_oracle(job, fq)
-
-    raise CLIError(f"unknown subcommand {job.subcommand!r}")
+    return _check_oracle(job, fq)  # argparse lets known subcommands only through
 
 
-def _check_oracle(job: JobSpec, fq: FramedQuiver):
+def _check_oracle(job, fq: FramedQuiver):
     """Pass/fail table comparing series coefficients with finite-field counts."""
     if fq.bu_source != "trivial_potential":
         raise CLIError("check-oracle needs a trivial-potential quiver")
@@ -321,26 +295,31 @@ def _build_parser(only=None) -> _Parser:
     return p
 
 
-# the JobSpec fields that options set, in parsing order, with their parsers
-_OPTION_PARSERS = {
-    "trunc": None, "fmt": None,
-    "theta": parse_rat_vector,
-    "w": lambda text: parse_int_vector(text, "framing"),
-    "alpha": lambda text: parse_int_vector(text, "alpha"),
-    "c": parse_level,
-    "side": SIDE_FLAGS.__getitem__,
-    "mu": parse_rational,
-    "q": None, "max_dim": None, "out_dir": None,
+# what each option sets on the job, in parsing order: its default and the
+# parser of its text (None keeps argparse's value)
+_OPTIONS = {
+    "trunc": (4, None), "fmt": ("tsv", None),
+    "theta": (None, parse_rat_vector),
+    "w": (None, lambda text: parse_int_vector(text, "framing")),
+    "alpha": (None, lambda text: parse_int_vector(text, "alpha")),
+    "c": (None, parse_level),
+    "side": ("exact", SIDE_FLAGS.__getitem__),
+    "mu": (None, parse_rational),
+    "q": (2, None), "max_dim": (3, None), "out_dir": (None, None),
 }
 
 
-def _job_from_args(args) -> JobSpec:
-    job = JobSpec(quiver_path=args.quiver, subcommand=args.subcommand)
-    for name, parse in _OPTION_PARSERS.items():
+def _job_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """The parsed namespace with every option of _OPTIONS set: parsed, or
+    its default when not given (zero and "" are values too)."""
+    for name, (default, parse) in _OPTIONS.items():
         value = getattr(args, name, None)
-        if value is not None:  # zero and "" are values too
-            setattr(job, name, parse(value) if parse else value)
-    return job
+        if value is None:
+            value = default
+        elif parse:
+            value = parse(value)
+        setattr(args, name, value)
+    return args
 
 
 def main(argv=None) -> int:
@@ -352,7 +331,7 @@ def main(argv=None) -> int:
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    code, report = run(job)
+    code, report = _run(job)
     if report:
         print(report, file=sys.stderr if code == 1 else sys.stdout)
     return code

@@ -55,13 +55,23 @@ class Record:
         return f"{type(self).__qualname__}({body})"
 
 
+def int_entries(values, what: str) -> tuple:
+    """values as an int tuple; an entry int() would change (1.5) is refused."""
+    values = tuple(values)
+    ints = tuple(int(x) for x in values)
+    if ints != values:
+        bad = next(x for x, n in zip(values, ints) if x != n)
+        raise ValueError(f"{what} entry {bad} is not an integer")
+    return ints
+
+
 class Quiver(Record):
     __slots__ = ("n_vertices", "arrows")  # arrows[i][j] = number of arrows i -> j
 
     def __init__(self, n_vertices: int, arrows):
         if n_vertices < 1:
             raise ValueError("quiver needs at least one vertex")
-        rows = tuple(tuple(int(m) for m in row) for row in arrows)
+        rows = tuple(int_entries(row, "arrow matrix") for row in arrows)
         if len(rows) != n_vertices or any(len(r) != n_vertices for r in rows):
             raise ValueError("arrow matrix must be n x n")
         if any(m < 0 for r in rows for m in r):
@@ -73,7 +83,7 @@ class FramedQuiver(Record):
     __slots__ = ("base", "w", "bu_source")
 
     def __init__(self, base: Quiver, w, bu_source: str = "trivial_potential"):
-        w = tuple(int(x) for x in w)
+        w = int_entries(w, "framing vector")
         if len(w) != base.n_vertices:
             raise ValueError(f"framing vector must match the vertex count: "
                              f"got {len(w)} for {base.n_vertices} vertices")
@@ -168,10 +178,10 @@ def load_quiver_file(path: str) -> FramedQuiver:
             raise QuiverFileError(f"{path}: arrow [{i}, {j}, {m}] out of range")
         mat[i][j] += m
     w = raw.get("framing", [0] * n)
-    if not (isinstance(w, list) and len(w) == n and all(type(x) is int and x >= 0 for x in w)):
-        raise QuiverFileError(f"{path}: framing must be a list of {n} non-negative integers")
+    if not (isinstance(w, list) and all(type(x) is int for x in w)):
+        raise QuiverFileError(f"{path}: framing must be a list of integers")
     base = Quiver(n, tuple(tuple(r) for r in mat))
-    try:  # the refusals left are an unknown potential or one on the wrong arrows
+    try:  # the framing's length and signs, the potential and its arrows
         return FramedQuiver(base, tuple(w), raw.get("builtin_BU", "trivial_potential"))
     except ValueError as exc:
         raise QuiverFileError(f"{path}: {exc}") from None

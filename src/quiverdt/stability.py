@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .quiver import FramedQuiver, Record, sub_vectors
+from .quiver import FramedQuiver, Record, int_entries, sub_vectors
 
 PLUS_INF = float("inf")
 MINUS_INF = float("-inf")
@@ -64,13 +64,8 @@ def check_theta(fq: FramedQuiver, theta) -> tuple:
 
 
 def check_alpha(fq: FramedQuiver, alpha) -> tuple:
-    """alpha as ints, refused unless it lists one nonnegative integer per vertex
-    (int() would truncate a non-integer entry, so it is refused first)."""
-    values = tuple(alpha)
-    alpha = tuple(int(x) for x in values)
-    if alpha != values:
-        bad = next(x for x, n in zip(values, alpha) if x != n)
-        raise ValueError(f"alpha entry {bad} is not an integer")
+    """alpha as ints, refused unless it lists one nonnegative integer per vertex."""
+    alpha = int_entries(alpha, "alpha")
     if len(alpha) != fq.n_vertices:
         raise ValueError(f"alpha must list one dimension per vertex: "
                          f"got {len(alpha)} for {fq.n_vertices} vertices")

@@ -7,8 +7,9 @@ identities read as products of ordinary series twisted by S_nu, the one
 place the framing enters.  Every function reads the quiver and its framing
 off the series it is given (B_U's for a UniversalSeries).  Outputs:
 transfer series C_mu, framed series A at any stability level (including
-both infinities), the cyclic-stability series, smooth-model motives, and
-the series Omega of integer DT invariants.
+both infinities), the same series carried across its wall from one side
+to another (general_wallcross), the cyclic-stability series, smooth-model
+motives, and the series Omega of integer DT invariants.
 """
 
 from __future__ import annotations
@@ -21,11 +22,8 @@ from .quiver import Record, is_symmetric, nu, tits_form
 from .qtorus import (TorusSeries, nu_weights, pleth_exp, pleth_log, s_twist,
                      torus_div, torus_mul)
 from .scalar import L, ONE, Scalar
-from .stability import (MINUS_INF, PLUS_INF, SIDES, StabilityParams, check_alpha,
-                        check_theta, theta_slope)
-
-DIRECTIONS = tuple(f"{src}_to_{dst}" for src in SIDES for dst in SIDES
-                   if src != dst)
+from .stability import (MINUS_INF, PLUS_INF, StabilityParams, check_alpha, check_theta,
+                        theta_slope)
 
 
 class FramedSeries(Record):
@@ -58,22 +56,19 @@ def transfer_series(B_mu: TorusSeries) -> TorusSeries:
     return _crossing(B_mu, B_mu)
 
 
-def general_wallcross(a_in: FramedSeries, B_mu: TorusSeries,
-                      direction: str) -> FramedSeries:
-    """Cross one wall in the stated direction, no symmetry assumed.
+def general_wallcross(a_in: FramedSeries, B_mu: TorusSeries, side: str) -> FramedSeries:
+    """Carry a_in from its own side of its wall onto `side`, no symmetry assumed.
 
-    Governing identity: A_exact = S_nu(B) . A_minus = A_plus . S_{-nu}(B).
-    The side of each product is part of the statement and is preserved here.
+    Governing identity: A_exact = S_nu(B) . A_minus = A_plus . S_{-nu}(B),
+    with B = B_mu the slope factor of the wall's slope mu = a_in.mu.  The
+    output lies on the same slope class as a_in (cut to it when mu is set),
+    so crossing framed_at's series gives framed_at's series on `side`.
     """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}")
-    src, dst = direction.split("_to_")
-    if a_in.params.side != src:
-        raise ValueError("input series side does not match the direction")
-    fq = a_in.series.fq
+    params = StabilityParams(a_in.params.theta, a_in.params.c, side)
+    src, fq = a_in.params.side, a_in.series.fq
     # A_side = S_nu(B)^{-[side = minus]} . A_exact . S_{-nu}(B)^{-[side = plus]}
-    left = (src == "minus") - (dst == "minus")
-    right = (src == "plus") - (dst == "plus")
+    left = (src == "minus") - (side == "minus")
+    right = (src == "plus") - (side == "plus")
     out = a_in.series
     if left:
         snu_b = s_twist(B_mu, nu_weights(fq, 1))
@@ -81,8 +76,16 @@ def general_wallcross(a_in: FramedSeries, B_mu: TorusSeries,
     if right:
         sdn_b = s_twist(B_mu, nu_weights(fq, -1))
         out = torus_mul(out, sdn_b) if right > 0 else torus_div(out, sdn_b)
-    params = StabilityParams(a_in.params.theta, a_in.params.c, dst)
+    if a_in.mu is not None:
+        out = _on_slope_class(out, partial(theta_slope, params.theta, c=params.c), a_in.mu)
     return FramedSeries(out, params, a_in.mu)
+
+
+def _on_slope_class(ser: TorusSeries, slope, mu) -> TorusSeries:
+    """ser on the classes alpha with slope(alpha) == mu, the framed slope
+    class; the bare framing line 1 when none is left."""
+    ser = ser.restrict(lambda k: slope(k) == mu)
+    return TorusSeries.one(ser.fq, ser.trunc) if ser.is_zero() else ser
 
 
 def uniform_series(BU: UniversalSeries, theta, a, side: str = "exact") -> TorusSeries:
@@ -137,11 +140,7 @@ def framed_at(BU: UniversalSeries, theta, N: int, c, side: str = "exact",
     # removing one never lowers a framed slope below mu, so the solve on the
     # classes of framed slope >= mu reads nothing else: only they are formed.
     ser = _uniform(BU, theta, N, mu, side, lambda k: slope(k) >= mu)
-    ser = ser.restrict(lambda k: slope(k) == mu)
-    if ser.is_zero():
-        # empty slope class: only the bare framing line remains
-        ser = TorusSeries.one(fq, N)
-    return FramedSeries(ser, params, mu)
+    return FramedSeries(_on_slope_class(ser, slope, mu), params, mu)
 
 
 def ncdt(BU: UniversalSeries) -> TorusSeries:

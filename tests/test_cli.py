@@ -6,8 +6,7 @@ from pathlib import Path
 import pytest
 
 import quiverdt.cli as cli
-from quiverdt.cli import (CLIError, JobSpec, parse_int_vector, parse_level,
-                          parse_rational, run)
+from quiverdt.cli import CLIError, parse_int_vector, parse_level, parse_rational
 from quiverdt.oracle import DEFAULT_BUDGET
 from quiverdt.stability import MINUS_INF, PLUS_INF
 
@@ -181,10 +180,6 @@ class TestErrors:
         code, _, err = invoke(capsys, "universal", quiver("jordan"), "--euler")
         assert code == 1 and "not specializable" in err
 
-    def test_run_wraps_unknown_subcommand(self):
-        code, text = run(JobSpec(quiver_path=quiver("jordan"), subcommand="x"))
-        assert code == 1 and text.startswith("error:")
-
 
 class TestOneSubcommandParser:
     """A job builds the parser of its own subcommand only, which reads its
@@ -245,7 +240,7 @@ class TestFalsyValues:
         parser = cli._build_parser()
         for argv in (["framed", "q.json", "--c", "0"], ["check-oracle", "q.json"]):
             args = parser.parse_args(argv)
-            set_by_parser = {name for name in cli._OPTION_PARSERS
+            set_by_parser = {name for name in cli._OPTIONS
                              if getattr(args, name, None) is not None}
             assert set_by_parser <= {"c"}
 

@@ -376,7 +376,7 @@ def test_framed_slope_line(name, fq, thetas, _, N):
 
 @pytest.mark.parametrize("fq", [KRON, CONIFOLD], ids=["kronecker", "conifold"])
 def test_wallcross_onto_the_minus_side(fq):
-    """exact_to_minus and plus_to_minus, a left quotient by S_nu(B), against
+    """Exact and plus onto minus, a left quotient by S_nu(B), against
     the reference's S_nu(B)^{-1} . A_exact at the wall c = mu = 1/2, where
     A_exact = A_plus . S_{-nu}(B) on the plus side."""
     N = 5
@@ -390,7 +390,7 @@ def test_wallcross_onto_the_minus_side(fq):
         exact = at_star0(a.series)
         if src == "plus":
             exact = ref.torus_mul(exact, sdn)
-        got = general_wallcross(a, B, f"{src}_to_minus").series
+        got = general_wallcross(a, B, "minus").series
         assert_same(got, ref.torus_mul(snu_inv, exact))
 
 

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from quiverdt.cli import JobSpec
 from quiverdt.hn import UniversalSeries, hn_factorize, universal_for
 from quiverdt.oracle import FiniteFieldConfig, count_stack
 from quiverdt.qtorus import TorusSeries
@@ -157,10 +156,13 @@ class TestConstruction:
         (lambda: Quiver(0, ()), "^quiver needs at least one vertex$"),
         (lambda: Quiver(2, ((0,),)), "^arrow matrix must be n x n$"),
         (lambda: Quiver(1, ((-1,),)), "^arrow multiplicities must be nonnegative$"),
+        (lambda: Quiver(1, ((1.5,),)), "^arrow matrix entry 1.5 is not an integer$"),
         (lambda: FramedQuiver(Quiver(1, ((1,),)), (1, 0)),
          "^framing vector must match the vertex count: got 2 for 1 vertices$"),
         (lambda: FramedQuiver(Quiver(2, ((0, 1), (0, 0))), (-1, 0)),
          r"^framing vector \(-1, 0\) has a negative entry$"),
+        (lambda: FramedQuiver(Quiver(1, ((1,),)), (1.5,)),
+         "^framing vector entry 1.5 is not an integer$"),
         (lambda: FramedQuiver(Quiver(1, ((1,),)), (1,), "x"), "^unknown builtin_BU 'x'$"),
         (lambda: FramedQuiver(Quiver(1, ((1,),)), (1,), "user_supplied"),
          "^unknown builtin_BU 'user_supplied'$"),
@@ -189,30 +191,6 @@ class TestConstruction:
         assert FiniteFieldConfig().budget == 99
         monkeypatch.delenv("WALLCROSS_BUDGET")
         assert FiniteFieldConfig().budget == 10 ** 8
-
-
-class TestJobSpec:
-    def test_defaults_and_assignment(self):
-        job = JobSpec(quiver_path="q.json", subcommand="universal")
-        assert (job.trunc, job.theta, job.c, job.side, job.fmt) == (4, None, None, "exact", "tsv")
-        assert (job.q, job.max_dim, job.mu, job.w, job.alpha, job.out_dir) == (
-            2, 3, None, None, None, None)
-        job.trunc = 7
-        assert job.trunc == 7
-        assert JobSpec("q.json", "universal").trunc == 4
-
-    def test_options_by_keyword(self):
-        job = JobSpec("q.json", "framed", trunc=2, c=Fraction(1), side="plus")
-        assert (job.quiver_path, job.subcommand, job.trunc, job.c, job.side) == (
-            "q.json", "framed", 2, 1, "plus")
-
-    def test_unknown_keyword(self):
-        with pytest.raises(TypeError, match="bogus"):
-            JobSpec(quiver_path="q.json", subcommand="universal", bogus=1)
-
-    def test_missing_required(self):
-        with pytest.raises(TypeError):
-            JobSpec(quiver_path="q.json")
 
 
 def test_cold_import_skips_dataclasses_and_inspect():

@@ -10,10 +10,9 @@ from quiverdt.quiver import (c3_quiver, conifold_quiver, dim_vectors_up_to,
 from quiverdt.qtorus import (TorusSeries, nu_weights, pleth_exp, pleth_log,
                              s_twist, torus_div, torus_mul)
 from quiverdt.scalar import L, ONE, Scalar, V
-from quiverdt.stability import MINUS_INF, PLUS_INF, StabilityParams
-from quiverdt.wallcross import (DIRECTIONS, FramedSeries, dt_omega, euler_transfer,
-                                framed_at, general_wallcross, ncdt,
-                                smooth_model_motive, smooth_model_series,
+from quiverdt.stability import MINUS_INF, PLUS_INF, SIDES, find_walls, theta_slope
+from quiverdt.wallcross import (dt_omega, euler_transfer, framed_at, general_wallcross,
+                                ncdt, smooth_model_motive, smooth_model_series,
                                 transfer_series, uniform_series)
 
 JORDAN = jordan_quiver()
@@ -126,35 +125,28 @@ class TestGeneralWallcross:
         self.a_exact = framed_at(self.bu, (1, 0), 4, HALF, "exact", HALF)
         self.a_plus = framed_at(self.bu, (1, 0), 4, HALF, "plus", HALF)
 
-    def test_direction_names(self):
-        assert len(DIRECTIONS) == 6
-        with pytest.raises(ValueError, match="unknown direction"):
+    def test_unknown_side(self):
+        with pytest.raises(ValueError, match="side must be one of"):
             general_wallcross(self.a_minus, self.B, "sideways")
 
-    def test_side_must_match(self):
-        with pytest.raises(ValueError, match="does not match"):
-            general_wallcross(self.a_minus, self.B, "exact_to_plus")
-
     def test_crossing_formulas(self):
-        up = general_wallcross(self.a_minus, self.B, "minus_to_exact")
+        up = general_wallcross(self.a_minus, self.B, "exact")
         assert up.series == self.a_exact.series
         assert up.params.side == "exact"
-        on = general_wallcross(self.a_exact, self.B, "exact_to_plus")
+        on = general_wallcross(self.a_exact, self.B, "plus")
         assert on.series == self.a_plus.series
 
     def test_round_trips(self):
-        for there, back in [("minus_to_exact", "exact_to_minus"),
-                            ("minus_to_plus", "plus_to_minus")]:
+        for there in ("exact", "plus"):
             out = general_wallcross(
-                general_wallcross(self.a_minus, self.B, there), self.B, back)
+                general_wallcross(self.a_minus, self.B, there), self.B, "minus")
             assert out.series == self.a_minus.series
             assert out.params == self.a_minus.params
 
     def test_two_step_equals_one_jump(self):
         two = general_wallcross(
-            general_wallcross(self.a_minus, self.B, "minus_to_exact"),
-            self.B, "exact_to_plus")
-        one = general_wallcross(self.a_minus, self.B, "minus_to_plus")
+            general_wallcross(self.a_minus, self.B, "exact"), self.B, "plus")
+        one = general_wallcross(self.a_minus, self.B, "plus")
         assert two.series == one.series
 
 
@@ -169,19 +161,24 @@ WALL_QUIVERS = {
 
 @pytest.fixture(scope="module", params=sorted(WALL_QUIVERS))
 def wall_sides(request):
-    """B at the wall mu = c = 1/2 (theta = (1, 0)) and framed_at on each side."""
+    """At each wall c = -1, 1/2, 2 of (1, 1) (theta = (1, 0)), the slope mu of
+    (1, 1, 1), its B_mu and framed_at on each side."""
     fq = WALL_QUIVERS[request.param]
     bu = universal_for(fq, 4)
-    B = hn_factorize(bu, (1, 0), 4)[HALF]
-    return B, {side: framed_at(bu, (1, 0), 4, HALF, side, HALF)
-               for side in ("minus", "exact", "plus")}
+    parts = hn_factorize(bu, (1, 0), 4)
+    walls = {}
+    for c in find_walls(fq, (1, 0), (1, 1)):
+        mu = theta_slope((1, 0), (1, 1), c)
+        walls[c] = parts[mu], {side: framed_at(bu, (1, 0), 4, c, side, mu) for side in SIDES}
+    assert sorted(walls) == [-1, HALF, 2]
+    return walls
 
 
-@pytest.mark.parametrize("direction", DIRECTIONS)
-def test_direction_maps_source_side_to_target_side(wall_sides, direction):
-    B, at = wall_sides
-    src, dst = direction.split("_to_")
-    assert general_wallcross(at[src], B, direction) == at[dst]
+@pytest.mark.parametrize("src, dst", [pytest.param(s, t, id=f"{s}_to_{t}")
+                                      for s in SIDES for t in SIDES])
+def test_direction_maps_source_side_to_target_side(wall_sides, src, dst):
+    for c, (B, at) in wall_sides.items():
+        assert general_wallcross(at[src], B, dst) == at[dst], c
 
 
 class TestUniformSeries:
