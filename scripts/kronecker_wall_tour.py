@@ -10,7 +10,7 @@ ends with the smooth-model motives of the small classes.
 import argparse
 
 from quiverdt.quiver import kronecker_quiver
-from quiverdt.hn import hn_factorize, universal_for
+from quiverdt.hn import universal_for
 from quiverdt.stability import find_walls, theta_slope
 from quiverdt.wallcross import framed_at, general_wallcross, smooth_model_motive
 
@@ -30,7 +30,6 @@ def main():
     theta = (1, 0)
     N = args.trunc
     bu = universal_for(fq, N)
-    parts = hn_factorize(bu, theta, N)
 
     walls = find_walls(fq, theta, (1, 1))
     print(f"# walls for (1, 1): {' '.join(str(w) for w in walls)}")
@@ -39,17 +38,15 @@ def main():
         # the slope the framed class (1, 1, 1) sits on at this wall
         mu = theta_slope(theta, (1, 1), c)
         print(f"\n== wall c = {c}, slope class {mu}")
-        B = parts.get(mu)
         below = framed_at(bu, theta, N, c, "minus", mu)
         exact = framed_at(bu, theta, N, c, "exact", mu)
         above = framed_at(bu, theta, N, c, "plus", mu)
         show("  below", below.series)
         show("  at   ", exact.series)
         show("  above", above.series)
-        if B is not None:
-            lhs = general_wallcross(below, B, "exact").series
-            rhs = general_wallcross(above, B, "exact").series
-            print(f"  crossing products agree: {lhs == exact.series == rhs}")
+        lhs = general_wallcross(below, bu, "exact").series
+        rhs = general_wallcross(above, bu, "exact").series
+        print(f"  crossing products agree: {lhs == exact.series == rhs}")
 
     print("\n# smooth-model motives")
     for alpha in [(1, 0), (1, 1), (2, 1), (2, 2)]:

@@ -14,7 +14,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .hn import hn_factorize, universal_for
+from .hn import hn_factorize, ladder_at, universal_for
 from .oracle import (FiniteFieldConfig, count_stack, hall_filtration_check,
                      verify_coefficient)
 from .quiver import FramedQuiver, dim_vectors_up_to, load_quiver_file, tits_form
@@ -168,9 +168,7 @@ def _dispatch(job):
     if sub in ("omega", "transfer"):
         BU = universal_for(fq, N)
         if job.mu is not None:
-            theta = _theta_for(job, fq)
-            parts = hn_factorize(BU, theta, N)
-            B = parts.get(Fraction(job.mu), TorusSeries.one(fq, N))
+            _, B, _ = ladder_at(BU, _theta_for(job, fq), N, job.mu)
         else:
             B = BU.series
         if sub == "transfer":
@@ -199,7 +197,6 @@ def _check_oracle(job, fq: FramedQuiver):
     if job.c in (PLUS_INF, MINUS_INF):
         raise CLIError(f"check-oracle --c needs a finite level, not {job.c:+}")
     BU = universal_for(fq, N)
-    parts = hn_factorize(BU, theta, N) if theta is not None else None
 
     rows = []
     failed = False
@@ -210,13 +207,11 @@ def _check_oracle(job, fq: FramedQuiver):
         ok = verify_coefficient(BU.series.coeff(a), cnt, q, chi=chi)
         failed |= not ok
         rows.append(f"universal\talpha={','.join(map(str, a))}\t{'ok' if ok else 'FAIL'}")
-        if parts is None:
+        if theta is None:
             continue
-        mu = theta_slope(theta, a)
-        coeff = parts.get(mu, TorusSeries.one(fq, N)).coeff(a)
-        sp = StabilityParams(theta)
-        scnt = count_stack(fq, a, sp, q, cfg)
-        ok = verify_coefficient(coeff, scnt, q, chi=chi)
+        _, B_mu, _ = ladder_at(BU, theta, N, theta_slope(theta, a))
+        scnt = count_stack(fq, a, StabilityParams(theta), q, cfg)
+        ok = verify_coefficient(B_mu.coeff(a), scnt, q, chi=chi)
         failed |= not ok
         rows.append(f"semistable\talpha={','.join(map(str, a))}\t{'ok' if ok else 'FAIL'}")
         if job.c is not None:

@@ -4,17 +4,18 @@ B_U collects the motives of all representations (trivial stability); for a
 weight vector theta it factors uniquely as the ordered product of slope
 pieces B_mu, decreasing slope left to right.  The factorization peels the
 top slope off one rest at a time, by one left quotient each, leaving the
-ladder of partial products the framed series are read from.
+ladder of partial products, which other modules read through ladder_at.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache, partial
 
 from .qtorus import TorusSeries, pleth_exp, torus_div, torus_mul
 from .quiver import FramedQuiver, Record, dim_vectors_up_to, tits_form
 from .scalar import ONE, L, Scalar
-from .stability import check_theta, theta_slope
+from .stability import MINUS_INF, PLUS_INF, check_theta, theta_slope
 
 
 class UniversalSeries(Record):
@@ -83,19 +84,43 @@ def slope_ladder(BU: UniversalSeries, theta, N: int) -> tuple:
     one rung up (B_U above the top rung) is B_mu . P_<mu, and the last rest
     is 1.  Each (theta, N) is split once per UniversalSeries.
     """
-    if N > BU.series.trunc:
-        raise ValueError("N exceeds the series truncation")
-    theta = check_theta(BU.series.fq, theta)
+    theta = _checked(BU, theta, N)
     ladder = BU._hn.get((theta, N))
     if ladder is None:
         ladder = BU._hn[(theta, N)] = _hn_split(BU.series, theta, N)
     return ladder
 
 
+def ladder_at(BU: UniversalSeries, theta, N: int, a) -> tuple:
+    """(P_<=a, B_a, P_<a): the decreasing products of the pieces of slope at
+    most a and below a, and the piece B_a (1 off the rungs), so that
+    P_<=a = B_a . P_<a.  a = +inf gives (B_U, 1, B_U) and a = -inf gives
+    (1, 1, 1); neither splits B_U."""
+    one = TorusSeries.one(BU.series.fq, N)
+    if a in (PLUS_INF, MINUS_INF):
+        _checked(BU, theta, N)
+        top = one if a == MINUS_INF else BU.series.retrunc(N)
+        return top, one, top
+    ladder, a = slope_ladder(BU, theta, N), Fraction(a)
+    upto = below = BU.series.retrunc(N)
+    piece = one
+    for mu, B, rest in ladder:
+        if mu < a:
+            break
+        upto, piece, below = (rest, piece, rest) if mu > a else (upto, B, rest)
+    return upto, piece, below
+
+
 def hn_factorize(BU: UniversalSeries, theta, N: int) -> dict:
     """Split B_U into slope pieces: a new dict {mu: B_mu}, mu increasing,
     constant terms 1, read off slope_ladder."""
     return {mu: piece for mu, piece, _ in reversed(slope_ladder(BU, theta, N))}
+
+
+def _checked(BU: UniversalSeries, theta, N: int) -> tuple:
+    if N > BU.series.trunc:
+        raise ValueError("N exceeds the series truncation")
+    return check_theta(BU.series.fq, theta)
 
 
 def _hn_split(series: TorusSeries, theta: tuple, N: int) -> tuple:

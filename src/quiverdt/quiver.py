@@ -56,13 +56,13 @@ class Record:
 
 
 def int_entries(values, what: str) -> tuple:
-    """values as an int tuple; an entry int() would change (1.5) is refused."""
+    """values as an int tuple; a bool or an entry int() would change (1.5)
+    is refused."""
     values = tuple(values)
-    ints = tuple(int(x) for x in values)
-    if ints != values:
-        bad = next(x for x, n in zip(values, ints) if x != n)
-        raise ValueError(f"{what} entry {bad} is not an integer")
-    return ints
+    for x in values:
+        if isinstance(x, bool) or int(x) != x:
+            raise ValueError(f"{what} entry {x} is not an integer")
+    return tuple(int(x) for x in values)
 
 
 class Quiver(Record):

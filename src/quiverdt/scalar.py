@@ -363,10 +363,6 @@ class Scalar:
         return cls._raw((1,), mono)
 
     @classmethod
-    def L_pow(cls, k: int) -> "Scalar":
-        return cls.v_pow(2 * k)
-
-    @classmethod
     def neg_v_pow(cls, k: int) -> "Scalar":
         """(-v)^k = (-1)^k v^k, any integer k."""
         s = cls.v_pow(k)

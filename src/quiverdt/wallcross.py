@@ -5,11 +5,12 @@ automorphism factor are stripped once and for all, so a framed series lives
 in the same torus as B_U (keys are dimension vectors) and the wall-crossing
 identities read as products of ordinary series twisted by S_nu, the one
 place the framing enters.  Every function reads the quiver and its framing
-off the series it is given (B_U's for a UniversalSeries).  Outputs:
-transfer series C_mu, framed series A at any stability level (including
-both infinities), the same series carried across its wall from one side
-to another (general_wallcross), the cyclic-stability series, smooth-model
-motives, and the series Omega of integer DT invariants.
+off the series it is given (B_U's for a UniversalSeries), and B_U's slope
+factors off hn.ladder_at.  One product form, S_nu(P) . S_{-nu}(Q)^{-1}
+(_crossing), gives the transfer series C_mu, framed series A at any level,
+both infinities too, the same series carried across its wall
+(general_wallcross) and, twisted by S_nu, the cyclic-stability series and
+smooth-model motives; dt_omega gives the series Omega of DT invariants.
 """
 
 from __future__ import annotations
@@ -17,13 +18,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, partial
 
-from .hn import UniversalSeries, hn_factorize, slope_ladder
+from .hn import UniversalSeries, ladder_at
 from .quiver import Record, is_symmetric, nu, tits_form
 from .qtorus import (TorusSeries, nu_weights, pleth_exp, pleth_log, s_twist,
                      torus_div, torus_mul)
 from .scalar import L, ONE, Scalar
-from .stability import (MINUS_INF, PLUS_INF, StabilityParams, check_alpha, check_theta,
-                        theta_slope)
+from .stability import StabilityParams, check_alpha, check_theta, theta_slope
 
 
 class FramedSeries(Record):
@@ -42,11 +42,6 @@ def _crossing(left: TorusSeries, right: TorusSeries, keep=None) -> TorusSeries:
                      keep)
 
 
-def _cyclic(B: TorusSeries) -> TorusSeries:
-    """S_{2nu}(B) . B^{-1}, the cyclic-stability product form."""
-    return torus_div(s_twist(B, nu_weights(B.fq, 2)), B)
-
-
 def transfer_series(B_mu: TorusSeries) -> TorusSeries:
     """C_mu = S_nu(B_mu) . S_{-nu}(B_mu)^{-1}, one slope's crossing factor."""
     if not is_symmetric(B_mu.fq):
@@ -56,27 +51,29 @@ def transfer_series(B_mu: TorusSeries) -> TorusSeries:
     return _crossing(B_mu, B_mu)
 
 
-def general_wallcross(a_in: FramedSeries, B_mu: TorusSeries, side: str) -> FramedSeries:
+def general_wallcross(a_in: FramedSeries, BU: UniversalSeries, side: str) -> FramedSeries:
     """Carry a_in from its own side of its wall onto `side`, no symmetry assumed.
 
     Governing identity: A_exact = S_nu(B) . A_minus = A_plus . S_{-nu}(B),
-    with B = B_mu the slope factor of the wall's slope mu = a_in.mu.  The
-    output lies on the same slope class as a_in (cut to it when mu is set),
-    so crossing framed_at's series gives framed_at's series on `side`.
+    with B = B_mu the slope factor of B_U at the wall's slope mu = a_in.mu.
+    The output lies on the same slope class as a_in, so crossing framed_at's
+    series gives framed_at's series on `side`.
     """
     params = StabilityParams(a_in.params.theta, a_in.params.c, side)
-    src, fq = a_in.params.side, a_in.series.fq
+    src, out = a_in.params.side, a_in.series
     # A_side = S_nu(B)^{-[side = minus]} . A_exact . S_{-nu}(B)^{-[side = plus]}
     left = (src == "minus") - (side == "minus")
     right = (src == "plus") - (side == "plus")
-    out = a_in.series
-    if left:
-        snu_b = s_twist(B_mu, nu_weights(fq, 1))
-        out = torus_mul(snu_b, out) if left > 0 else torus_div(out, snu_b, left=True)
-    if right:
-        sdn_b = s_twist(B_mu, nu_weights(fq, -1))
-        out = torus_mul(out, sdn_b) if right > 0 else torus_div(out, sdn_b)
-    if a_in.mu is not None:
+    if left or right:
+        if a_in.mu is None:
+            raise ValueError("crossing a wall needs a_in's slope class mu")
+        _, B, _ = ladder_at(BU, params.theta, out.trunc, a_in.mu)
+        if left:
+            snu_b = s_twist(B, nu_weights(out.fq, 1))
+            out = torus_mul(snu_b, out) if left > 0 else torus_div(out, snu_b, left=True)
+        if right:
+            sdn_b = s_twist(B, nu_weights(out.fq, -1))
+            out = torus_mul(out, sdn_b) if right > 0 else torus_div(out, sdn_b)
         out = _on_slope_class(out, partial(theta_slope, params.theta, c=params.c), a_in.mu)
     return FramedSeries(out, params, a_in.mu)
 
@@ -93,22 +90,14 @@ def uniform_series(BU: UniversalSeries, theta, a, side: str = "exact") -> TorusS
 
     A^a = S_nu(P_{<=a}) . S_{-nu}(P_{<a})^{-1} where P is the
     decreasing-order product of the slope factors of B_U, both read off the
-    slope ladder; side plus uses the upper product on both sides, side minus
-    the lower one.
+    slope ladder by ladder_at; side plus uses the upper product on both
+    sides, side minus the lower one.
     """
     return _uniform(BU, theta, BU.series.trunc, a, side)
 
 
 def _uniform(BU, theta, N, a, side, keep=None) -> TorusSeries:
-    if a not in (PLUS_INF, MINUS_INF):
-        a = Fraction(a)
-    # P_{<a} is the rest at the lowest slope >= a, P_{<=a} the one at the
-    # lowest slope > a; above every rung both are B_U
-    upto = below = BU.series.retrunc(N)
-    for mu, _, rest in slope_ladder(BU, theta, N):
-        if mu < a:
-            break
-        upto, below = (rest if mu > a else upto), rest
+    upto, _, below = ladder_at(BU, theta, N, a)
     return _crossing(below if side == "minus" else upto,
                      upto if side == "plus" else below, keep)
 
@@ -119,19 +108,12 @@ def framed_at(BU: UniversalSeries, theta, N: int, c, side: str = "exact",
 
     Finite c gives the uniform series at a = mu on the mu slope class, the
     classes alpha whose framed slope (theta.alpha + c)/(|alpha| + 1) is mu;
-    the infinities come from their characterizations directly: nothing but
-    the bare framing line below all walls, the full cyclic series above them.
+    c = +inf or -inf gives the uniform series there, the full cyclic series
+    above all walls and the bare framing line below them.
     """
-    fq = BU.series.fq
-    theta = check_theta(fq, theta)
-    if N > BU.series.trunc:
-        raise ValueError("truncation exceeds the given universal series")
     params = StabilityParams(theta, c, side)
-    if c == MINUS_INF:
-        return FramedSeries(TorusSeries.one(fq, N), params, None)
-    if c == PLUS_INF:
-        bu = BU.series.retrunc(N)
-        return FramedSeries(_crossing(bu, bu), params, None)
+    if not params.is_finite():
+        return FramedSeries(_uniform(BU, theta, N, params.c, side), params, None)
     if mu is None:
         raise ValueError("finite c needs a slope mu")
     mu = Fraction(mu)
@@ -144,16 +126,17 @@ def framed_at(BU: UniversalSeries, theta, N: int, c, side: str = "exact",
 
 
 def ncdt(BU: UniversalSeries) -> TorusSeries:
-    """The cyclic-stability series S_{2nu}(B_U) . B_U^{-1}."""
-    return _cyclic(BU.series)
+    """The cyclic-stability series S_{2nu}(B_U) . B_U^{-1}, which is
+    S_nu(A^{+inf}) since S_nu is an algebra automorphism."""
+    B = BU.series
+    return s_twist(_crossing(B, B), nu_weights(B.fq, 1))
 
 
 def smooth_model_series(BU: UniversalSeries, theta, N: int, mu) -> TorusSeries:
     """Generating series of smooth-model motives on one slope class:
-    (1/(L-1)) S_{2nu}(B_mu) . B_mu^{-1}."""
-    parts = hn_factorize(BU, theta, N)
-    B = parts.get(Fraction(mu), TorusSeries.one(BU.series.fq, N))
-    return _cyclic(B) * (ONE / (L - ONE))
+    (1/(L-1)) S_{2nu}(B_mu) . B_mu^{-1}, formed as S_nu of the crossing form."""
+    _, B, _ = ladder_at(BU, theta, N, mu)
+    return s_twist(_crossing(B, B), nu_weights(B.fq, 1)) * (ONE / (L - ONE))
 
 
 def smooth_model_motive(BU: UniversalSeries, theta, N: int, alpha) -> Scalar:

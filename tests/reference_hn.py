@@ -9,7 +9,9 @@ framed_at assemble the framed series from its pieces the way
 quiverdt.wallcross did before it read them off the slope ladder: every call
 multiplies the pieces below the level again.  torus_product, truncate_tau,
 remultiply_check and transfer_slope_product are the product-side helpers
-that the tests read the production series against; at_star0 places a
+that the tests read the production series against; cyclic is the second
+product form S_{2nu}(B) . B^{-1} that ncdt and smooth_model_series formed
+before they became S_nu of the crossing form; at_star0 places a
 production series in the star-1 torus of reference_qtorus, and
 star_one_rungs reads the star-0 framed series against that torus.  Nothing
 under src/ imports it.
@@ -21,7 +23,7 @@ from fractions import Fraction
 
 import reference_qtorus as ref_qt
 from quiverdt.hn import slope_ladder
-from quiverdt.qtorus import TorusSeries, nu_weights, s_twist, torus_mul
+from quiverdt.qtorus import TorusSeries, nu_weights, s_twist, torus_div, torus_mul
 from quiverdt.quiver import dim_vectors_up_to, sub_vectors
 from quiverdt.scalar import ONE, Scalar, _acc_term, _settle
 from quiverdt.stability import MINUS_INF, PLUS_INF, theta_slope
@@ -139,6 +141,11 @@ def transfer_slope_product(fq, parts: dict, trunc: int, pred) -> TorusSeries:
     """
     return torus_product(fq, trunc, (transfer_series(parts[b])
                                      for b in sorted(parts, reverse=True) if pred(b)))
+
+
+def cyclic(B: TorusSeries) -> TorusSeries:
+    """S_{2nu}(B) . B^{-1}, the cyclic-stability product form."""
+    return torus_div(s_twist(B, nu_weights(B.fq, 2)), B)
 
 
 def at_star0(f: TorusSeries) -> ref_qt.TorusSeries:

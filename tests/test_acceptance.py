@@ -97,7 +97,7 @@ def test_criterion_4_wall_crossing_identities_hold_termwise():
         sdn = s_twist(B, nu_weights(fq, -1))
         assert a_exact.series == torus_mul(snu, a_minus.series)
         assert a_exact.series == torus_mul(a_plus.series, sdn)
-        assert general_wallcross(a_minus, B, "plus").series == \
+        assert general_wallcross(a_minus, bu, "plus").series == \
             a_plus.series
         if is_symmetric(fq):
             below = transfer_slope_product(fq, parts, N, lambda b: b < mu)

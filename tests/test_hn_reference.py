@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import reference_hn as ref
 from reference_hn import remultiply_check, torus_product, truncate_tau
-from quiverdt.hn import hn_factorize, slope_ladder, universal_for
+from quiverdt.hn import hn_factorize, ladder_at, slope_ladder, universal_for
 from quiverdt.quiver import (FramedQuiver, Quiver, c3_quiver, conifold_quiver,
                              dim_vectors_up_to, jordan_quiver, kronecker_quiver,
                              loop_quiver)
@@ -53,8 +53,8 @@ def between(slopes):
 
 
 def check_split(fq, theta, N):
-    """hn_factorize, the ladder's rests and uniform_series against the
-    reference; returns the universal series it split."""
+    """hn_factorize, the ladder's rests, ladder_at and uniform_series against
+    the reference; returns the universal series it split."""
     bu = universal_for(fq, N)
     want = ref.hn_split(bu.series, tuple(Fraction(t) for t in theta), N)
     got = hn_factorize(bu, theta, N)
@@ -66,6 +66,16 @@ def check_split(fq, theta, N):
         assert rest == torus_product(fq, N, [p for _, p, _ in ladder[i + 1:]])
     assert not ladder or ladder[-1][2] == TorusSeries.one(fq, N)
     slopes = sorted(want)
+    # at every rung and between rungs: P_<a is the product of the pieces
+    # below a, P_<=a = B_a . P_<a, and B_a is 1 off the rungs
+    one = TorusSeries.one(fq, N)
+    for a in slopes + between(slopes):
+        upto, piece, below = ladder_at(bu, theta, N, a)
+        assert piece == got.get(a, one), a
+        assert upto == torus_mul(piece, below), a
+        assert below == torus_product(fq, N, [want[b] for b in reversed(slopes) if b < a]), a
+    assert ladder_at(bu, theta, N, PLUS_INF) == (bu.series, one, bu.series)
+    assert ladder_at(bu, theta, N, MINUS_INF) == (one, one, one)
     for a in [PLUS_INF, MINUS_INF] + slopes + between(slopes):
         for side in SIDES:
             assert uniform_series(bu, theta, a, side) == \

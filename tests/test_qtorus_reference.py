@@ -390,7 +390,7 @@ def test_wallcross_onto_the_minus_side(fq):
         exact = at_star0(a.series)
         if src == "plus":
             exact = ref.torus_mul(exact, sdn)
-        got = general_wallcross(a, B, "minus").series
+        got = general_wallcross(a, bu, "minus").series
         assert_same(got, ref.torus_mul(snu_inv, exact))
 
 

@@ -12,6 +12,7 @@ from quiverdt.quiver import (BUILTIN_SOURCES, FramedQuiver, Quiver,
                              is_symmetric, jordan_quiver, kronecker_quiver,
                              load_quiver_file, loop_quiver, nu,
                              sub_vectors, tits_form, zero_vector)
+from quiverdt.stability import check_alpha
 from reference_qtorus import ext, skew_form
 
 FORM_QUIVERS = [jordan_quiver((2,)), loop_quiver(0), kronecker_quiver((1, 1)),
@@ -57,6 +58,16 @@ class TestValidation:
     def test_framing_length(self):
         with pytest.raises(ValueError):
             FramedQuiver(Quiver(1, ((1,),)), (1, 0))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Quiver(1, ((True,),)), "arrow matrix entry True"),
+        (lambda: FramedQuiver(Quiver(1, ((1,),)), (True,)), "framing vector entry True"),
+        (lambda: check_alpha(kronecker_quiver(), (True, False)), "alpha entry True"),
+    ], ids=["arrows", "framing", "class"])
+    def test_refuses_bools(self, build, message):
+        # True == 1, so only the type tells a bool from the integer 1
+        with pytest.raises(ValueError, match=f"^{message} is not an integer$"):
+            build()
 
     def test_unknown_source(self):
         with pytest.raises(ValueError):

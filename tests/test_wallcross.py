@@ -2,17 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from reference_hn import transfer_slope_product, truncate_tau
+from reference_hn import cyclic, transfer_slope_product, truncate_tau
 from quiverdt import hn, qtorus, wallcross
-from quiverdt.hn import hn_factorize, slope_ladder, universal_for
-from quiverdt.quiver import (c3_quiver, conifold_quiver, dim_vectors_up_to,
-                             jordan_quiver, kronecker_quiver, loop_quiver, tits_form)
+from quiverdt.hn import hn_factorize, ladder_at, slope_ladder, universal_for
+from quiverdt.quiver import (FramedQuiver, Quiver, c3_quiver, conifold_quiver,
+                             dim_vectors_up_to, jordan_quiver, kronecker_quiver,
+                             loop_quiver, tits_form)
 from quiverdt.qtorus import (TorusSeries, nu_weights, pleth_exp, pleth_log,
                              s_twist, torus_div, torus_mul)
 from quiverdt.scalar import L, ONE, Scalar, V
 from quiverdt.stability import MINUS_INF, PLUS_INF, SIDES, find_walls, theta_slope
-from quiverdt.wallcross import (dt_omega, euler_transfer, framed_at, general_wallcross,
-                                ncdt, smooth_model_motive, smooth_model_series,
+from quiverdt.wallcross import (FramedSeries, dt_omega, euler_transfer, framed_at,
+                                general_wallcross, ncdt, smooth_model_motive, smooth_model_series,
                                 transfer_series, uniform_series)
 
 JORDAN = jordan_quiver()
@@ -119,34 +120,40 @@ class TestSlopeProducts:
 class TestGeneralWallcross:
     def setup_method(self):
         self.bu = universal_for(KRON, 4)
-        self.parts = hn_factorize(self.bu, (1, 0), 4)
-        self.B = self.parts[HALF]
         self.a_minus = framed_at(self.bu, (1, 0), 4, HALF, "minus", HALF)
         self.a_exact = framed_at(self.bu, (1, 0), 4, HALF, "exact", HALF)
         self.a_plus = framed_at(self.bu, (1, 0), 4, HALF, "plus", HALF)
 
     def test_unknown_side(self):
         with pytest.raises(ValueError, match="side must be one of"):
-            general_wallcross(self.a_minus, self.B, "sideways")
+            general_wallcross(self.a_minus, self.bu, "sideways")
+
+    def test_refuses_a_crossing_without_slope_class(self):
+        # a finite level needs the slope class to find its factor B_mu
+        bare = FramedSeries(self.a_minus.series, self.a_minus.params)
+        with pytest.raises(ValueError, match="^crossing a wall needs a_in's slope class mu$"):
+            general_wallcross(bare, self.bu, "plus")
+        # staying on its side needs no factor
+        assert general_wallcross(bare, self.bu, "minus") == bare
 
     def test_crossing_formulas(self):
-        up = general_wallcross(self.a_minus, self.B, "exact")
+        up = general_wallcross(self.a_minus, self.bu, "exact")
         assert up.series == self.a_exact.series
         assert up.params.side == "exact"
-        on = general_wallcross(self.a_exact, self.B, "plus")
+        on = general_wallcross(self.a_exact, self.bu, "plus")
         assert on.series == self.a_plus.series
 
     def test_round_trips(self):
         for there in ("exact", "plus"):
             out = general_wallcross(
-                general_wallcross(self.a_minus, self.B, there), self.B, "minus")
+                general_wallcross(self.a_minus, self.bu, there), self.bu, "minus")
             assert out.series == self.a_minus.series
             assert out.params == self.a_minus.params
 
     def test_two_step_equals_one_jump(self):
         two = general_wallcross(
-            general_wallcross(self.a_minus, self.B, "exact"), self.B, "plus")
-        one = general_wallcross(self.a_minus, self.B, "plus")
+            general_wallcross(self.a_minus, self.bu, "exact"), self.bu, "plus")
+        one = general_wallcross(self.a_minus, self.bu, "plus")
         assert two.series == one.series
 
 
@@ -156,29 +163,31 @@ WALL_QUIVERS = {
     "kronecker-w20": kronecker_quiver((2, 0)),
     "kronecker-w11": kronecker_quiver((1, 1)),
     "kronecker-w01": kronecker_quiver((0, 1)),
+    "kronecker3": FramedQuiver(Quiver(2, ((0, 3), (0, 0))), (1, 0)),
 }
 
 
 @pytest.fixture(scope="module", params=sorted(WALL_QUIVERS))
 def wall_sides(request):
-    """At each wall c = -1, 1/2, 2 of (1, 1) (theta = (1, 0)), the slope mu of
-    (1, 1, 1), its B_mu and framed_at on each side."""
+    """B_U and, at each wall c = -1, 1/2, 2 of (1, 1) (theta = (1, 0)),
+    framed_at on each side at the slope mu of (1, 1, 1)."""
     fq = WALL_QUIVERS[request.param]
     bu = universal_for(fq, 4)
-    parts = hn_factorize(bu, (1, 0), 4)
     walls = {}
     for c in find_walls(fq, (1, 0), (1, 1)):
         mu = theta_slope((1, 0), (1, 1), c)
-        walls[c] = parts[mu], {side: framed_at(bu, (1, 0), 4, c, side, mu) for side in SIDES}
+        walls[c] = {side: framed_at(bu, (1, 0), 4, c, side, mu) for side in SIDES}
     assert sorted(walls) == [-1, HALF, 2]
-    return walls
+    return bu, walls
 
 
 @pytest.mark.parametrize("src, dst", [pytest.param(s, t, id=f"{s}_to_{t}")
                                       for s in SIDES for t in SIDES])
 def test_direction_maps_source_side_to_target_side(wall_sides, src, dst):
-    for c, (B, at) in wall_sides.items():
-        assert general_wallcross(at[src], B, dst) == at[dst], c
+    # general_wallcross finds B_mu from a_in.mu and B_U alone
+    bu, walls = wall_sides
+    for c, at in walls.items():
+        assert general_wallcross(at[src], bu, dst) == at[dst], c
 
 
 class TestUniformSeries:
@@ -250,6 +259,14 @@ class TestFramedAt:
         with pytest.raises(ValueError, match="^theta must list one weight per vertex: "
                                              "got 1 for 2 vertices$"):
             framed_at(universal_for(KRON, 3), (1,), 3, c, "exact", HALF)
+
+    def test_infinities_leave_b_u_unsplit(self):
+        bu = universal_for(KRON, 4)
+        for a in (PLUS_INF, MINUS_INF):
+            ladder_at(bu, (1, 0), 4, a)
+            framed_at(bu, (1, 0), 4, a)
+            uniform_series(bu, (1, 0), a)
+        assert bu._hn == {}
 
     def test_finite_needs_mu(self):
         with pytest.raises(ValueError, match="slope mu"):
@@ -335,6 +352,25 @@ class TestSecondRoutes:
         bu = universal_for(fq, 6)
         log = pleth_log(bu.series)
         assert ncdt(bu) == pleth_exp(s_twist(log, nu_weights(fq, 2)) - log)
+
+
+# S_nu of the crossing form against the cyclic form S_{2nu}(B) . B^{-1}:
+# (quiver, N, theta whose pieces the smooth models are read on)
+CYCLIC_CASES = {
+    "c3": (c3_quiver(), 7, (0,)), "conifold": (conifold_quiver(), 6, (1, 0)),
+    "jordan": (JORDAN, 8, (0,)), "two_loops": (loop_quiver(2), 8, (0,)),
+    "three_loops_w2": (loop_quiver(3, (2,)), 6, (0,)),
+    "kronecker": (KRON, 7, (1, 0)), "kronecker_w11": (kronecker_quiver((1, 1)), 7, (1, 0)),
+}
+
+
+@pytest.mark.parametrize("name", CYCLIC_CASES)
+def test_ncdt_and_smooth_models_are_the_cyclic_form(name):
+    fq, N, theta = CYCLIC_CASES[name]
+    bu = universal_for(fq, N)
+    assert ncdt(bu) == cyclic(bu.series)
+    for mu, piece in hn_factorize(bu, theta, N).items():
+        assert smooth_model_series(bu, theta, N, mu) == cyclic(piece) * (ONE / (L - 1)), mu
 
 
 class TestNCDT:
