@@ -6,8 +6,6 @@ p/q (plus +inf / -inf for the stability level); floats are rejected.
 Exit codes: 0 success, 2 verification failure (check-oracle), 1 any error.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import re
@@ -114,8 +112,6 @@ def _theta_for(job, fq: FramedQuiver) -> tuple:
 def _dispatch(job):
     if job.trunc < 0:
         raise CLIError("truncation must be nonnegative")
-    if job.fmt not in FORMATS:
-        raise CLIError(f"unknown format {job.fmt!r}")
     fq = _load(job)
     N = job.trunc
     sub = job.subcommand

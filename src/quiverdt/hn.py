@@ -7,8 +7,6 @@ top slope off one rest at a time, by one left quotient each, leaving the
 ladder of partial products, which other modules read through ladder_at.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import cache, partial
 
@@ -119,7 +117,7 @@ def hn_factorize(BU: UniversalSeries, theta, N: int) -> dict:
 
 def _checked(BU: UniversalSeries, theta, N: int) -> tuple:
     if N > BU.series.trunc:
-        raise ValueError("N exceeds the series truncation")
+        raise ValueError(f"N = {N} exceeds the series truncation {BU.series.trunc}")
     return check_theta(BU.series.fq, theta)
 
 

@@ -55,8 +55,6 @@ through _points.
   candidate subspace tuple.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import operator

@@ -26,10 +26,8 @@ under removing the divisor's keys), and Log is a quotient:
                  x^a -> grade(a) x^a; then Log g = sum_n mu(n)/n psi_n(l)
 """
 
-from __future__ import annotations
-
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .quiver import FramedQuiver, Record, zero_vector
 from .scalar import ONE, Scalar, _acc_term, _settle
@@ -85,9 +83,6 @@ class TorusSeries(Record):
         """(alpha, coeff) pairs sorted lexicographically by alpha."""
         return sorted(self.coeffs.items())
 
-    def support(self):
-        return sorted(self.coeffs)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -100,7 +95,7 @@ class TorusSeries(Record):
         if n == self.trunc:
             return self
         if n > self.trunc:
-            raise ValueError("cannot grow the truncation region")
+            raise ValueError(f"cannot grow the truncation region from {self.trunc} to {n}")
         return TorusSeries(self.fq, n, dict(self.coeffs))
 
     def map_coeffs(self, f) -> "TorusSeries":
@@ -137,12 +132,6 @@ class TorusSeries(Record):
             return self.__mul__(other)
         return torus_mul(_lift(other, self), self)
 
-    def __eq__(self, other):
-        if not isinstance(other, TorusSeries):
-            return NotImplemented
-        return (self.fq, self.trunc, dict(self.coeffs)) == \
-               (other.fq, other.trunc, dict(other.coeffs))
-
     def __repr__(self):
         body = ", ".join(f"{k}: {c}" for k, c in self.terms())
         return f"TorusSeries(N={self.trunc}, {{{body}}})"
@@ -150,7 +139,9 @@ class TorusSeries(Record):
 
 def _check(f: TorusSeries, g: TorusSeries) -> None:
     if f.fq != g.fq or f.trunc != g.trunc:
-        raise ValueError("series live on different tori")
+        quivers = "the same framed quiver" if f.fq == g.fq else "different framed quivers"
+        raise ValueError(f"series live on different tori: truncations {f.trunc} and "
+                         f"{g.trunc} on {quivers}")
 
 
 def _lift(x, like: TorusSeries) -> TorusSeries:
@@ -299,8 +290,10 @@ def _check_commuting(f: TorusSeries) -> None:
     for i, a in enumerate(keys):
         row = _skew_row(m, a)
         for b in keys[i + 1:]:
-            if sum(r * y for r, y in zip(row, b)):
-                raise ValueError("Exp undefined on non-commutative support")
+            pairing = sum(r * y for r, y in zip(row, b))
+            if pairing:
+                raise ValueError(f"Exp undefined on non-commutative support: "
+                                 f"<{a}, {b}> = {pairing}")
 
 
 def pleth_exp(f: TorusSeries) -> TorusSeries:

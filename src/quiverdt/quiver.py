@@ -5,11 +5,9 @@ Dimension vectors are plain int tuples, and so are series keys: the framing
 vertex enters only through the weight nu(alpha) = w . alpha.
 """
 
-from __future__ import annotations
-
 import itertools
 import json
-from typing import Iterator
+from collections.abc import Iterator
 
 DimVector = tuple  # coords in N^{Q_0}
 

@@ -27,8 +27,6 @@ The public `num` and `den` are the same value with rational coefficients and
 a monic denominator.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -510,14 +508,6 @@ class Scalar:
         if dv == 0:
             raise ZeroDivisionError("not specializable")
         return Fraction(_peval(n[::2], x), dv)
-
-    def as_fraction(self) -> Fraction:
-        """The value of a constant Scalar."""
-        if len(self._n) > 1 or len(self._d) > 1:
-            raise ValueError("not a constant")
-        if not self._n:
-            return Fraction(0)
-        return Fraction(self._n[0], self._d[0])
 
     def __repr__(self):
         return f"({_pstr(self.num)})/({_pstr(self.den)})"

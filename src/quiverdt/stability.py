@@ -8,8 +8,6 @@ c + eps and c - eps for every small eps > 0; no rational stands in for them
 (the oracle compares slopes at c and their eps-coefficients).
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .quiver import FramedQuiver, Record, int_entries, sub_vectors

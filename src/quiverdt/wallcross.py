@@ -13,8 +13,6 @@ both infinities too, the same series carried across its wall
 smooth-model motives; dt_omega gives the series Omega of DT invariants.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import cache, partial
 
@@ -45,7 +43,10 @@ def _crossing(left: TorusSeries, right: TorusSeries, keep=None) -> TorusSeries:
 def transfer_series(B_mu: TorusSeries) -> TorusSeries:
     """C_mu = S_nu(B_mu) . S_{-nu}(B_mu)^{-1}, one slope's crossing factor."""
     if not is_symmetric(B_mu.fq):
-        raise ValueError("use general_wallcross")
+        m = B_mu.fq.base.arrows
+        i, j = next((i, j) for i, row in enumerate(m) for j in range(i) if row[j] != m[j][i])
+        raise ValueError(f"transfer series needs a symmetric quiver, but {m[j][i]} arrows "
+                         f"go {j} -> {i} and {m[i][j]} go {i} -> {j}: use general_wallcross")
     if B_mu.constant_term() != ONE:
         raise ValueError("transfer series needs constant term 1")
     return _crossing(B_mu, B_mu)
@@ -85,18 +86,14 @@ def _on_slope_class(ser: TorusSeries, slope, mu) -> TorusSeries:
     return TorusSeries.one(ser.fq, ser.trunc) if ser.is_zero() else ser
 
 
-def uniform_series(BU: UniversalSeries, theta, a, side: str = "exact") -> TorusSeries:
+def _uniform(BU, theta, N, a, side, keep=None) -> TorusSeries:
     """The one-parameter framed series A^a assembled from slope factors.
 
     A^a = S_nu(P_{<=a}) . S_{-nu}(P_{<a})^{-1} where P is the
     decreasing-order product of the slope factors of B_U, both read off the
     slope ladder by ladder_at; side plus uses the upper product on both
-    sides, side minus the lower one.
+    sides, side minus the lower one.  keep goes to the solve (_crossing).
     """
-    return _uniform(BU, theta, BU.series.trunc, a, side)
-
-
-def _uniform(BU, theta, N, a, side, keep=None) -> TorusSeries:
     upto, _, below = ladder_at(BU, theta, N, a)
     return _crossing(below if side == "minus" else upto,
                      upto if side == "plus" else below, keep)

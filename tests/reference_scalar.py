@@ -309,16 +309,6 @@ class Scalar:
             raise ZeroDivisionError("not specializable")
         return ev_even(self.num) / dv
 
-    def as_fraction(self) -> Fraction:
-        """The value of a constant Scalar."""
-        if len(self.num) > 1 or len(self.den) > 1:
-            raise ValueError("not a constant")
-        if not self.num:
-            return Fraction(0)
-        c, d = self.num[0], self.den[0]
-        return Fraction(int(c.numerator), int(c.denominator)) / Fraction(
-            int(d.numerator), int(d.denominator))
-
     def __repr__(self):
         return f"({_pstr(self.num)})/({_pstr(self.den)})"
 

@@ -25,7 +25,7 @@ from quiverdt.quiver import (FramedQuiver, Quiver, c3_quiver, conifold_quiver,
                              loop_quiver)
 from quiverdt.qtorus import TorusSeries, nu_weights, s_twist, torus_mul
 from quiverdt.stability import MINUS_INF, PLUS_INF, SIDES, find_walls, theta_slope
-from quiverdt.wallcross import framed_at, uniform_series
+from quiverdt.wallcross import _uniform, framed_at
 
 CYCLE3 = FramedQuiver(Quiver(3, ((0, 1, 0), (0, 0, 1), (1, 0, 0))), (1, 0, 0))
 KRON3 = FramedQuiver(Quiver(2, ((0, 3), (0, 0))), (1, 0))
@@ -53,7 +53,7 @@ def between(slopes):
 
 
 def check_split(fq, theta, N):
-    """hn_factorize, the ladder's rests, ladder_at and uniform_series against
+    """hn_factorize, the ladder's rests, ladder_at and _uniform against
     the reference; returns the universal series it split."""
     bu = universal_for(fq, N)
     want = ref.hn_split(bu.series, tuple(Fraction(t) for t in theta), N)
@@ -78,7 +78,7 @@ def check_split(fq, theta, N):
     assert ladder_at(bu, theta, N, MINUS_INF) == (one, one, one)
     for a in [PLUS_INF, MINUS_INF] + slopes + between(slopes):
         for side in SIDES:
-            assert uniform_series(bu, theta, a, side) == \
+            assert _uniform(bu, theta, N, a, side) == \
                 ref._uniform(fq, want, N, a, side), (a, side)
     return bu
 
@@ -116,8 +116,8 @@ def test_infinities_and_empty_slope_classes(name, fq, thetas, _, N):
     bu = universal_for(fq, N)
     one = TorusSeries.one(fq, N)
     for theta in thetas:
-        assert uniform_series(bu, theta, MINUS_INF) == one
-        assert uniform_series(bu, theta, PLUS_INF) == \
+        assert _uniform(bu, theta, N, MINUS_INF, "exact") == one
+        assert _uniform(bu, theta, N, PLUS_INF, "exact") == \
             framed_at(bu, theta, N, PLUS_INF).series
         parts = ref.hn_split(bu.series, tuple(Fraction(t) for t in theta), N)
         # a slope class with no piece: far above and below every slope, and

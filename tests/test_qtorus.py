@@ -90,10 +90,14 @@ class TestProduct:
     def test_mismatched_regions(self):
         f = TorusSeries.one(KRON, 3)
         g = TorusSeries.one(KRON, 4)
-        with pytest.raises(ValueError, match="different tori"):
+        same = "^series live on different tori: truncations 3 and 4 on the same framed quiver$"
+        with pytest.raises(ValueError, match=same):
             f + g
-        with pytest.raises(ValueError, match="different tori"):
+        with pytest.raises(ValueError, match=same):
             torus_mul(f, g)
+        with pytest.raises(ValueError, match="^series live on different tori: truncations "
+                                             "3 and 3 on different framed quivers$"):
+            f + TorusSeries.one(kronecker_quiver((0, 1)), 3)
 
 
 class TestInverse:
@@ -221,9 +225,10 @@ class TestExpLog:
     def test_noncommutative_support_refused(self):
         f = (TorusSeries.monomial(KRON, N, (1, 0))
              + TorusSeries.monomial(KRON, N, (0, 1)))
-        with pytest.raises(ValueError, match="non-commutative support"):
+        message = r"^Exp undefined on non-commutative support: <\(1, 0\), \(0, 1\)> = -2$"
+        with pytest.raises(ValueError, match=message):
             pleth_exp(f)
-        with pytest.raises(ValueError, match="non-commutative support"):
+        with pytest.raises(ValueError, match=message):
             pleth_log(f + 1)
 
 
@@ -233,7 +238,7 @@ class TestSlopesAndTau:
     def test_tau_keeps_matching_framed_slope(self):
         f = TorusSeries(KRON, N, {(1, 1): ONE, (1, 0): V, (0, 0): Scalar.of(2)})
         t = truncate_tau(f, (1, 0), Fraction(1, 2), Fraction(1, 2))
-        assert t.support() == [(0, 0), (1, 1)]
+        assert sorted(t.coeffs) == [(0, 0), (1, 1)]
 
     def test_tau_zero_class_needs_mu_equal_c(self):
         one = TorusSeries.one(KRON, N)
@@ -263,13 +268,13 @@ class TestSeriesBasics:
 
     def test_zero_coeffs_dropped(self):
         f = TorusSeries(KRON, N, {(1, 0): Scalar.of(0)})
-        assert f.is_zero() and f.support() == []
+        assert f.is_zero() and sorted(f.coeffs) == []
 
     def test_retrunc(self):
         f = TorusSeries(JORDAN, 4, {(n,): ONE for n in range(5)})
         g = f.retrunc(2)
-        assert g.trunc == 2 and g.support() == [(0,), (1,), (2,)]
-        with pytest.raises(ValueError, match="cannot grow"):
+        assert g.trunc == 2 and sorted(g.coeffs) == [(0,), (1,), (2,)]
+        with pytest.raises(ValueError, match="^cannot grow the truncation region from 4 to 5$"):
             f.retrunc(5)
 
     def test_out_of_region_keys_dropped_on_build(self):

@@ -62,8 +62,8 @@ def outcome(fn, series):
 
 
 def assert_same(got, want):
-    if isinstance(want, str):
-        assert got == want
+    if isinstance(want, str):  # a refusal; ours may add its numbers after ": "
+        assert got == want or got.startswith(want + ": ")
         return
     assert (got.fq, got.trunc) == (want.fq, want.trunc)
     assert got.coeffs == from_ref(want.coeffs)

@@ -195,13 +195,14 @@ class TestConstruction:
 
 def test_cold_import_skips_dataclasses_and_inspect():
     """A fresh `python -S` (no site .pth hooks) that imports the CLI and
-    loads a quiver pulls in none of the heavy introspection modules."""
+    loads a quiver pulls in none of the heavy introspection modules, nor
+    typing, contextlib or __future__ (annotations evaluate at definition)."""
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]);"
         "import quiverdt.cli; from quiverdt.quiver import load_quiver_file;"
         "load_quiver_file(sys.argv[2]);"
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize')"
-        " if m in sys.modules))"
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize',"
+        " 'typing', 'contextlib', '__future__') if m in sys.modules))"
     )
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     out = subprocess.run(

@@ -175,9 +175,3 @@ class TestRendering:
         assert Scalar.of(2) == 2
         assert Scalar.of(Fraction(1, 2)) == Fraction(1, 2)
         assert V != 1
-
-    def test_as_fraction(self):
-        assert Scalar.of(Fraction(3, 4)).as_fraction() == Fraction(3, 4)
-        assert ZERO.as_fraction() == 0
-        with pytest.raises(ValueError):
-            V.as_fraction()

@@ -104,12 +104,6 @@ class TestAgainstReference:
         assert outcome(a2.specialize_L, q) == outcome(ra2.specialize_L, q)
         assert outcome(a.specialize_L, q) == outcome(ra.specialize_L, q)
 
-    @given(operands(), st.fractions(max_denominator=50))
-    def test_as_fraction(self, x, c):
-        a, ra = x
-        assert outcome(a.as_fraction) == outcome(ra.as_fraction)
-        assert new.Scalar.of(c).as_fraction() == ref.Scalar.of(c).as_fraction() == c
-
     @given(operands(), operands())
     def test_equal_values_hash_equally(self, x, y):
         (a, _), (b, _) = x, y

@@ -12,9 +12,9 @@ from quiverdt.qtorus import (TorusSeries, nu_weights, pleth_exp, pleth_log,
                              s_twist, torus_div, torus_mul)
 from quiverdt.scalar import L, ONE, Scalar, V
 from quiverdt.stability import MINUS_INF, PLUS_INF, SIDES, find_walls, theta_slope
-from quiverdt.wallcross import (FramedSeries, dt_omega, euler_transfer, framed_at,
+from quiverdt.wallcross import (FramedSeries, _uniform, dt_omega, euler_transfer, framed_at,
                                 general_wallcross, ncdt, smooth_model_motive, smooth_model_series,
-                                transfer_series, uniform_series)
+                                transfer_series)
 
 JORDAN = jordan_quiver()
 KRON = kronecker_quiver()
@@ -37,7 +37,9 @@ class TestTransferSeries:
 
     def test_needs_symmetry(self):
         bu = universal_for(KRON, 3).series
-        with pytest.raises(ValueError, match="general_wallcross"):
+        with pytest.raises(ValueError, match="^transfer series needs a symmetric quiver, "
+                                             "but 2 arrows go 0 -> 1 and 0 go 1 -> 0: "
+                                             "use general_wallcross$"):
             transfer_series(bu)
 
     def test_needs_constant_one(self):
@@ -112,7 +114,7 @@ class TestSlopeProducts:
         for a in levels:
             calls.clear()
             divs.clear()
-            assert uniform_series(self.bu, (1, 0), a, "exact") == want[a]
+            assert _uniform(self.bu, (1, 0), 4, a, "exact") == want[a]
             # P_<a and P_<=a come off the memoized slope ladder: one solve
             assert (len(calls), len(divs)) == (0, 1)
 
@@ -193,20 +195,20 @@ def test_direction_maps_source_side_to_target_side(wall_sides, src, dst):
 class TestUniformSeries:
     def test_below_all_walls(self):
         bu = universal_for(KRON, 3)
-        assert uniform_series(bu, (1, 0), MINUS_INF) == \
+        assert _uniform(bu, (1, 0), 3, MINUS_INF, "exact") == \
             TorusSeries.one(KRON, 3)
 
     def test_above_all_walls(self):
         bu = universal_for(KRON, 3)
-        top = uniform_series(bu, (1, 0), PLUS_INF)
+        top = _uniform(bu, (1, 0), 3, PLUS_INF, "exact")
         assert top == framed_at(bu, (1, 0), 3, PLUS_INF).series
 
     def test_sides_agree_off_the_slopes(self):
         bu = universal_for(KRON, 3)
         a = Fraction(9, 10)  # not a slope of any class
-        exact = uniform_series(bu, (1, 0), a, "exact")
-        assert uniform_series(bu, (1, 0), a, "plus") == exact
-        assert uniform_series(bu, (1, 0), a, "minus") == exact
+        exact = _uniform(bu, (1, 0), 3, a, "exact")
+        assert _uniform(bu, (1, 0), 3, a, "plus") == exact
+        assert _uniform(bu, (1, 0), 3, a, "minus") == exact
 
     @pytest.mark.parametrize("side", ["minus", "exact", "plus"])
     def test_slope_products_on_a_slope(self, side):
@@ -225,12 +227,12 @@ class TestUniformSeries:
         right = upto if side == "plus" else below
         want = torus_mul(s_twist(left, nu_weights(KRON, 1)),
                          inverse(s_twist(right, nu_weights(KRON, -1))))
-        assert uniform_series(bu, (1, 0), HALF, side) == want
+        assert _uniform(bu, (1, 0), 4, HALF, side) == want
 
     def test_sides_differ_on_a_slope(self):
         bu = universal_for(KRON, 3)
-        plus = uniform_series(bu, (1, 0), HALF, "plus")
-        minus = uniform_series(bu, (1, 0), HALF, "minus")
+        plus = _uniform(bu, (1, 0), 3, HALF, "plus")
+        minus = _uniform(bu, (1, 0), 3, HALF, "minus")
         assert plus != minus
 
 
@@ -265,7 +267,7 @@ class TestFramedAt:
         for a in (PLUS_INF, MINUS_INF):
             ladder_at(bu, (1, 0), 4, a)
             framed_at(bu, (1, 0), 4, a)
-            uniform_series(bu, (1, 0), a)
+            _uniform(bu, (1, 0), 4, a, "exact")
         assert bu._hn == {}
 
     def test_finite_needs_mu(self):
@@ -418,7 +420,7 @@ class TestSmoothModel:
             smooth_model_motive(universal_for(KRON, 4), theta, 4, alpha)
 
     def test_series_trunc_guard(self):
-        with pytest.raises(ValueError, match="^N exceeds the series truncation$"):
+        with pytest.raises(ValueError, match="^N = 4 exceeds the series truncation 3$"):
             smooth_model_series(universal_for(KRON, 3), (1, 0), 4, HALF)
 
     def test_series_carries_the_twist(self):
