@@ -43,7 +43,7 @@ def main():
     print("# euler-limit transfer series")
     limit = euler_transfer(omega)
     for key, c in limit.terms():
-        print(f"{','.join(map(str, key))}\t{c.specialize('euler')}")
+        print(f"{','.join(map(str, key))}\t{c.specialize()}")
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ def main():
     print("n\tseries\tdirect")
     mismatches = 0
     for n in range(args.trunc + 1):
-        left = series.coeff((n,)).specialize("euler")
+        left = series.coeff((n,)).specialize()
         right = plane_partitions(n)
         mark = "" if left == right else "  <- MISMATCH"
         mismatches += left != right

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .hn import hn_factorize, ladder_at, universal_for
-from .oracle import (FiniteFieldConfig, count_stack, hall_filtration_check,
+from .oracle import (MAX_TOTAL_DIM, count_stack, hall_filtration_check,
                      verify_coefficient)
 from .quiver import FramedQuiver, dim_vectors_up_to, load_quiver_file, tits_form
 from .qtorus import TorusSeries, serialize
@@ -73,10 +73,10 @@ def _sorted_terms(series: TorusSeries):
 def format_series(series: TorusSeries, fmt: str) -> str:
     if fmt == "euler":
         if series.fq.base.n_vertices == 1:
-            vals = [series.coeff((n,)).specialize("euler")
+            vals = [series.coeff((n,)).specialize()
                     for n in range(series.trunc + 1)]
             return " ".join(str(x) for x in vals)
-        return "\n".join(f"{_fmt_alpha(k)}\t{c.specialize('euler')}"
+        return "\n".join(f"{_fmt_alpha(k)}\t{c.specialize()}"
                          for k, c in _sorted_terms(series))
     if fmt == "pretty":
         lines = [f"x^({_fmt_alpha(k)}) : {c}" for k, c in _sorted_terms(series)]
@@ -138,8 +138,6 @@ def _dispatch(job):
         return 0, "\n".join(blocks)
 
     if sub == "walls":
-        if job.alpha is None:
-            raise CLIError("walls needs --alpha")
         theta = _theta_for(job, fq)
         walls = find_walls(fq, theta, job.alpha)
         return 0, " ".join(str(w) for w in walls)
@@ -148,15 +146,11 @@ def _dispatch(job):
         return 0, format_series(ncdt(universal_for(fq, N)), job.fmt)
 
     if sub == "framed":
-        if job.c is None:
-            raise CLIError("framed needs --c")
         theta = _theta_for(job, fq)
         fs = framed_at(universal_for(fq, N), theta, N, job.c, job.side, job.mu)
         return 0, format_series(fs.series, job.fmt)
 
     if sub == "smooth-model":
-        if job.mu is None:
-            raise CLIError("smooth-model needs --mu")
         theta = _theta_for(job, fq)
         series = smooth_model_series(universal_for(fq, N), theta, N, job.mu)
         return 0, format_series(series, job.fmt)
@@ -173,7 +167,7 @@ def _dispatch(job):
         if job.fmt != "euler":
             return 0, format_series(om, "tsv")
         # one line per class, also on one vertex
-        return 0, "\n".join(f"{_fmt_alpha(k)}\t{c.specialize('euler')}"
+        return 0, "\n".join(f"{_fmt_alpha(k)}\t{c.specialize()}"
                             for k, c in _sorted_terms(om))
 
     return _check_oracle(job, fq)  # argparse lets known subcommands only through
@@ -184,7 +178,8 @@ def _check_oracle(job, fq: FramedQuiver):
     if fq.bu_source != "trivial_potential":
         raise CLIError("check-oracle needs a trivial-potential quiver")
     q = job.q
-    cfg = FiniteFieldConfig(max_total_dim=job.max_dim)
+    if not 1 <= job.max_dim <= MAX_TOTAL_DIM:
+        raise CLIError(f"--max-dim must be between 1 and {MAX_TOTAL_DIM}")
     n = fq.base.n_vertices
     N = job.max_dim
     theta = None if job.theta is None else check_theta(fq, job.theta)
@@ -199,19 +194,19 @@ def _check_oracle(job, fq: FramedQuiver):
     classes = [a for a in dim_vectors_up_to(n, N) if 0 < sum(a) <= N]
     for a in sorted(classes, key=lambda x: (sum(x), x)):
         chi = tits_form(fq, a)
-        cnt = count_stack(fq, a, "all", q, cfg)
+        cnt = count_stack(fq, a, "all", q)
         ok = verify_coefficient(BU.series.coeff(a), cnt, q, chi=chi)
         failed |= not ok
         rows.append(f"universal\talpha={','.join(map(str, a))}\t{'ok' if ok else 'FAIL'}")
         if theta is None:
             continue
         _, B_mu, _ = ladder_at(BU, theta, N, theta_slope(theta, a))
-        scnt = count_stack(fq, a, StabilityParams(theta), q, cfg)
+        scnt = count_stack(fq, a, StabilityParams(theta), q)
         ok = verify_coefficient(B_mu.coeff(a), scnt, q, chi=chi)
         failed |= not ok
         rows.append(f"semistable\talpha={','.join(map(str, a))}\t{'ok' if ok else 'FAIL'}")
         if job.c is not None:
-            ok = hall_filtration_check(fq, a, theta, job.c, q, cfg)
+            ok = hall_filtration_check(fq, a, theta, job.c, q)
             failed |= not ok
             rows.append(f"filtration\talpha={','.join(map(str, a))}\t{'ok' if ok else 'FAIL'}")
     return (2 if failed else 0), "\n".join(rows)

@@ -48,7 +48,8 @@ through _points.
   vertices' spaces.  The framing tuples inside a subspace tuple form the
   product of its member masks, so stable framing points are counted by
   popcount and weighted by the number of matrix tuples.
-- The budget prices one step of work with the formula of an earlier
+- The budget, WALLCROSS_BUDGET as set when a run starts (DEFAULT_BUDGET
+  when unset), prices one step of work with the formula of an earlier
   kernel, which still bounds this one's (see _check_budget): a run visits
   the normal-form tuples, and each costs the streamed arrow's image pass
   (the points and subspaces of its source space) plus one test per
@@ -60,32 +61,30 @@ import math
 import operator
 import os
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 
-from .quiver import FramedQuiver, Record, sub_vectors
+from .quiver import FramedQuiver, sub_vectors
 from .scalar import Scalar
 from .stability import (MINUS_INF, PLUS_INF, StabilityParams, check_alpha,
                         check_theta, theta_slope)
 
 DEFAULT_BUDGET = 10 ** 8
+MAX_TOTAL_DIM = 4
 
 
 class BudgetError(RuntimeError):
     pass
 
 
-class FiniteFieldConfig(Record):
-    """budget defaults to WALLCROSS_BUDGET as set when the config is built."""
-
-    __slots__ = ("max_total_dim", "budget")
-
-    def __init__(self, max_total_dim: int = 4, budget: int | None = None):
-        if budget is None:
-            raw = os.environ.get("WALLCROSS_BUDGET")
-            budget = int(raw) if raw else DEFAULT_BUDGET
-        if not 1 <= max_total_dim <= 4:
-            raise ValueError("max_total_dim must be between 1 and 4")
-        self._set(max_total_dim=max_total_dim, budget=budget)
+def _budget() -> int:
+    """WALLCROSS_BUDGET as set now, or DEFAULT_BUDGET when it is unset or
+    empty; any other value must be a positive integer."""
+    raw = os.environ.get("WALLCROSS_BUDGET")
+    if not raw:
+        return DEFAULT_BUDGET
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"WALLCROSS_BUDGET must be a positive integer, not {raw!r}")
+    return int(raw)
 
 
 def gl_order(n: int, q: int) -> int:
@@ -106,7 +105,7 @@ def _index(vec, base: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+@cache
 def _subspaces(q: int, n: int):
     """All subspaces of F_q^n, by increasing dimension, as (dims, masks, bases).
 
@@ -136,7 +135,7 @@ def _subspaces(q: int, n: int):
     return tuple(dims), tuple(masks), tuple(bases)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _sum_tables(q: int, m: int):
     """Carry-free addition in F_q^m: (scaled, norm, index).
 
@@ -315,8 +314,7 @@ def _count_points(fq: FramedQuiver, alpha, q: int, slots, bad, watch) -> int:
     return count
 
 
-def _check_budget(cfg: FiniteFieldConfig, fq: FramedQuiver, alpha, q: int,
-                  cands, once: int = 0) -> None:
+def _check_budget(fq: FramedQuiver, alpha, q: int, cands, once: int = 0) -> None:
     """Refuse a kernel run whose work exceeds the budget: the normal-form
     matrix tuples it visits times the work per tuple, which is the streamed
     arrow's image pass (its source points and subspaces) plus one test per
@@ -343,29 +341,30 @@ def _check_budget(cfg: FiniteFieldConfig, fq: FramedQuiver, alpha, q: int,
         n = alpha[max(arrows, key=lambda a: alpha[a[0]] * alpha[a[1]])[0]]
         per_tuple += q ** n + len(_subspaces(q, n)[0])
     work = tuples * per_tuple + once
-    if work > cfg.budget:
+    budget = _budget()
+    if work > budget:
         extra = f" + {once} once" if once else ""
         raise BudgetError(
             f"budget exceeded: {tuples} matrix tuples x {per_tuple} work per tuple{extra} = "
-            f"{work} > budget {cfg.budget} (set WALLCROSS_BUDGET to change it)")
+            f"{work} > budget {budget} (set WALLCROSS_BUDGET to change it)")
 
 
 # ---- the shared path of the entry points -------------------------------------
 
-def _config(fq: FramedQuiver, cfg: FiniteFieldConfig | None, q: int, alpha,
-            theta=None):
-    """(cfg or the default config, alpha, theta), alpha and theta (unless
-    None) checked against fq; refuses a q that is not a prime at most 5 and
-    a class above the dimension cap."""
+def _config(fq: FramedQuiver, q: int, alpha, theta=None):
+    """(alpha, theta), alpha and theta (unless None) checked against fq;
+    refuses a q that is not a prime at most 5, a bad WALLCROSS_BUDGET (also
+    on a call that enumerates nothing) and a class above the dimension cap
+    MAX_TOTAL_DIM."""
     alpha = check_alpha(fq, alpha)
     theta = None if theta is None else check_theta(fq, theta)
     if q not in (2, 3, 5):
         raise ValueError("q must be a prime at most 5")
-    cfg = cfg or FiniteFieldConfig()
-    if sum(alpha) > cfg.max_total_dim:
+    _budget()
+    if sum(alpha) > MAX_TOTAL_DIM:
         raise BudgetError(f"budget exceeded: total dimension {sum(alpha)} > "
-                          f"max_total_dim {cfg.max_total_dim}")
-    return cfg, alpha, theta
+                          f"max_total_dim {MAX_TOTAL_DIM}")
+    return alpha, theta
 
 
 def _never(d) -> bool:
@@ -399,8 +398,7 @@ def _flagged(alpha, bad_if, watch_if):
             {d for d in subs if d != alpha and watch_if(d)})
 
 
-def _points(fq: FramedQuiver, alpha, q: int, cfg: FiniteFieldConfig, slots,
-            bad_if, watch_if) -> int:
+def _points(fq: FramedQuiver, alpha, q: int, slots, bad_if, watch_if) -> int:
     """Points (matrix tuple, framing tuple) of class alpha with no invariant
     subspace tuple of a bad class, and the framing tuple inside no invariant
     subspace tuple of a watched class.  With no class flagged every point
@@ -410,7 +408,7 @@ def _points(fq: FramedQuiver, alpha, q: int, cfg: FiniteFieldConfig, slots,
         return q ** (sum(alpha[i] * alpha[j] for i, j in _arrow_list(fq))
                      + sum(alpha[i] for i in slots))
     cands, dims = _candidates(alpha, q)
-    _check_budget(cfg, fq, alpha, q, cands)
+    _check_budget(fq, alpha, q, cands)
     return _count_points(fq, alpha, q, slots,
                          [cand for cand, d in zip(cands, dims) if d in bad],
                          [cand for cand, d in zip(cands, dims) if d in watch])
@@ -418,8 +416,7 @@ def _points(fq: FramedQuiver, alpha, q: int, cfg: FiniteFieldConfig, slots,
 
 # ---- the oracle entry points -------------------------------------------------
 
-def count_stack(fq: FramedQuiver, alpha, sp, q: int,
-                cfg: FiniteFieldConfig | None = None, *, framed: bool = False) -> Fraction:
+def count_stack(fq: FramedQuiver, alpha, sp, q: int, *, framed: bool = False) -> Fraction:
     """Weighted count sum 1/#Aut of (semi)stable representations of class alpha,
     or of framed class (alpha, 1) when framed is set.
 
@@ -427,7 +424,7 @@ def count_stack(fq: FramedQuiver, alpha, sp, q: int,
     formula, G = prod GL_{a_i} times GL_1 at the framing vertex when framed.
     """
     theta = sp.theta if isinstance(sp, StabilityParams) else None
-    cfg, alpha, theta = _config(fq, cfg, q, alpha, theta)
+    alpha, theta = _config(fq, q, alpha, theta)
     if sum(alpha) == 0 and not framed:
         return Fraction(1)
     if sp == "all":
@@ -444,11 +441,10 @@ def count_stack(fq: FramedQuiver, alpha, sp, q: int,
                              semistable=True)
     slots = _framing_slots(fq) if framed else []
     group = math.prod(gl_order(ai, q) for ai in alpha) * (q - 1 if framed else 1)
-    return Fraction(_points(fq, alpha, q, cfg, slots, *tests), group)
+    return Fraction(_points(fq, alpha, q, slots, *tests), group)
 
 
-def count_framed_stable(fq: FramedQuiver, alpha, theta, c, side: str, q: int,
-                        cfg: FiniteFieldConfig | None = None) -> Fraction:
+def count_framed_stable(fq: FramedQuiver, alpha, theta, c, side: str, q: int) -> Fraction:
     """Weighted count of Z_c-stable framed representations of class (alpha, 1).
 
     Automorphisms fix the framing pointwise, so on stable objects they are
@@ -456,7 +452,7 @@ def count_framed_stable(fq: FramedQuiver, alpha, theta, c, side: str, q: int,
     F_q-points of the stable moduli space.
     """
     sp = StabilityParams(theta, c, side)
-    cfg, alpha, theta = _config(fq, cfg, q, alpha, sp.theta)
+    alpha, theta = _config(fq, q, alpha, sp.theta)
     if sp.c == MINUS_INF:
         # the only minus-infinity stable object is the bare framing line
         return Fraction(1) if sum(alpha) == 0 else Fraction(0)
@@ -471,7 +467,7 @@ def count_framed_stable(fq: FramedQuiver, alpha, theta, c, side: str, q: int,
         slope = cache(partial(theta_slope, theta))  # once per class
         tests = _slope_tests(slope, theta, alpha, sp.c, sp.side, semistable=False)
     group = math.prod(gl_order(ai, q) for ai in alpha)
-    return Fraction(_points(fq, alpha, q, cfg, _framing_slots(fq), *tests), group)
+    return Fraction(_points(fq, alpha, q, _framing_slots(fq), *tests), group)
 
 
 def verify_coefficient(series_coeff: Scalar, count, q: int, *, chi: int = 0) -> bool:
@@ -482,8 +478,7 @@ def verify_coefficient(series_coeff: Scalar, count, q: int, *, chi: int = 0) -> 
 
 # ---- counting-level wall-crossing check -------------------------------------
 
-def hall_filtration_check(fq: FramedQuiver, alpha, theta, c, q: int,
-                          cfg: FiniteFieldConfig | None = None) -> bool:
+def hall_filtration_check(fq: FramedQuiver, alpha, theta, c, q: int) -> bool:
     """Check, point by point, that a framed representation is c-semistable
     exactly when it has a unique filtration: a slope-matched semistable
     unframed subrepresentation with a c-minus-stable framed quotient.
@@ -493,14 +488,14 @@ def hall_filtration_check(fq: FramedQuiver, alpha, theta, c, q: int,
     T / S exactly when it lies in T; so both sides are read off the
     invariant tuples of the one kernel.
     """
-    cfg, alpha, theta = _config(fq, cfg, q, alpha, theta)
+    alpha, theta = _config(fq, q, alpha, theta)
     if c in (PLUS_INF, MINUS_INF):
         raise ValueError("hall_filtration_check needs a finite c")
     c = Fraction(c)
     slots = _framing_slots(fq)
     cands, dims = _candidates(alpha, q)
     # the right side's pre-pass compares every pair of candidate tuples
-    _check_budget(cfg, fq, alpha, q, cands, once=len(cands) ** 2)
+    _check_budget(fq, alpha, q, cands, once=len(cands) ** 2)
 
     target = theta_slope(theta, alpha, c)
     slope = cache(partial(theta_slope, theta))  # once per class

@@ -482,20 +482,19 @@ class Scalar:
         # v -> v^n maps a Bezout identity to one, so the pair stays coprime
         return Scalar._raw(_psubst_pow(self._n, n), _psubst_pow(self._d, n))
 
-    def specialize(self, point) -> Fraction:
-        """Evaluate at v = point; "euler" means v = 1.
+    def specialize(self) -> Fraction:
+        """The value at v = 1, the Euler-number limit.
 
         The series carry their signs in explicit (-v)^chi twists, so in this
         normalisation the Euler-number limit is v = 1, not v = -1: the
         conifold's Omega = -v gives -1.  The reduced-form invariant already
-        cancels any shared (v-1) factors, so the euler case is a plain
-        evaluation with a pole check.
+        cancels any shared (v-1) factors, so this is a plain evaluation,
+        sum(num) / sum(den), with a pole check.
         """
-        x = Fraction(1) if point == "euler" else Fraction(point)
-        dv = _peval(self._d, x)
+        dv = sum(self._d)
         if dv == 0:
             raise ZeroDivisionError("not specializable")
-        return _peval(self._n, x) / dv
+        return Fraction(sum(self._n), dv)
 
     def specialize_L(self, q) -> Fraction:
         """Evaluate at L = q, requiring every v-exponent to be even."""

@@ -130,14 +130,16 @@ def ncdt(BU: UniversalSeries) -> TorusSeries:
 
 
 def smooth_model_series(BU: UniversalSeries, theta, N: int, mu) -> TorusSeries:
-    """Generating series of smooth-model motives on one slope class:
-    (1/(L-1)) S_{2nu}(B_mu) . B_mu^{-1}, formed as S_nu of the crossing form."""
+    """Generating series of smooth-model motives on one slope class, each
+    [M] / (L-1) with its (-v)^T twist: (1/(L-1)) S_{2nu}(B_mu) . B_mu^{-1},
+    formed as S_nu of the crossing form."""
     _, B, _ = ladder_at(BU, theta, N, mu)
     return s_twist(_crossing(B, B), nu_weights(B.fq, 1)) * (ONE / (L - ONE))
 
 
 def smooth_model_motive(BU: UniversalSeries, theta, N: int, alpha) -> Scalar:
-    """(L-1) times the motive of the stable framed moduli space at alpha.
+    """The motive [M] of the stable framed moduli space at alpha: the
+    series coefficient times (L-1), so L+1 for the Kronecker class (1, 1).
 
     The slope is the one alpha itself determines; the quadratic-form twist
     (-v)^{T(alpha)} recorded in the series is stripped.
@@ -168,7 +170,7 @@ def euler_transfer(omega: TorusSeries) -> TorusSeries:
     fq = omega.fq
     base: dict = {}
     for k, c in omega.coeffs.items():
-        e = c.specialize("euler")
+        e = c.specialize()
         n = nu(fq, k)
         if n and e:
             base[k] = Scalar.of(n * e)

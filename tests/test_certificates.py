@@ -1,8 +1,8 @@
 """Structural theorems of DT theory as certificates of the series code.
 
 Each statement below is known independently of this package, so it checks
-the universal series, the HN split and pleth_log at once, at truncations
-past the oracle's reach:
+the universal series, the HN split and pleth_log at once, most of them at
+truncations past the oracle's reach:
 
 - the Kronecker table at theta = (1, 0) (Reineke, arXiv:0804.3214):
   Omega = -v on the real roots (n+1, n), (n, n+1), (1, 0), (0, 1),
@@ -16,7 +16,16 @@ past the oracle's reach:
 - Reineke's resolution of the HN recursion (arXiv:math/0204059), against
   every HN piece, with no torus solve;
 - the Euler numbers of noncommutative Hilbert schemes (Reineke,
-  arXiv:math/0306185), against ncdt of the m-loop quiver.
+  arXiv:math/0306185), against ncdt of the m-loop quiver;
+- the framed series as a count of framed representations: at every wall
+  and side, its coefficient is (q - 1) times the oracle's framed stack
+  count, and on the sides just off a wall, the stable framed count;
+- smooth models (Engel-Reineke, arXiv:0706.4306): each motive is a
+  polynomial in L with nonnegative integer coefficients, and at L = q it
+  counts the F_q-points of the stable framed moduli space.
+
+The last two read the finite-field oracle, which shares no code with the
+series.
 
 The check_* helpers take the truncation, so a run past the tier-1 sizes
 needs only `PYTHONPATH=src:tests` and one call.
@@ -29,11 +38,14 @@ from math import comb
 import pytest
 
 from quiverdt.hn import hn_factorize, universal_for
+from quiverdt.oracle import count_framed_stable, count_stack, verify_coefficient
 from quiverdt.quiver import (FramedQuiver, Quiver, c3_quiver, conifold_quiver,
-                             kronecker_quiver, loop_quiver)
+                             jordan_quiver, kronecker_quiver, loop_quiver, nu,
+                             tits_form)
 from quiverdt.qtorus import TorusSeries, torus_mul
 from quiverdt.scalar import L, ONE, V, ZERO, Scalar
-from quiverdt.wallcross import dt_omega, ncdt
+from quiverdt.stability import SIDES, StabilityParams, find_walls, theta_slope
+from quiverdt.wallcross import dt_omega, framed_at, ncdt, smooth_model_motive
 
 
 def mobius(n: int) -> int:
@@ -81,7 +93,7 @@ def test_kronecker_closed_form():
 def test_m_loop_euler_numbers(m, top):
     omega = dt_omega(universal_for(loop_quiver(m), top).series).coeffs
     for d in range(1, top + 1):
-        got = omega.get((d,), ZERO).specialize("euler")
+        got = omega.get((d,), ZERO).specialize()
         assert got == (-1) ** ((m - 1) * d) * reineke_euler(m, d), (m, d)
 
 
@@ -154,7 +166,7 @@ def check_conifold_szendroi(N: int) -> int:
     """ncdt of the conifold's B_U at v = 1 is Z(-q0, q1); returns the number
     of classes compared."""
     got = ncdt(universal_for(conifold_quiver(), N))
-    values = {k: c.specialize("euler") for k, c in got.coeffs.items()}
+    values = {k: c.specialize() for k, c in got.coeffs.items()}
     assert {k: c for k, c in values.items() if c} == szendroi_euler(N)
     return len(values)
 
@@ -213,14 +225,17 @@ def reineke_hn(fq: FramedQuiver, theta, d) -> Scalar:
     return Scalar.neg_v_pow(chi(d, d)) * total
 
 
+def _classes(fq: FramedQuiver, top: int):
+    """The classes d with 0 < |d| <= top."""
+    return [d for d in product(range(top + 1), repeat=fq.n_vertices) if 0 < sum(d) <= top]
+
+
 def check_reineke_hn(fq: FramedQuiver, theta, N: int) -> int:
     """Every HN piece at theta against reineke_hn, at every class d with
     0 < |d| <= N; returns the number of nonzero piece coefficients."""
     pieces = hn_factorize(universal_for(fq, N), theta, N)
     seen = 0
-    for d in product(range(N + 1), repeat=fq.n_vertices):
-        if not 0 < sum(d) <= N:
-            continue
+    for d in _classes(fq, N):
         mu = Fraction(sum(t * x for t, x in zip(theta, d)), sum(d))
         got = pieces[mu].coeff(d) if mu in pieces else ZERO
         assert got == reineke_hn(fq, theta, d), d
@@ -240,8 +255,60 @@ def check_nc_hilbert(m: int, n: int, N: int) -> int:
     got = ncdt(universal_for(loop_quiver(m, (n,)), N))
     for d in range(N + 1):
         want = (-1) ** ((m - 1) * d) * nc_hilbert_euler(m, n, d)
-        assert got.coeff((d,)).specialize("euler") == want, (m, n, d)
+        assert got.coeff((d,)).specialize() == want, (m, n, d)
     return N + 1
+
+
+def check_framed_oracle(fq: FramedQuiver, theta, top: int, qs) -> int:
+    """framed_at's series against the oracle at every class 0 < |alpha| <= top,
+    every wall of alpha and every side: the coefficient at alpha, with its
+    (-v)^{chi(alpha, alpha) - nu(alpha)} twist stripped, is at L = q the
+    framed stack count times q - 1 (the GL_1 at the framing vertex), and
+    off the wall that count is the stable framed count; returns the number
+    of agreements."""
+    bu = universal_for(fq, top)
+    agree = 0
+    for alpha in _classes(fq, top):
+        chi = tits_form(fq, alpha) - nu(fq, alpha)
+        for c in find_walls(fq, theta, alpha):
+            mu = theta_slope(theta, alpha, c)
+            for side in SIDES:
+                coeff = framed_at(bu, theta, top, c, side, mu).series.coeff(alpha)
+                sp = StabilityParams(theta, c, side)
+                for q in qs:
+                    count = (q - 1) * count_stack(fq, alpha, sp, q, framed=True)
+                    assert verify_coefficient(coeff, count, q, chi=chi), (alpha, c, side, q)
+                    if side != "exact":
+                        assert count == count_framed_stable(fq, alpha, theta, c, side, q), \
+                            (alpha, c, side, q)
+                    agree += 1
+    return agree
+
+
+def check_smooth_models(fq: FramedQuiver, theta, N: int, top: int, qs) -> tuple:
+    """Every smooth_model_motive at 0 < |alpha| <= N is a polynomial in L
+    with nonnegative integer coefficients, and for |alpha| <= top it equals
+    at L = q the stable framed count just above c = slope(alpha); returns
+    (motives checked, counts compared)."""
+    bu = universal_for(fq, N)
+    motives = counts = 0
+    for alpha in _classes(fq, N):
+        motive = smooth_model_motive(bu, theta, N, alpha)
+        num = motive.num
+        assert motive.den == (1,) and not any(num[1::2]), (alpha, motive)
+        assert all(c >= 0 and c.denominator == 1 for c in num), (alpha, motive)
+        motives += 1
+        if sum(alpha) <= top:
+            c = theta_slope(theta, alpha)
+            for q in qs:
+                want = count_framed_stable(fq, alpha, theta, c, "plus", q)
+                assert motive.specialize_L(q) == want, (alpha, q)
+                counts += 1
+    return motives, counts
+
+
+# the acyclic quiver 0 -> 1, 0 -> 2, 1 -> 2, framed at 0
+ACYCLIC_3 = FramedQuiver(Quiver(3, ((0, 1, 1), (0, 0, 1), (0, 0, 0))), (1, 0, 0))
 
 
 def test_c3_motivic_macmahon():
@@ -255,7 +322,7 @@ def test_conifold_szendroi():
 @pytest.mark.parametrize("fq, theta, N, nonzero", [
     (kronecker_quiver(), (1, 0), 6, 21),
     (FramedQuiver(Quiver(2, ((0, 3), (0, 0))), (1, 0)), (1, 0), 5, 18),
-    (FramedQuiver(Quiver(3, ((0, 1, 1), (0, 0, 1), (0, 0, 0))), (1, 0, 0)), (2, 1, 0), 4, 22),
+    (ACYCLIC_3, (2, 1, 0), 4, 22),
 ], ids=["kronecker", "3-kronecker", "acyclic-3"])
 def test_reineke_hn_resolution(fq, theta, N, nonzero):
     assert check_reineke_hn(fq, theta, N) == nonzero
@@ -264,3 +331,23 @@ def test_reineke_hn_resolution(fq, theta, N, nonzero):
 @pytest.mark.parametrize("m, n, N", [(1, 1, 8), (2, 1, 12), (3, 2, 7), (2, 3, 8), (4, 1, 6)])
 def test_nc_hilbert_schemes(m, n, N):
     assert check_nc_hilbert(m, n, N) == N + 1
+
+
+@pytest.mark.parametrize("fq, theta, agree", [
+    (kronecker_quiver((1, 0)), (1, 0), 102),
+    (kronecker_quiver((1, 1)), (1, 0), 102),
+    (jordan_quiver((1,)), (0,), 18),
+    (jordan_quiver((2,)), (0,), 18),
+], ids=["kronecker-w10", "kronecker-w11", "jordan-w1", "jordan-w2"])
+def test_framed_series_counts_framed_representations(fq, theta, agree):
+    assert check_framed_oracle(fq, theta, 3, (2, 3)) == agree
+
+
+@pytest.mark.parametrize("fq, theta, N, checked", [
+    (kronecker_quiver((1, 0)), (1, 0), 6, (27, 18)),
+    (kronecker_quiver((0, 1)), (1, 0), 6, (27, 18)),
+    (FramedQuiver(Quiver(2, ((0, 3), (0, 0))), (1, 0)), (1, 0), 5, (20, 18)),
+    (ACYCLIC_3, (2, 1, 0), 4, (34, 38)),
+], ids=["kronecker-w10", "kronecker-w01", "3-kronecker", "acyclic-3"])
+def test_smooth_models(fq, theta, N, checked):
+    assert check_smooth_models(fq, theta, N, 3, (2, 3)) == checked

@@ -229,7 +229,7 @@ class TestFalsyValues:
 
     @pytest.mark.parametrize("args, message", [
         (("--q", "0", "--max-dim", "1"), "q must be a prime at most 5"),
-        (("--max-dim", "0"), "max_total_dim must be between 1 and 4"),
+        (("--max-dim", "0"), "--max-dim must be between 1 and 4"),
         (("--theta", ""), "not an exact rational: '' (write p/q, no decimals)"),
     ], ids=["q_zero", "max_dim_zero", "theta_empty"])
     def test_check_oracle_refuses(self, capsys, args, message):
@@ -291,7 +291,7 @@ class TestNegativeValues:
           "--w", "-1,0"), "framing vector (-1, 0) has a negative entry"),
         (("universal", "jordan", "-N", "-1"), "truncation must be nonnegative"),
         (("check-oracle", "jordan", "--max-dim", "-1"),
-         "max_total_dim must be between 1 and 4"),
+         "--max-dim must be between 1 and 4"),
         (("walls", "kronecker", "--alp", "-1,2"), "alpha (-1, 2) has a negative entry"),
         (("smooth-model", "kronecker", "--theta", "1,0", "--m", "-1/2", "-N", "-1"),
          "truncation must be nonnegative"),
@@ -436,4 +436,4 @@ class TestBadClassesAndTheta:
         monkeypatch.setattr(cli, "count_stack", count_stack)
         code, out, err = invoke(capsys, "check-oracle", quiver("kronecker"),
                                 "--max-dim", "5")
-        assert (code, out, err) == (1, "", "error: max_total_dim must be between 1 and 4\n")
+        assert (code, out, err) == (1, "", "error: --max-dim must be between 1 and 4\n")

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,9 @@ import pytest
 import reference_oracle as ref
 from quiverdt import oracle
 from quiverdt.hn import gl_motive, hn_factorize, universal_for, universal_trivial
-from quiverdt.oracle import (BudgetError, FiniteFieldConfig,
-                             count_framed_stable, count_stack, gl_order,
-                             hall_filtration_check, verify_coefficient)
+from quiverdt.oracle import (MAX_TOTAL_DIM, BudgetError, count_framed_stable,
+                             count_stack, gl_order, hall_filtration_check,
+                             verify_coefficient)
 from quiverdt.quiver import (dim_vectors_up_to, jordan_quiver,
                              kronecker_quiver, loop_quiver, tits_form)
 from quiverdt.scalar import L, Scalar, V
@@ -34,14 +35,44 @@ class TestConfig:
                     call()
 
     def test_dim_cap_validated(self):
-        with pytest.raises(ValueError, match="max_total_dim"):
-            FiniteFieldConfig(max_total_dim=0)
-        with pytest.raises(ValueError, match="max_total_dim"):
-            FiniteFieldConfig(max_total_dim=5)
+        # one cap for every entry point, on a class of two vertices too
+        assert MAX_TOTAL_DIM == 4
+        calls = [
+            lambda: count_stack(KRON, (3, 2), "all", 2),
+            lambda: count_stack(KRON, (3, 2), StabilityParams((1, 0), HALF), 2, framed=True),
+            lambda: count_framed_stable(KRON, (3, 2), (1, 0), HALF, "plus", 2),
+            lambda: hall_filtration_check(KRON, (3, 2), (1, 0), HALF, 2),
+        ]
+        for call in calls:
+            with pytest.raises(BudgetError,
+                               match="^budget exceeded: total dimension 5 > max_total_dim 4$"):
+                call()
 
     def test_budget_from_env(self, monkeypatch):
+        # read when a run starts, not once: each call sees the value set now
         monkeypatch.setenv("WALLCROSS_BUDGET", "12345")
-        assert FiniteFieldConfig().budget == 12345
+        assert oracle._budget() == 12345
+        monkeypatch.setenv("WALLCROSS_BUDGET", "99")
+        assert oracle._budget() == 99
+        monkeypatch.setenv("WALLCROSS_BUDGET", "")
+        assert oracle._budget() == oracle.DEFAULT_BUDGET == 10 ** 8
+        monkeypatch.delenv("WALLCROSS_BUDGET")
+        assert oracle._budget() == oracle.DEFAULT_BUDGET
+
+    @pytest.mark.parametrize("raw", ["0", "-5", "1e6", "12x", "1.5"])
+    def test_bad_budget_refused(self, monkeypatch, raw):
+        # refused with the variable and the value by every entry point, also
+        # by a count that enumerates nothing (the unfiltered count_stack)
+        monkeypatch.setenv("WALLCROSS_BUDGET", raw)
+        calls = [
+            lambda: count_stack(JORDAN, (2,), "all", 2),
+            lambda: count_framed_stable(JORDAN, (2,), (0,), 0, "plus", 2),
+            lambda: hall_filtration_check(JORDAN, (2,), (0,), 0, 2),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=(
+                    f"^WALLCROSS_BUDGET must be a positive integer, not '{re.escape(raw)}'$")):
+                call()
 
 
 THETA = "theta must list one weight per vertex: got 1 for 2 vertices"

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from quiverdt.hn import UniversalSeries, hn_factorize, universal_for
-from quiverdt.oracle import FiniteFieldConfig, count_stack
+from quiverdt.oracle import count_stack
 from quiverdt.qtorus import TorusSeries
 from quiverdt.quiver import FramedQuiver, Quiver, jordan_quiver, kronecker_quiver
 from quiverdt.stability import MINUS_INF, PLUS_INF, StabilityParams
@@ -42,10 +42,6 @@ class TestRepr:
         assert repr(StabilityParams((0,), PLUS_INF)) == (
             "StabilityParams(theta=(Fraction(0, 1),), c=inf, side='exact')")
 
-    def test_finite_field_config(self):
-        assert repr(FiniteFieldConfig(budget=5)) == (
-            "FiniteFieldConfig(max_total_dim=4, budget=5)")
-
     def test_universal_series_leaves_out_the_memo(self):
         bu = _jordan_bu()
         before = repr(bu)
@@ -67,7 +63,7 @@ HASHABLE = [
     lambda: kronecker_quiver(),
     lambda: StabilityParams((1, 0), Fraction(1, 2), "minus"),
     lambda: StabilityParams((0,), PLUS_INF),
-    lambda: FiniteFieldConfig(2, 10),
+    lambda: FramedQuiver(Quiver(1, ((3,),)), (2,), "c3"),
     lambda: StabilityParams((2, -1), MINUS_INF),
 ]
 
@@ -101,13 +97,13 @@ class TestValueSemantics:
         assert Quiver(1, ((1,),)) != Quiver(1, ((2,),))
         assert jordan_quiver() != jordan_quiver((2,))
         assert StabilityParams((0,), 0, "plus") != StabilityParams((0,), 0, "minus")
-        assert FiniteFieldConfig(budget=1) != FiniteFieldConfig(budget=2)
+        assert FramedQuiver(Quiver(1, ((3,),)), (1,), "c3") != FramedQuiver(Quiver(1, ((3,),)), (1,))
 
     def test_other_types_are_unequal(self):
         fq = kronecker_quiver()
         assert fq != (fq.base, fq.w, fq.bu_source)
         assert fq.base != (2, ((0, 2), (0, 0)))
-        assert StabilityParams((0,)) != FiniteFieldConfig()
+        assert StabilityParams((0,)) != jordan_quiver()
 
     def test_memo_stays_out_of_equality(self):
         a, b = _jordan_bu(), _jordan_bu()
@@ -116,7 +112,7 @@ class TestValueSemantics:
 
     @pytest.mark.parametrize("make, name", [
         (HASHABLE[0], "arrows"), (HASHABLE[1], "w"), (HASHABLE[2], "c"),
-        (HASHABLE[4], "budget"),
+        (HASHABLE[4], "bu_source"),
         (UNHASHABLE[0], "coeffs"), (UNHASHABLE[1], "series"),
         (UNHASHABLE[2], "mu"), (UNHASHABLE[3], "trunc"),
     ])
@@ -137,8 +133,6 @@ class TestConstruction:
         sp = StabilityParams(theta=[1, 0], c="1/2", side="plus")
         assert sp.theta == (1, 0) and sp.c == Fraction(1, 2)
         assert StabilityParams((0,)).c == 0 and StabilityParams((0,)).side == "exact"
-        cfg = FiniteFieldConfig(max_total_dim=1, budget=7)
-        assert (cfg.max_total_dim, cfg.budget) == (1, 7)
         series = TorusSeries(fq=jordan_quiver(), trunc=1, coeffs={})
         assert series.is_zero()
         bu = UniversalSeries(series=TorusSeries.one(jordan_quiver(), 1))
@@ -174,7 +168,6 @@ class TestConstruction:
          r"^side must be one of \('exact', 'plus', 'minus'\)$"),
         (lambda: StabilityParams((0,), PLUS_INF, "plus"), "^side tags need a finite c$"),
         (lambda: count_stack(jordan_quiver(), (1,), "all", 4), "^q must be a prime at most 5$"),
-        (lambda: FiniteFieldConfig(5), "^max_total_dim must be between 1 and 4$"),
         (lambda: UniversalSeries(TorusSeries.zero(jordan_quiver(), 1)),
          "^universal series needs constant term 1$"),
         (lambda: TorusSeries(kronecker_quiver(), 4, {(1,): ONE}),
@@ -183,14 +176,6 @@ class TestConstruction:
     def test_validation_messages(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
-
-    def test_budget_read_at_construction(self, monkeypatch):
-        monkeypatch.setenv("WALLCROSS_BUDGET", "1234")
-        assert FiniteFieldConfig().budget == 1234
-        monkeypatch.setenv("WALLCROSS_BUDGET", "99")
-        assert FiniteFieldConfig().budget == 99
-        monkeypatch.delenv("WALLCROSS_BUDGET")
-        assert FiniteFieldConfig().budget == 10 ** 8
 
 
 def test_cold_import_skips_dataclasses_and_inspect():

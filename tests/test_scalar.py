@@ -131,20 +131,24 @@ class TestAdams:
 
 class TestSpecialize:
     def test_euler_point(self):
-        assert (V + 1).specialize("euler") == 2
-        assert ((L * L - ONE) / (L - ONE)).specialize("euler") == 2
+        assert (V + 1).specialize() == 2
+        assert ((L * L - ONE) / (L - ONE)).specialize() == 2
 
     def test_euler_cancels_shared_pole(self):
         # reduced form already cancelled the (v-1) factor
         a = (V * V - ONE) / (V - ONE)
-        assert a.specialize("euler") == 2
+        assert a.specialize() == 2
 
     def test_euler_true_pole(self):
         with pytest.raises(ZeroDivisionError, match="not specializable"):
-            (ONE / (V - ONE)).specialize("euler")
+            (ONE / (V - ONE)).specialize()
 
     def test_at_point(self):
-        assert (V ** 2 + V).specialize(Fraction(2)) == 6
+        # v = 1 is the one point: the sums of the coefficients, and no
+        # other point can be asked for
+        assert ((V ** 2 + V) / (V + 3)).specialize() == Fraction(1, 2)
+        with pytest.raises(TypeError):
+            (V ** 2 + V).specialize(Fraction(2))
 
     def test_L_eval(self):
         assert (L ** 3 / (L - ONE)).specialize_L(2) == 8

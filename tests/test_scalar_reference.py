@@ -92,10 +92,10 @@ class TestAgainstReference:
         a, ra = x
         assert_same(a.adams(n), ra.adams(n))
 
-    @given(operands(), st.one_of(st.just("euler"), st.fractions(-3, 3, max_denominator=3)))
-    def test_specialize(self, x, point):
+    @given(operands())
+    def test_specialize(self, x):
         a, ra = x
-        assert outcome(a.specialize, point) == outcome(ra.specialize, point)
+        assert outcome(a.specialize) == outcome(ra.specialize, "euler")
 
     @given(operands(), st.integers(-3, 5))
     def test_specialize_L(self, x, q):

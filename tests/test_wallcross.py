@@ -388,7 +388,7 @@ class TestNCDT:
     def test_c3_euler_numbers(self):
         fq = c3_quiver()
         out = ncdt(universal_for(fq, 3))
-        assert [out.coeff((n,)).specialize("euler") for n in range(4)] == \
+        assert [out.coeff((n,)).specialize() for n in range(4)] == \
             [1, 1, 3, 6]
 
 
@@ -484,4 +484,4 @@ class TestOmega:
         limit = euler_transfer(dt_omega(B))
         full = transfer_series(B)
         for a in dim_vectors_up_to(fq.n_vertices, N):
-            assert limit.coeff(a).specialize("euler") == full.coeff(a).specialize("euler"), a
+            assert limit.coeff(a).specialize() == full.coeff(a).specialize(), a
