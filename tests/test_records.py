@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from quiverdt.hn import UniversalSeries, hn_factorize, universal_for
-from quiverdt.oracle import count_stack
+from quiverdt.oracle import BudgetError, count_framed_stable, count_stack
 from quiverdt.qtorus import TorusSeries
 from quiverdt.quiver import FramedQuiver, Quiver, jordan_quiver, kronecker_quiver
 from quiverdt.stability import MINUS_INF, PLUS_INF, StabilityParams
@@ -145,6 +145,18 @@ class TestConstruction:
         assert sp.c == PLUS_INF and type(sp.c) is float
         series = TorusSeries(jordan_quiver(), 1, {(1,): 1, (2,): 1, (0,): 0})
         assert list(series.coeffs) == [(1,)]
+
+    def test_budget_read_at_construction(self, monkeypatch):
+        # no record carries a budget: WALLCROSS_BUDGET is read when a count
+        # starts, so a value set after the quiver is built still applies
+        fq = jordan_quiver()
+        monkeypatch.delenv("WALLCROSS_BUDGET", raising=False)
+        expected = count_framed_stable(fq, (2,), (0,), 0, "plus", 2)
+        monkeypatch.setenv("WALLCROSS_BUDGET", "10")
+        with pytest.raises(BudgetError, match="> budget 10 "):
+            count_framed_stable(fq, (2,), (0,), 0, "plus", 2)
+        monkeypatch.setenv("WALLCROSS_BUDGET", "1234")
+        assert count_framed_stable(fq, (2,), (0,), 0, "plus", 2) == expected
 
     @pytest.mark.parametrize("make, message", [
         (lambda: Quiver(0, ()), "^quiver needs at least one vertex$"),
