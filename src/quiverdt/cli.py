@@ -103,113 +103,81 @@ def _load(job) -> FramedQuiver:
     return fq
 
 
-def _theta_for(job, fq: FramedQuiver) -> tuple:
-    if job.theta is None:
-        return (Fraction(0),) * fq.base.n_vertices
-    return check_theta(fq, job.theta)
-
-
 def _dispatch(job):
     if job.trunc < 0:
         raise CLIError("truncation must be nonnegative")
     fq = _load(job)
-    N = job.trunc
-    sub = job.subcommand
-
-    if sub == "universal":
-        return 0, format_series(universal_for(fq, N).series, job.fmt)
-
-    if sub == "hn":
-        theta = _theta_for(job, fq)
-        parts = hn_factorize(universal_for(fq, N), theta, N)
-        if job.out_dir is not None:
-            os.makedirs(job.out_dir, exist_ok=True)
-            names = []
-            for mu in sorted(parts, reverse=True):
-                name = f"slope_{str(mu).replace('/', '_')}.txt"
-                with open(os.path.join(job.out_dir, name), "w") as fh:
-                    fh.write(serialize(parts[mu]) + "\n")
-                names.append(name)
-            return 0, "\n".join(names)
-        blocks = []
-        for mu in sorted(parts, reverse=True):
-            blocks.append(f"# slope {mu}")
-            blocks.append(format_series(parts[mu], job.fmt))
-        return 0, "\n".join(blocks)
-
+    theta = None if job.theta is None else check_theta(fq, job.theta)
+    sub, N = job.subcommand, job.trunc
+    if sub == "check-oracle":
+        return _check_oracle(job, fq, theta)
+    if theta is None:
+        theta = (Fraction(0),) * fq.base.n_vertices
     if sub == "walls":
-        theta = _theta_for(job, fq)
-        walls = find_walls(fq, theta, job.alpha)
-        return 0, " ".join(str(w) for w in walls)
-
-    if sub == "ncdt":
-        return 0, format_series(ncdt(universal_for(fq, N)), job.fmt)
-
-    if sub == "framed":
-        theta = _theta_for(job, fq)
-        fs = framed_at(universal_for(fq, N), theta, N, job.c, job.side, job.mu)
-        return 0, format_series(fs.series, job.fmt)
-
-    if sub == "smooth-model":
-        theta = _theta_for(job, fq)
-        series = smooth_model_series(universal_for(fq, N), theta, N, job.mu)
-        return 0, format_series(series, job.fmt)
-
+        return 0, " ".join(str(w) for w in find_walls(fq, theta, job.alpha))
+    BU = universal_for(fq, N)
+    if sub == "hn":  # one list, slope decreasing, for the report or the files
+        parts = [(mu, B, f"slope_{str(mu).replace('/', '_')}.txt")
+                 for mu, B in reversed(hn_factorize(BU, theta, N).items())]
+        if job.out_dir is None:
+            return 0, "\n".join(f"# slope {mu}\n{format_series(B, job.fmt)}"
+                                for mu, B, _ in parts)
+        os.makedirs(job.out_dir, exist_ok=True)
+        for _, B, name in parts:
+            with open(os.path.join(job.out_dir, name), "w") as fh:
+                fh.write(serialize(B) + "\n")
+        return 0, "\n".join(name for *_, name in parts)
     if sub in ("omega", "transfer"):
-        BU = universal_for(fq, N)
-        if job.mu is not None:
-            _, B, _ = ladder_at(BU, _theta_for(job, fq), N, job.mu)
-        else:
-            B = BU.series
-        if sub == "transfer":
-            return 0, format_series(transfer_series(B), job.fmt)
+        B = BU.series if job.mu is None else ladder_at(BU, theta, N, job.mu)[1]
+    if sub == "omega":  # tsv, or under --euler one line per class, also on one vertex
         om = dt_omega(B)
         if job.fmt != "euler":
             return 0, format_series(om, "tsv")
-        # one line per class, also on one vertex
         return 0, "\n".join(f"{_fmt_alpha(k)}\t{c.specialize()}"
                             for k, c in _sorted_terms(om))
 
-    return _check_oracle(job, fq)  # argparse lets known subcommands only through
+    if sub == "universal":
+        series = BU.series
+    elif sub == "ncdt":
+        series = ncdt(BU)
+    elif sub == "framed":
+        series = framed_at(BU, theta, N, job.c, job.side, job.mu).series
+    elif sub == "smooth-model":
+        series = smooth_model_series(BU, theta, N, job.mu)
+    else:  # transfer; argparse lets known subcommands only through
+        series = transfer_series(B)
+    return 0, format_series(series, job.fmt)
 
 
-def _check_oracle(job, fq: FramedQuiver):
-    """Pass/fail table comparing series coefficients with finite-field counts."""
+def _check_oracle(job, fq: FramedQuiver, theta):
+    """Pass/fail table comparing series coefficients with finite-field counts;
+    theta is the checked --theta, or None without one."""
     if fq.bu_source != "trivial_potential":
         raise CLIError("check-oracle needs a trivial-potential quiver")
-    q = job.q
     if not 1 <= job.max_dim <= MAX_TOTAL_DIM:
         raise CLIError(f"--max-dim must be between 1 and {MAX_TOTAL_DIM}")
-    n = fq.base.n_vertices
-    N = job.max_dim
-    theta = None if job.theta is None else check_theta(fq, job.theta)
     if job.c is not None and theta is None:
         raise CLIError("check-oracle --c needs --theta")
     if job.c in (PLUS_INF, MINUS_INF):
         raise CLIError(f"check-oracle --c needs a finite level, not {job.c:+}")
+    q, N = job.q, job.max_dim
     BU = universal_for(fq, N)
-
-    rows = []
-    failed = False
-    classes = [a for a in dim_vectors_up_to(n, N) if 0 < sum(a) <= N]
+    rows = []  # (kind, alpha, ok)
+    classes = [a for a in dim_vectors_up_to(fq.base.n_vertices, N) if 0 < sum(a) <= N]
     for a in sorted(classes, key=lambda x: (sum(x), x)):
+        checks = [("universal", BU.series, "all")]
+        if theta is not None:
+            B_mu = ladder_at(BU, theta, N, theta_slope(theta, a))[1]
+            checks.append(("semistable", B_mu, StabilityParams(theta)))
         chi = tits_form(fq, a)
-        cnt = count_stack(fq, a, "all", q)
-        ok = verify_coefficient(BU.series.coeff(a), cnt, q, chi=chi)
-        failed |= not ok
-        rows.append(f"universal\talpha={','.join(map(str, a))}\t{'ok' if ok else 'FAIL'}")
-        if theta is None:
-            continue
-        _, B_mu, _ = ladder_at(BU, theta, N, theta_slope(theta, a))
-        scnt = count_stack(fq, a, StabilityParams(theta), q)
-        ok = verify_coefficient(B_mu.coeff(a), scnt, q, chi=chi)
-        failed |= not ok
-        rows.append(f"semistable\talpha={','.join(map(str, a))}\t{'ok' if ok else 'FAIL'}")
+        for kind, series, sp in checks:
+            cnt = count_stack(fq, a, sp, q)
+            rows.append((kind, a, verify_coefficient(series.coeff(a), cnt, q, chi=chi)))
         if job.c is not None:
-            ok = hall_filtration_check(fq, a, theta, job.c, q)
-            failed |= not ok
-            rows.append(f"filtration\talpha={','.join(map(str, a))}\t{'ok' if ok else 'FAIL'}")
-    return (2 if failed else 0), "\n".join(rows)
+            rows.append(("filtration", a, hall_filtration_check(fq, a, theta, job.c, q)))
+    report = "\n".join(f"{kind}\talpha={_fmt_alpha(a)}\t{'ok' if ok else 'FAIL'}"
+                       for kind, a, ok in rows)
+    return (0 if all(ok for *_, ok in rows) else 2), report
 
 
 # ---- argument parsing -------------------------------------------------------

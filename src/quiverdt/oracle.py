@@ -301,19 +301,6 @@ def _union(masks, bits: int) -> int:
     return out
 
 
-def _count_points(fq: FramedQuiver, alpha, q: int, slots, bad, watch) -> int:
-    """Points (matrix tuple, framing tuple) with no invariant subspace tuple
-    in bad and the framing tuple inside no invariant subspace tuple of watch."""
-    fmasks = _framing_masks(alpha, slots, q, watch)
-    total = q ** sum(alpha[i] for i in slots)
-    nbad = len(bad)
-    count = 0
-    for weight, inv in _invariant_runs(fq, alpha, q, bad + watch):
-        if not inv & ((1 << nbad) - 1):
-            count += weight * (total - _union(fmasks, inv >> nbad).bit_count())
-    return count
-
-
 def _check_budget(fq: FramedQuiver, alpha, q: int, cands, once: int = 0) -> None:
     """Refuse a kernel run whose work exceeds the budget: the normal-form
     matrix tuples it visits times the work per tuple, which is the streamed
@@ -403,15 +390,22 @@ def _points(fq: FramedQuiver, alpha, q: int, slots, bad_if, watch_if) -> int:
     subspace tuple of a bad class, and the framing tuple inside no invariant
     subspace tuple of a watched class.  With no class flagged every point
     counts, and nothing is enumerated."""
-    bad, watch = _flagged(alpha, bad_if, watch_if)
-    if not bad and not watch:
+    bad_dims, watch_dims = _flagged(alpha, bad_if, watch_if)
+    if not bad_dims and not watch_dims:
         return q ** (sum(alpha[i] * alpha[j] for i, j in _arrow_list(fq))
                      + sum(alpha[i] for i in slots))
     cands, dims = _candidates(alpha, q)
     _check_budget(fq, alpha, q, cands)
-    return _count_points(fq, alpha, q, slots,
-                         [cand for cand, d in zip(cands, dims) if d in bad],
-                         [cand for cand, d in zip(cands, dims) if d in watch])
+    bad = [cand for cand, d in zip(cands, dims) if d in bad_dims]
+    watch = [cand for cand, d in zip(cands, dims) if d in watch_dims]
+    fmasks = _framing_masks(alpha, slots, q, watch)
+    total = q ** sum(alpha[i] for i in slots)
+    nbad = len(bad)
+    count = 0
+    for weight, inv in _invariant_runs(fq, alpha, q, bad + watch):
+        if not inv & ((1 << nbad) - 1):
+            count += weight * (total - _union(fmasks, inv >> nbad).bit_count())
+    return count
 
 
 # ---- the oracle entry points -------------------------------------------------

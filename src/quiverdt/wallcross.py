@@ -152,8 +152,7 @@ def smooth_model_motive(BU: UniversalSeries, theta, N: int, alpha) -> Scalar:
     mu = theta_slope(theta, alpha)
     series = smooth_model_series(BU, theta, N, mu)
     bare = series.coeff(alpha) * (L - ONE)
-    t = tits_form(fq, alpha)
-    return bare * Scalar.neg_v_pow(-t)
+    return bare.times_neg_v_pow(-tits_form(fq, alpha))
 
 
 def dt_omega(B_mu: TorusSeries) -> TorusSeries:

@@ -7,7 +7,10 @@ import pytest
 
 import quiverdt.cli as cli
 from quiverdt.cli import CLIError, parse_int_vector, parse_level, parse_rational
+from quiverdt.hn import hn_factorize, universal_for
 from quiverdt.oracle import DEFAULT_BUDGET
+from quiverdt.qtorus import serialize
+from quiverdt.quiver import load_quiver_file
 from quiverdt.stability import MINUS_INF, PLUS_INF
 
 QDIR = Path(__file__).resolve().parent.parent / "quivers"
@@ -136,10 +139,22 @@ class TestOutputShapes:
         assert code == 0
         names = out.split()
         assert "slope_1_2.txt" in names
+        assert "alpha=1,1;star=0;coeff=" in (out_dir / "slope_1_2.txt").read_text()
+        # each file holds its piece, serialized, and nothing else
+        pieces = hn_factorize(universal_for(load_quiver_file(quiver("kronecker")), 3),
+                              (1, 0), 3)
+        files = {f"slope_{str(mu).replace('/', '_')}.txt": serialize(piece) + "\n"
+                 for mu, piece in pieces.items()}
+        assert sorted(names) == sorted(files) == sorted(p.name for p in out_dir.iterdir())
         for name in names:
-            assert (out_dir / name).is_file()
-        body = (out_dir / "slope_1_2.txt").read_text()
-        assert "alpha=1,1;star=0;coeff=" in body
+            assert (out_dir / name).read_text() == files[name]
+        # the names follow the sections of the plain report: slope decreasing
+        _, plain, _ = invoke(capsys, "hn", quiver("kronecker"),
+                             "--theta", "1,0", "--trunc", "3")
+        sections = [l.split()[-1] for l in plain.splitlines() if l.startswith("# slope ")]
+        assert names == [f"slope_{mu.replace('/', '_')}.txt" for mu in sections]
+        slopes = [cli.parse_rational(mu) for mu in sections]
+        assert slopes == sorted(slopes, reverse=True) and len(set(slopes)) > 2
 
     def test_w_override(self, capsys):
         code, out, _ = invoke(capsys, "ncdt", quiver("jordan"), "--w", "0",
@@ -422,8 +437,23 @@ class TestBadClassesAndTheta:
          "theta must list one weight per vertex: got 1 for 2 vertices"),
         (("check-oracle", "kronecker", "--max-dim", "2", "--theta", "1"),
          "theta must list one weight per vertex: got 1 for 2 vertices"),
+        # refused also where theta is not read
+        (("universal", "kronecker", "--theta", "1"),
+         "theta must list one weight per vertex: got 1 for 2 vertices"),
+        (("ncdt", "conifold", "--theta", "1"),
+         "theta must list one weight per vertex: got 1 for 2 vertices"),
+        (("omega", "kronecker", "--theta", "1"),
+         "theta must list one weight per vertex: got 1 for 2 vertices"),
+        (("transfer", "kronecker", "--theta", "1"),
+         "theta must list one weight per vertex: got 1 for 2 vertices"),
+        (("framed", "kronecker", "--c", "+inf", "--theta", "1"),
+         "theta must list one weight per vertex: got 1 for 2 vertices"),
+        (("smooth-model", "kronecker", "--mu", "0", "--theta", "1"),
+         "theta must list one weight per vertex: got 1 for 2 vertices"),
     ], ids=["walls_negative_alpha", "walls_short_theta", "walls_long_theta",
-            "hn_short_theta", "check_oracle_short_theta"])
+            "hn_short_theta", "check_oracle_short_theta", "universal_short_theta",
+            "ncdt_short_theta", "omega_short_theta", "transfer_short_theta",
+            "framed_inf_short_theta", "smooth_model_short_theta"])
     def test_one_error_line(self, capsys, argv, message):
         sub, name, *rest = argv
         code, out, err = invoke(capsys, sub, quiver(name), *rest)
