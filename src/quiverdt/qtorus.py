@@ -42,22 +42,28 @@ def _zero_key(fq: FramedQuiver) -> Key:
     return zero_vector(fq.n_vertices)
 
 
+def _checked_key(key, n: int) -> Key:
+    """key as a tuple, refused unless it lists one dimension per vertex."""
+    key = tuple(key)
+    if len(key) != n:
+        raise ValueError(f"series key {key} must list one dimension per vertex: "
+                         f"got {len(key)} for {n} vertices")
+    return key
+
+
 class TorusSeries(Record):
     """A truncated series: fq fixes the skew form, trunc the region."""
 
     __slots__ = ("fq", "trunc", "coeffs")
 
     def __init__(self, fq: FramedQuiver, trunc: int, coeffs: Mapping[Key, Scalar]):
+        if trunc < 0:  # no region at all, not even for the constant term
+            raise ValueError(f"N = {trunc} is negative")
         clean = {}
         n = fq.n_vertices
         for key, c in coeffs.items():
-            key = tuple(key)
-            if len(key) != n:
-                raise ValueError(f"series key {key} must list one dimension per vertex: "
-                                 f"got {len(key)} for {n} vertices")
-            if sum(key) > trunc:
-                continue
-            if c:
+            key = _checked_key(key, n)
+            if sum(key) <= trunc and c:
                 clean[key] = c
         self._set(fq=fq, trunc=trunc, coeffs=clean)
 
@@ -74,7 +80,7 @@ class TorusSeries(Record):
         return cls(fq, trunc, {check_alpha(fq, alpha): coeff})
 
     def coeff(self, alpha) -> Scalar:
-        return self.coeffs.get(tuple(alpha), Scalar.of(0))
+        return self.coeffs.get(_checked_key(alpha, self.fq.n_vertices), Scalar.of(0))
 
     def constant_term(self) -> Scalar:
         return self.coeffs.get(_zero_key(self.fq), Scalar.of(0))
@@ -102,36 +108,6 @@ class TorusSeries(Record):
         return TorusSeries(self.fq, self.trunc,
                            {k: f(k, c) for k, c in self.coeffs.items()})
 
-    def __add__(self, other):
-        other = _lift(other, self)
-        _check(self, other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, Scalar.of(0)) + c
-        return TorusSeries(self.fq, self.trunc, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self.map_coeffs(lambda k, c: -c)
-
-    def __sub__(self, other):
-        return self + (-_lift(other, self))
-
-    def __rsub__(self, other):
-        return _lift(other, self) + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            s = other if isinstance(other, Scalar) else Scalar.of(other)
-            return self.map_coeffs(lambda k, c: c * s)
-        return torus_mul(self, _lift(other, self))
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self.__mul__(other)
-        return torus_mul(_lift(other, self), self)
-
     def __repr__(self):
         body = ", ".join(f"{k}: {c}" for k, c in self.terms())
         return f"TorusSeries(N={self.trunc}, {{{body}}})"
@@ -142,15 +118,6 @@ def _check(f: TorusSeries, g: TorusSeries) -> None:
         quivers = "the same framed quiver" if f.fq == g.fq else "different framed quivers"
         raise ValueError(f"series live on different tori: truncations {f.trunc} and "
                          f"{g.trunc} on {quivers}")
-
-
-def _lift(x, like: TorusSeries) -> TorusSeries:
-    if isinstance(x, TorusSeries):
-        return x
-    if isinstance(x, (int, Fraction, Scalar)):
-        s = x if isinstance(x, Scalar) else Scalar.of(x)
-        return TorusSeries(like.fq, like.trunc, {_zero_key(like.fq): s})
-    raise TypeError(f"cannot treat {type(x).__name__} as a series")
 
 
 def _grades(coeffs: Mapping) -> dict:

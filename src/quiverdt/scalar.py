@@ -493,7 +493,7 @@ class Scalar:
         """
         dv = sum(self._d)
         if dv == 0:
-            raise ZeroDivisionError("not specializable")
+            raise ZeroDivisionError(f"not specializable: {self} has a pole at v = 1")
         return Fraction(sum(self._n), dv)
 
     def specialize_L(self, q) -> Fraction:
@@ -505,7 +505,7 @@ class Scalar:
         x = q if isinstance(q, int) else Fraction(q)
         dv = _peval(d[::2], x)
         if dv == 0:
-            raise ZeroDivisionError("not specializable")
+            raise ZeroDivisionError(f"not specializable: {self} has a pole at L = {x}")
         return Fraction(_peval(n[::2], x), dv)
 
     def __repr__(self):

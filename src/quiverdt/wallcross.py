@@ -23,6 +23,8 @@ from .qtorus import (TorusSeries, nu_weights, pleth_exp, pleth_log, s_twist,
 from .scalar import L, ONE, Scalar
 from .stability import StabilityParams, check_alpha, check_theta, theta_slope
 
+L_MINUS_1 = L - ONE
+
 
 class FramedSeries(Record):
     """A framed generating series in star-0 normal form."""
@@ -134,7 +136,7 @@ def smooth_model_series(BU: UniversalSeries, theta, N: int, mu) -> TorusSeries:
     [M] / (L-1) with its (-v)^T twist: (1/(L-1)) S_{2nu}(B_mu) . B_mu^{-1},
     formed as S_nu of the crossing form."""
     _, B, _ = ladder_at(BU, theta, N, mu)
-    return s_twist(_crossing(B, B), nu_weights(B.fq, 1)) * (ONE / (L - ONE))
+    return s_twist(_crossing(B, B), nu_weights(B.fq, 1)).map_coeffs(lambda k, c: c / L_MINUS_1)
 
 
 def smooth_model_motive(BU: UniversalSeries, theta, N: int, alpha) -> Scalar:
@@ -151,13 +153,13 @@ def smooth_model_motive(BU: UniversalSeries, theta, N: int, alpha) -> Scalar:
     theta = check_theta(fq, theta)
     mu = theta_slope(theta, alpha)
     series = smooth_model_series(BU, theta, N, mu)
-    bare = series.coeff(alpha) * (L - ONE)
+    bare = series.coeff(alpha) * L_MINUS_1
     return bare.times_neg_v_pow(-tits_form(fq, alpha))
 
 
 def dt_omega(B_mu: TorusSeries) -> TorusSeries:
     """The series Omega of invariants with B_mu = Exp(Omega / (L-1))."""
-    return pleth_log(B_mu) * (L - ONE)
+    return pleth_log(B_mu).map_coeffs(lambda k, c: c * L_MINUS_1)
 
 
 def euler_transfer(omega: TorusSeries) -> TorusSeries:

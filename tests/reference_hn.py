@@ -7,9 +7,10 @@ coefficient minus every chain alpha = a_1 + ... + a_k, k >= 2, of strictly
 decreasing slopes, twisted by (-v)^{sum_{i<j} <a_i, a_j>}.  _uniform and
 framed_at assemble the framed series from its pieces the way
 quiverdt.wallcross did before it read them off the slope ladder: every call
-multiplies the pieces below the level again.  torus_product, truncate_tau,
-remultiply_check and transfer_slope_product are the product-side helpers
-that the tests read the production series against; cyclic is the second
+multiplies the pieces below the level again.  torus_product, series_sum,
+truncate_tau, remultiply_check and transfer_slope_product are the
+product-side and sum helpers that the tests read the production series
+against (quiverdt.qtorus has no series operators); cyclic is the second
 product form S_{2nu}(B) . B^{-1} that ncdt and smooth_model_series formed
 before they became S_nu of the crossing form; at_star0 places a
 production series in the star-1 torus of reference_qtorus, and
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 import reference_qtorus as ref_qt
 from quiverdt.hn import slope_ladder
-from quiverdt.qtorus import TorusSeries, nu_weights, s_twist, torus_div, torus_mul
+from quiverdt.qtorus import TorusSeries, _check, nu_weights, s_twist, torus_div, torus_mul
 from quiverdt.quiver import dim_vectors_up_to, sub_vectors
 from quiverdt.scalar import ONE, Scalar, _acc_term, _settle
 from quiverdt.stability import MINUS_INF, PLUS_INF, theta_slope
@@ -114,6 +115,16 @@ def torus_product(fq, trunc: int, factors) -> TorusSeries:
     for f in factors:
         out = f if out is None else torus_mul(out, f)
     return TorusSeries.one(fq, trunc) if out is None else out
+
+
+def series_sum(f: TorusSeries, *rest: TorusSeries) -> TorusSeries:
+    """f + g + ..., coefficient by coefficient, on f's torus."""
+    out = dict(f.coeffs)
+    for g in rest:
+        _check(f, g)
+        for k, c in g.coeffs.items():
+            out[k] = out[k] + c if k in out else c
+    return TorusSeries(f.fq, f.trunc, out)
 
 
 def truncate_tau(f: TorusSeries, theta, c, mu) -> TorusSeries:

@@ -285,7 +285,7 @@ class Scalar:
         x = Fraction(1) if point == "euler" else Fraction(point)
         dv = _peval(self.den, x)
         if dv == 0:
-            raise ZeroDivisionError("not specializable")
+            raise ZeroDivisionError(f"not specializable: {self} has a pole at v = {x}")
         return _peval(self.num, x) / dv
 
     def specialize_L(self, q) -> Fraction:
@@ -306,7 +306,7 @@ class Scalar:
 
         dv = ev_even(self.den)
         if dv == 0:
-            raise ZeroDivisionError("not specializable")
+            raise ZeroDivisionError(f"not specializable: {self} has a pole at L = {x}")
         return ev_even(self.num) / dv
 
     def __repr__(self):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from reference_hn import remultiply_check
+from reference_hn import remultiply_check, series_sum
 import quiverdt.hn as hn
 from quiverdt.hn import (UniversalSeries, gl_motive, hn_factorize, universal_for,
                          universal_trivial)
@@ -59,6 +59,16 @@ class TestValidation:
     def test_needs_constant_one(self):
         with pytest.raises(ValueError, match="constant term 1"):
             UniversalSeries(TorusSeries.zero(jordan_quiver(), 2))
+
+    @pytest.mark.parametrize("fq", [kronecker_quiver(), c3_quiver(), conifold_quiver()],
+                             ids=["trivial", "c3", "conifold"])
+    def test_negative_trunc_refused_where_built(self, fq):
+        with pytest.raises(ValueError, match="^N = -1 is negative$"):
+            universal_for(fq, -1)
+
+    def test_negative_trunc_refused_by_the_split(self):
+        with pytest.raises(ValueError, match="^N = -1 is negative$"):
+            hn_factorize(universal_for(kronecker_quiver(), 3), (1, 0), -1)
 
 
 class TestBuiltins:
@@ -154,7 +164,7 @@ class TestRemultiply:
         bu = universal_trivial(kronecker_quiver(), 3)
         parts = hn_factorize(bu, (1, 0), 3)
         mu = Fraction(1, 2)
-        bad = parts[mu] + TorusSeries.monomial(bu.series.fq, 3, (1, 1), coeff=Scalar.of(1))
+        bad = series_sum(parts[mu], TorusSeries.monomial(bu.series.fq, 3, (1, 1)))
         assert not remultiply_check({**parts, mu: bad}, bu)
 
     def test_order_matters(self):

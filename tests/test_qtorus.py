@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_qtorus as ref
-from reference_hn import at_star0, truncate_tau
+from reference_hn import at_star0, series_sum, truncate_tau
 from reference_qtorus import adams_series, ext, skew_form
 from quiverdt.quiver import (c3_quiver, conifold_quiver, dim_vectors_up_to,
                              jordan_quiver, kronecker_quiver, loop_quiver)
@@ -52,8 +52,8 @@ class TestProduct:
         x1 = TorusSeries.monomial(KRON, N, (1, 0))
         x2 = TorusSeries.monomial(KRON, N, (0, 1))
         assert skew_form(KRON, ext((1, 0)), ext((0, 1))) == -2
-        assert (x1 * x2).coeff((1, 1)) == V ** -2
-        assert (x2 * x1).coeff((1, 1)) == V ** 2
+        assert torus_mul(x1, x2).coeff((1, 1)) == V ** -2
+        assert torus_mul(x2, x1).coeff((1, 1)) == V ** 2
 
     def test_star_squares_to_zero(self):
         # the framing line of the star-1 torus, which the reference keeps
@@ -63,58 +63,51 @@ class TestProduct:
     def test_truncation_drops_products(self):
         x1 = TorusSeries.monomial(KRON, 1, (1, 0))
         x2 = TorusSeries.monomial(KRON, 1, (0, 1))
-        assert (x1 * x2).is_zero()
+        assert torus_mul(x1, x2).is_zero()
 
     @given(kron_series())
     def test_unit(self, f):
         one = TorusSeries.one(KRON, N)
-        assert one * f == f
-        assert f * one == f
+        assert torus_mul(one, f) == f
+        assert torus_mul(f, one) == f
 
     @given(kron_series(), kron_series(), kron_series())
     def test_associative(self, f, g, h):
-        assert (f * g) * h == f * (g * h)
+        assert torus_mul(torus_mul(f, g), h) == torus_mul(f, torus_mul(g, h))
 
     @given(kron_series(), kron_series(), kron_series())
     def test_distributive(self, f, g, h):
-        assert f * (g + h) == f * g + f * h
-        assert (g + h) * f == g * f + h * f
-
-    def test_scalar_coercions(self):
-        f = TorusSeries.monomial(KRON, N, (1, 0))
-        assert 2 * f == f * 2 == f + f
-        assert V * f == f * V
-        assert Fraction(1, 2) * (f + f) == f
-        assert (f + 1).constant_term() == ONE
+        assert torus_mul(f, series_sum(g, h)) == series_sum(torus_mul(f, g), torus_mul(f, h))
+        assert torus_mul(series_sum(g, h), f) == series_sum(torus_mul(g, f), torus_mul(h, f))
 
     def test_mismatched_regions(self):
         f = TorusSeries.one(KRON, 3)
         g = TorusSeries.one(KRON, 4)
         same = "^series live on different tori: truncations 3 and 4 on the same framed quiver$"
         with pytest.raises(ValueError, match=same):
-            f + g
-        with pytest.raises(ValueError, match=same):
             torus_mul(f, g)
+        with pytest.raises(ValueError, match=same):
+            torus_div(f, g)
         with pytest.raises(ValueError, match="^series live on different tori: truncations "
                                              "3 and 3 on different framed quivers$"):
-            f + TorusSeries.one(kronecker_quiver((0, 1)), 3)
+            torus_mul(f, TorusSeries.one(kronecker_quiver((0, 1)), 3))
 
 
 class TestInverse:
     @given(kron_series())
     def test_two_sided(self, f):
-        f = f + 1 - TorusSeries(KRON, N, {(0, 0): f.constant_term()})
+        f = TorusSeries(KRON, N, {**f.coeffs, (0, 0): ONE})
         one = TorusSeries.one(KRON, N)
         inv = torus_div(one, f)
-        assert f * inv == one
-        assert inv * f == one
+        assert torus_mul(f, inv) == one
+        assert torus_mul(inv, f) == one
         assert torus_div(one, f, left=True) == inv
 
     @given(kron_series(), kron_series())
     def test_left_and_right_quotients(self, f, g):
-        g = g + 1 - TorusSeries(KRON, N, {(0, 0): g.constant_term()})
-        assert g * torus_div(f, g, left=True) == f
-        assert torus_div(f, g) * g == f
+        g = TorusSeries(KRON, N, {**g.coeffs, (0, 0): ONE})
+        assert torus_mul(g, torus_div(f, g, left=True)) == f
+        assert torus_mul(torus_div(f, g), g) == f
 
     def test_needs_constant(self):
         f = TorusSeries.monomial(KRON, N, (1, 0))
@@ -124,8 +117,8 @@ class TestInverse:
             torus_div(TorusSeries.one(KRON, N), f, left=True)
 
     def test_geometric(self):
-        x = TorusSeries.monomial(JORDAN, N, (1,))
-        inv = torus_div(TorusSeries.one(JORDAN, N), 1 - x + TorusSeries.zero(JORDAN, N))
+        one_minus_x = TorusSeries(JORDAN, N, {(0,): ONE, (1,): -ONE})
+        inv = torus_div(TorusSeries.one(JORDAN, N), one_minus_x)
         assert all(inv.coeff((n,)) == ONE for n in range(N + 1))
 
 
@@ -133,7 +126,7 @@ class TestTwists:
     @given(kron_series(), kron_series())
     def test_linear_twist_multiplicative(self, f, g):
         lam = (3, -1)
-        assert s_twist(f * g, lam) == s_twist(f, lam) * s_twist(g, lam)
+        assert s_twist(torus_mul(f, g), lam) == torus_mul(s_twist(f, lam), s_twist(g, lam))
 
     @given(kron_series())
     def test_inverse_twist(self, f):
@@ -149,7 +142,7 @@ class TestTwists:
         n = KRON.n_vertices
         lam = tuple(2 * skew_form(KRON, ext(tuple(int(i == j) for j in range(n))), ext(beta))
                     for i in range(n))
-        assert f * xb == xb * s_twist(f, lam)
+        assert torus_mul(f, xb) == torus_mul(xb, s_twist(f, lam))
 
     @given(kron_series())
     def test_commute_past_star(self, f):
@@ -202,9 +195,9 @@ class TestExpLog:
         assert all(e.coeff((n,)) == ONE for n in range(N + 1))
 
     def test_log_of_geometric(self):
-        x = TorusSeries.monomial(JORDAN, N, (1,))
-        geom = torus_div(TorusSeries.one(JORDAN, N), 1 - x + TorusSeries.zero(JORDAN, N))
-        assert pleth_log(geom) == x
+        one_minus_x = TorusSeries(JORDAN, N, {(0,): ONE, (1,): -ONE})
+        geom = torus_div(TorusSeries.one(JORDAN, N), one_minus_x)
+        assert pleth_log(geom) == TorusSeries.monomial(JORDAN, N, (1,))
 
     @given(jordan_series(constant=Scalar.of(0)))
     def test_round_trip(self, f):
@@ -212,7 +205,7 @@ class TestExpLog:
 
     @given(jordan_series(constant=Scalar.of(0)), jordan_series(constant=Scalar.of(0)))
     def test_exp_adds(self, f, g):
-        assert pleth_exp(f + g) == pleth_exp(f) * pleth_exp(g)
+        assert pleth_exp(series_sum(f, g)) == torus_mul(pleth_exp(f), pleth_exp(g))
 
     def test_exp_rejects_constant(self):
         with pytest.raises(ValueError, match="zero constant term"):
@@ -223,13 +216,12 @@ class TestExpLog:
             pleth_log(TorusSeries.zero(JORDAN, N))
 
     def test_noncommutative_support_refused(self):
-        f = (TorusSeries.monomial(KRON, N, (1, 0))
-             + TorusSeries.monomial(KRON, N, (0, 1)))
+        f = TorusSeries(KRON, N, {(1, 0): ONE, (0, 1): ONE})
         message = r"^Exp undefined on non-commutative support: <\(1, 0\), \(0, 1\)> = -2$"
         with pytest.raises(ValueError, match=message):
             pleth_exp(f)
         with pytest.raises(ValueError, match=message):
-            pleth_log(f + 1)
+            pleth_log(TorusSeries(KRON, N, {**f.coeffs, (0, 0): ONE}))
 
 
 class TestSlopesAndTau:
@@ -300,7 +292,7 @@ def test_random_product_sanity():
                                      for k in rng.sample(keys, 5)})
     for _ in range(10):
         f, g, h = rand_series(), rand_series(), rand_series()
-        assert (f * g) * h == f * (g * h)
+        assert torus_mul(torus_mul(f, g), h) == torus_mul(f, torus_mul(g, h))
 
 
 class TestSkewRows:

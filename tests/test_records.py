@@ -184,6 +184,12 @@ class TestConstruction:
          "^universal series needs constant term 1$"),
         (lambda: TorusSeries(kronecker_quiver(), 4, {(1,): ONE}),
          r"^series key \(1,\) must list one dimension per vertex: got 1 for 2 vertices$"),
+        # coeff reads a class through the constructor's key check
+        (lambda: TorusSeries.one(kronecker_quiver(), 4).coeff((0,)),
+         r"^series key \(0,\) must list one dimension per vertex: got 1 for 2 vertices$"),
+        (lambda: TorusSeries.one(kronecker_quiver(), 4).coeff((1, 1, 0)),
+         r"^series key \(1, 1, 0\) must list one dimension per vertex: got 3 for 2 vertices$"),
+        (lambda: TorusSeries.one(kronecker_quiver(), -1), "^N = -1 is negative$"),
     ])
     def test_validation_messages(self, make, message):
         with pytest.raises(ValueError, match=message):

@@ -162,6 +162,14 @@ class TestSpecialize:
         with pytest.raises(ZeroDivisionError, match="not specializable"):
             (ONE / (L - ONE)).specialize_L(1)
 
+    def test_pole_names_the_value_and_point(self):
+        with pytest.raises(ZeroDivisionError, match=r"^not specializable: \(v\)/\(v-1\) "
+                                                    r"has a pole at v = 1$"):
+            (V / (V - ONE)).specialize()
+        with pytest.raises(ZeroDivisionError, match=r"^not specializable: \(1\)/\(v\^4-4\) "
+                                                    r"has a pole at L = 2$"):
+            (ONE / (L * L - 4)).specialize_L(2)
+
     @given(st.integers(0, 5), st.integers(2, 5))
     def test_L_matches_power(self, k, q):
         assert (L ** k).specialize_L(q) == q ** k

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from reference_hn import cyclic, transfer_slope_product, truncate_tau
+from reference_hn import cyclic, series_sum, transfer_slope_product, truncate_tau
 from quiverdt import hn, qtorus, wallcross
 from quiverdt.hn import hn_factorize, ladder_at, slope_ladder, universal_for
 from quiverdt.quiver import (FramedQuiver, Quiver, c3_quiver, conifold_quiver,
@@ -286,6 +286,11 @@ class TestFramedAt:
         a = framed_at(bu, (0,), 2, PLUS_INF)
         assert a.series.trunc == 2
 
+    @pytest.mark.parametrize("c", [0, PLUS_INF], ids=["finite", "plus_inf"])
+    def test_negative_trunc_refused(self, c):
+        with pytest.raises(ValueError, match="^N = -1 is negative$"):
+            framed_at(universal_for(KRON, 3), (1, 0), -1, c, "exact", 0)
+
     def test_smaller_N_matches_a_fresh_series(self, monkeypatch):
         import quiverdt.hn as hn
         calls = []
@@ -353,7 +358,8 @@ class TestSecondRoutes:
         fq = SYMMETRIC[name]
         bu = universal_for(fq, 6)
         log = pleth_log(bu.series)
-        assert ncdt(bu) == pleth_exp(s_twist(log, nu_weights(fq, 2)) - log)
+        minus_log = log.map_coeffs(lambda k, c: -c)
+        assert ncdt(bu) == pleth_exp(series_sum(s_twist(log, nu_weights(fq, 2)), minus_log))
 
 
 # S_nu of the crossing form against the cyclic form S_{2nu}(B) . B^{-1}:
@@ -371,8 +377,10 @@ def test_ncdt_and_smooth_models_are_the_cyclic_form(name):
     fq, N, theta = CYCLIC_CASES[name]
     bu = universal_for(fq, N)
     assert ncdt(bu) == cyclic(bu.series)
+    s = ONE / (L - 1)
     for mu, piece in hn_factorize(bu, theta, N).items():
-        assert smooth_model_series(bu, theta, N, mu) == cyclic(piece) * (ONE / (L - 1)), mu
+        assert smooth_model_series(bu, theta, N, mu) == \
+            cyclic(piece).map_coeffs(lambda k, c: c * s), mu
 
 
 class TestNCDT:
@@ -451,7 +459,8 @@ class TestOmega:
     def test_round_trip(self):
         fq = conifold_quiver()
         bu = universal_for(fq, 4)
-        back = pleth_exp(dt_omega(bu.series) * (ONE / (L - 1)))
+        s = ONE / (L - 1)
+        back = pleth_exp(dt_omega(bu.series).map_coeffs(lambda k, c: c * s))
         assert back == bu.series
 
     def test_as_series_region(self):
