@@ -38,9 +38,9 @@ def main():
         # the slope the framed class (1, 1, 1) sits on at this wall
         mu = theta_slope(theta, (1, 1), c)
         print(f"\n== wall c = {c}, slope class {mu}")
-        below = framed_at(bu, theta, N, c, "minus", mu)
-        exact = framed_at(bu, theta, N, c, "exact", mu)
-        above = framed_at(bu, theta, N, c, "plus", mu)
+        below = framed_at(bu, theta, c, "minus", mu)
+        exact = framed_at(bu, theta, c, "exact", mu)
+        above = framed_at(bu, theta, c, "plus", mu)
         show("  below", below.series)
         show("  at   ", exact.series)
         show("  above", above.series)
@@ -52,7 +52,7 @@ def main():
     for alpha in [(1, 0), (1, 1), (2, 1), (2, 2)]:
         if sum(alpha) > N:
             continue
-        m = smooth_model_motive(bu, theta, N, alpha)
+        m = smooth_model_motive(bu, theta, alpha)
         print(f"{','.join(map(str, alpha))}\t{m}")
 
 

@@ -12,7 +12,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .hn import hn_factorize, ladder_at, universal_for
+from .hn import ladder_at, slope_ladder, universal_for
 from .oracle import (MAX_TOTAL_DIM, count_stack, hall_filtration_check,
                      verify_coefficient)
 from .quiver import FramedQuiver, dim_vectors_up_to, load_quiver_file, tits_form
@@ -108,17 +108,17 @@ def _dispatch(job):
         raise CLIError("truncation must be nonnegative")
     fq = _load(job)
     theta = None if job.theta is None else check_theta(fq, job.theta)
-    sub, N = job.subcommand, job.trunc
+    sub = job.subcommand
     if sub == "check-oracle":
         return _check_oracle(job, fq, theta)
     if theta is None:
         theta = (Fraction(0),) * fq.base.n_vertices
     if sub == "walls":
         return 0, " ".join(str(w) for w in find_walls(fq, theta, job.alpha))
-    BU = universal_for(fq, N)
+    BU = universal_for(fq, job.trunc)
     if sub == "hn":  # one list, slope decreasing, for the report or the files
         parts = [(mu, B, f"slope_{str(mu).replace('/', '_')}.txt")
-                 for mu, B in reversed(hn_factorize(BU, theta, N).items())]
+                 for mu, B, _ in slope_ladder(BU, theta)]
         if job.out_dir is None:
             return 0, "\n".join(f"# slope {mu}\n{format_series(B, job.fmt)}"
                                 for mu, B, _ in parts)
@@ -128,7 +128,7 @@ def _dispatch(job):
                 fh.write(serialize(B) + "\n")
         return 0, "\n".join(name for *_, name in parts)
     if sub in ("omega", "transfer"):
-        B = BU.series if job.mu is None else ladder_at(BU, theta, N, job.mu)[1]
+        B = BU.series if job.mu is None else ladder_at(BU, theta, job.mu)[1]
     if sub == "omega":  # tsv, or under --euler one line per class, also on one vertex
         om = dt_omega(B)
         if job.fmt != "euler":
@@ -141,9 +141,9 @@ def _dispatch(job):
     elif sub == "ncdt":
         series = ncdt(BU)
     elif sub == "framed":
-        series = framed_at(BU, theta, N, job.c, job.side, job.mu).series
+        series = framed_at(BU, theta, job.c, job.side, job.mu).series
     elif sub == "smooth-model":
-        series = smooth_model_series(BU, theta, N, job.mu)
+        series = smooth_model_series(BU, theta, job.mu)
     else:  # transfer; argparse lets known subcommands only through
         series = transfer_series(B)
     return 0, format_series(series, job.fmt)
@@ -167,7 +167,7 @@ def _check_oracle(job, fq: FramedQuiver, theta):
     for a in sorted(classes, key=lambda x: (sum(x), x)):
         checks = [("universal", BU.series, "all")]
         if theta is not None:
-            B_mu = ladder_at(BU, theta, N, theta_slope(theta, a))[1]
+            B_mu = ladder_at(BU, theta, theta_slope(theta, a))[1]
             checks.append(("semistable", B_mu, StabilityParams(theta)))
         chi = tits_form(fq, a)
         for kind, series, sp in checks:

@@ -18,7 +18,7 @@ from .stability import MINUS_INF, PLUS_INF, check_theta, theta_slope
 
 class UniversalSeries(Record):
     __slots__ = ("series", "_hn")
-    _hidden = ("_hn",)  # slope ladders by (theta as Fractions, N)
+    _hidden = ("_hn",)  # slope ladders by theta as Fractions
 
     def __init__(self, series: TorusSeries):
         if series.constant_term() != ONE:
@@ -75,32 +75,33 @@ def universal_for(fq: FramedQuiver, N: int) -> UniversalSeries:
     return UniversalSeries(pleth_exp(torus_mul(head, diag)))
 
 
-def slope_ladder(BU: UniversalSeries, theta, N: int) -> tuple:
+def slope_ladder(BU: UniversalSeries, theta) -> tuple:
     """The HN split of B_U as a ladder ((mu, B_mu, P_<mu), ...), mu decreasing.
 
     P_<mu is the decreasing-slope product of the pieces below mu, so the rest
     one rung up (B_U above the top rung) is B_mu . P_<mu, and the last rest
-    is 1.  Each (theta, N) is split once per UniversalSeries.
+    is 1.  Each theta is split once per UniversalSeries, in B_U's region.
     """
-    theta = _checked(BU, theta, N)
-    ladder = BU._hn.get((theta, N))
+    theta = check_theta(BU.series.fq, theta)
+    ladder = BU._hn.get(theta)
     if ladder is None:
-        ladder = BU._hn[(theta, N)] = _hn_split(BU.series, theta, N)
+        ladder = BU._hn[theta] = _hn_split(BU.series, theta)
     return ladder
 
 
-def ladder_at(BU: UniversalSeries, theta, N: int, a) -> tuple:
+def ladder_at(BU: UniversalSeries, theta, a) -> tuple:
     """(P_<=a, B_a, P_<a): the decreasing products of the pieces of slope at
     most a and below a, and the piece B_a (1 off the rungs), so that
     P_<=a = B_a . P_<a.  a = +inf gives (B_U, 1, B_U) and a = -inf gives
     (1, 1, 1); neither splits B_U."""
-    one = TorusSeries.one(BU.series.fq, N)
+    fq = BU.series.fq
+    one = TorusSeries.one(fq, BU.series.trunc)
     if a in (PLUS_INF, MINUS_INF):
-        _checked(BU, theta, N)
-        top = one if a == MINUS_INF else BU.series.retrunc(N)
+        check_theta(fq, theta)
+        top = one if a == MINUS_INF else BU.series
         return top, one, top
-    ladder, a = slope_ladder(BU, theta, N), Fraction(a)
-    upto = below = BU.series.retrunc(N)
+    ladder, a = slope_ladder(BU, theta), Fraction(a)
+    upto = below = BU.series
     piece = one
     for mu, B, rest in ladder:
         if mu < a:
@@ -109,24 +110,18 @@ def ladder_at(BU: UniversalSeries, theta, N: int, a) -> tuple:
     return upto, piece, below
 
 
-def hn_factorize(BU: UniversalSeries, theta, N: int) -> dict:
+def hn_factorize(BU: UniversalSeries, theta) -> dict:
     """Split B_U into slope pieces: a new dict {mu: B_mu}, mu increasing,
     constant terms 1, read off slope_ladder."""
-    return {mu: piece for mu, piece, _ in reversed(slope_ladder(BU, theta, N))}
+    return {mu: piece for mu, piece, _ in reversed(slope_ladder(BU, theta))}
 
 
-def _checked(BU: UniversalSeries, theta, N: int) -> tuple:
-    if N > BU.series.trunc:
-        raise ValueError(f"N = {N} exceeds the series truncation {BU.series.trunc}")
-    return check_theta(BU.series.fq, theta)
-
-
-def _hn_split(series: TorusSeries, theta: tuple, N: int) -> tuple:
+def _hn_split(series: TorusSeries, theta: tuple) -> tuple:
     # A product of classes of slope <= mu has slope mu only when every factor
     # has, so the top piece of a rest is the rest cut to its top slope (and
     # the constant 1), and the rest below it is piece^{-1} . rest, one left solve.
     slope = cache(partial(theta_slope, theta))  # once per class
-    rest, one = series.retrunc(N), TorusSeries.one(series.fq, N)
+    rest, one = series, TorusSeries.one(series.fq, series.trunc)
     ladder = []
     while len(rest.coeffs) > 1:  # the constant term is 1 throughout
         top = max(slope(k) for k in rest.coeffs if any(k))
@@ -135,4 +130,3 @@ def _hn_split(series: TorusSeries, theta: tuple, N: int) -> tuple:
             torus_div(rest, piece, left=True)
         ladder.append((top, piece, rest))
     return tuple(ladder)
-

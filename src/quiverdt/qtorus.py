@@ -96,14 +96,6 @@ class TorusSeries(Record):
         return TorusSeries(self.fq, self.trunc,
                            {k: c for k, c in self.coeffs.items() if keep(k)})
 
-    def retrunc(self, n: int) -> "TorusSeries":
-        """The same series in a smaller region (itself in the same one)."""
-        if n == self.trunc:
-            return self
-        if n > self.trunc:
-            raise ValueError(f"cannot grow the truncation region from {self.trunc} to {n}")
-        return TorusSeries(self.fq, n, dict(self.coeffs))
-
     def map_coeffs(self, f) -> "TorusSeries":
         return TorusSeries(self.fq, self.trunc,
                            {k: f(k, c) for k, c in self.coeffs.items()})

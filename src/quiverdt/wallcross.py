@@ -4,13 +4,14 @@ Everything framed is stored star-0: the framing coordinate and its
 automorphism factor are stripped once and for all, so a framed series lives
 in the same torus as B_U (keys are dimension vectors) and the wall-crossing
 identities read as products of ordinary series twisted by S_nu, the one
-place the framing enters.  Every function reads the quiver and its framing
-off the series it is given (B_U's for a UniversalSeries), and B_U's slope
-factors off hn.ladder_at.  One product form, S_nu(P) . S_{-nu}(Q)^{-1}
-(_crossing), gives the transfer series C_mu, framed series A at any level,
-both infinities too, the same series carried across its wall
-(general_wallcross) and, twisted by S_nu, the cyclic-stability series and
-smooth-model motives; dt_omega gives the series Omega of DT invariants.
+place the framing enters.  Every function reads the quiver, its framing and
+the truncation off the series it is given (B_U's for a UniversalSeries),
+and B_U's slope factors off hn.ladder_at.  One product form,
+S_nu(P) . S_{-nu}(Q)^{-1} (_crossing), gives the transfer series C_mu,
+framed series A at any level, both infinities too, the same series carried
+across its wall (general_wallcross) and, twisted by S_nu, the
+cyclic-stability series and smooth-model motives; dt_omega gives the series
+Omega of DT invariants.
 """
 
 from fractions import Fraction
@@ -70,7 +71,7 @@ def general_wallcross(a_in: FramedSeries, BU: UniversalSeries, side: str) -> Fra
     if left or right:
         if a_in.mu is None:
             raise ValueError("crossing a wall needs a_in's slope class mu")
-        _, B, _ = ladder_at(BU, params.theta, out.trunc, a_in.mu)
+        _, B, _ = ladder_at(BU, params.theta, a_in.mu)
         if left:
             snu_b = s_twist(B, nu_weights(out.fq, 1))
             out = torus_mul(snu_b, out) if left > 0 else torus_div(out, snu_b, left=True)
@@ -88,7 +89,7 @@ def _on_slope_class(ser: TorusSeries, slope, mu) -> TorusSeries:
     return TorusSeries.one(ser.fq, ser.trunc) if ser.is_zero() else ser
 
 
-def _uniform(BU, theta, N, a, side, keep=None) -> TorusSeries:
+def _uniform(BU, theta, a, side, keep=None) -> TorusSeries:
     """The one-parameter framed series A^a assembled from slope factors.
 
     A^a = S_nu(P_{<=a}) . S_{-nu}(P_{<a})^{-1} where P is the
@@ -96,13 +97,12 @@ def _uniform(BU, theta, N, a, side, keep=None) -> TorusSeries:
     slope ladder by ladder_at; side plus uses the upper product on both
     sides, side minus the lower one.  keep goes to the solve (_crossing).
     """
-    upto, _, below = ladder_at(BU, theta, N, a)
+    upto, _, below = ladder_at(BU, theta, a)
     return _crossing(below if side == "minus" else upto,
                      upto if side == "plus" else below, keep)
 
 
-def framed_at(BU: UniversalSeries, theta, N: int, c, side: str = "exact",
-              mu=None) -> FramedSeries:
+def framed_at(BU: UniversalSeries, theta, c, side: str = "exact", mu=None) -> FramedSeries:
     """The framed series A at level c (or c plus/minus) and slope mu.
 
     Finite c gives the uniform series at a = mu on the mu slope class, the
@@ -112,7 +112,7 @@ def framed_at(BU: UniversalSeries, theta, N: int, c, side: str = "exact",
     """
     params = StabilityParams(theta, c, side)
     if not params.is_finite():
-        return FramedSeries(_uniform(BU, theta, N, params.c, side), params, None)
+        return FramedSeries(_uniform(BU, theta, params.c, side), params, None)
     if mu is None:
         raise ValueError("finite c needs a slope mu")
     mu = Fraction(mu)
@@ -120,7 +120,7 @@ def framed_at(BU: UniversalSeries, theta, N: int, c, side: str = "exact",
     # The divisor P_{<=mu} or P_{<mu} has classes of slope <= mu only, and
     # removing one never lowers a framed slope below mu, so the solve on the
     # classes of framed slope >= mu reads nothing else: only they are formed.
-    ser = _uniform(BU, theta, N, mu, side, lambda k: slope(k) >= mu)
+    ser = _uniform(BU, theta, mu, side, lambda k: slope(k) >= mu)
     return FramedSeries(_on_slope_class(ser, slope, mu), params, mu)
 
 
@@ -131,15 +131,15 @@ def ncdt(BU: UniversalSeries) -> TorusSeries:
     return s_twist(_crossing(B, B), nu_weights(B.fq, 1))
 
 
-def smooth_model_series(BU: UniversalSeries, theta, N: int, mu) -> TorusSeries:
+def smooth_model_series(BU: UniversalSeries, theta, mu) -> TorusSeries:
     """Generating series of smooth-model motives on one slope class, each
     [M] / (L-1) with its (-v)^T twist: (1/(L-1)) S_{2nu}(B_mu) . B_mu^{-1},
     formed as S_nu of the crossing form."""
-    _, B, _ = ladder_at(BU, theta, N, mu)
+    _, B, _ = ladder_at(BU, theta, mu)
     return s_twist(_crossing(B, B), nu_weights(B.fq, 1)).map_coeffs(lambda k, c: c / L_MINUS_1)
 
 
-def smooth_model_motive(BU: UniversalSeries, theta, N: int, alpha) -> Scalar:
+def smooth_model_motive(BU: UniversalSeries, theta, alpha) -> Scalar:
     """The motive [M] of the stable framed moduli space at alpha: the
     series coefficient times (L-1), so L+1 for the Kronecker class (1, 1).
 
@@ -150,9 +150,12 @@ def smooth_model_motive(BU: UniversalSeries, theta, N: int, alpha) -> Scalar:
     alpha = check_alpha(fq, alpha)
     if sum(alpha) == 0:
         raise ValueError("the zero class has no smooth model")
+    if sum(alpha) > BU.series.trunc:
+        raise ValueError(f"class {alpha} has degree {sum(alpha)}, above the series "
+                         f"truncation {BU.series.trunc}")
     theta = check_theta(fq, theta)
     mu = theta_slope(theta, alpha)
-    series = smooth_model_series(BU, theta, N, mu)
+    series = smooth_model_series(BU, theta, mu)
     bare = series.coeff(alpha) * L_MINUS_1
     return bare.times_neg_v_pow(-tits_form(fq, alpha))
 

@@ -140,7 +140,7 @@ def remultiply_check(parts: dict, BU) -> bool:
     """Re-multiply the slope pieces (decreasing slope) and compare with B_U."""
     series = BU.series
     fq, N = series.fq, series.trunc
-    prod = torus_product(fq, N, (parts[mu].retrunc(N) for mu in sorted(parts, reverse=True)))
+    prod = torus_product(fq, N, (parts[mu] for mu in sorted(parts, reverse=True)))
     return prod == series
 
 
@@ -164,7 +164,7 @@ def at_star0(f: TorusSeries) -> ref_qt.TorusSeries:
     return ref_qt.TorusSeries(f.fq, f.trunc, {ref_qt.ext(k): c for k, c in f.coeffs.items()})
 
 
-def star_one_rungs(BU, theta, N) -> list:
+def star_one_rungs(BU, theta) -> list:
     """[(mu, framed, normal)] over the rungs (mu, B_mu, Q) of the slope ladder.
 
     With P the rest one rung up (B_U above the top rung), framed is
@@ -173,10 +173,11 @@ def star_one_rungs(BU, theta, N) -> list:
     placed at star 0 with the framing line x* put back on its right.  The
     two agree on every rung when the star-0 normal form is right.
     """
-    fq = BU.series.fq
-    xs = ref_qt.TorusSeries.monomial(fq, N, (0,) * fq.n_vertices, star=1)
-    out, P = [], BU.series.retrunc(N)
-    for mu, _, Q in slope_ladder(BU, theta, N):
+    P = BU.series
+    fq = P.fq
+    xs = ref_qt.TorusSeries.monomial(fq, P.trunc, (0,) * fq.n_vertices, star=1)
+    out = []
+    for mu, _, Q in slope_ladder(BU, theta):
         framed = ref_qt.torus_mul(ref_qt.torus_mul(at_star0(P), xs),
                                   ref_qt.torus_inverse(at_star0(Q)))
         normal = ref_qt.torus_mul(at_star0(s_twist(_crossing(P, Q), nu_weights(fq, -1))), xs)

@@ -42,7 +42,7 @@ def test_criterion_2_one_loop_framed_moduli_are_affine_spaces():
     t0 = time.monotonic()
     fq = jordan_quiver()
     bu = universal_for(fq, 8)
-    motives = {n: smooth_model_motive(bu, (0,), 8, (n,)) for n in range(1, 9)}
+    motives = {n: smooth_model_motive(bu, (0,), (n,)) for n in range(1, 9)}
     for n in range(1, 9):
         assert motives[n] == L ** n
     for n in (1, 2, 3):
@@ -59,7 +59,7 @@ def test_criterion_3_series_coefficients_match_finite_field_counts():
              (loop_quiver(2), (0,)), (kronecker_quiver(), (1, 0))]
     for fq, theta in cases:
         bu = universal_trivial(fq, 3)
-        parts = hn_factorize(bu, theta, 3)
+        parts = hn_factorize(bu, theta)
         sp = StabilityParams(theta)
         for alpha in dim_vectors_up_to(fq.n_vertices, 3):
             if not sum(alpha):
@@ -86,11 +86,11 @@ def test_criterion_4_wall_crossing_identities_hold_termwise():
               (kronecker_quiver(), (1, 0), Fraction(1, 2))]
     for fq, theta, mu in setups:
         bu = universal_for(fq, N)
-        parts = hn_factorize(bu, theta, N)
+        parts = hn_factorize(bu, theta)
         B = parts[mu]
-        a_minus = framed_at(bu, theta, N, mu, "minus", mu)
-        a_exact = framed_at(bu, theta, N, mu, "exact", mu)
-        a_plus = framed_at(bu, theta, N, mu, "plus", mu)
+        a_minus = framed_at(bu, theta, mu, "minus", mu)
+        a_exact = framed_at(bu, theta, mu, "exact", mu)
+        a_plus = framed_at(bu, theta, mu, "plus", mu)
         snu = s_twist(B, nu_weights(fq, 1))
         sdn = s_twist(B, nu_weights(fq, -1))
         assert a_exact.series == torus_mul(snu, a_minus.series)
@@ -101,7 +101,7 @@ def test_criterion_4_wall_crossing_identities_hold_termwise():
             below = transfer_slope_product(fq, parts, N, lambda b: b < mu)
             above = transfer_slope_product(fq, parts, N, lambda b: b > mu)
             thru = transfer_slope_product(fq, parts, N, lambda b: b <= mu)
-            top = framed_at(bu, theta, N, PLUS_INF).series
+            top = framed_at(bu, theta, PLUS_INF).series
             lifted = torus_div(top, above, left=True)
             assert truncate_tau(below, theta, mu, mu) == a_minus.series
             assert truncate_tau(lifted, theta, mu, mu) == a_plus.series
@@ -135,7 +135,7 @@ def test_criterion_5_inversion_round_trips():
 
     for fq2, theta in [(kronecker_quiver(), (1, 0)), (conifold_quiver(), (1, 0))]:
         bu = universal_for(fq2, N)
-        assert remultiply_check(hn_factorize(bu, theta, N), bu)
+        assert remultiply_check(hn_factorize(bu, theta), bu)
 
     co = conifold_quiver()
     bu = universal_for(co, N)

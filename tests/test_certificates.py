@@ -80,7 +80,7 @@ def test_kronecker_closed_form():
     N = 8
     fq = kronecker_quiver()
     omega = {}
-    for piece in hn_factorize(universal_for(fq, N), (1, 0), N).values():
+    for piece in hn_factorize(universal_for(fq, N), (1, 0)).values():
         omega.update((a, om) for a, om in dt_omega(piece).coeffs.items() if om)
     real = {(1, 0), (0, 1)} | {r for n in range(1, N) for r in ((n + 1, n), (n, n + 1))
                                if sum(r) <= N}
@@ -233,7 +233,7 @@ def _classes(fq: FramedQuiver, top: int):
 def check_reineke_hn(fq: FramedQuiver, theta, N: int) -> int:
     """Every HN piece at theta against reineke_hn, at every class d with
     0 < |d| <= N; returns the number of nonzero piece coefficients."""
-    pieces = hn_factorize(universal_for(fq, N), theta, N)
+    pieces = hn_factorize(universal_for(fq, N), theta)
     seen = 0
     for d in _classes(fq, N):
         mu = Fraction(sum(t * x for t, x in zip(theta, d)), sum(d))
@@ -273,7 +273,7 @@ def check_framed_oracle(fq: FramedQuiver, theta, top: int, qs) -> int:
         for c in find_walls(fq, theta, alpha):
             mu = theta_slope(theta, alpha, c)
             for side in SIDES:
-                coeff = framed_at(bu, theta, top, c, side, mu).series.coeff(alpha)
+                coeff = framed_at(bu, theta, c, side, mu).series.coeff(alpha)
                 sp = StabilityParams(theta, c, side)
                 for q in qs:
                     count = (q - 1) * count_stack(fq, alpha, sp, q, framed=True)
@@ -293,7 +293,7 @@ def check_smooth_models(fq: FramedQuiver, theta, N: int, top: int, qs) -> tuple:
     bu = universal_for(fq, N)
     motives = counts = 0
     for alpha in _classes(fq, N):
-        motive = smooth_model_motive(bu, theta, N, alpha)
+        motive = smooth_model_motive(bu, theta, alpha)
         num = motive.num
         assert motive.den == (1,) and not any(num[1::2]), (alpha, motive)
         assert all(c >= 0 and c.denominator == 1 for c in num), (alpha, motive)

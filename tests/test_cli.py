@@ -141,8 +141,7 @@ class TestOutputShapes:
         assert "slope_1_2.txt" in names
         assert "alpha=1,1;star=0;coeff=" in (out_dir / "slope_1_2.txt").read_text()
         # each file holds its piece, serialized, and nothing else
-        pieces = hn_factorize(universal_for(load_quiver_file(quiver("kronecker")), 3),
-                              (1, 0), 3)
+        pieces = hn_factorize(universal_for(load_quiver_file(quiver("kronecker")), 3), (1, 0))
         files = {f"slope_{str(mu).replace('/', '_')}.txt": serialize(piece) + "\n"
                  for mu, piece in pieces.items()}
         assert sorted(names) == sorted(files) == sorted(p.name for p in out_dir.iterdir())

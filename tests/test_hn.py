@@ -66,10 +66,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="^N = -1 is negative$"):
             universal_for(fq, -1)
 
-    def test_negative_trunc_refused_by_the_split(self):
-        with pytest.raises(ValueError, match="^N = -1 is negative$"):
-            hn_factorize(universal_for(kronecker_quiver(), 3), (1, 0), -1)
-
 
 class TestBuiltins:
     # a potential is refused on arrows of the wrong shape when the quiver is built
@@ -105,20 +101,20 @@ class TestBuiltins:
 class TestFactorization:
     def test_single_slope_is_whole_series(self):
         bu = universal_trivial(jordan_quiver(), 3)
-        parts = hn_factorize(bu, (0,), 3)
+        parts = hn_factorize(bu, (0,))
         assert set(parts) == {Fraction(0)}
         assert parts[Fraction(0)] == bu.series
 
     def test_kronecker_known_pieces(self):
         bu = universal_trivial(kronecker_quiver(), 3)
-        parts = hn_factorize(bu, (1, 0), 3)
+        parts = hn_factorize(bu, (1, 0))
         assert parts[Fraction(1, 2)].coeff((1, 1)) == (L + 1) / (L - 1)
         assert parts[Fraction(2, 3)].coeff((2, 1)) == -V / (L - 1)
         assert parts[Fraction(1)].coeff((1, 0)) == -V / (L - 1)
 
     def test_pieces_are_pure_slope(self):
         bu = universal_trivial(kronecker_quiver(), 3)
-        for mu, piece in hn_factorize(bu, (1, 0), 3).items():
+        for mu, piece in hn_factorize(bu, (1, 0)).items():
             for key in sorted(piece.coeffs):
                 n = sum(key)
                 if n:
@@ -126,7 +122,7 @@ class TestFactorization:
 
     def test_supports_partition_classes(self):
         bu = universal_trivial(kronecker_quiver(), 3)
-        parts = hn_factorize(bu, (1, 0), 3)
+        parts = hn_factorize(bu, (1, 0))
         seen = []
         for piece in parts.values():
             seen += [k for k in sorted(piece.coeffs) if sum(k)]
@@ -134,7 +130,7 @@ class TestFactorization:
 
     def test_constant_terms_one(self):
         bu = universal_trivial(kronecker_quiver(), 3)
-        for piece in hn_factorize(bu, (1, 0), 3).values():
+        for piece in hn_factorize(bu, (1, 0)).values():
             assert piece.constant_term() == ONE
 
     @pytest.mark.parametrize("theta, got", [((1,), 1), ((1, 0, 2), 3)])
@@ -142,12 +138,7 @@ class TestFactorization:
         bu = universal_trivial(kronecker_quiver(), 3)
         with pytest.raises(ValueError, match=f"^theta must list one weight per vertex: "
                                              f"got {got} for 2 vertices$"):
-            hn_factorize(bu, theta, 3)
-
-    def test_trunc_guard(self):
-        bu = universal_trivial(jordan_quiver(), 2)
-        with pytest.raises(ValueError, match="^N = 3 exceeds the series truncation 2$"):
-            hn_factorize(bu, (0,), 3)
+            hn_factorize(bu, theta)
 
 
 class TestRemultiply:
@@ -157,12 +148,12 @@ class TestRemultiply:
                           (conifold_quiver(), (1, 0)),
                           (loop_quiver(2), (0,))]:
             bu = universal_for(fq, 4)
-            parts = hn_factorize(bu, theta, 4)
+            parts = hn_factorize(bu, theta)
             assert remultiply_check(parts, bu)
 
     def test_rejects_perturbation(self):
         bu = universal_trivial(kronecker_quiver(), 3)
-        parts = hn_factorize(bu, (1, 0), 3)
+        parts = hn_factorize(bu, (1, 0))
         mu = Fraction(1, 2)
         bad = series_sum(parts[mu], TorusSeries.monomial(bu.series.fq, 3, (1, 1)))
         assert not remultiply_check({**parts, mu: bad}, bu)
@@ -170,28 +161,28 @@ class TestRemultiply:
     def test_order_matters(self):
         # multiplying in increasing slope order must not reproduce B_U
         bu = universal_trivial(kronecker_quiver(), 3)
-        parts = hn_factorize(bu, (1, 0), 3)
+        parts = hn_factorize(bu, (1, 0))
         flipped = {-mu: piece for mu, piece in parts.items()}
         assert not remultiply_check(flipped, bu)
 
 
 class TestSplitOnce:
-    """hn_factorize splits each (theta, N) once per UniversalSeries."""
+    """hn_factorize splits each theta once per UniversalSeries."""
 
     def test_second_call_equal_in_new_dict(self):
         bu = universal_trivial(kronecker_quiver(), 3)
-        first, second = hn_factorize(bu, (1, 0), 3), hn_factorize(bu, (1, 0), 3)
+        first, second = hn_factorize(bu, (1, 0)), hn_factorize(bu, (1, 0))
         assert first == second and first is not second
         assert list(first) == list(second)
         assert all(first[mu] is second[mu] for mu in first)
 
     def test_mutating_a_result_does_not_leak(self):
         bu = universal_trivial(kronecker_quiver(), 3)
-        first = hn_factorize(bu, (1, 0), 3)
+        first = hn_factorize(bu, (1, 0))
         want = dict(first)
         first.pop(Fraction(1, 2))
         first[Fraction(7)] = TorusSeries.one(bu.series.fq, 3)
-        assert hn_factorize(bu, (1, 0), 3) == want
+        assert hn_factorize(bu, (1, 0)) == want
 
     def test_int_and_fraction_theta_share_an_entry(self, monkeypatch):
         import quiverdt.hn as hn
@@ -199,24 +190,34 @@ class TestSplitOnce:
         split = hn._hn_split
         monkeypatch.setattr(hn, "_hn_split", lambda *a: calls.append(a) or split(*a))
         bu = universal_trivial(kronecker_quiver(), 3)
-        ints = hn_factorize(bu, (1, 0), 3)
-        fracs = hn_factorize(bu, (Fraction(1), Fraction(0, 5)), 3)
+        ints = hn_factorize(bu, (1, 0))
+        fracs = hn_factorize(bu, (Fraction(1), Fraction(0, 5)))
         assert ints == fracs and len(calls) == 1
-        hn_factorize(bu, (1, 0), 2)
-        hn_factorize(bu, (Fraction(1, 2), 0), 3)
-        assert len(calls) == 3
+        hn_factorize(bu, (Fraction(1, 2), 0))
+        assert len(calls) == 2
+        assert set(bu._hn) == {(1, 0), (Fraction(1, 2), 0)}
 
     def test_equality_and_repr_ignore_the_memo(self):
         used, fresh = (universal_trivial(kronecker_quiver(), 3) for _ in range(2))
-        hn_factorize(used, (1, 0), 3)
+        hn_factorize(used, (1, 0))
         assert used == fresh
         assert repr(used) == repr(fresh) == \
             f"UniversalSeries(series={fresh.series!r})"
 
-    def test_smaller_N_matches_a_fresh_series(self):
-        big = universal_for(kronecker_quiver(), 5)
-        small = universal_for(kronecker_quiver(), 3)
-        assert hn_factorize(big, (1, 0), 3) == hn_factorize(small, (1, 0), 3)
+    def test_split_is_compatible_with_truncation(self):
+        # the ideal of degree > 3 is two-sided: each piece at N = 5 cut to
+        # N = 3 is the piece at N = 3, and a slope with no class of degree
+        # <= 3 (2/5 and 3/5 at theta = (1, 0)) cuts to 1
+        fq = kronecker_quiver()
+        big = hn_factorize(universal_for(fq, 5), (1, 0))
+        small = hn_factorize(universal_for(fq, 3), (1, 0))
+        one = TorusSeries.one(fq, 3)
+        assert set(small) < set(big)
+        for mu, piece in big.items():
+            cut = TorusSeries(fq, 3, piece.coeffs)
+            assert cut == small.get(mu, one), mu
+        assert {mu for mu in big if mu not in small} == \
+            {Fraction(2, 5), Fraction(3, 5)}
 
 
 

@@ -57,10 +57,10 @@ def check_split(fq, theta, N):
     the reference; returns the universal series it split."""
     bu = universal_for(fq, N)
     want = ref.hn_split(bu.series, tuple(Fraction(t) for t in theta), N)
-    got = hn_factorize(bu, theta, N)
+    got = hn_factorize(bu, theta)
     assert got == want and list(got) == list(want)
     # each rest is the decreasing product of the pieces below it, the last is 1
-    ladder = slope_ladder(bu, theta, N)
+    ladder = slope_ladder(bu, theta)
     for i, (mu, piece, rest) in enumerate(ladder):
         assert piece is got[mu]
         assert rest == torus_product(fq, N, [p for _, p, _ in ladder[i + 1:]])
@@ -70,15 +70,15 @@ def check_split(fq, theta, N):
     # below a, P_<=a = B_a . P_<a, and B_a is 1 off the rungs
     one = TorusSeries.one(fq, N)
     for a in slopes + between(slopes):
-        upto, piece, below = ladder_at(bu, theta, N, a)
+        upto, piece, below = ladder_at(bu, theta, a)
         assert piece == got.get(a, one), a
         assert upto == torus_mul(piece, below), a
         assert below == torus_product(fq, N, [want[b] for b in reversed(slopes) if b < a]), a
-    assert ladder_at(bu, theta, N, PLUS_INF) == (bu.series, one, bu.series)
-    assert ladder_at(bu, theta, N, MINUS_INF) == (one, one, one)
+    assert ladder_at(bu, theta, PLUS_INF) == (bu.series, one, bu.series)
+    assert ladder_at(bu, theta, MINUS_INF) == (one, one, one)
     for a in [PLUS_INF, MINUS_INF] + slopes + between(slopes):
         for side in SIDES:
-            assert _uniform(bu, theta, N, a, side) == \
+            assert _uniform(bu, theta, a, side) == \
                 ref._uniform(fq, want, N, a, side), (a, side)
     return bu
 
@@ -100,7 +100,7 @@ def check_walls(fq, theta, N, alphas) -> None:
             levels.add((c, theta_slope(theta, alpha, c)))
     for c, mu in sorted(levels):
         for side in SIDES:
-            got = framed_at(bu, theta, N, c, side, mu).series
+            got = framed_at(bu, theta, c, side, mu).series
             assert got == ref.framed_at(fq, parts, theta, N, c, side, mu), (c, mu, side)
 
 
@@ -116,16 +116,16 @@ def test_infinities_and_empty_slope_classes(name, fq, thetas, _, N):
     bu = universal_for(fq, N)
     one = TorusSeries.one(fq, N)
     for theta in thetas:
-        assert _uniform(bu, theta, N, MINUS_INF, "exact") == one
-        assert _uniform(bu, theta, N, PLUS_INF, "exact") == \
-            framed_at(bu, theta, N, PLUS_INF).series
+        assert _uniform(bu, theta, MINUS_INF, "exact") == one
+        assert _uniform(bu, theta, PLUS_INF, "exact") == \
+            framed_at(bu, theta, PLUS_INF).series
         parts = ref.hn_split(bu.series, tuple(Fraction(t) for t in theta), N)
         # a slope class with no piece: far above and below every slope, and
         # between two slopes
         for mu in between(sorted(parts)):
             for c in (mu, mu + 1):
                 for side in SIDES:
-                    got = framed_at(bu, theta, N, c, side, mu).series
+                    got = framed_at(bu, theta, c, side, mu).series
                     assert got == ref.framed_at(fq, parts, theta, N, c, side, mu)
 
 
@@ -148,11 +148,11 @@ def test_random_quivers(case):
     at every wall of one class."""
     fq, theta, N, alpha = case
     bu = check_split(fq, theta, N)
-    parts = hn_factorize(bu, theta, N)
+    parts = hn_factorize(bu, theta)
     assert remultiply_check(parts, bu)
     for c in find_walls(fq, theta, alpha):
         mu = theta_slope(theta, alpha, c)
-        minus, exact, plus = (framed_at(bu, theta, N, c, side, mu).series
+        minus, exact, plus = (framed_at(bu, theta, c, side, mu).series
                               for side in ("minus", "exact", "plus"))
         B = parts.get(mu, TorusSeries.one(fq, N))
 

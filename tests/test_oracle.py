@@ -185,7 +185,7 @@ class TestCountSemistable:
 
     def test_matches_hn_pieces(self):
         bu = universal_trivial(KRON, 3)
-        parts = hn_factorize(bu, (1, 0), 3)
+        parts = hn_factorize(bu, (1, 0))
         for alpha, mu in [((1, 1), HALF), ((2, 1), Fraction(2, 3))]:
             chi = tits_form(KRON, alpha)
             n = count_stack(KRON, alpha, StabilityParams((1, 0)), 2)
@@ -279,7 +279,7 @@ class TestVerifyCoefficient:
         Fractions."""
         N = 4
         bu = universal_for(fq, N)
-        parts = hn_factorize(bu, theta, N)
+        parts = hn_factorize(bu, theta)
         classes = [a for a in dim_vectors_up_to(fq.n_vertices, N) if sum(a)]
         coeffs = [(a, bu.series.coeff(a)) for a in classes] + \
             [(a, parts[theta_slope(theta, a)].coeff(a)) for a in classes

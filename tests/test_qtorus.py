@@ -262,13 +262,6 @@ class TestSeriesBasics:
         f = TorusSeries(KRON, N, {(1, 0): Scalar.of(0)})
         assert f.is_zero() and sorted(f.coeffs) == []
 
-    def test_retrunc(self):
-        f = TorusSeries(JORDAN, 4, {(n,): ONE for n in range(5)})
-        g = f.retrunc(2)
-        assert g.trunc == 2 and sorted(g.coeffs) == [(0,), (1,), (2,)]
-        with pytest.raises(ValueError, match="^cannot grow the truncation region from 4 to 5$"):
-            f.retrunc(5)
-
     def test_out_of_region_keys_dropped_on_build(self):
         f = TorusSeries(JORDAN, 2, {(3,): ONE})
         assert f.is_zero()

@@ -369,7 +369,7 @@ def test_framed_slope_line(name, fq, thetas, _, N):
         levels |= {(c, mu) for mu in hn_ref.between(sorted(parts)) for c in (mu, mu + 1)}
         for c, mu in sorted(levels):
             for side in SIDES:
-                got = framed_at(bu, theta, N, c, side, mu).series
+                got = framed_at(bu, theta, c, side, mu).series
                 assert got.coeffs == reference_framed(fq, parts, theta, N, c, side, mu), \
                     (theta, c, mu, side)
 
@@ -381,12 +381,12 @@ def test_wallcross_onto_the_minus_side(fq):
     A_exact = A_plus . S_{-nu}(B) on the plus side."""
     N = 5
     bu = universal_for(fq, N)
-    B = hn_factorize(bu, (1, 0), N)[HALF]
+    B = hn_factorize(bu, (1, 0))[HALF]
     rb = at_star0(B)
     snu_inv = ref.torus_inverse(ref.s_twist(rb, ref.nu_weights(fq, 1)))
     sdn = ref.s_twist(rb, ref.nu_weights(fq, -1))
     for src in ("exact", "plus"):
-        a = framed_at(bu, (1, 0), N, HALF, src, HALF)
+        a = framed_at(bu, (1, 0), HALF, src, HALF)
         exact = at_star0(a.series)
         if src == "plus":
             exact = ref.torus_mul(exact, sdn)
@@ -403,7 +403,7 @@ def test_star_zero_normal_form(fq, theta, N):
     rung up: P . x* . Q^{-1} in the star-1 torus equals
     S_{-nu}(_crossing(P, Q)) . x*, the production series placed at star 0.
     Any other twist on the left (-2, 0, 1, 2 times nu) breaks it."""
-    rungs = ref_hn.star_one_rungs(universal_for(fq, N), theta, N)
+    rungs = ref_hn.star_one_rungs(universal_for(fq, N), theta)
     assert rungs
     for mu, framed, normal in rungs:
         assert framed == normal, mu

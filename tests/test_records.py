@@ -45,13 +45,13 @@ class TestRepr:
     def test_universal_series_leaves_out_the_memo(self):
         bu = _jordan_bu()
         before = repr(bu)
-        hn_factorize(bu, (0,), 1)
+        hn_factorize(bu, (0,))
         assert repr(bu) == before == (
             "UniversalSeries(series=TorusSeries(N=1, {(0,): (1)/(1), "
             "(1,): (v^2)/(v^2-1)}))")
 
     def test_framed_series(self):
-        fs = framed_at(_jordan_bu(), (0,), 1, 0, "plus", 0)
+        fs = framed_at(_jordan_bu(), (0,), 0, "plus", 0)
         assert repr(fs) == (
             "FramedSeries(series=TorusSeries(N=1, {(0,): (1)/(1), (1,): (-v)/(1)}), "
             "params=StabilityParams(theta=(Fraction(0, 1),), c=Fraction(0, 1), "
@@ -107,7 +107,7 @@ class TestValueSemantics:
 
     def test_memo_stays_out_of_equality(self):
         a, b = _jordan_bu(), _jordan_bu()
-        hn_factorize(a, (0,), 1)
+        hn_factorize(a, (0,))
         assert a == b
 
     @pytest.mark.parametrize("make, name", [

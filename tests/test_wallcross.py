@@ -49,7 +49,7 @@ class TestTransferSeries:
     def test_slope_product_filters(self):
         fq = conifold_quiver()
         bu = universal_for(fq, 4)
-        parts = hn_factorize(bu, (1, 0), 4)
+        parts = hn_factorize(bu, (1, 0))
         whole = transfer_slope_product(fq, parts, 4, lambda b: True)
         below = transfer_slope_product(fq, parts, 4, lambda b: b < HALF)
         at = transfer_slope_product(fq, parts, 4, lambda b: b == HALF)
@@ -88,7 +88,7 @@ class TestSlopeProducts:
 
     def setup_method(self):
         self.bu = universal_for(KRON, 4)
-        self.parts = hn_factorize(self.bu, (1, 0), 4)
+        self.parts = hn_factorize(self.bu, (1, 0))
         self.slopes = sorted(self.parts, reverse=True)
 
     def test_split_solves_once_per_rung(self, monkeypatch):
@@ -97,7 +97,7 @@ class TestSlopeProducts:
         bu = universal_for(KRON, 5)
         calls = count_calls(monkeypatch)
         divs = count_calls(monkeypatch, "torus_div")
-        ladder = slope_ladder(bu, (1, 0), 5)
+        ladder = slope_ladder(bu, (1, 0))
         assert len(ladder) > 2 and ladder[-1][2] == TorusSeries.one(KRON, 5)
         assert (len(calls), len(divs)) == (0, len(ladder) - 1)
 
@@ -114,7 +114,7 @@ class TestSlopeProducts:
         for a in levels:
             calls.clear()
             divs.clear()
-            assert _uniform(self.bu, (1, 0), 4, a, "exact") == want[a]
+            assert _uniform(self.bu, (1, 0), a, "exact") == want[a]
             # P_<a and P_<=a come off the memoized slope ladder: one solve
             assert (len(calls), len(divs)) == (0, 1)
 
@@ -122,9 +122,9 @@ class TestSlopeProducts:
 class TestGeneralWallcross:
     def setup_method(self):
         self.bu = universal_for(KRON, 4)
-        self.a_minus = framed_at(self.bu, (1, 0), 4, HALF, "minus", HALF)
-        self.a_exact = framed_at(self.bu, (1, 0), 4, HALF, "exact", HALF)
-        self.a_plus = framed_at(self.bu, (1, 0), 4, HALF, "plus", HALF)
+        self.a_minus = framed_at(self.bu, (1, 0), HALF, "minus", HALF)
+        self.a_exact = framed_at(self.bu, (1, 0), HALF, "exact", HALF)
+        self.a_plus = framed_at(self.bu, (1, 0), HALF, "plus", HALF)
 
     def test_unknown_side(self):
         with pytest.raises(ValueError, match="side must be one of"):
@@ -178,7 +178,7 @@ def wall_sides(request):
     walls = {}
     for c in find_walls(fq, (1, 0), (1, 1)):
         mu = theta_slope((1, 0), (1, 1), c)
-        walls[c] = {side: framed_at(bu, (1, 0), 4, c, side, mu) for side in SIDES}
+        walls[c] = {side: framed_at(bu, (1, 0), c, side, mu) for side in SIDES}
     assert sorted(walls) == [-1, HALF, 2]
     return bu, walls
 
@@ -195,25 +195,25 @@ def test_direction_maps_source_side_to_target_side(wall_sides, src, dst):
 class TestUniformSeries:
     def test_below_all_walls(self):
         bu = universal_for(KRON, 3)
-        assert _uniform(bu, (1, 0), 3, MINUS_INF, "exact") == \
+        assert _uniform(bu, (1, 0), MINUS_INF, "exact") == \
             TorusSeries.one(KRON, 3)
 
     def test_above_all_walls(self):
         bu = universal_for(KRON, 3)
-        top = _uniform(bu, (1, 0), 3, PLUS_INF, "exact")
-        assert top == framed_at(bu, (1, 0), 3, PLUS_INF).series
+        top = _uniform(bu, (1, 0), PLUS_INF, "exact")
+        assert top == framed_at(bu, (1, 0), PLUS_INF).series
 
     def test_sides_agree_off_the_slopes(self):
         bu = universal_for(KRON, 3)
         a = Fraction(9, 10)  # not a slope of any class
-        exact = _uniform(bu, (1, 0), 3, a, "exact")
-        assert _uniform(bu, (1, 0), 3, a, "plus") == exact
-        assert _uniform(bu, (1, 0), 3, a, "minus") == exact
+        exact = _uniform(bu, (1, 0), a, "exact")
+        assert _uniform(bu, (1, 0), a, "plus") == exact
+        assert _uniform(bu, (1, 0), a, "minus") == exact
 
     @pytest.mark.parametrize("side", ["minus", "exact", "plus"])
     def test_slope_products_on_a_slope(self, side):
         bu = universal_for(KRON, 4)
-        parts = hn_factorize(bu, (1, 0), 4)
+        parts = hn_factorize(bu, (1, 0))
 
         def product(keep):  # decreasing slope, left to right
             out = TorusSeries.one(KRON, 4)
@@ -227,96 +227,90 @@ class TestUniformSeries:
         right = upto if side == "plus" else below
         want = torus_mul(s_twist(left, nu_weights(KRON, 1)),
                          inverse(s_twist(right, nu_weights(KRON, -1))))
-        assert _uniform(bu, (1, 0), 4, HALF, side) == want
+        assert _uniform(bu, (1, 0), HALF, side) == want
 
     def test_sides_differ_on_a_slope(self):
         bu = universal_for(KRON, 3)
-        plus = _uniform(bu, (1, 0), 3, HALF, "plus")
-        minus = _uniform(bu, (1, 0), 3, HALF, "minus")
+        plus = _uniform(bu, (1, 0), HALF, "plus")
+        minus = _uniform(bu, (1, 0), HALF, "minus")
         assert plus != minus
 
 
 class TestFramedAt:
     def test_minus_infinity(self):
         bu = jordan_BU()
-        a = framed_at(bu, (0,), 4, MINUS_INF)
+        a = framed_at(bu, (0,), MINUS_INF)
         assert a.series == TorusSeries.one(JORDAN, 4)
         assert not a.params.is_finite()
 
     def test_plus_infinity_matches_cyclic(self):
         bu = jordan_BU()
-        a = framed_at(bu, (0,), 4, PLUS_INF)
+        a = framed_at(bu, (0,), PLUS_INF)
         assert s_twist(a.series, nu_weights(JORDAN, 1)) == ncdt(bu)
 
     def test_jordan_above_the_wall(self):
         bu = jordan_BU()
-        a = framed_at(bu, (0,), 4, 0, "plus", 0)
+        a = framed_at(bu, (0,), 0, "plus", 0)
         assert [a.series.coeff((n,)) for n in range(4)] == \
             [ONE, -V, V ** 2, -(V ** 3)]
-        assert a.series == framed_at(bu, (0,), 4, PLUS_INF).series
+        assert a.series == framed_at(bu, (0,), PLUS_INF).series
 
     @pytest.mark.parametrize("c", [PLUS_INF, MINUS_INF, HALF],
                              ids=["plus_inf", "minus_inf", "finite"])
     def test_refuses_short_theta(self, c):
         with pytest.raises(ValueError, match="^theta must list one weight per vertex: "
                                              "got 1 for 2 vertices$"):
-            framed_at(universal_for(KRON, 3), (1,), 3, c, "exact", HALF)
+            framed_at(universal_for(KRON, 3), (1,), c, "exact", HALF)
 
     def test_infinities_leave_b_u_unsplit(self):
         bu = universal_for(KRON, 4)
         for a in (PLUS_INF, MINUS_INF):
-            ladder_at(bu, (1, 0), 4, a)
-            framed_at(bu, (1, 0), 4, a)
-            _uniform(bu, (1, 0), 4, a, "exact")
+            ladder_at(bu, (1, 0), a)
+            framed_at(bu, (1, 0), a)
+            _uniform(bu, (1, 0), a, "exact")
         assert bu._hn == {}
 
     def test_finite_needs_mu(self):
         with pytest.raises(ValueError, match="slope mu"):
-            framed_at(jordan_BU(), (0,), 4, 0)
+            framed_at(jordan_BU(), (0,), 0)
 
     def test_empty_slope_class(self):
         bu = universal_for(KRON, 3)
-        a = framed_at(bu, (1, 0), 3, 0, "exact", 5)
+        a = framed_at(bu, (1, 0), 0, "exact", 5)
         assert a.series == TorusSeries.one(KRON, 3)
 
-    def test_trunc_guard_and_cut(self):
-        bu = jordan_BU(3)
-        with pytest.raises(ValueError, match="exceeds"):
-            framed_at(bu, (0,), 4, MINUS_INF)
-        a = framed_at(bu, (0,), 2, PLUS_INF)
-        assert a.series.trunc == 2
-
-    @pytest.mark.parametrize("c", [0, PLUS_INF], ids=["finite", "plus_inf"])
-    def test_negative_trunc_refused(self, c):
-        with pytest.raises(ValueError, match="^N = -1 is negative$"):
-            framed_at(universal_for(KRON, 3), (1, 0), -1, c, "exact", 0)
-
-    def test_smaller_N_matches_a_fresh_series(self, monkeypatch):
+    def test_compatible_with_truncation(self, monkeypatch):
+        # the ideal of degree > 3 is two-sided, so each series at N = 5 cut
+        # to N = 3 with the TorusSeries constructor is the series at N = 3
         import quiverdt.hn as hn
         calls = []
         split = hn._hn_split
         monkeypatch.setattr(hn, "_hn_split", lambda *a: calls.append(a) or split(*a))
         big, small = universal_for(KRON, 5), universal_for(KRON, 3)
+
+        def cut(ser):
+            return TorusSeries(KRON, 3, ser.coeffs)
+
         for c, side, mu in [(HALF, "minus", HALF), (HALF, "exact", HALF),
                             (HALF, "plus", HALF), (2, "exact", 1),
                             (PLUS_INF, "exact", None), (MINUS_INF, "exact", None)]:
-            assert framed_at(big, (1, 0), 3, c, side, mu) == \
-                framed_at(small, (1, 0), 3, c, side, mu)
+            assert cut(framed_at(big, (1, 0), c, side, mu).series) == \
+                framed_at(small, (1, 0), c, side, mu).series, (c, side)
         for mu in (HALF, Fraction(1), Fraction(2, 3)):
-            assert smooth_model_series(big, (1, 0), 3, mu) == \
-                smooth_model_series(small, (1, 0), 3, mu)
-        # one split of each universal series at N = 3, however many calls
+            assert cut(smooth_model_series(big, (1, 0), mu)) == \
+                smooth_model_series(small, (1, 0), mu)
+        # one split of each universal series, however many calls
         assert len(calls) == 2
 
 
 class TestWallCrossingTheorem:
     def test_kronecker_at_the_interior_wall(self):
         bu = universal_for(KRON, 4)
-        parts = hn_factorize(bu, (1, 0), 4)
+        parts = hn_factorize(bu, (1, 0))
         B = parts[HALF]
-        a_minus = framed_at(bu, (1, 0), 4, HALF, "minus", HALF).series
-        a_exact = framed_at(bu, (1, 0), 4, HALF, "exact", HALF).series
-        a_plus = framed_at(bu, (1, 0), 4, HALF, "plus", HALF).series
+        a_minus = framed_at(bu, (1, 0), HALF, "minus", HALF).series
+        a_exact = framed_at(bu, (1, 0), HALF, "exact", HALF).series
+        a_plus = framed_at(bu, (1, 0), HALF, "plus", HALF).series
         snu = s_twist(B, nu_weights(KRON, 1))
         sdn = s_twist(B, nu_weights(KRON, -1))
         assert a_exact == torus_mul(snu, a_minus)
@@ -326,10 +320,10 @@ class TestWallCrossingTheorem:
         fq = conifold_quiver()
         bu = universal_for(fq, 4)
         theta = (1, 0)
-        parts = hn_factorize(bu, theta, 4)
-        a_minus = framed_at(bu, theta, 4, HALF, "minus", HALF).series
-        a_plus = framed_at(bu, theta, 4, HALF, "plus", HALF).series
-        a_top = framed_at(bu, theta, 4, PLUS_INF).series
+        parts = hn_factorize(bu, theta)
+        a_minus = framed_at(bu, theta, HALF, "minus", HALF).series
+        a_plus = framed_at(bu, theta, HALF, "plus", HALF).series
+        a_top = framed_at(bu, theta, PLUS_INF).series
         below = transfer_slope_product(fq, parts, 4, lambda b: b < HALF)
         above = transfer_slope_product(fq, parts, 4, lambda b: b > HALF)
         thru = transfer_slope_product(fq, parts, 4, lambda b: b <= HALF)
@@ -378,8 +372,8 @@ def test_ncdt_and_smooth_models_are_the_cyclic_form(name):
     bu = universal_for(fq, N)
     assert ncdt(bu) == cyclic(bu.series)
     s = ONE / (L - 1)
-    for mu, piece in hn_factorize(bu, theta, N).items():
-        assert smooth_model_series(bu, theta, N, mu) == \
+    for mu, piece in hn_factorize(bu, theta).items():
+        assert smooth_model_series(bu, theta, mu) == \
             cyclic(piece).map_coeffs(lambda k, c: c * s), mu
 
 
@@ -403,18 +397,25 @@ class TestNCDT:
 class TestSmoothModel:
     def test_kronecker_motives(self):
         bu = universal_for(KRON, 3)
-        assert smooth_model_motive(bu, (1, 0), 3, (1, 1)) == L + 1
-        assert smooth_model_motive(bu, (1, 0), 3, (2, 1)) == L + 1
-        assert smooth_model_motive(bu, (1, 0), 3, (1, 0)) == ONE
+        assert smooth_model_motive(bu, (1, 0), (1, 1)) == L + 1
+        assert smooth_model_motive(bu, (1, 0), (2, 1)) == L + 1
+        assert smooth_model_motive(bu, (1, 0), (1, 0)) == ONE
 
     def test_jordan_affine_spaces(self):
         bu = jordan_BU()
         for n in range(1, 5):
-            assert smooth_model_motive(bu, (0,), 4, (n,)) == L ** n
+            assert smooth_model_motive(bu, (0,), (n,)) == L ** n
 
     def test_zero_class_refused(self):
         with pytest.raises(ValueError, match="no smooth model"):
-            smooth_model_motive(jordan_BU(), (0,), 4, (0,))
+            smooth_model_motive(jordan_BU(), (0,), (0,))
+
+    def test_class_above_the_truncation_refused(self):
+        # its coefficient is cut off, not 0: (2, 2) has motive L^2 + L + 1
+        with pytest.raises(ValueError, match=r"^class \(2, 2\) has degree 4, above the "
+                                             r"series truncation 3$"):
+            smooth_model_motive(universal_for(KRON, 3), (1, 0), (2, 2))
+        assert smooth_model_motive(universal_for(KRON, 4), (1, 0), (2, 2)) == L * L + L + 1
 
     @pytest.mark.parametrize("theta, alpha, message", [
         ((1, 0), (1, 1, 0), "alpha must list one dimension per vertex: got 3 for 2 vertices"),
@@ -425,24 +426,20 @@ class TestSmoothModel:
     ])
     def test_refuses_bad_input(self, theta, alpha, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            smooth_model_motive(universal_for(KRON, 4), theta, 4, alpha)
-
-    def test_series_trunc_guard(self):
-        with pytest.raises(ValueError, match="^N = 4 exceeds the series truncation 3$"):
-            smooth_model_series(universal_for(KRON, 3), (1, 0), 4, HALF)
+            smooth_model_motive(universal_for(KRON, 4), theta, alpha)
 
     def test_series_carries_the_twist(self):
         bu = universal_for(KRON, 3)
-        ser = smooth_model_series(bu, (1, 0), 3, HALF)
+        ser = smooth_model_series(bu, (1, 0), HALF)
         alpha = (1, 1)
         t = tits_form(KRON, alpha)
         assert ser.coeff(alpha) * (L - 1) == \
-            Scalar.neg_v_pow(t) * smooth_model_motive(bu, (1, 0), 3, alpha)
+            Scalar.neg_v_pow(t) * smooth_model_motive(bu, (1, 0), alpha)
 
     def test_counts_points(self):
         from quiverdt.oracle import count_framed_stable
         bu = universal_for(KRON, 3)
-        got = smooth_model_motive(bu, (1, 0), 3, (1, 1)).specialize_L(2)
+        got = smooth_model_motive(bu, (1, 0), (1, 1)).specialize_L(2)
         assert got == count_framed_stable(KRON, (1, 1), (1, 0), HALF, "plus", 2)
 
 
