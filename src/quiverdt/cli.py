@@ -129,10 +129,10 @@ def _dispatch(job):
         return 0, "\n".join(name for *_, name in parts)
     if sub in ("omega", "transfer"):
         B = BU.series if job.mu is None else ladder_at(BU, theta, job.mu)[1]
-    if sub == "omega":  # tsv, or under --euler one line per class, also on one vertex
+    if sub == "omega":  # under --euler one line per class, also on one vertex
         om = dt_omega(B)
         if job.fmt != "euler":
-            return 0, format_series(om, "tsv")
+            return 0, format_series(om, job.fmt)
         return 0, "\n".join(f"{_fmt_alpha(k)}\t{c.specialize()}"
                             for k, c in _sorted_terms(om))
 

@@ -149,7 +149,8 @@ def load_quiver_file(path: str) -> FramedQuiver:
 
     arrows is a list of [i, j, multiplicity] entries; framing is the vector w.
     Every count and weight must be a JSON integer: a float, a bool (an int
-    subclass, hence `type(x) is int`) or a string is refused.
+    subclass, hence `type(x) is int`) or a string is refused, and so is any
+    other key, which would otherwise be ignored (a misspelt builtin_BU).
     """
     try:
         with open(path) as fh:
@@ -160,6 +161,10 @@ def load_quiver_file(path: str) -> FramedQuiver:
         raise QuiverFileError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise QuiverFileError(f"{path}: top level must be an object")
+    allowed = ("vertices", "arrows", "framing", "builtin_BU")
+    for key in raw:
+        if key not in allowed:
+            raise QuiverFileError(f"{path}: unknown key {key!r} (allowed: {', '.join(allowed)})")
     n = raw.get("vertices")
     if type(n) is not int:
         raise QuiverFileError(f"{path}: missing or bad 'vertices'")

@@ -6,17 +6,19 @@ motive L is v^2, so half-integer powers of L are integer powers of v.  Signs
 like (-L^(1/2))^k are produced at call sites via Scalar.neg_v_pow(k), and
 applied to a value as a shift by its times_neg_v_pow(k).
 
-A Scalar is stored as a pair of integer polynomials, numerator and
-denominator, in a canonical form: coprime over Q[v], the denominator's leading
-coefficient positive, and the integer content of the two together 1.  Equal
-values therefore have equal pairs.  Coprimality comes from the heuristic gcd
-of Char, Geddes and Gonnet (1989): evaluate both polynomials at a large
-integer xi, take the integer gcd, and read a candidate back from its balanced
-base-xi digits.  The candidate is accepted only if it divides both
-polynomials exactly; with xi > 2 min(|f|, |g|) + 1 for the max-norms, that
-proves it is the gcd.  When no xi succeeds, a primitive remainder sequence
-over Z finishes the job.  A monomial side needs no gcd: its only common
-factor with the other side is a power of v, which is cancelled first.
+A Scalar is stored as v^e n/d: an integer e and a pair of integer
+polynomials n and d, both with a nonzero constant term, so the power of v is
+kept apart from the polynomials.  The pair is in a canonical form: coprime
+over Q[v], the denominator's leading coefficient positive, and the integer
+content of the two together 1; zero is v^0 0/1.  Equal values therefore have
+equal triples, and a twist by (-v)^k only moves e.  Coprimality comes from
+the heuristic gcd of Char, Geddes and Gonnet (1989): evaluate both
+polynomials at a large integer xi, take the integer gcd, and read a candidate
+back from its balanced base-xi digits.  The candidate is accepted only if it
+divides both polynomials exactly; with xi > 2 min(|f|, |g|) + 1 for the
+max-norms, that proves it is the gcd.  When no xi succeeds, a primitive
+remainder sequence over Z finishes the job.  A constant side needs no gcd: no
+power of v is left in either polynomial for it to share.
 Products pack each polynomial into one integer (Kronecker substitution) so
 that CPython's big-integer multiply does the work.
 A sum goes over the lcm of its denominators, found from gcds of the
@@ -42,11 +44,10 @@ def _trim(cs):
     return tuple(cs[:n])
 
 
-def _padd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
+def _padd(a, b, s=0):
+    """a + v^s b for s >= 0."""
+    out = list(a) + [0] * (len(b) + s - len(a))
+    for i, c in enumerate(b, s):
         out[i] += c
     return _trim(out)
 
@@ -177,48 +178,43 @@ def _content(n, d):
     return n, d
 
 
-def _canonical(n, d):
-    """The canonical pair of n/d for integer polynomials n and d != 0."""
+def _low(p):
+    """(k, p / v^k) for the largest power v^k that divides p != 0."""
+    k = 0
+    while not p[k]:
+        k += 1
+    return k, p[k:]
+
+
+def _canonical(n, d, e=0):
+    """The canonical triple of v^e n/d for integer polynomials n and d != 0."""
     if not n:
-        return (), (1,)
-    if not (n[0] and d[0]):  # cancel the common power of v
-        k = 0
-        while not (n[k] or d[k]):
-            k += 1
-        n, d = n[k:], d[k:]
-    # a monomial's only common factor with the other side is a power of v
-    if any(n[:-1]) and any(d[:-1]):
+        return 0, (), (1,)
+    (a, n), (b, d) = _low(n), _low(d)
+    # with no power of v left, a constant side shares no factor with the other
+    if len(n) > 1 and len(d) > 1:
         n, d = _gcd_cofactors(n, d)
-    return _content(n, d)
+    return (e + a - b, *_content(n, d))
 
 
 def _acc_term(acc, a, b, k):
     """Add a*b*(-v)^k, unreduced, to acc, a {denominator: numerator sum} dict.
 
     a and b are Scalars and k an integer; the twist is a shift and a sign.
-    Denominators are keyed without their power of v, which moves into the
-    numerator: acc[d] = (e, n) stands for v^e n / d, e of either sign.
+    acc[d] = (e, n) stands for v^e n / d, in a Scalar's own form: d is a
+    product of Scalar denominators, so d(0) != 0 and the power of v of every
+    term is in e.  A group's terms align by shifting numerators to its lowest e.
     """
     n = _pmul(a._n, b._n)
     if not n:
         return
-    d = _pmul(a._d, b._d)
     if k & 1:
         n = tuple(-x for x in n)
-    z = 0
-    while not d[z]:
-        z += 1
-    if z:
-        d = d[z:]
-    e = k - z
+    e, d = a._e + b._e + k, _pmul(a._d, b._d)
     if d in acc:
         e0, n0 = acc[d]
-        if e < e0:
-            n0 = (0,) * (e0 - e) + n0
-        elif e > e0:
-            n = (0,) * (e - e0) + n
-            e = e0
-        n = _padd(n0, n)
+        n = _padd(n0, n, e - e0) if e >= e0 else _padd(n, n0, e0 - e)
+        e = min(e, e0)
     acc[d] = (e, n)
 
 
@@ -226,30 +222,22 @@ def _settle(acc, div=1):
     """The Scalar (sum over acc of v^e n / d) / div, for an integer div.
 
     The groups are brought to the lcm of their denominators, which needs
-    gcds of denominators only (acc's keys carry no power of v, so the v^e
-    align by shifting numerators); the numerators are added and the sum is
-    reduced once.
+    gcds of denominators only (no key has a power of v, so the v^e align by
+    shifting numerators to the lowest e); the numerators are added and the
+    sum is reduced once.
     """
     e0 = min((e for e, n in acc.values() if n), default=0)
     num, den = (), (1,)
     for d, (e, n) in acc.items():
         if not n:
             continue
-        if e > e0:
-            n = (0,) * (e - e0) + n
         # den = h den1 and d = h d1, so the lcm is den d1
         den1, d1 = _gcd_cofactors(den, d) if len(den) > 1 and len(d) > 1 else (den, d)
-        num = _padd(_pmul(num, d1), _pmul(n, den1))
+        num = _padd(_pmul(num, d1), _pmul(n, den1), e - e0)
         den = _pmul(den, d1)
-    if not num:
-        return ZERO
-    if e0 > 0:
-        num = (0,) * e0 + num
-    elif e0 < 0:
-        den = (0,) * -e0 + den
     if div != 1:
         den = tuple(div * x for x in den)
-    return Scalar._reduced(num, den)
+    return Scalar._reduced(num, den, e0)
 
 
 def _psubst_pow(a, n):
@@ -303,7 +291,7 @@ class Scalar:
     = 1, den is monic, zero is ()/(1).
     """
 
-    __slots__ = ("_n", "_d")
+    __slots__ = ("_e", "_n", "_d")
 
     def __init__(self, num, den=(1,)):
         num, den = _trim(tuple(num)), _trim(tuple(den))
@@ -312,21 +300,23 @@ class Scalar:
         m = lcm(*(Fraction(c).denominator for c in num + den))
         n = tuple(int(c * m) for c in num)
         d = tuple(int(c * m) for c in den)
-        n, d = _canonical(n, d)
+        e, n, d = _canonical(n, d)
+        object.__setattr__(self, "_e", e)
         object.__setattr__(self, "_n", n)
         object.__setattr__(self, "_d", d)
 
     @classmethod
-    def _raw(cls, n, d) -> "Scalar":
-        """A Scalar from a pair already in canonical form."""
+    def _raw(cls, e, n, d) -> "Scalar":
+        """The Scalar v^e n/d from a triple already in canonical form."""
         s = object.__new__(cls)
+        object.__setattr__(s, "_e", e)
         object.__setattr__(s, "_n", n)
         object.__setattr__(s, "_d", d)
         return s
 
     @classmethod
-    def _reduced(cls, n, d) -> "Scalar":
-        return cls._raw(*_canonical(n, d))
+    def _reduced(cls, n, d, e=0) -> "Scalar":
+        return cls._raw(*_canonical(n, d, e))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -335,13 +325,13 @@ class Scalar:
     def num(self) -> tuple:
         """Numerator coefficients as Fractions, low degree first, den monic."""
         lc = self._d[-1]
-        return tuple(Fraction(c, lc) for c in self._n)
+        return (Fraction(0),) * self._e + tuple(Fraction(c, lc) for c in self._n)
 
     @property
     def den(self) -> tuple:
         """Monic denominator coefficients as Fractions, low degree first."""
         lc = self._d[-1]
-        return tuple(Fraction(c, lc) for c in self._d)
+        return (Fraction(0),) * -self._e + tuple(Fraction(c, lc) for c in self._d)
 
     @classmethod
     def of(cls, x) -> "Scalar":
@@ -350,38 +340,26 @@ class Scalar:
             raise TypeError(f"cannot coerce {type(x).__name__} to an exact rational")
         if not x:
             return ZERO
-        return cls._raw((x.numerator,), (x.denominator,))
+        return cls._raw(0, (x.numerator,), (x.denominator,))
 
     @classmethod
     def v_pow(cls, k: int) -> "Scalar":
         """v^k for any integer k."""
-        mono = (0,) * abs(k) + (1,)
-        if k >= 0:
-            return cls._raw(mono, (1,))
-        return cls._raw((1,), mono)
+        return cls._raw(k, (1,), (1,))
 
     @classmethod
     def neg_v_pow(cls, k: int) -> "Scalar":
         """(-v)^k = (-1)^k v^k, any integer k."""
-        s = cls.v_pow(k)
-        return -s if k % 2 else s
+        return cls._raw(k, (-1,) if k & 1 else (1,), (1,))
 
     def times_neg_v_pow(self, k: int) -> "Scalar":
-        """self * (-v)^k as a shift and a sign: only a power of v can cancel."""
-        n, d = self._n, self._d
+        """self * (-v)^k as a sign and a shift of the power of v."""
+        n = self._n
         if not (n and k):
             return self
         if k & 1:
             n = tuple(-x for x in n)
-        if k < 0:  # divide: shift d up, after cancelling n's low zeros
-            z = 0
-            while z < -k and not n[z]:
-                z += 1
-            return Scalar._raw(n[z:], (0,) * (-k - z) + d)
-        z = 0
-        while z < k and not d[z]:
-            z += 1
-        return Scalar._raw((0,) * (k - z) + n, d[z:])
+        return Scalar._raw(self._e + k, n, self._d)
 
     def is_zero(self) -> bool:
         return not self._n
@@ -413,7 +391,7 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar._raw(tuple(-c for c in self._n), self._d)
+        return Scalar._raw(self._e, tuple(-c for c in self._n), self._d)
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -431,7 +409,8 @@ class Scalar:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return Scalar._reduced(_pmul(self._n, other._n), _pmul(self._d, other._d))
+        return Scalar._reduced(_pmul(self._n, other._n), _pmul(self._d, other._d),
+                               self._e + other._e)
 
     __rmul__ = __mul__
 
@@ -441,7 +420,8 @@ class Scalar:
             return NotImplemented
         if not other._n:
             raise ZeroDivisionError("zero denominator")
-        return Scalar._reduced(_pmul(self._n, other._d), _pmul(self._d, other._n))
+        return Scalar._reduced(_pmul(self._n, other._d), _pmul(self._d, other._n),
+                               self._e - other._e)
 
     def __rtruediv__(self, other):
         other = self._lift(other)
@@ -468,10 +448,10 @@ class Scalar:
             other = self._lift(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self._n == other._n and self._d == other._d
+        return self._e == other._e and self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        return hash((self._n, self._d))
+        return hash((self._e, self._n, self._d))
 
     def adams(self, n: int) -> "Scalar":
         """psi_n: substitute v -> v^n.  Ring homomorphism, psi_1 = id."""
@@ -480,7 +460,7 @@ class Scalar:
         if n == 1:
             return self
         # v -> v^n maps a Bezout identity to one, so the pair stays coprime
-        return Scalar._raw(_psubst_pow(self._n, n), _psubst_pow(self._d, n))
+        return Scalar._raw(self._e * n, _psubst_pow(self._n, n), _psubst_pow(self._d, n))
 
     def specialize(self) -> Fraction:
         """The value at v = 1, the Euler-number limit.
@@ -498,15 +478,16 @@ class Scalar:
 
     def specialize_L(self, q) -> Fraction:
         """Evaluate at L = q, requiring every v-exponent to be even."""
-        n, d = self._n, self._d
-        if any(n[1::2]) or any(d[1::2]):
+        e, n, d = self._e, self._n, self._d
+        if e & 1 or any(n[1::2]) or any(d[1::2]):
             raise ValueError("half-power mismatch")
-        # integer coefficients at an integer q: two ints, one Fraction
+        # integer coefficients at an integer q: two ints, one Fraction;
+        # v^e = L^(e/2) goes to the side where its exponent is positive
         x = q if isinstance(q, int) else Fraction(q)
-        dv = _peval(d[::2], x)
+        dv = _peval(d[::2], x) * x ** max(-e // 2, 0)
         if dv == 0:
             raise ZeroDivisionError(f"not specializable: {self} has a pole at L = {x}")
-        return Fraction(_peval(n[::2], x), dv)
+        return Fraction(_peval(n[::2], x) * x ** max(e // 2, 0), dv)
 
     def __repr__(self):
         return f"({_pstr(self.num)})/({_pstr(self.den)})"
@@ -514,7 +495,7 @@ class Scalar:
     __str__ = __repr__
 
 
-ZERO = Scalar._raw((), (1,))
-ONE = Scalar._raw((1,), (1,))
+ZERO = Scalar._raw(0, (), (1,))
+ONE = Scalar._raw(0, (1,), (1,))
 V = Scalar.v_pow(1)
 L = Scalar.v_pow(2)

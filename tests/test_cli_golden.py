@@ -58,6 +58,7 @@ COMMANDS = [
     "omega quivers/conifold.json -N 2 --euler",
     "omega quivers/kronecker.json --theta 1,0 --mu 1/2 -N 4",
     "omega quivers/c3.json -N 4",
+    "omega quivers/c3.json -N 3 --format pretty",
     "transfer quivers/jordan.json -N 4",
     "transfer quivers/conifold.json -N 4",
     "transfer quivers/conifold.json --theta 1,0 --mu 1/2 -N 4",

@@ -266,6 +266,14 @@ class TestLoader:
             load_quiver_file(path)
         assert str(info.value) == f"{path}: unknown builtin_BU 'nope'"
 
+    def test_unknown_key(self, tmp_path):
+        # a misspelt builtin_BU would otherwise load the trivial-potential series
+        path = self.write(tmp_path, {"vertices": 1, "arrows": [[0, 0, 3]], "builtin_bu": "c3"})
+        with pytest.raises(QuiverFileError) as info:
+            load_quiver_file(path)
+        assert str(info.value) == (f"{path}: unknown key 'builtin_bu' "
+                                   "(allowed: vertices, arrows, framing, builtin_BU)")
+
     def test_builtin_shape_checked(self, tmp_path):
         path = self.write(tmp_path, {"vertices": 1, "arrows": [[0, 0, 2]],
                                      "framing": [1], "builtin_BU": "c3"})
