@@ -10,8 +10,8 @@ ladder of partial products, which other modules read through ladder_at.
 from fractions import Fraction
 from functools import cache, partial
 
-from .qtorus import TorusSeries, pleth_exp, torus_div, torus_mul
-from .quiver import FramedQuiver, Record, dim_vectors_up_to, tits_form
+from .qtorus import TorusSeries, pleth_exp, torus_div
+from .quiver import FramedQuiver, Record, dim_vectors_up_to
 from .scalar import ONE, L, Scalar
 from .stability import MINUS_INF, PLUS_INF, check_theta, theta_slope
 
@@ -39,40 +39,38 @@ def gl_motive(n: int) -> Scalar:
 def universal_trivial(fq: FramedQuiver, N: int) -> UniversalSeries:
     """B_U for the trivial potential: all representations, no stability.
 
-    Coefficient at alpha: (-v)^{chi(alpha,alpha)} L^{sum m_ij a_i a_j} / [GL_alpha].
+    Coefficient at alpha: (-v)^{chi(alpha,alpha)} L^{sum m_ij a_i a_j} / [GL_alpha],
+    which is (-v)^{sum a_i^2 + sum m_ij a_i a_j} / [GL_alpha] as L = (-v)^2.
     """
     arrows = fq.base.arrows
     coeffs = {}
     for alpha in dim_vectors_up_to(fq.n_vertices, N):
-        chi = tits_form(fq, alpha)
-        arrow_dim = sum(m * alpha[i] * alpha[j]
-                        for i, row in enumerate(arrows)
-                        for j, m in enumerate(row) if m)
+        power = sum(a * a for a in alpha) + sum(
+            m * alpha[i] * alpha[j] for i, row in enumerate(arrows) for j, m in enumerate(row))
         denom = ONE
         for ai in alpha:
             denom = denom * gl_motive(ai)
-        # (-v)^chi L^arrow_dim = (-v)^(chi + 2 arrow_dim), one monomial
-        coeffs[alpha] = Scalar.neg_v_pow(chi + 2 * arrow_dim) / denom
+        coeffs[alpha] = Scalar.neg_v_pow(power) / denom
     return UniversalSeries(TorusSeries(fq, N, coeffs))
+
+
+# Omega_alpha, the motivic DT invariants of the stock potentials, by the spread
+# max(alpha) - min(alpha) of a nonzero class (0 off the table).  c3: Omega_n = L^2
+# (Behrend-Bryan-Szendroi, arXiv:0909.5088); conifold: Omega_(n,n) = L + L^2 and
+# Omega_(n+1,n) = Omega_(n,n+1) = -v (Morrison-Mozgovoy-Nagao-Szendroi, arXiv:1107.5017).
+_OMEGA = {"c3": {0: L * L}, "conifold": {0: L + L * L, 1: -Scalar.v_pow(1)}}
 
 
 def universal_for(fq: FramedQuiver, N: int) -> UniversalSeries:
     """B_U as declared by the quiver's bu_source field: the closed form of
-    the trivial potential, or that of one of the two stock potentials."""
-    name = fq.bu_source
-    if name == "trivial_potential":
+    the trivial potential, or Exp(Omega/(L - 1)) of a stock potential."""
+    if fq.bu_source == "trivial_potential":
         return universal_trivial(fq, N)
-    lm1 = L - 1
-    if name == "c3":
-        arg = TorusSeries(fq, N, {(n,): (L * L) / lm1 for n in range(1, N + 1)})
-        return UniversalSeries(pleth_exp(arg))
-    head = TorusSeries(fq, N, {  # the conifold
-        (1, 1): (L + L * L) / lm1,
-        (1, 0): -Scalar.v_pow(1) / lm1,
-        (0, 1): -Scalar.v_pow(1) / lm1,
-    })
-    diag = TorusSeries(fq, N, {(n, n): ONE for n in range(N // 2 + 1)})
-    return UniversalSeries(pleth_exp(torus_mul(head, diag)))
+    over = {k: om / (L - 1) for k, om in _OMEGA[fq.bu_source].items()}
+    arg = {alpha: over[max(alpha) - min(alpha)]
+           for alpha in dim_vectors_up_to(fq.n_vertices, N)
+           if any(alpha) and max(alpha) - min(alpha) in over}
+    return UniversalSeries(pleth_exp(TorusSeries(fq, N, arg)))
 
 
 def slope_ladder(BU: UniversalSeries, theta) -> tuple:

@@ -20,12 +20,12 @@ through _points.
   basis vector of its subspace at i into its subspace at j.  An echelon
   basis vector is a normalized point (its first nonzero coordinate is 1),
   so a matrix is known on every candidate through the images of these
-  points.  Once per run, after the budget has accepted it, each arrow gets
-  fail tables: Z[b][y] is the bitmask of the candidates with b in the basis
-  of their subspace at i and y outside their subspace at j.  A matrix's
-  fail mask is the OR of Z[b][image of b] over the points b, and a matrix
-  tuple's invariant candidates are those outside the OR of its arrows'
-  fail masks.
+  points.  Once per run, after the budget has accepted its walk, each
+  arrow gets fail tables: Z[b][y] is the bitmask of the candidates with b
+  in the basis of their subspace at i and y outside their subspace at j.
+  A matrix's fail mask is the OR of Z[b][image of b] over the points b,
+  and a matrix tuple's invariant candidates are those outside the OR of
+  its arrows' fail masks.
 - A subspace tuple is invariant under M exactly when it is invariant under
   lam M for lam != 0, and, for a loop, under M + mu I.  So each arrow walks
   one normal form per class {lam M + mu I}: the first nonzero entry in
@@ -49,11 +49,12 @@ through _points.
   product of its member masks, so stable framing points are counted by
   popcount and weighted by the number of matrix tuples.
 - The budget, WALLCROSS_BUDGET as set when a run starts (DEFAULT_BUDGET
-  when unset), prices one step of work with the formula of an earlier
-  kernel, which still bounds this one's (see _check_budget): a run visits
-  the normal-form tuples, and each costs the streamed arrow's image pass
-  (the points and subspaces of its source space) plus one test per
-  candidate subspace tuple.
+  when unset), is spent stage by stage, each stage priced as soon as its
+  size is known and refused before it runs (see _invariant_runs): each
+  distinct arrow's walk from its normal forms and tables, each join from
+  the two tally sizes, and the pass over the invariant sets from their
+  count, after any one-off work of the caller (hall_filtration_check's
+  pairs of candidates).
 """
 
 import itertools
@@ -264,7 +265,7 @@ def _candidates(alpha, q: int):
     return cands, [tuple(d[k] for d, k in zip(dims, cand)) for cand in cands]
 
 
-def _invariant_runs(fq: FramedQuiver, alpha, q: int, cands):
+def _invariant_runs(fq: FramedQuiver, alpha, q: int, cands, once: int = 0) -> list:
     """The one enumeration kernel: for each set of arrow-invariant tuples
     that occurs among the matrix tuples of class alpha, (weight, the bitmask
     of their positions in cands), the weight being the number of matrix
@@ -272,23 +273,49 @@ def _invariant_runs(fq: FramedQuiver, alpha, q: int, cands):
 
     Each arrow walks its normal forms once, tallying the class sizes per
     fail mask; a matrix tuple fails the union of its arrows' fail masks.
+    Each stage is priced against the budget, read once here, before it
+    runs, starting from the caller's one-off work once: an arrow's walk,
+    one step per normal form and table it may read there, plus its tables;
+    each join, one step per pair of tally entries; and the pass over the
+    sets that follows, one step per set and candidate.
     """
+    budget, spent = _budget(), once
+
+    def charge(work: int, what: str) -> None:
+        nonlocal spent
+        if spent + work > budget:
+            raise BudgetError(
+                f"budget exceeded: {spent} steps so far + {work} for {what} = "
+                f"{spent + work} > budget {budget} (set WALLCROSS_BUDGET to change it)")
+        spent += work
+
     fails = {0: 1}  # fail mask -> matrix tuples of the arrows so far
     tallies = {}
     for i, j in _arrow_list(fq):
         if (i, j) not in tallies:
+            n, m = alpha[i], alpha[j]
+            free = m * n - (i == j and m * n > 0)  # a loop's (0, 0) entry is 0
+            forms = (q ** free - 1) // (q - 1) + 1  # nonzero ones up to scaling, and 0
+            tables = (q ** n - 1) // (q - 1)  # the normalized points of F_q^n
+            # the fail tables: a bit per candidate, basis point and image, then
+            # one entry per table and sum of two codes; the walk reads a table
+            # at most once per normal form
+            charge(len(cands) * n * q ** m + tables * ((2 * q - 1) ** m + forms),
+                   f"the walk of arrow {i} -> {j} over {forms} normal forms")
             tally = tallies[i, j] = {}
             Z = _fail_tables(q, alpha, cands, i, j)
-            for w, f in _fail_runs(q, alpha[j], alpha[i], i == j, Z):
+            for w, f in _fail_runs(q, m, n, i == j, Z):
                 tally[f] = tally.get(f, 0) + w
+        tally = tallies[i, j]
+        charge(len(fails) * len(tally), f"the join of {len(fails)} x {len(tally)} fail masks")
         joined = {}
         for f0, w0 in fails.items():
-            for f, w in tallies[i, j].items():
+            for f, w in tally.items():
                 joined[f0 | f] = joined.get(f0 | f, 0) + w0 * w
         fails = joined
+    charge(len(fails) * len(cands), f"the pass over {len(fails)} sets of {len(cands)} tuples")
     full = (1 << len(cands)) - 1
-    for f, w in fails.items():
-        yield w, full & ~f
+    return [(w, full & ~f) for f, w in fails.items()]
 
 
 def _union(masks, bits: int) -> int:
@@ -301,50 +328,15 @@ def _union(masks, bits: int) -> int:
     return out
 
 
-def _check_budget(fq: FramedQuiver, alpha, q: int, cands, once: int = 0) -> None:
-    """Refuse a kernel run whose work exceeds the budget: the normal-form
-    matrix tuples it visits times the work per tuple, which is the streamed
-    arrow's image pass (its source points and subspaces) plus one test per
-    candidate tuple, plus any one-off work.
-
-    The formula was written for a kernel that passed over all q^n images of
-    every matrix; it still bounds the fail-mask kernel.  Each arrow reads at
-    most (q^n - 1)/(q - 1) < q^n tables per normal form, and the join of
-    the arrows' tallies and the popcounts after it cost at most one step per
-    tuple and candidate.  The one-off tables of an arrow i -> j cost at most
-    len(cands) * n * q^m bit updates and (q^n - 1)/(q - 1) * (2q - 1)^m
-    entries (n = alpha_i, m = alpha_j).  Over every class within the caps
-    on the Jordan, Kronecker and 2-loop quivers and a loop beside an arrow,
-    they stay below the formula's figure whenever it exceeds 10^4, and are
-    at most four times it below that."""
-    arrows = _arrow_list(fq)
-    tuples = 1
-    for i, j in arrows:
-        entries = alpha[i] * alpha[j]
-        free = entries - (i == j and entries > 0)  # a loop's (0, 0) entry is 0
-        tuples *= (q ** free - 1) // (q - 1) + 1  # the nonzero normal forms and 0
-    per_tuple = len(cands)
-    if arrows:
-        n = alpha[max(arrows, key=lambda a: alpha[a[0]] * alpha[a[1]])[0]]
-        per_tuple += q ** n + len(_subspaces(q, n)[0])
-    work = tuples * per_tuple + once
-    budget = _budget()
-    if work > budget:
-        extra = f" + {once} once" if once else ""
-        raise BudgetError(
-            f"budget exceeded: {tuples} matrix tuples x {per_tuple} work per tuple{extra} = "
-            f"{work} > budget {budget} (set WALLCROSS_BUDGET to change it)")
-
-
 # ---- the shared path of the entry points -------------------------------------
 
-def _config(fq: FramedQuiver, q: int, alpha, theta=None):
-    """(alpha, theta), alpha and theta (unless None) checked against fq;
+def _config(fq: FramedQuiver, q: int, alpha, theta):
+    """(alpha, theta), both checked against fq;
     refuses a q that is not a prime at most 5, a bad WALLCROSS_BUDGET (also
     on a call that enumerates nothing) and a class above the dimension cap
     MAX_TOTAL_DIM."""
     alpha = check_alpha(fq, alpha)
-    theta = None if theta is None else check_theta(fq, theta)
+    theta = check_theta(fq, theta)
     if q not in (2, 3, 5):
         raise ValueError("q must be a prime at most 5")
     _budget()
@@ -395,14 +387,14 @@ def _points(fq: FramedQuiver, alpha, q: int, slots, bad_if, watch_if) -> int:
         return q ** (sum(alpha[i] * alpha[j] for i, j in _arrow_list(fq))
                      + sum(alpha[i] for i in slots))
     cands, dims = _candidates(alpha, q)
-    _check_budget(fq, alpha, q, cands)
     bad = [cand for cand, d in zip(cands, dims) if d in bad_dims]
     watch = [cand for cand, d in zip(cands, dims) if d in watch_dims]
+    runs = _invariant_runs(fq, alpha, q, bad + watch)
     fmasks = _framing_masks(alpha, slots, q, watch)
     total = q ** sum(alpha[i] for i in slots)
     nbad = len(bad)
     count = 0
-    for weight, inv in _invariant_runs(fq, alpha, q, bad + watch):
+    for weight, inv in runs:
         if not inv & ((1 << nbad) - 1):
             count += weight * (total - _union(fmasks, inv >> nbad).bit_count())
     return count
@@ -417,7 +409,8 @@ def count_stack(fq: FramedQuiver, alpha, sp, q: int, *, framed: bool = False) ->
     sp is "all" or StabilityParams.  Equals #points / #G by the orbit
     formula, G = prod GL_{a_i} times GL_1 at the framing vertex when framed.
     """
-    theta = sp.theta if isinstance(sp, StabilityParams) else None
+    # "all" reads no theta: a zero one passes the check
+    theta = sp.theta if isinstance(sp, StabilityParams) else (0,) * fq.n_vertices
     alpha, theta = _config(fq, q, alpha, theta)
     if sum(alpha) == 0 and not framed:
         return Fraction(1)
@@ -488,8 +481,9 @@ def hall_filtration_check(fq: FramedQuiver, alpha, theta, c, q: int) -> bool:
     c = Fraction(c)
     slots = _framing_slots(fq)
     cands, dims = _candidates(alpha, q)
-    # the right side's pre-pass compares every pair of candidate tuples
-    _check_budget(fq, alpha, q, cands, once=len(cands) ** 2)
+    # priced with the kernel, the right side's pre-pass below compares every
+    # pair of candidate tuples
+    runs = _invariant_runs(fq, alpha, q, cands, once=len(cands) ** 2)
 
     target = theta_slope(theta, alpha, c)
     slope = cache(partial(theta_slope, theta))  # once per class
@@ -534,7 +528,7 @@ def hall_filtration_check(fq: FramedQuiver, alpha, theta, c, q: int) -> bool:
                     above |= 1 << t
         right.append((1 << p, dead, above))
 
-    for _, bits in _invariant_runs(fq, alpha, q, cands):
+    for _, bits in runs:
         sst = 0 if bits & bad else full & ~_union(watch, bits)
         once = twice = 0
         for s, dead, above in right:

@@ -22,7 +22,7 @@ class StabilityParams(Record):
     __slots__ = ("theta", "c", "side")  # c: Fraction or one of the infinities
 
     def __init__(self, theta, c=Fraction(0), side: str = "exact"):
-        theta = tuple(Fraction(t) for t in theta)
+        theta = _fractions(theta)
         if side not in SIDES:
             raise ValueError(f"side must be one of {SIDES}")
         if c in (PLUS_INF, MINUS_INF):
@@ -52,9 +52,16 @@ def theta_slope(theta, d, c=None) -> Fraction:
     return Fraction(num, den)
 
 
+def _fractions(theta) -> tuple:
+    """theta as a tuple of Fractions; None, which lists no weights, is refused."""
+    if theta is None:
+        raise ValueError("theta must list one weight per vertex: got None")
+    return tuple(Fraction(t) for t in theta)
+
+
 def check_theta(fq: FramedQuiver, theta) -> tuple:
     """theta as Fractions, refused unless it lists one weight per vertex."""
-    theta = tuple(Fraction(t) for t in theta)
+    theta = _fractions(theta)
     if len(theta) != fq.n_vertices:
         raise ValueError(f"theta must list one weight per vertex: "
                          f"got {len(theta)} for {fq.n_vertices} vertices")

@@ -14,8 +14,11 @@ against (quiverdt.qtorus has no series operators); cyclic is the second
 product form S_{2nu}(B) . B^{-1} that ncdt and smooth_model_series formed
 before they became S_nu of the crossing form; at_star0 places a
 production series in the star-1 torus of reference_qtorus, and
-star_one_rungs reads the star-0 framed series against that torus.  Nothing
-under src/ imports it.
+star_one_rungs reads the star-0 framed series against that torus.
+stock_universal builds the c3 and conifold B_U the way quiverdt.hn did
+before it read them off Omega tables: c3 as Exp of the ray L^2/(L - 1), the
+conifold as Exp of a three-term head times the diagonal.  Nothing under
+src/ imports it.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import reference_qtorus as ref_qt
-from quiverdt.hn import slope_ladder
-from quiverdt.qtorus import TorusSeries, _check, nu_weights, s_twist, torus_div, torus_mul
+from quiverdt.hn import UniversalSeries, slope_ladder
+from quiverdt.qtorus import (TorusSeries, _check, nu_weights, pleth_exp, s_twist, torus_div,
+                             torus_mul)
 from quiverdt.quiver import dim_vectors_up_to, sub_vectors
-from quiverdt.scalar import ONE, Scalar, _acc_term, _settle
+from quiverdt.scalar import ONE, L, Scalar, _acc_term, _settle
 from quiverdt.stability import MINUS_INF, PLUS_INF, theta_slope
 from quiverdt.wallcross import _crossing, transfer_series
 
@@ -87,6 +91,21 @@ def hn_split(series: TorusSeries, theta: tuple, N: int) -> dict:
         terms[(0,) * n] = ONE
         out[mu] = TorusSeries(fq, N, terms)
     return out
+
+
+def stock_universal(fq, N: int) -> UniversalSeries:
+    """B_U of the c3 or conifold potential, built from a hand-made Exp argument."""
+    lm1 = L - 1
+    if fq.bu_source == "c3":
+        arg = TorusSeries(fq, N, {(n,): (L * L) / lm1 for n in range(1, N + 1)})
+        return UniversalSeries(pleth_exp(arg))
+    head = TorusSeries(fq, N, {  # the conifold
+        (1, 1): (L + L * L) / lm1,
+        (1, 0): -Scalar.v_pow(1) / lm1,
+        (0, 1): -Scalar.v_pow(1) / lm1,
+    })
+    diag = TorusSeries(fq, N, {(n, n): ONE for n in range(N // 2 + 1)})
+    return UniversalSeries(pleth_exp(torus_mul(head, diag)))
 
 
 def _uniform(fq, parts, N, a, side) -> TorusSeries:

@@ -11,6 +11,10 @@ It also holds resolve_side, which realizes c-plus and c-minus as a concrete
 rational half a gap away from the nearest wall.  quiverdt.oracle reads them
 as c + eps and c - eps instead, so the differential tests compare two
 independent derivations of the one-sided levels.
+
+flat_budget_work is the single work formula that quiverdt.oracle priced a
+kernel run with before it priced each stage of the run on its own; the
+staged pricing must accept every class this formula accepts.
 """
 
 from __future__ import annotations
@@ -616,3 +620,21 @@ def _quotient_framed_stable(fq, mats, vecs, cand, alpha, d, theta, c, q,
                 and fslope(dd, 1) >= target:
             return False
     return True
+
+
+def flat_budget_work(fq: FramedQuiver, alpha, q: int, cands, once: int = 0) -> int:
+    """The normal-form matrix tuples times the work per tuple (the image pass
+    of the arrow with the largest matrix, its source points and subspaces,
+    plus one test per candidate tuple), plus the one-off work once."""
+    arrows = [(i, j) for i, row in enumerate(fq.base.arrows)
+              for j, m in enumerate(row) for _ in range(m)]
+    tuples = 1
+    for i, j in arrows:
+        entries = alpha[i] * alpha[j]
+        free = entries - (i == j and entries > 0)  # a loop's (0, 0) entry is 0
+        tuples *= (q ** free - 1) // (q - 1) + 1  # the nonzero normal forms and 0
+    per_tuple = len(cands)
+    if arrows:
+        n = alpha[max(arrows, key=lambda a: alpha[a[0]] * alpha[a[1]])[0]]
+        per_tuple += q ** n + len(subspaces(q, n))
+    return tuples * per_tuple + once

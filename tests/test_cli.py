@@ -388,17 +388,21 @@ class TestCheckOracle:
 
     def test_budget_error_states_work_and_budget(self, capsys, monkeypatch):
         monkeypatch.delenv("WALLCROSS_BUDGET", raising=False)
-        code, out, err = invoke(capsys, "check-oracle", quiver("two_loops"), "--q", "3",
-                                "--max-dim", "3", "--theta", "0", "--c", "0")
+        code, out, err = invoke(capsys, "check-oracle", quiver("jordan"), "--q", "5",
+                                "--max-dim", "4", "--theta", "0", "--c", "0")
         assert code == 1 and out == ""
         [line] = err.splitlines()
         assert line.startswith("error: budget exceeded")
-        # the filtration check at alpha = 3: 3281 normal forms per 3 x 3 loop
-        # (3^8 matrices with entry (0, 0) zero, up to scaling, plus zero);
-        # per tuple, an image pass over the 27 points and 28 subspaces of
-        # F_3^3 and 28 candidate tuples; once, the 28^2 pre-pass
-        work = 3281 ** 2 * (27 + 28 + 28) + 28 ** 2
-        assert str(work) in line and str(DEFAULT_BUDGET) in line
+        # the filtration check at alpha = 4 is refused before its walk: once,
+        # the pre-pass over pairs of the 1120 subspaces of F_5^4; then the
+        # loop's (5^15 - 1)/4 + 1 normal forms (entry (0, 0) zero, up to
+        # scaling, and zero), each reading up to 156 tables (the normalized
+        # points of F_5^4), and the tables themselves: a bit per candidate,
+        # basis point and image, and 9^4 entries per table
+        prepass, forms = 1120 ** 2, (5 ** 15 - 1) // 4 + 1
+        walk = 1120 * 4 * 5 ** 4 + 156 * (9 ** 4 + forms)
+        assert f"{prepass} steps so far + {walk} for " in line
+        assert f"= {prepass + walk} > budget {DEFAULT_BUDGET} " in line
 
 
 class TestCheckOracleLevel:

@@ -8,7 +8,9 @@ below them, and equal uniform and framed series: at every slope, between
 slopes, at both infinities, at levels whose slope class is empty, and at
 every wall find_walls reports, on all three sides.  The cases cover the
 stock quivers, the 3-Kronecker quiver, a 3-vertex cycle and, through
-Hypothesis, random quivers with up to 3 vertices.
+Hypothesis, random quivers with up to 3 vertices.  The c3 and conifold B_U
+read off their Omega tables must equal the reference's hand-made Exp
+arguments.
 """
 
 from fractions import Fraction
@@ -102,6 +104,15 @@ def check_walls(fq, theta, N, alphas) -> None:
         for side in SIDES:
             got = framed_at(bu, theta, c, side, mu).series
             assert got == ref.framed_at(fq, parts, theta, N, c, side, mu), (c, mu, side)
+
+
+@pytest.mark.parametrize("fq", [c3_quiver(w) for w in [(1,), (2,), (3,)]]
+                         + [conifold_quiver(w) for w in [(1, 0), (1, 1), (0, 2), (2, 1)]],
+                         ids=["c3_1", "c3_2", "c3_3", "conifold_10", "conifold_11",
+                              "conifold_02", "conifold_21"])
+def test_stock_universal_series(fq):
+    for N in range(13):
+        assert universal_for(fq, N) == ref.stock_universal(fq, N), N
 
 
 @pytest.mark.parametrize("name, fq, thetas, _, N", CASES, ids=IDS)

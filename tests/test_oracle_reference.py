@@ -134,6 +134,24 @@ def test_invariant_tuples_agree(case):
     assert sum(got.values()) == q ** sum(alpha[i] * alpha[j] for i, j in arrows)
 
 
+@pytest.mark.parametrize("name", ["jordan", "kronecker", "two_loops"])
+@pytest.mark.parametrize("q", [2, 3])
+def test_staged_budget_accepts_what_the_flat_formula_did(name, q, monkeypatch):
+    """At the default budget, every class within the cap that the flat
+    formula of the earlier kernel accepts, with all candidates and with and
+    without the filtration check's pre-pass over pairs, runs."""
+    monkeypatch.delenv("WALLCROSS_BUDGET", raising=False)
+    fq = QUIVERS[name]
+    accepted = 0
+    for alpha in dim_vectors_up_to(fq.n_vertices, oracle.MAX_TOTAL_DIM):
+        cands, _ = oracle._candidates(alpha, q)
+        for once in (0, len(cands) ** 2):
+            if ref.flat_budget_work(fq, alpha, q, cands, once) <= oracle.DEFAULT_BUDGET:
+                oracle._invariant_runs(fq, alpha, q, cands, once)
+                accepted += 1
+    assert accepted
+
+
 def one_sided_inputs():
     """(theta, alpha, walls, levels): for 1, 2 and 3 vertices, the
     zero and the all-ones theta (every class on one slope) and three drawn

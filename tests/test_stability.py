@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quiverdt.hn import slope_ladder, universal_for
+from quiverdt.oracle import count_framed_stable, hall_filtration_check
 from quiverdt.quiver import jordan_quiver, kronecker_quiver, sub_vectors
 from quiverdt.stability import (MINUS_INF, PLUS_INF, StabilityParams, check_alpha,
                                 check_theta, find_walls, theta_slope)
+from quiverdt.wallcross import framed_at
 from reference_oracle import resolve_side
 
 KRON = kronecker_quiver()
@@ -77,6 +80,21 @@ class TestFindWalls:
     def test_refuses_bad_input(self, theta, alpha, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             find_walls(KRON, theta, alpha)
+
+    @pytest.mark.parametrize("call", [
+        lambda: check_theta(KRON, None),
+        lambda: StabilityParams(None),
+        lambda: slope_ladder(universal_for(KRON, 2), None),
+        lambda: framed_at(universal_for(KRON, 2), None, Fraction(1, 2), "plus", 1),
+        lambda: find_walls(KRON, None, (1, 1)),
+        lambda: count_framed_stable(KRON, (1, 1), None, Fraction(1, 2), "plus", 2),
+        lambda: hall_filtration_check(KRON, (1, 1), None, Fraction(1, 2), 2),
+    ], ids=["check_theta", "StabilityParams", "slope_ladder", "framed_at", "find_walls",
+            "count_framed_stable", "hall_filtration_check"])
+    def test_refuses_no_theta(self, call):
+        # None lists no weights: one line naming it, not a TypeError
+        with pytest.raises(ValueError, match="^theta must list one weight per vertex: got None$"):
+            call()
 
     def test_check_alpha_refuses_a_fraction_and_keeps_integral_values(self):
         with pytest.raises(ValueError, match="^alpha entry 3/2 is not an integer$"):
