@@ -48,19 +48,17 @@ through _points.
   vertices' spaces.  The framing tuples inside a subspace tuple form the
   product of its member masks, so stable framing points are counted by
   popcount and weighted by the number of matrix tuples.
-- The budget, WALLCROSS_BUDGET as set when a run starts (DEFAULT_BUDGET
-  when unset), is spent stage by stage, each stage priced as soon as its
-  size is known and refused before it runs (see _invariant_runs): each
-  distinct arrow's walk from its normal forms and tables, each join from
-  the two tally sizes, and the pass over the invariant sets from their
-  count, after any one-off work of the caller (hall_filtration_check's
-  pairs of candidates).
+- The budget, a fixed BUDGET of 10^8 steps, is spent stage by stage,
+  each stage priced as soon as its size is known and refused before it
+  runs (see _invariant_runs): each distinct arrow's walk from its normal
+  forms and tables, each join from the two tally sizes, and the pass over
+  the invariant sets from their count, after any one-off work of the
+  caller (hall_filtration_check's pairs of candidates).
 """
 
 import itertools
 import math
 import operator
-import os
 from fractions import Fraction
 from functools import cache, partial
 
@@ -69,23 +67,12 @@ from .scalar import Scalar
 from .stability import (MINUS_INF, PLUS_INF, StabilityParams, check_alpha,
                         check_theta, theta_slope)
 
-DEFAULT_BUDGET = 10 ** 8
+BUDGET = 10 ** 8
 MAX_TOTAL_DIM = 4
 
 
 class BudgetError(RuntimeError):
     pass
-
-
-def _budget() -> int:
-    """WALLCROSS_BUDGET as set now, or DEFAULT_BUDGET when it is unset or
-    empty; any other value must be a positive integer."""
-    raw = os.environ.get("WALLCROSS_BUDGET")
-    if not raw:
-        return DEFAULT_BUDGET
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ValueError(f"WALLCROSS_BUDGET must be a positive integer, not {raw!r}")
-    return int(raw)
 
 
 def gl_order(n: int, q: int) -> int:
@@ -273,20 +260,19 @@ def _invariant_runs(fq: FramedQuiver, alpha, q: int, cands, once: int = 0) -> li
 
     Each arrow walks its normal forms once, tallying the class sizes per
     fail mask; a matrix tuple fails the union of its arrows' fail masks.
-    Each stage is priced against the budget, read once here, before it
-    runs, starting from the caller's one-off work once: an arrow's walk,
-    one step per normal form and table it may read there, plus its tables;
+    Each stage is priced against BUDGET before it runs, starting from the
+    caller's one-off work once: an arrow's walk, one step per normal form
+    and table it may read there, plus its tables;
     each join, one step per pair of tally entries; and the pass over the
     sets that follows, one step per set and candidate.
     """
-    budget, spent = _budget(), once
+    spent = once
 
     def charge(work: int, what: str) -> None:
         nonlocal spent
-        if spent + work > budget:
-            raise BudgetError(
-                f"budget exceeded: {spent} steps so far + {work} for {what} = "
-                f"{spent + work} > budget {budget} (set WALLCROSS_BUDGET to change it)")
+        if spent + work > BUDGET:
+            raise BudgetError(f"budget exceeded: {spent} steps so far + {work} for {what} = "
+                              f"{spent + work} > budget {BUDGET}")
         spent += work
 
     fails = {0: 1}  # fail mask -> matrix tuples of the arrows so far
@@ -331,15 +317,12 @@ def _union(masks, bits: int) -> int:
 # ---- the shared path of the entry points -------------------------------------
 
 def _config(fq: FramedQuiver, q: int, alpha, theta):
-    """(alpha, theta), both checked against fq;
-    refuses a q that is not a prime at most 5, a bad WALLCROSS_BUDGET (also
-    on a call that enumerates nothing) and a class above the dimension cap
-    MAX_TOTAL_DIM."""
+    """(alpha, theta), both checked against fq; refuses a q that is not a
+    prime at most 5 and a class above the dimension cap MAX_TOTAL_DIM."""
     alpha = check_alpha(fq, alpha)
     theta = check_theta(fq, theta)
     if q not in (2, 3, 5):
         raise ValueError("q must be a prime at most 5")
-    _budget()
     if sum(alpha) > MAX_TOTAL_DIM:
         raise BudgetError(f"budget exceeded: total dimension {sum(alpha)} > "
                           f"max_total_dim {MAX_TOTAL_DIM}")
@@ -475,10 +458,11 @@ def hall_filtration_check(fq: FramedQuiver, alpha, theta, c, q: int) -> bool:
     T / S exactly when it lies in T; so both sides are read off the
     invariant tuples of the one kernel.
     """
-    alpha, theta = _config(fq, q, alpha, theta)
-    if c in (PLUS_INF, MINUS_INF):
+    sp = StabilityParams(theta, c)
+    alpha, theta = _config(fq, q, alpha, sp.theta)
+    if not sp.is_finite():
         raise ValueError("hall_filtration_check needs a finite c")
-    c = Fraction(c)
+    c = sp.c
     slots = _framing_slots(fq)
     cands, dims = _candidates(alpha, q)
     # priced with the kernel, the right side's pre-pass below compares every

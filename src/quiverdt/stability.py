@@ -8,6 +8,7 @@ c + eps and c - eps for every small eps > 0; no rational stands in for them
 (the oracle compares slopes at c and their eps-coefficients).
 """
 
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .quiver import FramedQuiver, Record, int_entries, sub_vectors
@@ -24,13 +25,13 @@ class StabilityParams(Record):
     def __init__(self, theta, c=Fraction(0), side: str = "exact"):
         theta = _fractions(theta)
         if side not in SIDES:
-            raise ValueError(f"side must be one of {SIDES}")
+            raise ValueError(f"side must be one of {SIDES}, not {side!r}")
         if c in (PLUS_INF, MINUS_INF):
             if side != "exact":
                 raise ValueError("side tags need a finite c")
             c = float(c)
         else:
-            c = Fraction(c)
+            c = _exact(c, "level c")
         self._set(theta=theta, c=c, side=side)
 
     def is_finite(self) -> bool:
@@ -52,11 +53,20 @@ def theta_slope(theta, d, c=None) -> Fraction:
     return Fraction(num, den)
 
 
+def _exact(x, what: str) -> Fraction:
+    """x as a Fraction; a float that is not an integer is refused, since it
+    stands for a binary fraction rather than the rational meant."""
+    if isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"{what} {x!r} is not exact: give an int, a Fraction or 'p/q'")
+    return Fraction(x)
+
+
 def _fractions(theta) -> tuple:
-    """theta as a tuple of Fractions; None, which lists no weights, is refused."""
-    if theta is None:
-        raise ValueError("theta must list one weight per vertex: got None")
-    return tuple(Fraction(t) for t in theta)
+    """theta as a tuple of exact Fractions; a value that lists no weights
+    (None, a number, a string) is refused."""
+    if isinstance(theta, str) or not isinstance(theta, Iterable):
+        raise ValueError(f"theta must list one weight per vertex: got {theta!r}")
+    return tuple(_exact(t, "theta weight") for t in theta)
 
 
 def check_theta(fq: FramedQuiver, theta) -> tuple:

@@ -1,8 +1,9 @@
 """Reference oracle for the differential test of quiverdt.oracle.
 
 This is the finite-field oracle that the bitmask kernel of quiverdt.oracle
-replaced, kept verbatim except for this docstring and the package-relative
-imports, which name quiverdt here.  Its three entry points each enumerate
+replaced, kept verbatim except for this docstring, the package-relative
+imports, which name quiverdt here, and its budget, the fixed BUDGET rather
+than a value read from the environment.  Its three entry points each enumerate
 matrix tuples, filter every subspace tuple by explicit matrix-vector products
 and loop over framing vectors, so it is slow but close to the definitions.
 Nothing under src/ imports it.
@@ -20,8 +21,7 @@ staged pricing must accept every class this formula accepts.
 from __future__ import annotations
 
 import itertools
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -30,23 +30,18 @@ from quiverdt.scalar import Scalar
 from quiverdt.stability import MINUS_INF, PLUS_INF, StabilityParams, find_walls
 from reference_qtorus import ExtDimVector, ext
 
-DEFAULT_BUDGET = 10 ** 8
+BUDGET = 10 ** 8
 
 
 class BudgetError(RuntimeError):
     pass
 
 
-def _env_budget() -> int:
-    raw = os.environ.get("WALLCROSS_BUDGET")
-    return int(raw) if raw else DEFAULT_BUDGET
-
-
 @dataclass(frozen=True)
 class FiniteFieldConfig:
     q: int
     max_total_dim: int = 4
-    budget: int = field(default_factory=_env_budget)
+    budget: int = BUDGET
 
     def __post_init__(self):
         if self.q not in (2, 3, 5):
@@ -227,7 +222,7 @@ def _check_budget(cfg: FiniteFieldConfig, points: int, per_point: int) -> None:
     if points * per_point > cfg.budget:
         raise BudgetError(
             f"budget exceeded: {points} points x {per_point} work per point = "
-            f"{points * per_point} > budget {cfg.budget} (set WALLCROSS_BUDGET to change it)")
+            f"{points * per_point} > budget {cfg.budget}")
 
 
 def _check_dim(cfg: FiniteFieldConfig, alpha) -> None:

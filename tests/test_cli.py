@@ -8,7 +8,7 @@ import pytest
 import quiverdt.cli as cli
 from quiverdt.cli import CLIError, parse_int_vector, parse_level, parse_rational
 from quiverdt.hn import hn_factorize, universal_for
-from quiverdt.oracle import DEFAULT_BUDGET
+from quiverdt.oracle import BUDGET
 from quiverdt.qtorus import serialize
 from quiverdt.quiver import load_quiver_file
 from quiverdt.stability import MINUS_INF, PLUS_INF
@@ -386,13 +386,11 @@ class TestCheckOracle:
                               "--q", "4")
         assert code == 1 and "prime at most 5" in err
 
-    def test_budget_error_states_work_and_budget(self, capsys, monkeypatch):
-        monkeypatch.delenv("WALLCROSS_BUDGET", raising=False)
+    def test_budget_error_states_work_and_budget(self, capsys):
         code, out, err = invoke(capsys, "check-oracle", quiver("jordan"), "--q", "5",
                                 "--max-dim", "4", "--theta", "0", "--c", "0")
         assert code == 1 and out == ""
         [line] = err.splitlines()
-        assert line.startswith("error: budget exceeded")
         # the filtration check at alpha = 4 is refused before its walk: once,
         # the pre-pass over pairs of the 1120 subspaces of F_5^4; then the
         # loop's (5^15 - 1)/4 + 1 normal forms (entry (0, 0) zero, up to
@@ -401,8 +399,9 @@ class TestCheckOracle:
         # basis point and image, and 9^4 entries per table
         prepass, forms = 1120 ** 2, (5 ** 15 - 1) // 4 + 1
         walk = 1120 * 4 * 5 ** 4 + 156 * (9 ** 4 + forms)
-        assert f"{prepass} steps so far + {walk} for " in line
-        assert f"= {prepass + walk} > budget {DEFAULT_BUDGET} " in line
+        assert line == (f"error: budget exceeded: {prepass} steps so far + {walk} for the walk "
+                        f"of arrow 0 -> 0 over {forms} normal forms = {prepass + walk} "
+                        f"> budget {BUDGET}")
 
 
 class TestCheckOracleLevel:

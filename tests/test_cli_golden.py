@@ -95,12 +95,10 @@ def golden():
 @pytest.mark.parametrize("command", COMMANDS)
 def test_output_is_byte_identical(command, golden, monkeypatch):
     monkeypatch.chdir(ROOT)
-    monkeypatch.delenv("WALLCROSS_BUDGET", raising=False)
     assert replay(command) == golden[command]
 
 
 if __name__ == "__main__":
     os.chdir(ROOT)
-    os.environ.pop("WALLCROSS_BUDGET", None)
     record = {command: replay(command) for command in COMMANDS}
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

@@ -136,17 +136,16 @@ def test_invariant_tuples_agree(case):
 
 @pytest.mark.parametrize("name", ["jordan", "kronecker", "two_loops"])
 @pytest.mark.parametrize("q", [2, 3])
-def test_staged_budget_accepts_what_the_flat_formula_did(name, q, monkeypatch):
-    """At the default budget, every class within the cap that the flat
-    formula of the earlier kernel accepts, with all candidates and with and
-    without the filtration check's pre-pass over pairs, runs."""
-    monkeypatch.delenv("WALLCROSS_BUDGET", raising=False)
+def test_staged_budget_accepts_what_the_flat_formula_did(name, q):
+    """Every class within the cap that the flat formula of the earlier
+    kernel accepts at the budget, with all candidates and with and without
+    the filtration check's pre-pass over pairs, runs."""
     fq = QUIVERS[name]
     accepted = 0
     for alpha in dim_vectors_up_to(fq.n_vertices, oracle.MAX_TOTAL_DIM):
         cands, _ = oracle._candidates(alpha, q)
         for once in (0, len(cands) ** 2):
-            if ref.flat_budget_work(fq, alpha, q, cands, once) <= oracle.DEFAULT_BUDGET:
+            if ref.flat_budget_work(fq, alpha, q, cands, once) <= oracle.BUDGET:
                 oracle._invariant_runs(fq, alpha, q, cands, once)
                 accepted += 1
     assert accepted

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,8 +29,36 @@ class TestParams:
         assert StabilityParams((0,), MINUS_INF).c == MINUS_INF
 
     def test_side_validated(self):
-        with pytest.raises(ValueError, match="side must be"):
+        # one line naming the sides and the value given
+        with pytest.raises(ValueError, match=(
+                r"^side must be one of \('exact', 'plus', 'minus'\), not 'left'$")):
             StabilityParams((0,), 0, "left")
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: check_theta(KRON, (0.1, 0)), "theta weight 0.1"),
+        (lambda: find_walls(KRON, (1, 0.5), (1, 1)), "theta weight 0.5"),
+        (lambda: StabilityParams((1, float("inf"))), "theta weight inf"),
+        (lambda: StabilityParams((1, 0), 0.1), "level c 0.1"),
+        (lambda: StabilityParams((1, 0), float("nan"), "plus"), "level c nan"),
+        (lambda: count_framed_stable(KRON, (1, 1), (1, 0), 0.5, "plus", 2), "level c 0.5"),
+        (lambda: hall_filtration_check(KRON, (1, 1), (1, 0), 0.5, 2), "level c 0.5"),
+        (lambda: framed_at(universal_for(KRON, 2), (1, 0), 0.5, "plus", 1), "level c 0.5"),
+    ], ids=["check_theta", "find_walls", "theta-inf", "StabilityParams", "level-nan",
+            "count_framed_stable", "hall_filtration_check", "framed_at"])
+    def test_inexact_float_refused(self, call, message):
+        # a float that is not an integer stands for a binary fraction, not the
+        # rational meant: one line naming it
+        with pytest.raises(ValueError, match=(
+                f"^{message} is not exact: give an int, a Fraction or 'p/q'$")):
+            call()
+
+    def test_integral_float_and_infinite_levels_kept(self):
+        # as check_alpha keeps 1.0, an integral float is the integer it holds
+        sp = StabilityParams((1.0, -2.0), 3.0, "plus")
+        assert sp.theta == (1, -2) and sp.c == 3 and type(sp.c) is Fraction
+        assert check_theta(KRON, (0.0, 4.0)) == (0, 4)
+        assert StabilityParams((0,), float("inf")).c == PLUS_INF
+        assert StabilityParams((0,), float("-inf")).c == MINUS_INF
 
     def test_infinite_c_is_exact_only(self):
         with pytest.raises(ValueError, match="finite c"):
@@ -95,6 +124,23 @@ class TestFindWalls:
         # None lists no weights: one line naming it, not a TypeError
         with pytest.raises(ValueError, match="^theta must list one weight per vertex: got None$"):
             call()
+
+    @pytest.mark.parametrize("theta", ["10", 3, Fraction(1, 2)])
+    @pytest.mark.parametrize("call", [
+        lambda theta: check_theta(KRON, theta),
+        lambda theta: StabilityParams(theta),
+        lambda theta: find_walls(KRON, theta, (1, 1)),
+        lambda theta: slope_ladder(universal_for(KRON, 2), theta),
+        lambda theta: count_framed_stable(KRON, (1, 1), theta, Fraction(1, 2), "plus", 2),
+        lambda theta: hall_filtration_check(KRON, (1, 1), theta, Fraction(1, 2), 2),
+    ], ids=["check_theta", "StabilityParams", "find_walls", "slope_ladder",
+            "count_framed_stable", "hall_filtration_check"])
+    def test_refuses_a_theta_that_is_not_a_list(self, call, theta):
+        # a string is not read character by character, and a number is one
+        # line naming it, not a TypeError
+        with pytest.raises(ValueError, match=(
+                f"^theta must list one weight per vertex: got {re.escape(repr(theta))}$")):
+            call(theta)
 
     def test_check_alpha_refuses_a_fraction_and_keeps_integral_values(self):
         with pytest.raises(ValueError, match="^alpha entry 3/2 is not an integer$"):
