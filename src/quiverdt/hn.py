@@ -7,13 +7,12 @@ top slope off one rest at a time, by one left quotient each, leaving the
 ladder of partial products, which other modules read through ladder_at.
 """
 
-from fractions import Fraction
 from functools import cache, partial
 
 from .qtorus import TorusSeries, pleth_exp, torus_div
 from .quiver import FramedQuiver, Record, dim_vectors_up_to
 from .scalar import ONE, L, Scalar
-from .stability import MINUS_INF, PLUS_INF, check_theta, theta_slope
+from .stability import MINUS_INF, PLUS_INF, _exact, check_theta, theta_slope
 
 
 class UniversalSeries(Record):
@@ -98,7 +97,7 @@ def ladder_at(BU: UniversalSeries, theta, a) -> tuple:
         check_theta(fq, theta)
         top = one if a == MINUS_INF else BU.series
         return top, one, top
-    ladder, a = slope_ladder(BU, theta), Fraction(a)
+    ladder, a = slope_ladder(BU, theta), _exact(a, "slope mu")
     upto = below = BU.series
     piece = one
     for mu, B, rest in ladder:

@@ -10,9 +10,9 @@ over one kernel, _invariant_runs, which yields each set of arrow-invariant
 subspace tuples that occurs, as a bitmask over the candidate tuples, with
 the number of matrix tuples that have it.  The three share one path to it:
 _config checks alpha and theta against the quiver and refuses a q that is
-not a prime at most 5 and a class above the dimension cap, _slope_tests
-reads c-plus and c-minus as c + eps and c - eps, and the two counts go
-through _points.
+not a prime at most 5 and a class above the dimension cap, _flagged
+returns the sets of bad and watched classes, reading c-plus and c-minus
+as c + eps and c - eps, and the two counts take those sets to _points.
 
 - The points of F_q^n are numbered in itertools.product order, and each
   subspace is stored as the int bitmask of its members.
@@ -38,12 +38,12 @@ through _points.
 - Each arrow's walk tallies its class sizes per fail mask, and the arrows'
   tallies are joined by OR with the sizes multiplied, so matrix tuples
   with the same fail mask are handled once.
-- Slopes depend on dimension vectors only, so the slope tests are decided
-  once per class d <= alpha before the matrix loop, reading each slope
-  through one cache per call.  A nonzero class is bad when its unframed
-  subobjects destabilize every point, and a proper class is watched when
-  its framed subobjects destabilize the framing tuples inside them; with
-  no class of either kind, every point counts and nothing is enumerated.
+- Slopes depend on dimension vectors only, so _flagged tests each class
+  d <= alpha once, before the matrix loop.  A nonzero class is bad when
+  its unframed subobjects destabilize every point, and a proper class is
+  watched when its framed subobjects destabilize the framing tuples inside
+  them; with no class of either kind, every point counts and nothing is
+  enumerated.
 - A tuple of framing vectors is a point of the product of the framed
   vertices' spaces.  The framing tuples inside a subspace tuple form the
   product of its member masks, so stable framing points are counted by
@@ -329,43 +329,34 @@ def _config(fq: FramedQuiver, q: int, alpha, theta):
     return alpha, theta
 
 
-def _never(d) -> bool:
-    return False
-
-
-def _slope_tests(slope, theta, alpha, c, side: str, semistable: bool):
-    """(bad_if, watch_if) for the class (alpha, 1) at level c + s eps, or
-    alpha alone when c is None: a class destabilizes when its slope is above
-    alpha's, or equal to it when stability rather than semistability is
-    tested.  s is 0, 1 or -1 on side exact, plus or minus, for every small
-    eps > 0: a framed class (d, 1) gains s eps / (|d| + 1) and an unframed
-    one nothing, so the tests compare the pairs (slope at c, eps-coefficient)
-    lexicographically.  slope is the entry point's cached unframed slope."""
+def _flagged(slope, theta, alpha, c, side: str, semistable: bool):
+    """(bad, watched) for the class (alpha, 1) at level c + s eps, or alpha
+    alone when c is None: the nonzero classes d <= alpha whose unframed
+    subobjects destabilize it, and the proper ones whose framed subobjects
+    (d, 1) do (none when c is None).  A class destabilizes when its slope is
+    above the target's, or equal to it when stability rather than
+    semistability is tested.  s is 0, 1 or -1 on side exact, plus or minus,
+    for every small eps > 0: a framed class (d, 1) gains s eps / (|d| + 1)
+    and an unframed one nothing, so the pairs (slope at c, eps-coefficient)
+    compare lexicographically.  slope is the unframed slope; each class is
+    tested once."""
     beats = operator.gt if semistable else operator.ge
+    subs = list(sub_vectors(alpha))
     if c is None:
         target = slope(alpha)
-        return (lambda d: beats(slope(d), target)), _never
+        return {d for d in subs if sum(d) and beats(slope(d), target)}, set()
     s = {"exact": 0, "plus": 1, "minus": -1}[side]
-    # once per class
-    framed = cache(lambda d: (theta_slope(theta, d, c), Fraction(s, sum(d) + 1)))
-    target = framed(alpha)
-    return (lambda d: beats((slope(d), 0), target)), (lambda d: beats(framed(d), target))
+    target = (theta_slope(theta, alpha, c), Fraction(s, sum(alpha) + 1))
+    return ({d for d in subs if sum(d) and beats((slope(d), 0), target)},
+            {d for d in subs if d != alpha
+             and beats((theta_slope(theta, d, c), Fraction(s, sum(d) + 1)), target)})
 
 
-def _flagged(alpha, bad_if, watch_if):
-    """The nonzero classes d <= alpha with bad_if(d) and the proper ones with
-    watch_if(d): each slope test is decided once per class."""
-    subs = list(sub_vectors(alpha))
-    return ({d for d in subs if sum(d) and bad_if(d)},
-            {d for d in subs if d != alpha and watch_if(d)})
-
-
-def _points(fq: FramedQuiver, alpha, q: int, slots, bad_if, watch_if) -> int:
+def _points(fq: FramedQuiver, alpha, q: int, slots, bad_dims, watch_dims) -> int:
     """Points (matrix tuple, framing tuple) of class alpha with no invariant
-    subspace tuple of a bad class, and the framing tuple inside no invariant
-    subspace tuple of a watched class.  With no class flagged every point
-    counts, and nothing is enumerated."""
-    bad_dims, watch_dims = _flagged(alpha, bad_if, watch_if)
+    subspace tuple of a class in bad_dims, and the framing tuple inside no
+    invariant subspace tuple of a class in watch_dims.  With no class
+    flagged every point counts, and nothing is enumerated."""
     if not bad_dims and not watch_dims:
         return q ** (sum(alpha[i] * alpha[j] for i, j in _arrow_list(fq))
                      + sum(alpha[i] for i in slots))
@@ -392,26 +383,25 @@ def count_stack(fq: FramedQuiver, alpha, sp, q: int, *, framed: bool = False) ->
     sp is "all" or StabilityParams.  Equals #points / #G by the orbit
     formula, G = prod GL_{a_i} times GL_1 at the framing vertex when framed.
     """
+    if not isinstance(sp, StabilityParams) and sp != "all":
+        raise TypeError("sp must be 'all' or StabilityParams")
     # "all" reads no theta: a zero one passes the check
-    theta = sp.theta if isinstance(sp, StabilityParams) else (0,) * fq.n_vertices
+    theta = (0,) * fq.n_vertices if sp == "all" else sp.theta
     alpha, theta = _config(fq, q, alpha, theta)
     if sum(alpha) == 0 and not framed:
         return Fraction(1)
     if sp == "all":
-        tests = _never, _never
-    elif not isinstance(sp, StabilityParams):
-        raise TypeError("sp must be 'all' or StabilityParams")
+        flagged = set(), set()
     elif framed and not sp.is_finite():
         raise ValueError("semistable framed counting needs a finite c")
     else:
         # unframed slopes never see c; framed: a subobject through the
         # framing destabilizes the framing tuples inside it
-        slope = cache(partial(theta_slope, theta))  # once per class
-        tests = _slope_tests(slope, theta, alpha, sp.c if framed else None, sp.side,
-                             semistable=True)
+        flagged = _flagged(partial(theta_slope, theta), theta, alpha,
+                           sp.c if framed else None, sp.side, semistable=True)
     slots = _framing_slots(fq) if framed else []
     group = math.prod(gl_order(ai, q) for ai in alpha) * (q - 1 if framed else 1)
-    return Fraction(_points(fq, alpha, q, slots, *tests), group)
+    return Fraction(_points(fq, alpha, q, slots, *flagged), group)
 
 
 def count_framed_stable(fq: FramedQuiver, alpha, theta, c, side: str, q: int) -> Fraction:
@@ -430,14 +420,14 @@ def count_framed_stable(fq: FramedQuiver, alpha, theta, c, side: str, q: int) ->
         return Fraction(1)
     if sp.c == PLUS_INF:
         # plus infinity: no proper subobject may contain the framing
-        tests = _never, (lambda d: True)
+        flagged = set(), {d for d in sub_vectors(alpha) if d != alpha}
     else:
         # (alpha, 0) or (0, 1) is always flagged, since the slope of
         # (alpha, 1) is a weighted mean of theirs: this count always enumerates
-        slope = cache(partial(theta_slope, theta))  # once per class
-        tests = _slope_tests(slope, theta, alpha, sp.c, sp.side, semistable=False)
+        flagged = _flagged(partial(theta_slope, theta), theta, alpha, sp.c, sp.side,
+                           semistable=False)
     group = math.prod(gl_order(ai, q) for ai in alpha)
-    return Fraction(_points(fq, alpha, q, _framing_slots(fq), *tests), group)
+    return Fraction(_points(fq, alpha, q, _framing_slots(fq), *flagged), group)
 
 
 def verify_coefficient(series_coeff: Scalar, count, q: int, *, chi: int = 0) -> bool:
@@ -482,8 +472,7 @@ def hall_filtration_check(fq: FramedQuiver, alpha, theta, c, q: int) -> bool:
 
     # left side, the classes count_stack flags: star-0 subobjects kill every
     # framing tuple, star-1 ones kill the framing tuples inside them
-    bad_classes, watch_classes = _flagged(
-        alpha, *_slope_tests(slope, theta, alpha, c, "exact", semistable=True))
+    bad_classes, watch_classes = _flagged(slope, theta, alpha, c, "exact", semistable=True)
     bad = sum(1 << p for p, d in enumerate(dims) if d in bad_classes)
     watch = [f if d in watch_classes else 0 for f, d in zip(fm, dims)]
 
@@ -496,8 +485,7 @@ def hall_filtration_check(fq: FramedQuiver, alpha, theta, c, q: int) -> bool:
             continue
         gamma = tuple(a - x for a, x in zip(alpha, d))
         if sum(gamma) and gamma not in quotient:
-            quotient[gamma] = _flagged(gamma, *_slope_tests(
-                slope, theta, gamma, c, "minus", semistable=False))
+            quotient[gamma] = _flagged(slope, theta, gamma, c, "minus", semistable=False)
         bad_q, watch_q = quotient.get(gamma, ((), ()))
         dead = above = 0
         for t, (m_t, e, n_e) in enumerate(zip(members, dims, sizes)):

@@ -14,7 +14,6 @@ cyclic-stability series and smooth-model motives; dt_omega gives the series
 Omega of DT invariants.
 """
 
-from fractions import Fraction
 from functools import cache, partial
 
 from .hn import UniversalSeries, ladder_at
@@ -22,7 +21,7 @@ from .quiver import Record, is_symmetric, nu, tits_form
 from .qtorus import (TorusSeries, nu_weights, pleth_exp, pleth_log, s_twist,
                      torus_div, torus_mul)
 from .scalar import L, ONE, Scalar
-from .stability import StabilityParams, check_alpha, check_theta, theta_slope
+from .stability import StabilityParams, _exact, check_alpha, check_theta, theta_slope
 
 L_MINUS_1 = L - ONE
 
@@ -115,7 +114,7 @@ def framed_at(BU: UniversalSeries, theta, c, side: str = "exact", mu=None) -> Fr
         return FramedSeries(_uniform(BU, theta, params.c, side), params, None)
     if mu is None:
         raise ValueError("finite c needs a slope mu")
-    mu = Fraction(mu)
+    mu = _exact(mu, "slope mu")
     slope = cache(partial(theta_slope, params.theta, c=params.c))  # once per class
     # The divisor P_{<=mu} or P_{<mu} has classes of slope <= mu only, and
     # removing one never lowers a framed slope below mu, so the solve on the

@@ -149,6 +149,11 @@ class TestCountAll:
         with pytest.raises(TypeError, match="StabilityParams"):
             count_stack(JORDAN, (1,), "some", 2)
 
+    def test_bad_sp_refused_at_the_zero_class(self):
+        # sp is checked before the zero class returns its count of 1
+        with pytest.raises(TypeError, match="^sp must be 'all' or StabilityParams$"):
+            count_stack(KRON, (0, 0), "bogus", 2)
+
 
 class TestCountSemistable:
     def test_kronecker_stable_classes(self):

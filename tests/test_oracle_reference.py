@@ -184,10 +184,8 @@ def test_one_sided_flags_match_concrete_levels():
             for side in ("plus", "minus"):
                 concrete = ref.resolve_side(walls, c, side)
                 for semistable in (True, False):
-                    got = oracle._flagged(alpha, *oracle._slope_tests(
-                        slope, theta, alpha, c, side, semistable))
-                    want = oracle._flagged(alpha, *oracle._slope_tests(
-                        slope, theta, alpha, concrete, "exact", semistable))
+                    got = oracle._flagged(slope, theta, alpha, c, side, semistable)
+                    want = oracle._flagged(slope, theta, alpha, concrete, "exact", semistable)
                     assert got == want, (theta, alpha, c, side, semistable)
                     checked += 1
     assert checked > 10 ** 4

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quiverdt.hn import slope_ladder, universal_for
+from quiverdt.hn import ladder_at, slope_ladder, universal_for
 from quiverdt.oracle import count_framed_stable, hall_filtration_check
 from quiverdt.quiver import jordan_quiver, kronecker_quiver, sub_vectors
 from quiverdt.stability import (MINUS_INF, PLUS_INF, StabilityParams, check_alpha,
                                 check_theta, find_walls, theta_slope)
-from quiverdt.wallcross import framed_at
+from quiverdt.wallcross import FramedSeries, framed_at, general_wallcross, smooth_model_series
 from reference_oracle import resolve_side
 
 KRON = kronecker_quiver()
@@ -43,8 +43,16 @@ class TestParams:
         (lambda: count_framed_stable(KRON, (1, 1), (1, 0), 0.5, "plus", 2), "level c 0.5"),
         (lambda: hall_filtration_check(KRON, (1, 1), (1, 0), 0.5, 2), "level c 0.5"),
         (lambda: framed_at(universal_for(KRON, 2), (1, 0), 0.5, "plus", 1), "level c 0.5"),
+        (lambda: framed_at(universal_for(KRON, 3), (1, 0), Fraction(1, 2), "plus", 0.1),
+         "slope mu 0.1"),
+        (lambda: ladder_at(universal_for(KRON, 2), (1, 0), 0.5), "slope mu 0.5"),
+        (lambda: smooth_model_series(universal_for(KRON, 2), (1, 0), 0.5), "slope mu 0.5"),
+        (lambda: general_wallcross(FramedSeries(universal_for(KRON, 2).series,
+                                                StabilityParams((1, 0), 2), 0.5),
+                                   universal_for(KRON, 2), "plus"), "slope mu 0.5"),
     ], ids=["check_theta", "find_walls", "theta-inf", "StabilityParams", "level-nan",
-            "count_framed_stable", "hall_filtration_check", "framed_at"])
+            "count_framed_stable", "hall_filtration_check", "framed_at",
+            "framed_at-mu", "ladder_at", "smooth_model_series", "general_wallcross"])
     def test_inexact_float_refused(self, call, message):
         # a float that is not an integer stands for a binary fraction, not the
         # rational meant: one line naming it
@@ -59,6 +67,13 @@ class TestParams:
         assert check_theta(KRON, (0.0, 4.0)) == (0, 4)
         assert StabilityParams((0,), float("inf")).c == PLUS_INF
         assert StabilityParams((0,), float("-inf")).c == MINUS_INF
+
+    def test_integral_float_slope_kept(self):
+        bu = universal_for(KRON, 3)
+        got = framed_at(bu, (1, 0), Fraction(1, 2), "plus", 1.0)
+        assert got.mu == 1 and type(got.mu) is Fraction
+        assert got == framed_at(bu, (1, 0), Fraction(1, 2), "plus", 1)
+        assert ladder_at(bu, (1, 0), 1.0) == ladder_at(bu, (1, 0), 1)
 
     def test_infinite_c_is_exact_only(self):
         with pytest.raises(ValueError, match="finite c"):
