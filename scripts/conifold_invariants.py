@@ -2,14 +2,15 @@
 
 Prints Omega_alpha up to a chosen total dimension, runs the sign
 diagnostic (substituting v -> -v must leave nonnegative integer
-coefficients), and finishes with the euler-limit transfer series.
+coefficients), and finishes with the euler-limit transfer series: the
+transfer series of B_U read at v = 1.
 """
 
 import argparse
 
 from quiverdt.quiver import conifold_quiver
 from quiverdt.hn import universal_for
-from quiverdt.wallcross import dt_omega, euler_transfer
+from quiverdt.wallcross import dt_omega, transfer_series
 
 
 def flipped_coeffs(value):
@@ -41,8 +42,7 @@ def main():
     print(f"# sign diagnostic: {'clean' if clean else 'FAILED'}")
 
     print("# euler-limit transfer series")
-    limit = euler_transfer(omega)
-    for key, c in limit.terms():
+    for key, c in transfer_series(bu.series).terms():
         print(f"{','.join(map(str, key))}\t{c.specialize()}")
 
 

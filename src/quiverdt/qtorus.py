@@ -42,15 +42,6 @@ def _zero_key(fq: FramedQuiver) -> Key:
     return zero_vector(fq.n_vertices)
 
 
-def _checked_key(key, n: int) -> Key:
-    """key as a tuple, refused unless it lists one dimension per vertex."""
-    key = tuple(key)
-    if len(key) != n:
-        raise ValueError(f"series key {key} must list one dimension per vertex: "
-                         f"got {len(key)} for {n} vertices")
-    return key
-
-
 class TorusSeries(Record):
     """A truncated series: fq fixes the skew form, trunc the region."""
 
@@ -60,9 +51,8 @@ class TorusSeries(Record):
         if trunc < 0:  # no region at all, not even for the constant term
             raise ValueError(f"N = {trunc} is negative")
         clean = {}
-        n = fq.n_vertices
         for key, c in coeffs.items():
-            key = _checked_key(key, n)
+            key = check_alpha(fq, key)
             if sum(key) <= trunc and c:
                 clean[key] = c
         self._set(fq=fq, trunc=trunc, coeffs=clean)
@@ -77,10 +67,10 @@ class TorusSeries(Record):
 
     @classmethod
     def monomial(cls, fq, trunc, alpha, coeff=ONE) -> "TorusSeries":
-        return cls(fq, trunc, {check_alpha(fq, alpha): coeff})
+        return cls(fq, trunc, {tuple(alpha): coeff})  # the constructor checks the key
 
     def coeff(self, alpha) -> Scalar:
-        return self.coeffs.get(_checked_key(alpha, self.fq.n_vertices), Scalar.of(0))
+        return self.coeffs.get(check_alpha(self.fq, alpha), Scalar.of(0))
 
     def constant_term(self) -> Scalar:
         return self.coeffs.get(_zero_key(self.fq), Scalar.of(0))

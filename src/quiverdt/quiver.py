@@ -60,7 +60,7 @@ def int_entries(values, what: str) -> tuple:
     for x in values:
         if isinstance(x, bool) or int(x) != x:
             raise ValueError(f"{what} entry {x} is not an integer")
-    return tuple(int(x) for x in values)
+    return tuple(map(int, values))
 
 
 class Quiver(Record):

@@ -84,7 +84,7 @@ def check_alpha(fq: FramedQuiver, alpha) -> tuple:
     if len(alpha) != fq.n_vertices:
         raise ValueError(f"alpha must list one dimension per vertex: "
                          f"got {len(alpha)} for {fq.n_vertices} vertices")
-    if any(a < 0 for a in alpha):
+    if min(alpha) < 0:  # the length check keeps alpha nonempty
         raise ValueError(f"alpha {alpha} has a negative entry")
     return alpha
 

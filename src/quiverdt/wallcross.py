@@ -11,15 +11,15 @@ S_nu(P) . S_{-nu}(Q)^{-1} (_crossing), gives the transfer series C_mu,
 framed series A at any level, both infinities too, the same series carried
 across its wall (general_wallcross) and, twisted by S_nu, the
 cyclic-stability series and smooth-model motives; dt_omega gives the series
-Omega of DT invariants.
+Omega of DT invariants.  An Euler limit, the transfer series's included,
+is the series read at v = 1 (Scalar.specialize).
 """
 
 from functools import cache, partial
 
 from .hn import UniversalSeries, ladder_at
-from .quiver import Record, is_symmetric, nu, tits_form
-from .qtorus import (TorusSeries, nu_weights, pleth_exp, pleth_log, s_twist,
-                     torus_div, torus_mul)
+from .quiver import Record, is_symmetric, tits_form
+from .qtorus import TorusSeries, nu_weights, pleth_log, s_twist, torus_div, torus_mul
 from .scalar import L, ONE, Scalar
 from .stability import StabilityParams, _exact, check_alpha, check_theta, theta_slope
 
@@ -31,6 +31,8 @@ class FramedSeries(Record):
     __slots__ = ("series", "params", "mu")
 
     def __init__(self, series: TorusSeries, params: StabilityParams, mu=None):
+        if mu is not None:
+            mu = _exact(mu, "slope mu")
         self._set(series=series, params=params, mu=mu)
 
 
@@ -163,23 +165,3 @@ def dt_omega(B_mu: TorusSeries) -> TorusSeries:
     """The series Omega of invariants with B_mu = Exp(Omega / (L-1))."""
     return pleth_log(B_mu).map_coeffs(lambda k, c: c * L_MINUS_1)
 
-
-def euler_transfer(omega: TorusSeries) -> TorusSeries:
-    """Euler-number limit of the transfer series.
-
-    Builds Exp(sum nu(alpha) om_alpha x^alpha) from the specialized
-    invariants, then flips the sign of every term with odd nu(alpha).
-    """
-    fq = omega.fq
-    base: dict = {}
-    for k, c in omega.coeffs.items():
-        e = c.specialize()
-        n = nu(fq, k)
-        if n and e:
-            base[k] = Scalar.of(n * e)
-    g = pleth_exp(TorusSeries(fq, omega.trunc, base))
-
-    def sign(key, c):
-        return -c if nu(fq, key) % 2 else c
-
-    return g.map_coeffs(sign)

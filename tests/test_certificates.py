@@ -13,6 +13,11 @@ truncations past the oracle's reach:
 - the motivic MacMahon function for c3 (Behrend-Bryan-Szendroi,
   arXiv:0909.5088) and Szendroi's Euler partition function for the
   conifold (arXiv:0705.3419), against ncdt of the built-in B_U;
+- the conifold chamber by chamber (Nagao-Nakajima, arXiv:0809.2992;
+  Jafferis-Moore, arXiv:0810.4909): at v = 1, S_nu of the uniform series
+  at each level is a sub-product of Szendroi's class factors;
+- the Euler limit of the transfer series, sigma Exp(sum nu(alpha)
+  Omega_alpha(1) x^alpha), against transfer_series read at v = 1;
 - Reineke's resolution of the HN recursion (arXiv:math/0204059), against
   every HN piece, with no torus solve;
 - the Euler numbers of noncommutative Hilbert schemes (Reineke,
@@ -42,10 +47,11 @@ from quiverdt.oracle import count_framed_stable, count_stack, verify_coefficient
 from quiverdt.quiver import (FramedQuiver, Quiver, c3_quiver, conifold_quiver,
                              jordan_quiver, kronecker_quiver, loop_quiver, nu,
                              tits_form)
-from quiverdt.qtorus import TorusSeries, torus_mul
+from quiverdt.qtorus import TorusSeries, nu_weights, s_twist, torus_mul
 from quiverdt.scalar import L, ONE, V, ZERO, Scalar
 from quiverdt.stability import SIDES, StabilityParams, find_walls, theta_slope
-from quiverdt.wallcross import dt_omega, framed_at, ncdt, smooth_model_motive
+from quiverdt.wallcross import (_uniform, dt_omega, framed_at, ncdt, smooth_model_motive,
+                                transfer_series)
 
 
 def mobius(n: int) -> int:
@@ -131,44 +137,111 @@ def check_c3_motivic_macmahon(N: int) -> int:
 
 
 def _int_mul(f: dict, g: dict, N: int) -> dict:
-    """Product of integer series {(a, b): c} in q0, q1, cut to a + b <= N."""
+    """Product of commuting integer series {exponent tuple: c}, cut to total
+    degree <= N."""
     out: dict = {}
-    for (a, b), x in f.items():
-        for (c, d), y in g.items():
-            if a + b + c + d <= N:
-                out[(a + c, b + d)] = out.get((a + c, b + d), 0) + x * y
+    for a, x in f.items():
+        for b, y in g.items():
+            if sum(a) + sum(b) <= N:
+                k = tuple(i + j for i, j in zip(a, b))
+                out[k] = out.get(k, 0) + x * y
     return {k: c for k, c in out.items() if c}
 
 
 def _binomial_power(mono, e: int, N: int) -> dict:
-    """(1 - q0^a q1^b)^e for an integer e of either sign, cut to degree N."""
-    a, b = mono
-    top = N // (a + b)
+    """(1 - x^mono)^e for an integer e of either sign, cut to degree N."""
+    top = N // sum(mono)
     if e >= 0:
         coeffs = [(-1) ** j * comb(e, j) for j in range(min(e, top) + 1)]
     else:
         coeffs = [comb(-e + j - 1, j) for j in range(top + 1)]
-    return {(a * j, b * j): c for j, c in enumerate(coeffs)}
+    return {tuple(a * j for a in mono): c for j, c in enumerate(coeffs)}
 
 
-def szendroi_euler(N: int) -> dict:
-    """Szendroi's Z(-q0, q1) = prod_k (1 - (q0 q1)^k)^{-2k}
-    (1 - q0^k q1^{k+1})^k (1 - q0^k q1^{k-1})^k, cut to a + b <= N."""
+def szendroi_factors(N: int) -> list:
+    """Szendroi's class factors ((a, b), e), each (1 - q0^a q1^b)^e, with
+    0 < a + b <= N: e = -2k at (k, k), and e = k at (k, k+1) and (k, k-1).
+    These are the classes where the conifold's Omega is nonzero; the factor
+    at (0, 1) is 1."""
+    return [(mono, e) for k in range(N + 1)
+            for mono, e in (((k, k), -2 * k), ((k, k + 1), k), ((k, k - 1), k))
+            if 0 < sum(mono) <= N]
+
+
+def szendroi_euler(N: int, factors=None) -> dict:
+    """The product of Szendroi's class factors (all of them by default,
+    which is Z(-q0, q1)), cut to a + b <= N."""
     out = {(0, 0): 1}
-    for k in range(1, N + 1):
-        for mono, e in (((k, k), -2 * k), ((k, k + 1), k), ((k, k - 1), k)):
-            if sum(mono) <= N:
-                out = _int_mul(out, _binomial_power(mono, e, N), N)
+    for mono, e in szendroi_factors(N) if factors is None else factors:
+        out = _int_mul(out, _binomial_power(mono, e, N), N)
     return out
+
+
+def _at_v_1(series: TorusSeries) -> dict:
+    """The nonzero coefficients of series at v = 1."""
+    values = {k: c.specialize() for k, c in series.coeffs.items()}
+    return {k: c for k, c in values.items() if c}
 
 
 def check_conifold_szendroi(N: int) -> int:
     """ncdt of the conifold's B_U at v = 1 is Z(-q0, q1); returns the number
     of classes compared."""
     got = ncdt(universal_for(conifold_quiver(), N))
-    values = {k: c.specialize() for k, c in got.coeffs.items()}
-    assert {k: c for k, c in values.items() if c} == szendroi_euler(N)
-    return len(values)
+    assert _at_v_1(got) == szendroi_euler(N)
+    return len(got.coeffs)
+
+
+def check_conifold_chambers(N: int) -> int:
+    """Chamber by chamber on the conifold: for theta = (1, 0), (0, 1) and
+    (2, -1), S_nu of the uniform series A^a at v = 1 is the product of
+    Szendroi's class factors of theta-slope < a on side minus and <= a on
+    side plus, at each rung a (a slope of a factor class), each midpoint
+    between rungs and one level beyond each end.  Side exact is left out:
+    at a rung it mixes P_{<=a} with P_{<a} and has a pole at v = 1.  At
+    a = +inf this is check_conifold_szendroi.  Returns the number of
+    side-levels compared."""
+    bu = universal_for(conifold_quiver(), N)
+    factors = szendroi_factors(N)
+    twist = nu_weights(bu.series.fq, 1)
+    seen = 0
+    for theta in ((1, 0), (0, 1), (2, -1)):
+        rungs = sorted({theta_slope(theta, mono) for mono, _ in factors})
+        levels = rungs + [(x + y) / 2 for x, y in zip(rungs, rungs[1:])]
+        levels += [rungs[0] - 1, rungs[-1] + 1]
+        for a in levels:
+            for side in ("minus", "plus"):
+                below = [(mono, e) for mono, e in factors
+                         if theta_slope(theta, mono) < a
+                         or side == "plus" and theta_slope(theta, mono) == a]
+                got = s_twist(_uniform(bu, theta, a, side), twist)
+                assert _at_v_1(got) == szendroi_euler(N, below), (theta, a, side)
+                seen += 1
+    return seen
+
+
+def euler_transfer_closed_form(B: TorusSeries) -> dict:
+    """The Euler limit of the transfer series of B on a symmetric quiver,
+    sigma Exp(sum_alpha nu(alpha) Omega_alpha(1) x^alpha) with Omega =
+    dt_omega(B): at v = 1 the torus commutes and Exp(n x^alpha) is
+    (1 - x^alpha)^{-n}, and sigma flips the sign where nu(alpha) is odd;
+    {alpha: value}, cut to |alpha| <= B.trunc."""
+    fq, N = B.fq, B.trunc
+    out = {(0,) * fq.n_vertices: 1}
+    for alpha, om in dt_omega(B).coeffs.items():
+        e = nu(fq, alpha) * om.specialize()
+        assert e.denominator == 1, (alpha, om)
+        if e:
+            out = _int_mul(out, _binomial_power(alpha, -int(e), N), N)
+    return {alpha: (-1) ** nu(fq, alpha) * c for alpha, c in out.items()}
+
+
+def check_euler_transfer(fq: FramedQuiver, N: int) -> int:
+    """transfer_series of B_U at v = 1 is euler_transfer_closed_form;
+    returns the number of classes compared."""
+    B = universal_for(fq, N).series
+    got = transfer_series(B)
+    assert _at_v_1(got) == euler_transfer_closed_form(B)
+    return len(got.coeffs)
 
 
 def _gl(n: int) -> Scalar:
@@ -317,6 +390,34 @@ def test_c3_motivic_macmahon():
 
 def test_conifold_szendroi():
     assert check_conifold_szendroi(10) == 23
+
+
+def test_conifold_chambers():
+    assert check_conifold_chambers(8) == 114
+
+
+@pytest.mark.parametrize("fq, N, classes", [
+    (c3_quiver(), 6, 7), (c3_quiver(w=(2,)), 5, 6),
+    (conifold_quiver(), 6, 11), (conifold_quiver(w=(1, 1)), 5, 11),
+    (loop_quiver(2), 5, 6),
+], ids=["c3-w1", "c3-w2", "conifold-w10", "conifold-w11", "loop2"])
+def test_euler_transfer(fq, N, classes):
+    assert check_euler_transfer(fq, N) == classes
+
+
+def test_euler_transfer_c3_values():
+    B = universal_for(c3_quiver(), 3).series
+    want = {(0,): 1, (1,): -1, (2,): 3, (3,): -6}
+    assert euler_transfer_closed_form(B) == want
+    assert check_euler_transfer(c3_quiver(), 3) == 4
+
+
+def test_euler_transfer_drops_unframed():
+    # w = (1, 0): nu ignores the second coordinate, so Omega_(0,1) = -v drops
+    B = universal_for(conifold_quiver(), 3).series
+    got = euler_transfer_closed_form(B)
+    assert got[(1, 0)] == 1 and (0, 1) not in got
+    assert check_euler_transfer(conifold_quiver(), 3) == 5
 
 
 @pytest.mark.parametrize("fq, theta, N, nonzero", [

@@ -272,6 +272,18 @@ class TestSeriesBasics:
         with pytest.raises(ValueError, match="^alpha must list one dimension per vertex"):
             TorusSeries.monomial(KRON, N, (1,))
 
+    @pytest.mark.parametrize("key, message", [
+        ((-1,), r"^alpha \(-1,\) has a negative entry$"),
+        ((1.5,), "^alpha entry 1.5 is not an integer$"),
+        ((True,), "^alpha entry True is not an integer$"),
+    ], ids=["negative", "fraction", "bool"])
+    def test_bad_key_refused(self, key, message):
+        # the constructor and coeff read a key through check_alpha
+        with pytest.raises(ValueError, match=message):
+            TorusSeries(JORDAN, 3, {key: ONE})
+        with pytest.raises(ValueError, match=message):
+            TorusSeries(JORDAN, 3, {(1,): ONE}).coeff(key)
+
     def test_repr_mentions_region(self):
         assert "N=4" in repr(TorusSeries.one(KRON, 4))
 

@@ -50,9 +50,12 @@ class TestParams:
         (lambda: general_wallcross(FramedSeries(universal_for(KRON, 2).series,
                                                 StabilityParams((1, 0), 2), 0.5),
                                    universal_for(KRON, 2), "plus"), "slope mu 0.5"),
+        (lambda: FramedSeries(universal_for(KRON, 2).series,
+                              StabilityParams((1, 0), 2, "plus"), 0.1), "slope mu 0.1"),
     ], ids=["check_theta", "find_walls", "theta-inf", "StabilityParams", "level-nan",
             "count_framed_stable", "hall_filtration_check", "framed_at",
-            "framed_at-mu", "ladder_at", "smooth_model_series", "general_wallcross"])
+            "framed_at-mu", "ladder_at", "smooth_model_series", "general_wallcross",
+            "FramedSeries"])
     def test_inexact_float_refused(self, call, message):
         # a float that is not an integer stands for a binary fraction, not the
         # rational meant: one line naming it
@@ -74,6 +77,16 @@ class TestParams:
         assert got.mu == 1 and type(got.mu) is Fraction
         assert got == framed_at(bu, (1, 0), Fraction(1, 2), "plus", 1)
         assert ladder_at(bu, (1, 0), 1.0) == ladder_at(bu, (1, 0), 1)
+
+    def test_framed_series_reads_mu_exactly(self):
+        # a series crossed onto its own side keeps its mu unread, so the
+        # record itself must hold the Fraction
+        bu = universal_for(KRON, 2)
+        sp = StabilityParams((1, 0), 2, "plus")
+        for mu, want in (("1/2", Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)), (1.0, 1)):
+            got = general_wallcross(FramedSeries(bu.series, sp, mu), bu, "plus").mu
+            assert got == want and type(got) is Fraction
+        assert FramedSeries(bu.series, sp).mu is None
 
     def test_infinite_c_is_exact_only(self):
         with pytest.raises(ValueError, match="finite c"):

@@ -6,13 +6,12 @@ from reference_hn import cyclic, series_sum, transfer_slope_product, truncate_ta
 from quiverdt import hn, qtorus, wallcross
 from quiverdt.hn import hn_factorize, ladder_at, slope_ladder, universal_for
 from quiverdt.quiver import (FramedQuiver, Quiver, c3_quiver, conifold_quiver,
-                             dim_vectors_up_to, jordan_quiver, kronecker_quiver,
-                             loop_quiver, tits_form)
+                             jordan_quiver, kronecker_quiver, loop_quiver, tits_form)
 from quiverdt.qtorus import (TorusSeries, nu_weights, pleth_exp, pleth_log,
                              s_twist, torus_div, torus_mul)
 from quiverdt.scalar import L, ONE, Scalar, V
 from quiverdt.stability import MINUS_INF, PLUS_INF, SIDES, find_walls, theta_slope
-from quiverdt.wallcross import (FramedSeries, _uniform, dt_omega, euler_transfer, framed_at,
+from quiverdt.wallcross import (FramedSeries, _uniform, dt_omega, framed_at,
                                 general_wallcross, ncdt, smooth_model_motive, smooth_model_series,
                                 transfer_series)
 
@@ -465,29 +464,3 @@ class TestOmega:
         fq = jordan_quiver((2,))
         om = dt_omega(universal_for(fq, 3).series)
         assert om.fq == fq and om.trunc == 3 and om.coeff((1,)) == L
-
-    def test_euler_transfer_c3(self):
-        fq = c3_quiver()
-        bu = universal_for(fq, 3)
-        out = euler_transfer(dt_omega(bu.series))
-        assert [out.coeff((n,)) for n in range(4)] == \
-            [ONE, -ONE, Scalar.of(3), Scalar.of(-6)]
-
-    def test_euler_transfer_drops_unframed(self):
-        fq = conifold_quiver()  # w = (1, 0): nu ignores the second coordinate
-        bu = universal_for(fq, 3)
-        out = euler_transfer(dt_omega(bu.series))
-        assert out.coeff((0, 1)) == Scalar.of(0)
-        assert out.coeff((1, 0)) == ONE
-
-    @pytest.mark.parametrize("fq, N", [
-        (c3_quiver(), 6), (c3_quiver(w=(2,)), 5),
-        (conifold_quiver(), 6), (conifold_quiver(w=(1, 1)), 5),
-        (loop_quiver(2), 5),
-    ], ids=["c3-w1", "c3-w2", "conifold-w10", "conifold-w11", "loop2"])
-    def test_euler_transfer_is_transfer_at_v_1(self, fq, N):
-        B = universal_for(fq, N).series
-        limit = euler_transfer(dt_omega(B))
-        full = transfer_series(B)
-        for a in dim_vectors_up_to(fq.n_vertices, N):
-            assert limit.coeff(a).specialize() == full.coeff(a).specialize(), a
