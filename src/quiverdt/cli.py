@@ -12,9 +12,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .hn import ladder_at, slope_ladder, universal_for
-from .oracle import (MAX_TOTAL_DIM, count_stack, hall_filtration_check,
-                     verify_coefficient)
+from .hn import ladder_at, slope_ladder, universal_for, verify_coefficient
+from .oracle import MAX_TOTAL_DIM, count_stack, hall_filtration_check
 from .quiver import FramedQuiver, dim_vectors_up_to, load_quiver_file, tits_form
 from .qtorus import TorusSeries, serialize
 from .stability import (MINUS_INF, PLUS_INF, StabilityParams, check_theta,

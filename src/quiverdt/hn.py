@@ -5,8 +5,13 @@ weight vector theta it factors uniquely as the ordered product of slope
 pieces B_mu, decreasing slope left to right.  The factorization peels the
 top slope off one rest at a time, by one left quotient each, leaving the
 ladder of partial products, which other modules read through ladder_at.
+B_U's coefficient at alpha carries the normalization (-v)^{chi(alpha, alpha)},
+and a series built from it a (-v)^chi of its own; verify_coefficient undoes
+a given one, so that a count of the finite-field oracle (which imports none
+of the series modules) can certify a coefficient at L = q.
 """
 
+from fractions import Fraction
 from functools import cache, partial
 
 from .qtorus import TorusSeries, pleth_exp, torus_div
@@ -51,6 +56,12 @@ def universal_trivial(fq: FramedQuiver, N: int) -> UniversalSeries:
             denom = denom * gl_motive(ai)
         coeffs[alpha] = Scalar.neg_v_pow(power) / denom
     return UniversalSeries(TorusSeries(fq, N, coeffs))
+
+
+def verify_coefficient(series_coeff: Scalar, count, q: int, *, chi: int = 0) -> bool:
+    """Strip the (-v)^chi normalization carried by the series, evaluate at
+    L = q, compare exactly."""
+    return series_coeff.times_neg_v_pow(-chi).specialize_L(q) == Fraction(count)
 
 
 # Omega_alpha, the motivic DT invariants of the stock potentials, by the spread

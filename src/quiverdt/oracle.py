@@ -1,9 +1,9 @@
 """Finite-field counting oracle.
 
 Counts representations and framed representations of a quiver over F_q,
-weighted by automorphisms, by direct enumeration of matrix tuples.  Entirely
-independent of the series machinery, so its numbers can certify series
-coefficients at L = q via verify_coefficient.
+weighted by automorphisms, by direct enumeration of matrix tuples.  It
+imports only quiver and stability, none of the series machinery, so its
+numbers can certify series coefficients at L = q (hn.verify_coefficient).
 
 count_stack, count_framed_stable and hall_filtration_check are predicates
 over one kernel, _invariant_runs, which yields each set of arrow-invariant
@@ -63,7 +63,6 @@ from fractions import Fraction
 from functools import cache, partial
 
 from .quiver import FramedQuiver, sub_vectors
-from .scalar import Scalar
 from .stability import (MINUS_INF, PLUS_INF, StabilityParams, check_alpha,
                         check_theta, theta_slope)
 
@@ -428,12 +427,6 @@ def count_framed_stable(fq: FramedQuiver, alpha, theta, c, side: str, q: int) ->
                            semistable=False)
     group = math.prod(gl_order(ai, q) for ai in alpha)
     return Fraction(_points(fq, alpha, q, _framing_slots(fq), *flagged), group)
-
-
-def verify_coefficient(series_coeff: Scalar, count, q: int, *, chi: int = 0) -> bool:
-    """Strip the (-v)^chi normalization carried by the series, evaluate at
-    L = q, compare exactly."""
-    return series_coeff.times_neg_v_pow(-chi).specialize_L(q) == Fraction(count)
 
 
 # ---- counting-level wall-crossing check -------------------------------------

@@ -29,7 +29,7 @@ under removing the divisor's keys), and Log is a quotient:
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .quiver import FramedQuiver, Record, zero_vector
+from .quiver import FramedQuiver, Record
 from .scalar import ONE, Scalar, _acc_term, _settle
 from .stability import check_alpha
 
@@ -39,7 +39,7 @@ Key = tuple  # a dimension vector
 
 
 def _zero_key(fq: FramedQuiver) -> Key:
-    return zero_vector(fq.n_vertices)
+    return (0,) * fq.n_vertices
 
 
 class TorusSeries(Record):
@@ -58,16 +58,8 @@ class TorusSeries(Record):
         self._set(fq=fq, trunc=trunc, coeffs=clean)
 
     @classmethod
-    def zero(cls, fq: FramedQuiver, trunc: int) -> "TorusSeries":
-        return cls(fq, trunc, {})
-
-    @classmethod
     def one(cls, fq: FramedQuiver, trunc: int) -> "TorusSeries":
         return cls(fq, trunc, {_zero_key(fq): ONE})
-
-    @classmethod
-    def monomial(cls, fq, trunc, alpha, coeff=ONE) -> "TorusSeries":
-        return cls(fq, trunc, {tuple(alpha): coeff})  # the constructor checks the key
 
     def coeff(self, alpha) -> Scalar:
         return self.coeffs.get(check_alpha(self.fq, alpha), Scalar.of(0))

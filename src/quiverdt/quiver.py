@@ -111,13 +111,6 @@ def tits_form(fq: FramedQuiver, a) -> int:
     return euler_form(fq, a, a)
 
 
-def nu(fq: FramedQuiver, alpha) -> int:
-    """The framing weight w . alpha: the w_i arrows * -> i pair alpha with
-    the framing vertex, so this is the skew form of the classes (alpha, 0)
-    and (0, 1) of the quiver with * added."""
-    return sum(wi * ai for wi, ai in zip(fq.w, alpha))
-
-
 def is_symmetric(fq: FramedQuiver) -> bool:
     arrows = fq.base.arrows
     n = fq.base.n_vertices
@@ -134,10 +127,6 @@ def dim_vectors_up_to(n_vertices: int, total: int) -> Iterator[tuple]:
 def sub_vectors(alpha) -> Iterator[tuple]:
     """All beta with 0 <= beta <= alpha componentwise."""
     return itertools.product(*(range(a + 1) for a in alpha))
-
-
-def zero_vector(n: int) -> tuple:
-    return (0,) * n
 
 
 class QuiverFileError(ValueError):

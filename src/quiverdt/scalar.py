@@ -361,9 +361,6 @@ class Scalar:
             n = tuple(-x for x in n)
         return Scalar._raw(self._e + k, n, self._d)
 
-    def is_zero(self) -> bool:
-        return not self._n
-
     def __bool__(self):
         return bool(self._n)
 
@@ -497,5 +494,4 @@ class Scalar:
 
 ZERO = Scalar._raw(0, (), (1,))
 ONE = Scalar._raw(0, (1,), (1,))
-V = Scalar.v_pow(1)
 L = Scalar.v_pow(2)

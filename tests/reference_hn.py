@@ -150,7 +150,7 @@ def truncate_tau(f: TorusSeries, theta, c, mu) -> TorusSeries:
     """Keep exactly the terms whose framed slope mu_c(alpha, 1) is mu."""
     if mu == float("inf"):
         # r(alpha, 1) > 0 always, so no finite class ever has infinite slope
-        return TorusSeries.zero(f.fq, f.trunc)
+        return TorusSeries(f.fq, f.trunc, {})
     mu, c = Fraction(mu), Fraction(c)
     return f.restrict(lambda key: theta_slope(theta, key, c) == mu)
 

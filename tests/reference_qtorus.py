@@ -1,15 +1,17 @@
 """Reference kernel for the differential test of quiverdt.qtorus.
 
 This is the truncated quantum torus that quiverdt.qtorus replaced, kept
-verbatim except for this docstring and absolute imports: torus_mul reduces
+verbatim except for this docstring, absolute imports and (0,) * n for the
+zero class, which the package no longer names: torus_mul reduces
 every term product and every partial sum, torus_inverse builds one series
 product per pair of degrees, and pleth_exp and pleth_log sum full powers of
 their argument.  Its keys carry the framing coordinate star, 0 or 1
 (ExtDimVector), and its products twist by the skew form of the quiver with
 the framing vertex * added.  quiverdt keeps every framed series star-0 and
-has no framing coordinate, so these classes, that Euler form and its skew
-form are defined here, for this torus and the tests that read quiverdt
-against it.  Nothing under src/ imports it.
+has no framing coordinate, so these classes, that Euler form, its skew
+form and the framing weight nu (that skew form of (alpha, 0) and (0, 1))
+are defined here, for this torus and the tests that read quiverdt against
+it.  Nothing under src/ imports it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from quiverdt.quiver import FramedQuiver, zero_vector
+from quiverdt.quiver import FramedQuiver
 from quiverdt.scalar import ONE, Scalar
 
 
@@ -56,11 +58,18 @@ def skew_form(fq: FramedQuiver, a: ExtDimVector, b: ExtDimVector) -> int:
     return euler_form(fq, a, b) - euler_form(fq, b, a)
 
 
+def nu(fq: FramedQuiver, alpha) -> int:
+    """The framing weight w . alpha: the w_i arrows * -> i pair alpha with
+    the framing vertex, so this is the skew form of the classes (alpha, 0)
+    and (0, 1)."""
+    return sum(wi * ai for wi, ai in zip(fq.w, alpha))
+
+
 Key = ExtDimVector
 
 
 def _zero_key(fq: FramedQuiver) -> Key:
-    return ExtDimVector(zero_vector(fq.n_vertices), 0)
+    return ExtDimVector((0,) * fq.n_vertices, 0)
 
 
 @dataclass(frozen=True)

@@ -13,18 +13,20 @@ import pytest
 
 from plane_partitions import plane_partitions
 from reference_hn import remultiply_check, transfer_slope_product, truncate_tau
-from quiverdt.hn import hn_factorize, universal_for, universal_trivial
-from quiverdt.oracle import count_framed_stable, count_stack, verify_coefficient
+from quiverdt.hn import hn_factorize, universal_for, universal_trivial, verify_coefficient
+from quiverdt.oracle import count_framed_stable, count_stack
 from quiverdt.quiver import (c3_quiver, conifold_quiver, dim_vectors_up_to,
                              is_symmetric, jordan_quiver,
                              kronecker_quiver, loop_quiver, sub_vectors,
                              tits_form)
 from quiverdt.qtorus import (TorusSeries, nu_weights, pleth_exp, pleth_log,
                              s_twist, torus_div, torus_mul)
-from quiverdt.scalar import L, ONE, Scalar, V
+from quiverdt.scalar import L, ONE, Scalar
 from quiverdt.stability import PLUS_INF, StabilityParams, find_walls, theta_slope
 from quiverdt.wallcross import (dt_omega, framed_at, general_wallcross, ncdt,
                                 smooth_model_motive, transfer_series)
+
+V = Scalar.v_pow(1)
 
 
 def test_criterion_1_cyclic_series_counts_plane_partitions():

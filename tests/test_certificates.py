@@ -27,31 +27,40 @@ truncations past the oracle's reach:
   count, and on the sides just off a wall, the stable framed count;
 - smooth models (Engel-Reineke, arXiv:0706.4306): each motive is a
   polynomial in L with nonnegative integer coefficients, and at L = q it
-  counts the F_q-points of the stable framed moduli space.
+  counts the F_q-points of the stable framed moduli space;
+- the framed series and the smooth models motivically, past the oracle's
+  reach: a framed object of class alpha is a representation of class
+  (alpha, 1) of the quiver Q-hat with the framing vertex made an
+  ordinary one (extended_quiver), so at every wall and side the framed
+  coefficient, and each smooth model, is Reineke's resolution on Q-hat
+  times a fixed factor.
 
-The last two read the finite-field oracle, which shares no code with the
-series.
+The two before the last read the finite-field oracle, which shares no
+code with the series.
 
 The check_* helpers take the truncation, so a run past the tier-1 sizes
 needs only `PYTHONPATH=src:tests` and one call.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import comb
 
 import pytest
 
-from quiverdt.hn import hn_factorize, universal_for
-from quiverdt.oracle import count_framed_stable, count_stack, verify_coefficient
+from quiverdt.hn import hn_factorize, universal_for, verify_coefficient
+from quiverdt.oracle import count_framed_stable, count_stack
 from quiverdt.quiver import (FramedQuiver, Quiver, c3_quiver, conifold_quiver,
-                             jordan_quiver, kronecker_quiver, loop_quiver, nu,
-                             tits_form)
+                             jordan_quiver, kronecker_quiver, loop_quiver, tits_form)
 from quiverdt.qtorus import TorusSeries, nu_weights, s_twist, torus_mul
-from quiverdt.scalar import L, ONE, V, ZERO, Scalar
+from quiverdt.scalar import L, ONE, ZERO, Scalar
 from quiverdt.stability import SIDES, StabilityParams, find_walls, theta_slope
 from quiverdt.wallcross import (_uniform, dt_omega, framed_at, ncdt, smooth_model_motive,
                                 transfer_series)
+from reference_qtorus import nu
+
+V = Scalar.v_pow(1)
 
 
 def mobius(n: int) -> int:
@@ -244,6 +253,7 @@ def check_euler_transfer(fq: FramedQuiver, N: int) -> int:
     return len(got.coeffs)
 
 
+@cache
 def _gl(n: int) -> Scalar:
     """[GL_n] = prod_{k<n} (L^n - L^k)."""
     out = ONE
@@ -380,6 +390,79 @@ def check_smooth_models(fq: FramedQuiver, theta, N: int, top: int, qs) -> tuple:
     return motives, counts
 
 
+def extended_quiver(fq: FramedQuiver) -> FramedQuiver:
+    """The quiver Q-hat of fq: its framing vertex made an ordinary last
+    vertex, with w_i arrows from it to i, and no framing of its own.  A
+    framed representation of class alpha is a representation of Q-hat of
+    class (alpha, 1), and the framed slope at level c is Q-hat's slope at
+    theta + (c,)."""
+    n = fq.n_vertices
+    arrows = tuple(row + (0,) for row in fq.base.arrows) + (fq.w + (0,),)
+    return FramedQuiver(Quiver(n + 1, arrows), (0,) * (n + 1))
+
+
+def wall_offset(walls, c) -> Fraction:
+    """A quarter of the gap from the level c to the nearest wall other than
+    c, or 1 when there is none: c + s wall_offset lies, for s = 1 and -1,
+    in the open chamber next to c on that side."""
+    gaps = [abs(c - x) for x in walls if x != c]
+    return min(gaps) / 4 if gaps else Fraction(1)
+
+
+SIGNS = {"exact": 0, "plus": 1, "minus": -1}  # the eps-coefficient of each side
+
+
+def check_framed_extended(fq: FramedQuiver, theta, N: int) -> tuple:
+    """framed_at's series against Reineke's resolution on Q-hat: at every
+    class 0 < |alpha| <= N, every wall c of alpha and every side, the
+    coefficient at alpha is (1 - L)/v times reineke_hn(Q-hat, theta +
+    (c + s delta,), (alpha, 1)), with s the side's sign and delta =
+    wall_offset.  The twist (-v)^{chi-hat} of (alpha, 1) is that of the
+    framed series times -v, and the group GL_alpha x GL_1 of Q-hat has the
+    extra factor L - 1.  Returns (cases, zeros): the agreements, and how
+    many of them are between zeros."""
+    bu = universal_for(fq, N)
+    hat = extended_quiver(fq)
+    scale = (ONE - L) / V
+    cases = zeros = 0
+    for alpha in _classes(fq, N):
+        walls = find_walls(fq, theta, alpha)
+        for c in walls:
+            mu, delta = theta_slope(theta, alpha, c), wall_offset(walls, c)
+            for side, s in SIGNS.items():
+                got = framed_at(bu, theta, c, side, mu).series.coeff(alpha)
+                want = scale * reineke_hn(hat, tuple(theta) + (c + s * delta,), alpha + (1,))
+                assert got == want, (alpha, c, side)
+                cases += 1
+                zeros += not got
+    return cases, zeros
+
+
+def check_smooth_extended(fq: FramedQuiver, theta, N: int) -> tuple:
+    """smooth_model_motive against Reineke's resolution on Q-hat: at every
+    class 0 < |alpha| <= N, the motive is (L - 1) (-v)^{-chi-hat((alpha, 1),
+    (alpha, 1))} times reineke_hn(Q-hat, theta + (c,), (alpha, 1)) at the
+    level c = mu + wall_offset just above mu = slope(alpha), a wall of
+    alpha (where (alpha, 0) matches it).  Off the walls no subclass of
+    (alpha, 1) shares its slope, so the semistable objects there are the
+    stable ones, whose moduli space is the smooth model.  Returns (cases,
+    zeros)."""
+    bu = universal_for(fq, N)
+    hat = extended_quiver(fq)
+    cases = zeros = 0
+    for alpha in _classes(fq, N):
+        mu = theta_slope(theta, alpha)
+        c = mu + wall_offset(find_walls(fq, theta, alpha), mu)
+        d = alpha + (1,)
+        got = smooth_model_motive(bu, theta, alpha)
+        want = (L - 1) * reineke_hn(hat, tuple(theta) + (c,), d).times_neg_v_pow(
+            -tits_form(hat, d))
+        assert got == want, alpha
+        cases += 1
+        zeros += not got
+    return cases, zeros
+
+
 # the acyclic quiver 0 -> 1, 0 -> 2, 1 -> 2, framed at 0
 ACYCLIC_3 = FramedQuiver(Quiver(3, ((0, 1, 1), (0, 0, 1), (0, 0, 0))), (1, 0, 0))
 
@@ -452,3 +535,20 @@ def test_framed_series_counts_framed_representations(fq, theta, agree):
 ], ids=["kronecker-w10", "kronecker-w01", "3-kronecker", "acyclic-3"])
 def test_smooth_models(fq, theta, N, checked):
     assert check_smooth_models(fq, theta, N, 3, (2, 3)) == checked
+
+
+# (fq, theta, N, the framed and the smooth-model (cases, zeros))
+EXTENDED = [
+    (kronecker_quiver((1, 0)), (1, 0), 4, (102, 68), (14, 9)),
+    (kronecker_quiver((1, 1)), (1, 0), 4, (102, 59), (14, 8)),
+    (jordan_quiver(), (0,), 4, (12, 4), (4, 0)),
+    (loop_quiver(2), (0,), 4, (12, 4), (4, 0)),
+    (ACYCLIC_3, (2, 1, 0), 3, (141, 110), (19, 15)),
+]
+
+
+@pytest.mark.parametrize("fq, theta, N, framed, smooth", EXTENDED,
+                         ids=["kronecker-w10", "kronecker-w11", "jordan", "loop2", "acyclic-3"])
+def test_extended_quiver_certificates(fq, theta, N, framed, smooth):
+    assert check_framed_extended(fq, theta, N) == framed
+    assert check_smooth_extended(fq, theta, N) == smooth

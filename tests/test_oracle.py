@@ -1,23 +1,50 @@
+import ast
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import reference_oracle as ref
 from quiverdt import oracle
-from quiverdt.hn import gl_motive, hn_factorize, universal_for, universal_trivial
+from quiverdt.hn import (gl_motive, hn_factorize, universal_for, universal_trivial,
+                         verify_coefficient)
 from quiverdt.oracle import (MAX_TOTAL_DIM, BudgetError, count_framed_stable,
-                             count_stack, gl_order, hall_filtration_check,
-                             verify_coefficient)
-from quiverdt.quiver import (dim_vectors_up_to, jordan_quiver,
+                             count_stack, gl_order, hall_filtration_check)
+from quiverdt.quiver import (FramedQuiver, Quiver, dim_vectors_up_to, jordan_quiver,
                              kronecker_quiver, loop_quiver, tits_form)
-from quiverdt.scalar import L, Scalar, V
-from quiverdt.stability import MINUS_INF, PLUS_INF, StabilityParams, theta_slope
+from quiverdt.scalar import L, Scalar
+from quiverdt.stability import MINUS_INF, PLUS_INF, StabilityParams, find_walls, theta_slope
 from reference_qtorus import ext
+from test_certificates import ACYCLIC_3, SIGNS, extended_quiver, wall_offset
 
+V = Scalar.v_pow(1)
 JORDAN = jordan_quiver()
 KRON = kronecker_quiver()
 HALF = Fraction(1, 2)
+
+
+def package_imports(module: str) -> set:
+    """The package modules that src/quiverdt/<module>.py imports anywhere in
+    its code: a relative import by its module name, and any import of
+    quiverdt by its full dotted name."""
+    tree = ast.parse(Path(oracle.__file__).with_name(f"{module}.py").read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else \
+                [a.name for a in node.names]
+            out |= {n for n in names if n.split(".")[0] == "quiverdt"}
+    return out
+
+
+def test_oracle_imports_no_series_module():
+    """The oracle can certify the series only while it shares no code with
+    them: it reads quiver and stability, and stability reads quiver."""
+    assert package_imports("oracle") == {"quiver", "stability"}
+    assert package_imports("stability") == {"quiver"}
 
 
 class TestConfig:
@@ -375,3 +402,60 @@ def test_fail_masks_match_matrix_vector_products(q, m, n, loop):
             want |= (hit >> s & 1) << s if loop else hit << s * len(targets)
         assert got_weight == weight
         assert got == want, cols
+
+
+# ---- the framing path against the unframed path on Q-hat --------------------
+
+def check_framing_extended(fq, theta, top: int, qs) -> tuple:
+    """The oracle's framing path, one popcount over the framing tuples per
+    run, against its plain kernel on Q-hat (extended_quiver), where the
+    framing vectors are the matrices of the arrows out of the last vertex.
+    At every class 0 < |alpha| <= top, every wall c of alpha and one level
+    beyond each end: the framed count_stack at theta, c is count_stack of
+    (alpha, 1) on Q-hat at theta + (c,); and on sides plus and minus,
+    count_framed_stable is q - 1 times count_stack on Q-hat at theta +
+    (c +- wall_offset,), a level where no subclass of (alpha, 1) shares
+    its slope, so that stable and semistable agree.  The GL_1 of Q-hat's
+    last vertex is the q - 1.  Returns the (stack, stable) agreements."""
+    hat, theta = extended_quiver(fq), tuple(theta)
+    stack = stable = 0
+    for alpha in dim_vectors_up_to(fq.n_vertices, top):
+        if not any(alpha):
+            continue
+        walls = find_walls(fq, theta, alpha)
+        for c in walls + (walls[0] - 1, walls[-1] + 1):
+            delta = wall_offset(walls, c)
+            for q in qs:
+                got = count_stack(fq, alpha, StabilityParams(theta, c), q, framed=True)
+                want = count_stack(hat, alpha + (1,), StabilityParams(theta + (c,)), q)
+                assert got == want, (alpha, c, q)
+                stack += 1
+                for side in ("plus", "minus"):
+                    sp = StabilityParams(theta + (c + SIGNS[side] * delta,))
+                    got = count_framed_stable(fq, alpha, theta, c, side, q)
+                    assert got == (q - 1) * count_stack(hat, alpha + (1,), sp, q), \
+                        (alpha, c, side, q)
+                    stable += 1
+    return stack, stable
+
+
+# name -> (fq, theta, the (stack, stable) agreements per q at |alpha| <= 3,
+# the bound that keeps (alpha, 1) on Q-hat within MAX_TOTAL_DIM)
+FRAMING_QUIVERS = {
+    "kronecker-w10": (kronecker_quiver((1, 0)), (1, 0), (35, 70)),
+    "kronecker-w11": (kronecker_quiver((1, 1)), (1, 0), (35, 70)),
+    "kronecker-w02": (kronecker_quiver((0, 2)), (1, 0), (35, 70)),
+    "jordan-w1": (jordan_quiver((1,)), (0,), (9, 18)),
+    "jordan-w2": (jordan_quiver((2,)), (0,), (9, 18)),
+    "two-loops": (loop_quiver(2), (0,), (9, 18)),
+    # the loop next to an arrow of tests/test_oracle_reference.py
+    "loop-arrow": (FramedQuiver(Quiver(2, ((1, 1), (0, 0))), (1, 0)), (1, 0), (35, 70)),
+    "acyclic-3": (ACYCLIC_3, (2, 1, 0), (85, 170)),
+}
+
+
+@pytest.mark.parametrize("name", FRAMING_QUIVERS)
+def test_framing_path_matches_extended_quiver(name):
+    """The q = 2 slice; CI runs q = 2 and 3."""
+    fq, theta, agree = FRAMING_QUIVERS[name]
+    assert check_framing_extended(fq, theta, 3, (2,)) == agree

@@ -28,10 +28,11 @@ from quiverdt import qtorus as new
 from quiverdt.hn import hn_factorize, universal_for, universal_trivial
 from quiverdt.quiver import (c3_quiver, conifold_quiver, dim_vectors_up_to,
                              jordan_quiver, kronecker_quiver, loop_quiver)
-from quiverdt.scalar import ONE, L, Scalar, V
+from quiverdt.scalar import ONE, L, Scalar
 from quiverdt.stability import SIDES, find_walls, theta_slope
 from quiverdt.wallcross import framed_at, general_wallcross
 
+V = Scalar.v_pow(1)
 JORDAN, C3, CONIFOLD = jordan_quiver(), c3_quiver(), conifold_quiver()
 KRON, TWO_LOOPS = kronecker_quiver(), loop_quiver(2)
 

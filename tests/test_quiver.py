@@ -10,10 +10,10 @@ from quiverdt.quiver import (BUILTIN_SOURCES, FramedQuiver, Quiver,
                              QuiverFileError, c3_quiver, conifold_quiver,
                              dim_vectors_up_to, euler_form,
                              is_symmetric, jordan_quiver, kronecker_quiver,
-                             load_quiver_file, loop_quiver, nu,
-                             sub_vectors, tits_form, zero_vector)
+                             load_quiver_file, loop_quiver,
+                             sub_vectors, tits_form)
 from quiverdt.stability import check_alpha
-from reference_qtorus import ext, skew_form
+from reference_qtorus import ext, nu, skew_form
 
 FORM_QUIVERS = [jordan_quiver((2,)), loop_quiver(0), kronecker_quiver((1, 1)),
                 conifold_quiver((2, 3)), FramedQuiver(Quiver(2, ((1, 1), (0, 0))), (1, 0))]
@@ -116,7 +116,7 @@ class TestForms:
 
     @pytest.mark.parametrize("fq", FORM_QUIVERS)
     def test_nu_is_the_skew_pairing_with_the_framing_vertex(self, fq):
-        star = ext(zero_vector(fq.n_vertices), 1)
+        star = ext((0,) * fq.n_vertices, 1)
         for a in dim_vectors_up_to(fq.n_vertices, 3):
             assert nu(fq, a) == skew_form(fq, ext(a, 0), star), a
 
@@ -146,9 +146,6 @@ class TestEnumeration:
         for a in alpha:
             expect *= a + 1
         assert len(list(sub_vectors(tuple(alpha)))) == expect
-
-    def test_zero_vector(self):
-        assert zero_vector(3) == (0, 0, 0)
 
 
 class TestStockQuivers:

@@ -168,7 +168,7 @@ class TestConstruction:
          r"^side must be one of \('exact', 'plus', 'minus'\), not 'up'$"),
         (lambda: StabilityParams((0,), PLUS_INF, "plus"), "^side tags need a finite c$"),
         (lambda: count_stack(jordan_quiver(), (1,), "all", 4), "^q must be a prime at most 5$"),
-        (lambda: UniversalSeries(TorusSeries.zero(jordan_quiver(), 1)),
+        (lambda: UniversalSeries(TorusSeries(jordan_quiver(), 1, {})),
          "^universal series needs constant term 1$"),
         # series keys go through check_alpha, so the messages name alpha; the
         # ids tell apart cases whose messages share a long prefix

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quiverdt.scalar import L, ONE, V, ZERO, Scalar
+from quiverdt.scalar import L, ONE, ZERO, Scalar
+
+V = Scalar.v_pow(1)
 
 
 def poly(coeffs):
@@ -22,7 +24,7 @@ def scalars(draw, allow_zero=True):
     den = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3)
                .filter(lambda cs: any(cs)))
     a = poly(num) / poly(den)
-    if not allow_zero and a.is_zero():
+    if not allow_zero and not a:
         return a + 1
     return a
 

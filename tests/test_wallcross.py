@@ -9,12 +9,13 @@ from quiverdt.quiver import (FramedQuiver, Quiver, c3_quiver, conifold_quiver,
                              jordan_quiver, kronecker_quiver, loop_quiver, tits_form)
 from quiverdt.qtorus import (TorusSeries, nu_weights, pleth_exp, pleth_log,
                              s_twist, torus_div, torus_mul)
-from quiverdt.scalar import L, ONE, Scalar, V
+from quiverdt.scalar import L, ONE, Scalar
 from quiverdt.stability import MINUS_INF, PLUS_INF, SIDES, find_walls, theta_slope
 from quiverdt.wallcross import (FramedSeries, _uniform, dt_omega, framed_at,
                                 general_wallcross, ncdt, smooth_model_motive, smooth_model_series,
                                 transfer_series)
 
+V = Scalar.v_pow(1)
 JORDAN = jordan_quiver()
 KRON = kronecker_quiver()
 HALF = Fraction(1, 2)
@@ -43,7 +44,7 @@ class TestTransferSeries:
 
     def test_needs_constant_one(self):
         with pytest.raises(ValueError, match="constant term 1"):
-            transfer_series(TorusSeries.zero(JORDAN, 3))
+            transfer_series(TorusSeries(JORDAN, 3, {}))
 
     def test_slope_product_filters(self):
         fq = conifold_quiver()
