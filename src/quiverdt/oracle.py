@@ -11,8 +11,8 @@ subspace tuples that occurs, as a bitmask over the candidate tuples, with
 the number of matrix tuples that have it.  The three share one path to it:
 _config checks alpha and theta against the quiver and refuses a q that is
 not a prime at most 5 and a class above the dimension cap, _flagged
-returns the sets of bad and watched classes, reading c-plus and c-minus
-as c + eps and c - eps, and the two counts take those sets to _points.
+returns the sets of bad and watched classes, and the two counts take
+those sets to _points through one body, _count.
 
 - The points of F_q^n are numbered in itertools.product order, and each
   subspace is stored as the int bitmask of its members.
@@ -38,12 +38,15 @@ as c + eps and c - eps, and the two counts take those sets to _points.
 - Each arrow's walk tallies its class sizes per fail mask, and the arrows'
   tallies are joined by OR with the sizes multiplied, so matrix tuples
   with the same fail mask are handled once.
-- Slopes depend on dimension vectors only, so _flagged tests each class
-  d <= alpha once, before the matrix loop.  A nonzero class is bad when
-  its unframed subobjects destabilize every point, and a proper class is
-  watched when its framed subobjects destabilize the framing tuples inside
-  them; with no class of either kind, every point counts and nothing is
-  enumerated.
+- A framed representation of class alpha is one of class (alpha, 1) of
+  Q-hat, the quiver with the framing vertex made an ordinary one of weight
+  c.  Slopes depend on classes only, so _flagged tests each class (d, t)
+  of Q-hat below the target once, before the matrix loop, by one key, its
+  slope at c +- eps or at c = +-inf.  A class (d, 0) is bad when its
+  subobjects destabilize every point, and (d, 1) is watched when its
+  subobjects destabilize the framing tuples inside them.  With alpha itself
+  bad no point counts, and with no class flagged every point does; either
+  way nothing is enumerated.
 - A tuple of framing vectors is a point of the product of the framed
   vertices' spaces.  The framing tuples inside a subspace tuple form the
   product of its member masks, so stable framing points are counted by
@@ -63,8 +66,7 @@ from fractions import Fraction
 from functools import cache, partial
 
 from .quiver import FramedQuiver, sub_vectors
-from .stability import (MINUS_INF, PLUS_INF, StabilityParams, check_alpha,
-                        check_theta, theta_slope)
+from .stability import StabilityParams, check_alpha, check_theta, theta_slope
 
 BUDGET = 10 ** 8
 MAX_TOTAL_DIM = 4
@@ -328,34 +330,39 @@ def _config(fq: FramedQuiver, q: int, alpha, theta):
     return alpha, theta
 
 
-def _flagged(slope, theta, alpha, c, side: str, semistable: bool):
-    """(bad, watched) for the class (alpha, 1) at level c + s eps, or alpha
-    alone when c is None: the nonzero classes d <= alpha whose unframed
-    subobjects destabilize it, and the proper ones whose framed subobjects
-    (d, 1) do (none when c is None).  A class destabilizes when its slope is
+def _flagged(theta, alpha, star: int, c, side: str, semistable: bool):
+    """(bad, watched) for the class (alpha, star) of Q-hat at level c: the
+    classes (d, 0) and (d, 1) below it, other than itself and 0, that
+    destabilize it, as two sets of d.  A class destabilizes when its key is
     above the target's, or equal to it when stability rather than
-    semistability is tested.  s is 0, 1 or -1 on side exact, plus or minus,
-    for every small eps > 0: a framed class (d, 1) gains s eps / (|d| + 1)
-    and an unframed one nothing, so the pairs (slope at c, eps-coefficient)
-    compare lexicographically.  slope is the unframed slope; each class is
-    tested once."""
-    beats = operator.gt if semistable else operator.ge
-    subs = list(sub_vectors(alpha))
-    if c is None:
-        target = slope(alpha)
-        return {d for d in subs if sum(d) and beats(slope(d), target)}, set()
+    semistability is tested.  The key of (d, t) is its slope at c = c0 + k
+    inf + s eps as the triple (t k/n, slope at c0, t s/n), n = |d| + t,
+    compared lexicographically: k = +-1 at c = +-inf (c0 = 0 there), else
+    0, and s = 0, 1, -1 on side exact, plus, minus, for every small eps > 0.
+    With star 0, c and side are not read."""
+    k, c0 = (0, c) if isinstance(c, Fraction) else (1 if c > 0 else -1, 0)
     s = {"exact": 0, "plus": 1, "minus": -1}[side]
-    target = (theta_slope(theta, alpha, c), Fraction(s, sum(alpha) + 1))
-    return ({d for d in subs if sum(d) and beats((slope(d), 0), target)},
-            {d for d in subs if d != alpha
-             and beats((theta_slope(theta, d, c), Fraction(s, sum(d) + 1)), target)})
+
+    def key(d, t):
+        n = sum(d) + t
+        return Fraction(t * k, n), theta_slope(theta, d, c0 if t else None), Fraction(t * s, n)
+
+    beats = operator.gt if semistable else operator.ge
+    target = key(alpha, star)
+    return tuple({d for d in sub_vectors(alpha) if t <= star and sum(d) + t
+                  and (d, t) != (alpha, star) and beats(key(d, t), target)}
+                 for t in (0, 1))
 
 
 def _points(fq: FramedQuiver, alpha, q: int, slots, bad_dims, watch_dims) -> int:
     """Points (matrix tuple, framing tuple) of class alpha with no invariant
     subspace tuple of a class in bad_dims, and the framing tuple inside no
-    invariant subspace tuple of a class in watch_dims.  With no class
-    flagged every point counts, and nothing is enumerated."""
+    invariant subspace tuple of a class in watch_dims.  Nothing is
+    enumerated when alpha itself is bad (its full tuple is invariant under
+    every matrix tuple, so no point counts) or no class is flagged (every
+    point counts)."""
+    if alpha in bad_dims:
+        return 0
     if not bad_dims and not watch_dims:
         return q ** (sum(alpha[i] * alpha[j] for i, j in _arrow_list(fq))
                      + sum(alpha[i] for i in slots))
@@ -375,6 +382,17 @@ def _points(fq: FramedQuiver, alpha, q: int, slots, bad_dims, watch_dims) -> int
 
 # ---- the oracle entry points -------------------------------------------------
 
+def _count(fq: FramedQuiver, alpha, theta, sp, q: int, star: int, semistable: bool) -> Fraction:
+    """The points of class (alpha, star) of Q-hat that are semistable, or
+    stable, at sp (every point when sp is "all"), over #GL_alpha; a point of
+    star 1 carries a framing tuple."""
+    flagged = (set(), set()) if sp == "all" else \
+        _flagged(theta, alpha, star, sp.c, sp.side, semistable)
+    slots = _framing_slots(fq) if star else []
+    group = math.prod(gl_order(ai, q) for ai in alpha)
+    return Fraction(_points(fq, alpha, q, slots, *flagged), group)
+
+
 def count_stack(fq: FramedQuiver, alpha, sp, q: int, *, framed: bool = False) -> Fraction:
     """Weighted count sum 1/#Aut of (semi)stable representations of class alpha,
     or of framed class (alpha, 1) when framed is set.
@@ -389,18 +407,10 @@ def count_stack(fq: FramedQuiver, alpha, sp, q: int, *, framed: bool = False) ->
     alpha, theta = _config(fq, q, alpha, theta)
     if sum(alpha) == 0 and not framed:
         return Fraction(1)
-    if sp == "all":
-        flagged = set(), set()
-    elif framed and not sp.is_finite():
+    if framed and sp != "all" and not sp.is_finite():
         raise ValueError("semistable framed counting needs a finite c")
-    else:
-        # unframed slopes never see c; framed: a subobject through the
-        # framing destabilizes the framing tuples inside it
-        flagged = _flagged(partial(theta_slope, theta), theta, alpha,
-                           sp.c if framed else None, sp.side, semistable=True)
-    slots = _framing_slots(fq) if framed else []
-    group = math.prod(gl_order(ai, q) for ai in alpha) * (q - 1 if framed else 1)
-    return Fraction(_points(fq, alpha, q, slots, *flagged), group)
+    count = _count(fq, alpha, theta, sp, q, int(framed), semistable=True)
+    return count / (q - 1) if framed else count
 
 
 def count_framed_stable(fq: FramedQuiver, alpha, theta, c, side: str, q: int) -> Fraction:
@@ -408,25 +418,13 @@ def count_framed_stable(fq: FramedQuiver, alpha, theta, c, side: str, q: int) ->
 
     Automorphisms fix the framing pointwise, so on stable objects they are
     trivial and the weighted count is #points / #GL_alpha: the number of
-    F_q-points of the stable moduli space.
+    F_q-points of the stable moduli space.  At -inf and at every level below
+    the walls of a nonzero alpha, alpha itself is bad and 0 is returned with
+    no enumeration.
     """
     sp = StabilityParams(theta, c, side)
     alpha, theta = _config(fq, q, alpha, sp.theta)
-    if sp.c == MINUS_INF:
-        # the only minus-infinity stable object is the bare framing line
-        return Fraction(1) if sum(alpha) == 0 else Fraction(0)
-    if sum(alpha) == 0:
-        return Fraction(1)
-    if sp.c == PLUS_INF:
-        # plus infinity: no proper subobject may contain the framing
-        flagged = set(), {d for d in sub_vectors(alpha) if d != alpha}
-    else:
-        # (alpha, 0) or (0, 1) is always flagged, since the slope of
-        # (alpha, 1) is a weighted mean of theirs: this count always enumerates
-        flagged = _flagged(partial(theta_slope, theta), theta, alpha, sp.c, sp.side,
-                           semistable=False)
-    group = math.prod(gl_order(ai, q) for ai in alpha)
-    return Fraction(_points(fq, alpha, q, _framing_slots(fq), *flagged), group)
+    return _count(fq, alpha, theta, sp, q, 1, semistable=False)
 
 
 # ---- counting-level wall-crossing check -------------------------------------
@@ -465,7 +463,7 @@ def hall_filtration_check(fq: FramedQuiver, alpha, theta, c, q: int) -> bool:
 
     # left side, the classes count_stack flags: star-0 subobjects kill every
     # framing tuple, star-1 ones kill the framing tuples inside them
-    bad_classes, watch_classes = _flagged(slope, theta, alpha, c, "exact", semistable=True)
+    bad_classes, watch_classes = _flagged(theta, alpha, 1, c, "exact", semistable=True)
     bad = sum(1 << p for p, d in enumerate(dims) if d in bad_classes)
     watch = [f if d in watch_classes else 0 for f, d in zip(fm, dims)]
 
@@ -478,7 +476,7 @@ def hall_filtration_check(fq: FramedQuiver, alpha, theta, c, q: int) -> bool:
             continue
         gamma = tuple(a - x for a, x in zip(alpha, d))
         if sum(gamma) and gamma not in quotient:
-            quotient[gamma] = _flagged(slope, theta, gamma, c, "minus", semistable=False)
+            quotient[gamma] = _flagged(theta, gamma, 1, c, "minus", semistable=False)
         bad_q, watch_q = quotient.get(gamma, ((), ()))
         dead = above = 0
         for t, (m_t, e, n_e) in enumerate(zip(members, dims, sizes)):

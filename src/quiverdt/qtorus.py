@@ -62,7 +62,13 @@ class TorusSeries(Record):
         return cls(fq, trunc, {_zero_key(fq): ONE})
 
     def coeff(self, alpha) -> Scalar:
-        return self.coeffs.get(check_alpha(self.fq, alpha), Scalar.of(0))
+        """The coefficient at alpha; a class above the truncation is refused,
+        since its coefficient was cut off, not found to be 0."""
+        alpha = check_alpha(self.fq, alpha)
+        if sum(alpha) > self.trunc:
+            raise ValueError(f"class {alpha} has degree {sum(alpha)}, above the series "
+                             f"truncation {self.trunc}")
+        return self.coeffs.get(alpha, Scalar.of(0))
 
     def constant_term(self) -> Scalar:
         return self.coeffs.get(_zero_key(self.fq), Scalar.of(0))

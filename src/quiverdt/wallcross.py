@@ -151,9 +151,6 @@ def smooth_model_motive(BU: UniversalSeries, theta, alpha) -> Scalar:
     alpha = check_alpha(fq, alpha)
     if sum(alpha) == 0:
         raise ValueError("the zero class has no smooth model")
-    if sum(alpha) > BU.series.trunc:
-        raise ValueError(f"class {alpha} has degree {sum(alpha)}, above the series "
-                         f"truncation {BU.series.trunc}")
     theta = check_theta(fq, theta)
     mu = theta_slope(theta, alpha)
     series = smooth_model_series(BU, theta, mu)

@@ -544,11 +544,16 @@ EXTENDED = [
     (jordan_quiver(), (0,), 4, (12, 4), (4, 0)),
     (loop_quiver(2), (0,), 4, (12, 4), (4, 0)),
     (ACYCLIC_3, (2, 1, 0), 3, (141, 110), (19, 15)),
+    (FramedQuiver(Quiver(2, ((0, 3), (0, 0))), (1, 0)), (1, 0), 4, (102, 54), (14, 7)),
+    # not symmetric, with a 2-cycle
+    (FramedQuiver(Quiver(2, ((0, 2), (1, 0))), (1, 0)), (1, 0), 4, (102, 66), (14, 9)),
+    (loop_quiver(3, (2,)), (0,), 4, (12, 4), (4, 0)),
 ]
 
 
 @pytest.mark.parametrize("fq, theta, N, framed, smooth", EXTENDED,
-                         ids=["kronecker-w10", "kronecker-w11", "jordan", "loop2", "acyclic-3"])
+                         ids=["kronecker-w10", "kronecker-w11", "jordan", "loop2", "acyclic-3",
+                              "3-kronecker", "two-cycle", "loop3-w2"])
 def test_extended_quiver_certificates(fq, theta, N, framed, smooth):
     assert check_framed_extended(fq, theta, N) == framed
     assert check_smooth_extended(fq, theta, N) == smooth

@@ -259,6 +259,10 @@ class TestFramedStable:
                 r"^budget exceeded: 0 steps so far \+ \d+ for the walk of arrow 0 -> 0 "
                 r"over 7629394532 normal forms = \d+ > budget 100000000$")):
             count_framed_stable(JORDAN, (4,), (0,), 0, "plus", 5)
+        # below 0, the only wall of (4,), the class (4, 0) beats (4, 1): the
+        # count is 0 with no walk to price
+        for side in ("exact", "plus"):
+            assert count_framed_stable(JORDAN, (4,), (0,), -1, side, 5) == 0
 
     def test_dim_cap(self):
         with pytest.raises(BudgetError, match="total dimension 5 > max_total_dim 4"):

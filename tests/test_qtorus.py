@@ -285,6 +285,15 @@ class TestSeriesBasics:
         with pytest.raises(ValueError, match=message):
             TorusSeries(JORDAN, 3, {(1,): ONE}).coeff(key)
 
+    def test_class_above_the_truncation_refused(self):
+        # (3,) was cut off, not found to be 0; a class inside the region
+        # that holds no term reads 0
+        f = TorusSeries(JORDAN, 2, {(1,): ONE, (3,): ONE})
+        assert f.coeff((2,)) == Scalar.of(0)
+        with pytest.raises(ValueError, match=r"^class \(3,\) has degree 3, above the "
+                                             r"series truncation 2$"):
+            f.coeff((3,))
+
     def test_repr_mentions_region(self):
         assert "N=4" in repr(TorusSeries.one(KRON, 4))
 
