@@ -11,8 +11,8 @@ subspace tuples that occurs, as a bitmask over the candidate tuples, with
 the number of matrix tuples that have it.  The three share one path to it:
 _config checks alpha and theta against the quiver and refuses a q that is
 not a prime at most 5 and a class above the dimension cap, _flagged
-returns the sets of bad and watched classes, and the two counts take
-those sets to _points through one body, _count.
+returns the set of flagged classes, and the two counts take that set to
+_points through one body, _count.
 
 - The points of F_q^n are numbered in itertools.product order, and each
   subspace is stored as the int bitmask of its members.
@@ -39,18 +39,15 @@ those sets to _points through one body, _count.
   tallies are joined by OR with the sizes multiplied, so matrix tuples
   with the same fail mask are handled once.
 - A framed representation of class alpha is one of class (alpha, 1) of
-  Q-hat, the quiver with the framing vertex made an ordinary one of weight
-  c.  Slopes depend on classes only, so _flagged tests each class (d, t)
-  of Q-hat below the target once, before the matrix loop, by one key, its
-  slope at c +- eps or at c = +-inf.  A class (d, 0) is bad when its
-  subobjects destabilize every point, and (d, 1) is watched when its
-  subobjects destabilize the framing tuples inside them.  With alpha itself
-  bad no point counts, and with no class flagged every point does; either
-  way nothing is enumerated.
-- A tuple of framing vectors is a point of the product of the framed
-  vertices' spaces.  The framing tuples inside a subspace tuple form the
-  product of its member masks, so stable framing points are counted by
-  popcount and weighted by the number of matrix tuples.
+  Q-hat (_hat), the quiver with the framing vertex made an ordinary last
+  one of weight c, whose arrows out carry the framing vectors; so framed
+  points are the points of Q-hat, counted by the same kernel.  Slopes
+  depend on classes only, so _flagged tests each class (d, t) of Q-hat
+  below the target once, before the matrix loop, by one key, its slope at
+  c +- eps or at c = +-inf, and a point counts when no tuple of a flagged
+  class is invariant.  The tuple of (alpha, 0) is invariant at every
+  point, so with it flagged no point counts, and with no class flagged
+  every point does; either way nothing is enumerated.
 - The budget, a fixed BUDGET of 10^8 steps, is spent stage by stage,
   each stage priced as soon as its size is known and refused before it
   runs (see _invariant_runs): each distinct arrow's walk from its normal
@@ -63,9 +60,9 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 
-from .quiver import FramedQuiver, sub_vectors
+from .quiver import FramedQuiver, Quiver, sub_vectors
 from .stability import StabilityParams, check_alpha, check_theta, theta_slope
 
 BUDGET = 10 ** 8
@@ -218,23 +215,6 @@ def _fail_runs(q: int, m: int, n: int, loop: bool, Z):
             yield (q - 1 if now else 1) * shift, f
 
 
-def _framing_masks(alpha, slots, q: int, cands):
-    """For each subspace tuple, the bitmask of the framing tuples inside it.
-
-    A framing tuple has one vector per slot, in F_q^{alpha_i} for a slot at
-    vertex i, and is numbered in itertools.product order over the slots.
-    """
-    masks = [_subspaces(q, a)[1] for a in alpha]
-    out = []
-    for cand in cands:
-        fm = 1
-        for i in slots:
-            size, m = q ** alpha[i], masks[i][cand[i]]
-            fm = sum(m << (k * size) for k in range(fm.bit_length()) if fm >> k & 1)
-        out.append(fm)
-    return out
-
-
 # ---- the enumeration kernel -------------------------------------------------
 
 def _arrow_list(fq: FramedQuiver):
@@ -242,8 +222,11 @@ def _arrow_list(fq: FramedQuiver):
             for j, m in enumerate(row) for _ in range(m)]
 
 
-def _framing_slots(fq: FramedQuiver):
-    return [i for i, w in enumerate(fq.w) for _ in range(w)]
+def _hat(fq: FramedQuiver) -> FramedQuiver:
+    """Q-hat: fq with its framing vertex made an ordinary last vertex, whose
+    w_i arrows to i carry the framing vectors."""
+    arrows = tuple(row + (0,) for row in fq.base.arrows) + (fq.w + (0,),)
+    return FramedQuiver(Quiver(fq.n_vertices + 1, arrows), (0,) * (fq.n_vertices + 1))
 
 
 def _candidates(alpha, q: int):
@@ -298,21 +281,12 @@ def _invariant_runs(fq: FramedQuiver, alpha, q: int, cands, once: int = 0) -> li
         joined = {}
         for f0, w0 in fails.items():
             for f, w in tally.items():
-                joined[f0 | f] = joined.get(f0 | f, 0) + w0 * w
+                f |= f0
+                joined[f] = joined.get(f, 0) + w0 * w
         fails = joined
     charge(len(fails) * len(cands), f"the pass over {len(fails)} sets of {len(cands)} tuples")
     full = (1 << len(cands)) - 1
     return [(w, full & ~f) for f, w in fails.items()]
-
-
-def _union(masks, bits: int) -> int:
-    """The OR of masks[p] over the set bits p of bits."""
-    out = 0
-    while bits:
-        low = bits & -bits
-        out |= masks[low.bit_length() - 1]
-        bits ^= low
-    return out
 
 
 # ---- the shared path of the entry points -------------------------------------
@@ -330,11 +304,11 @@ def _config(fq: FramedQuiver, q: int, alpha, theta):
     return alpha, theta
 
 
-def _flagged(theta, alpha, star: int, c, side: str, semistable: bool):
-    """(bad, watched) for the class (alpha, star) of Q-hat at level c: the
-    classes (d, 0) and (d, 1) below it, other than itself and 0, that
-    destabilize it, as two sets of d.  A class destabilizes when its key is
-    above the target's, or equal to it when stability rather than
+def _flagged(theta, alpha, star: int, c, side: str, semistable: bool) -> set:
+    """The classes below the class (alpha, star) of Q-hat at level c, other
+    than itself and 0, that destabilize it: classes d of Q for star 0, and
+    classes d + (t,) of Q-hat for star 1.  A class destabilizes when its key
+    is above the target's, or equal to it when stability rather than
     semistability is tested.  The key of (d, t) is its slope at c = c0 + k
     inf + s eps as the triple (t k/n, slope at c0, t s/n), n = |d| + t,
     compared lexicographically: k = +-1 at c = +-inf (c0 = 0 there), else
@@ -349,48 +323,35 @@ def _flagged(theta, alpha, star: int, c, side: str, semistable: bool):
 
     beats = operator.gt if semistable else operator.ge
     target = key(alpha, star)
-    return tuple({d for d in sub_vectors(alpha) if t <= star and sum(d) + t
-                  and (d, t) != (alpha, star) and beats(key(d, t), target)}
-                 for t in (0, 1))
+    return {d + (t,) if star else d for d in sub_vectors(alpha) for t in range(star + 1)
+            if sum(d) + t and (d, t) != (alpha, star) and beats(key(d, t), target)}
 
 
-def _points(fq: FramedQuiver, alpha, q: int, slots, bad_dims, watch_dims) -> int:
-    """Points (matrix tuple, framing tuple) of class alpha with no invariant
-    subspace tuple of a class in bad_dims, and the framing tuple inside no
-    invariant subspace tuple of a class in watch_dims.  Nothing is
-    enumerated when alpha itself is bad (its full tuple is invariant under
-    every matrix tuple, so no point counts) or no class is flagged (every
-    point counts)."""
-    if alpha in bad_dims:
-        return 0
-    if not bad_dims and not watch_dims:
-        return q ** (sum(alpha[i] * alpha[j] for i, j in _arrow_list(fq))
-                     + sum(alpha[i] for i in slots))
+def _points(fq: FramedQuiver, alpha, q: int, flagged) -> int:
+    """Points (matrix tuples) of class alpha with no invariant subspace tuple
+    of a class in flagged.  With no class flagged every point counts, and
+    nothing is enumerated."""
+    if not flagged:
+        return q ** sum(alpha[i] * alpha[j] for i, j in _arrow_list(fq))
     cands, dims = _candidates(alpha, q)
-    bad = [cand for cand, d in zip(cands, dims) if d in bad_dims]
-    watch = [cand for cand, d in zip(cands, dims) if d in watch_dims]
-    runs = _invariant_runs(fq, alpha, q, bad + watch)
-    fmasks = _framing_masks(alpha, slots, q, watch)
-    total = q ** sum(alpha[i] for i in slots)
-    nbad = len(bad)
-    count = 0
-    for weight, inv in runs:
-        if not inv & ((1 << nbad) - 1):
-            count += weight * (total - _union(fmasks, inv >> nbad).bit_count())
-    return count
+    runs = _invariant_runs(fq, alpha, q, [cand for cand, d in zip(cands, dims) if d in flagged])
+    return sum(weight for weight, inv in runs if not inv)
 
 
 # ---- the oracle entry points -------------------------------------------------
 
 def _count(fq: FramedQuiver, alpha, theta, sp, q: int, star: int, semistable: bool) -> Fraction:
     """The points of class (alpha, star) of Q-hat that are semistable, or
-    stable, at sp (every point when sp is "all"), over #GL_alpha; a point of
-    star 1 carries a framing tuple."""
-    flagged = (set(), set()) if sp == "all" else \
-        _flagged(theta, alpha, star, sp.c, sp.side, semistable)
-    slots = _framing_slots(fq) if star else []
+    stable, at sp (every point when sp is "all"), over #GL_alpha.  With star
+    1 they are the points of Q-hat at (alpha, 1), and none counts when
+    (alpha, 0) is flagged: its tuple is invariant at every point."""
+    flagged = set() if sp == "all" else _flagged(theta, alpha, star, sp.c, sp.side, semistable)
     group = math.prod(gl_order(ai, q) for ai in alpha)
-    return Fraction(_points(fq, alpha, q, slots, *flagged), group)
+    if star:
+        if alpha + (0,) in flagged:
+            return Fraction(0)
+        fq, alpha = _hat(fq), alpha + (1,)
+    return Fraction(_points(fq, alpha, q, flagged), group)
 
 
 def count_stack(fq: FramedQuiver, alpha, sp, q: int, *, framed: bool = False) -> Fraction:
@@ -419,8 +380,8 @@ def count_framed_stable(fq: FramedQuiver, alpha, theta, c, side: str, q: int) ->
     Automorphisms fix the framing pointwise, so on stable objects they are
     trivial and the weighted count is #points / #GL_alpha: the number of
     F_q-points of the stable moduli space.  At -inf and at every level below
-    the walls of a nonzero alpha, alpha itself is bad and 0 is returned with
-    no enumeration.
+    the walls of a nonzero alpha, (alpha, 0) is flagged and 0 is returned
+    with no enumeration.
     """
     sp = StabilityParams(theta, c, side)
     alpha, theta = _config(fq, q, alpha, sp.theta)
@@ -434,72 +395,55 @@ def hall_filtration_check(fq: FramedQuiver, alpha, theta, c, q: int) -> bool:
     exactly when it has a unique filtration: a slope-matched semistable
     unframed subrepresentation with a c-minus-stable framed quotient.
 
-    The subrepresentations of the quotient by S are the invariant tuples
-    T containing S, of class dim T - dim S, and a framing tuple lies in
-    T / S exactly when it lies in T; so both sides are read off the
-    invariant tuples of the one kernel.
+    On Q-hat the subrepresentation is a tuple S of class (d, 0), and the
+    subobjects of the quotient by S are the invariant tuples T above S, of
+    class (class of T) - (d, 0); so both sides are read off the invariant
+    tuples of one kernel run on Q-hat at (alpha, 1), which is handed only
+    the tuples of the classes read.
     """
     sp = StabilityParams(theta, c)
     alpha, theta = _config(fq, q, alpha, sp.theta)
     if not sp.is_finite():
         raise ValueError("hall_filtration_check needs a finite c")
-    c = sp.c
-    slots = _framing_slots(fq)
-    cands, dims = _candidates(alpha, q)
-    # priced with the kernel, the right side's pre-pass below compares every
-    # pair of candidate tuples
-    runs = _invariant_runs(fq, alpha, q, cands, once=len(cands) ** 2)
-
+    c, top = sp.c, alpha + (1,)  # top: the class of Q-hat
     target = theta_slope(theta, alpha, c)
-    slope = cache(partial(theta_slope, theta))  # once per class
-    # a tuple's members, vertex by vertex, as one mask: T lies in S exactly
-    # when T's mask lies in S's
-    masks = [_subspaces(q, a)[1] for a in alpha]
-    shifts = list(itertools.accumulate((q ** a for a in alpha), initial=0))
-    members = [sum(ms[k] << s for ms, k, s in zip(masks, cand, shifts)) for cand in cands]
-    sizes = [sum(d) for d in dims]
-    fm = _framing_masks(alpha, slots, q, cands)
-    full = (1 << q ** sum(alpha[i] for i in slots)) - 1
 
-    # left side, the classes count_stack flags: star-0 subobjects kill every
-    # framing tuple, star-1 ones kill the framing tuples inside them
-    bad_classes, watch_classes = _flagged(theta, alpha, 1, c, "exact", semistable=True)
-    bad = sum(1 << p for p, d in enumerate(dims) if d in bad_classes)
-    watch = [f if d in watch_classes else 0 for f, d in zip(fm, dims)]
-
-    # right side: for each slope-matched S, the tuples T whose invariance
-    # kills S, and the tuples T above S that kill the framing tuples inside
-    quotient = {}  # quotient class -> the classes its c-minus stability flags
-    right = []
-    for p, (m_s, d, n_d) in enumerate(zip(members, dims, sizes)):
-        if n_d and slope(d) != target:
+    # left side, the classes the framed count_stack flags
+    flagged = _flagged(theta, alpha, 1, c, "exact", semistable=True)
+    # right side: each slope-matched class of S, and the classes whose
+    # invariant tuples kill S: inside S with a greater slope (S is not
+    # semistable), or above S with T / S flagged for the quotient's c-minus
+    # stability
+    kills = {}
+    for d in sub_vectors(alpha):
+        if sum(d) and theta_slope(theta, d) != target:
             continue
         gamma = tuple(a - x for a, x in zip(alpha, d))
-        if sum(gamma) and gamma not in quotient:
-            quotient[gamma] = _flagged(theta, gamma, 1, c, "minus", semistable=False)
-        bad_q, watch_q = quotient.get(gamma, ((), ()))
-        dead = above = 0
-        for t, (m_t, e, n_e) in enumerate(zip(members, dims, sizes)):
-            if n_d and n_e and slope(e) > slope(d) and not m_t & ~m_s:
-                dead |= 1 << t  # T inside S: S is not semistable
-            elif sum(gamma) and not m_s & ~m_t:
-                # T above S: T / S is a subobject of the quotient, of class dd
-                dd = tuple(x - y for x, y in zip(e, d))
-                if dd in bad_q:
-                    dead |= 1 << t
-                elif dd in watch_q:
-                    above |= 1 << t
-        right.append((1 << p, dead, above))
+        inside = {e + (0,) for e in sub_vectors(d)
+                  if sum(e) and theta_slope(theta, e) > theta_slope(theta, d)}
+        above = _flagged(theta, gamma, 1, c, "minus", semistable=False)
+        kills[d + (0,)] = inside | {tuple(map(operator.add, d + (0,), e)) for e in above}
+    read = flagged | kills.keys() | set().union(*kills.values())
+    cands, dims = zip(*[(cand, d) for cand, d in zip(*_candidates(top, q))
+                        if d in read])
+    # priced with the kernel as every pair of candidates, the pre-pass below
+    # compares each candidate S with every candidate
+    runs = _invariant_runs(_hat(fq), top, q, cands, once=len(cands) ** 2)
+
+    # a tuple's members, vertex by vertex, as one mask: T lies in S exactly
+    # when T's mask lies in S's
+    masks = [_subspaces(q, a)[1] for a in top]
+    shifts = list(itertools.accumulate((q ** a for a in top), initial=0))
+    members = [sum(ms[k] << s for ms, k, s in zip(masks, cand, shifts)) for cand in cands]
+    bad = sum(1 << p for p, d in enumerate(dims) if d in flagged)
+    # each S with the tuples that kill it; a killing class is smaller or
+    # larger than S's, so a comparable tuple of it lies inside or above S
+    right = [(1 << p, sum(1 << t for t, (m_t, e) in enumerate(zip(members, dims))
+                          if e in kills[d] and not (m_t & ~m_s and m_s & ~m_t)))
+             for p, (m_s, d) in enumerate(zip(members, dims)) if d in kills]
 
     for _, bits in runs:
-        sst = 0 if bits & bad else full & ~_union(watch, bits)
-        once = twice = 0
-        for s, dead, above in right:
-            if not bits & s or bits & dead:
-                continue
-            good = full & ~_union(fm, bits & above)
-            twice |= once & good
-            once |= good
-        if twice or once != sst:
+        filtrations = sum(1 for s, dead in right if bits & s and not bits & dead)
+        if filtrations != (not bits & bad):
             return False
     return True

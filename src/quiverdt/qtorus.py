@@ -232,14 +232,14 @@ def nu_weights(fq: FramedQuiver, scale: int = 1) -> tuple:
     return tuple(scale * wi for wi in fq.w)
 
 
-def _check_commuting(f: TorusSeries) -> None:
+def _check_commuting(f: TorusSeries, op: str) -> None:
     m, keys = f.fq.base.arrows, list(f.coeffs)
     for i, a in enumerate(keys):
         row = _skew_row(m, a)
         for b in keys[i + 1:]:
             pairing = sum(r * y for r, y in zip(row, b))
             if pairing:
-                raise ValueError(f"Exp undefined on non-commutative support: "
+                raise ValueError(f"{op} undefined on non-commutative support: "
                                  f"<{a}, {b}> = {pairing}")
 
 
@@ -253,7 +253,7 @@ def pleth_exp(f: TorusSeries) -> TorusSeries:
     """
     if f.constant_term():
         raise ValueError("Exp needs zero constant term")
-    _check_commuting(f)
+    _check_commuting(f, "Exp")
     fq, trunc = f.fq, f.trunc
     kt: dict = {}
     for key, c in f.coeffs.items():
@@ -294,7 +294,7 @@ def pleth_log(g: TorusSeries) -> TorusSeries:
     """
     if g.constant_term() != ONE:
         raise ValueError("Log needs constant term 1")
-    _check_commuting(g)
+    _check_commuting(g, "Log")
     dl = torus_div(g.map_coeffs(lambda key, c: c * sum(key)), g)
     out: dict = {}
     for key, c in dl.coeffs.items():

@@ -10,6 +10,9 @@ truncations past the oracle's reach:
 - the Euler numbers of the m-loop quiver (Reineke, arXiv:1102.3978);
 - positivity on symmetric quivers (Efimov, arXiv:1103.2736): Omega(-v)
   has nonnegative integer coefficients;
+- integrality per HN piece (Meinhardt-Reineke, arXiv:1411.4062): for
+  generic theta every Omega of every piece is Laurent in v, and on a
+  symmetric quiver each piece is Exp(Omega/(L - 1)) cut to its slope class;
 - the motivic MacMahon function for c3 (Behrend-Bryan-Szendroi,
   arXiv:0909.5088) and Szendroi's Euler partition function for the
   conifold (arXiv:0705.3419), against ncdt of the built-in B_U;
@@ -53,7 +56,7 @@ from quiverdt.hn import hn_factorize, universal_for, verify_coefficient
 from quiverdt.oracle import count_framed_stable, count_stack
 from quiverdt.quiver import (FramedQuiver, Quiver, c3_quiver, conifold_quiver,
                              jordan_quiver, kronecker_quiver, loop_quiver, tits_form)
-from quiverdt.qtorus import TorusSeries, nu_weights, s_twist, torus_mul
+from quiverdt.qtorus import TorusSeries, nu_weights, pleth_exp, s_twist, torus_mul
 from quiverdt.scalar import L, ONE, ZERO, Scalar
 from quiverdt.stability import SIDES, StabilityParams, find_walls, theta_slope
 from quiverdt.wallcross import (_uniform, dt_omega, framed_at, ncdt, smooth_model_motive,
@@ -112,17 +115,67 @@ def test_m_loop_euler_numbers(m, top):
         assert got == (-1) ** ((m - 1) * d) * reineke_euler(m, d), (m, d)
 
 
-@pytest.mark.parametrize("arrows", [
-    ((1,),), ((2,),), ((3,),), ((4,),),
-    ((1, 1), (1, 1)), ((0, 1), (1, 0)), ((2, 1), (1, 0)), ((0, 2), (2, 0)),
-])
-def test_efimov_positivity(arrows):
+def framed_at_first(arrows) -> FramedQuiver:
+    """The quiver with the arrow matrix arrows, framed at its first vertex."""
     n = len(arrows)
-    fq = FramedQuiver(Quiver(n, arrows), (1,) + (0,) * (n - 1))
-    omega = dt_omega(universal_for(fq, 6).series).coeffs
-    assert omega
+    return FramedQuiver(Quiver(n, arrows), (1,) + (0,) * (n - 1))
+
+
+def check_efimov_positivity(fq: FramedQuiver, N: int) -> int:
+    """Every Omega of B_U up to N, read at -v, has nonnegative integer
+    coefficients; returns the number of nonzero Omega."""
+    omega = dt_omega(universal_for(fq, N).series).coeffs
     for a, om in omega.items():
         assert all(c >= 0 and c.denominator == 1 for c in flipped(om).values()), (a, om)
+    return sum(map(bool, omega.values()))
+
+
+EFIMOV_ARROWS = [
+    ((1,),), ((2,),), ((3,),), ((4,),),
+    ((1, 1), (1, 1)), ((0, 1), (1, 0)), ((2, 1), (1, 0)), ((0, 2), (2, 0)),
+]
+
+
+@pytest.mark.parametrize("arrows", EFIMOV_ARROWS)
+def test_efimov_positivity(arrows):
+    assert check_efimov_positivity(framed_at_first(arrows), 6)
+
+
+def check_piece_integrality(fq: FramedQuiver, thetas, N: int) -> tuple:
+    """Integrality (Meinhardt-Reineke, arXiv:1411.4062): for generic theta,
+    every Omega of every HN piece, dt_omega(B_mu), is a Laurent polynomial
+    in v; at each of thetas.  A piece whose support does not commute, as it
+    may at a theta that is not generic, has no Omega; it is counted as
+    refused, not dropped.  Returns (the nonzero Omega checked, the pieces
+    refused)."""
+    bu = universal_for(fq, N)
+    laurent = refused = 0
+    for piece in (p for theta in thetas for p in hn_factorize(bu, theta).values()):
+        try:
+            omega = dt_omega(piece)
+        except ValueError as err:
+            assert str(err).startswith("Log undefined on non-commutative support"), err
+            refused += 1
+            continue
+        for a, om in omega.coeffs.items():
+            assert not any(om.den[:-1]), f"Omega at {a} is not Laurent: {om}"
+            laurent += bool(om)
+    return laurent, refused
+
+
+def check_piece_exp(fq: FramedQuiver, thetas, N: int) -> int:
+    """On a symmetric quiver each HN piece at each of thetas is
+    Exp(Omega/(L - 1)) cut to its slope class, Omega = dt_omega(B_U);
+    returns the pieces checked."""
+    bu = universal_for(fq, N)
+    over = dt_omega(bu.series).map_coeffs(lambda a, om: om / (L - 1))
+    checked = 0
+    for theta in thetas:
+        for mu, piece in hn_factorize(bu, theta).items():
+            cut = over.restrict(lambda a: theta_slope(theta, a) == mu)
+            assert pleth_exp(cut) == piece, (theta, mu)
+            checked += 1
+    return checked
 
 
 def motivic_macmahon(N: int) -> TorusSeries:
@@ -557,3 +610,41 @@ EXTENDED = [
 def test_extended_quiver_certificates(fq, theta, N, framed, smooth):
     assert check_framed_extended(fq, theta, N) == framed
     assert check_smooth_extended(fq, theta, N) == smooth
+
+
+KRONECKER_3 = FramedQuiver(Quiver(2, ((0, 3), (0, 0))), (1, 0))
+TWO_CYCLE = FramedQuiver(Quiver(2, ((0, 2), (1, 0))), (1, 0))
+THREE_CYCLE = FramedQuiver(Quiver(3, ((0, 1, 0), (0, 0, 1), (1, 0, 0))), (1, 0, 0))
+
+# name -> (fq, thetas, N, the nonzero Omega and the refused pieces over the
+# thetas); ACYCLIC_3's (3, 1, 0) is not generic, and one of its pieces has
+# support that does not commute
+INTEGRALITY = {
+    "kronecker": (kronecker_quiver(), [(1, 0)], 6, (7, 0)),
+    "3-kronecker": (KRONECKER_3, [(1, 0)], 6, (13, 0)),
+    "two-cycle": (TWO_CYCLE, [(1, 0), (0, 1)], 6, (16, 0)),
+    "acyclic-3": (ACYCLIC_3, [(2, 1, 0), (0, 1, 2), (3, 1, 0)], 4, (19, 1)),
+    "3-cycle": (THREE_CYCLE, [(2, 1, 0), (0, 1, 2)], 4, (11, 0)),
+}
+
+
+@pytest.mark.parametrize("name", INTEGRALITY)
+def test_piece_integrality(name):
+    fq, thetas, N, counts = INTEGRALITY[name]
+    assert check_piece_integrality(fq, thetas, N) == counts
+
+
+# symmetric quivers, each with its thetas, N and the pieces over them; the
+# built-in conifold and the trivial potential on its arrows
+PIECE_EXP = {
+    "conifold": (conifold_quiver(), [(1, 0), (0, 1), (2, -1)], 10, 33),
+    "loop-at-each": (framed_at_first(((1, 1), (1, 1))), [(1, 0), (0, 1)], 8, 46),
+    "trivial-conifold": (framed_at_first(((0, 2), (2, 0))), [(1, 0)], 8, 11),
+    "two-loops-at-0": (framed_at_first(((2, 1), (1, 0))), [(1, 0), (0, 1)], 8, 26),
+}
+
+
+@pytest.mark.parametrize("name", PIECE_EXP)
+def test_piece_exp(name):
+    fq, thetas, N, pieces = PIECE_EXP[name]
+    assert check_piece_exp(fq, thetas, N) == pieces

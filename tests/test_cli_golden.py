@@ -71,6 +71,7 @@ COMMANDS = [
     # refusals and bad input
     "check-oracle quivers/c3.json",
     "transfer quivers/kronecker.json -N 3",
+    "omega quivers/kronecker.json -N 3",
     "universal quivers/jordan.json --euler",
     "framed quivers/jordan.json --c 0.5",
     "framed quivers/jordan.json --mu 0",

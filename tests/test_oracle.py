@@ -329,6 +329,26 @@ class TestHallFiltration:
             with pytest.raises(ValueError, match="^hall_filtration_check needs a finite c$"):
                 hall_filtration_check(JORDAN, (1,), (0,), c, 2)
 
+    def test_a_wrong_side_fails_the_check(self, monkeypatch):
+        """The check holds at all eight walls of these three classes, and
+        fails at four of them once the quotient's c-minus stability is read
+        at c-plus: it is not true of every count."""
+        walls = [(fq, alpha, theta, c)
+                 for fq, alpha, theta in [(KRON, (1, 1), (1, 0)), (KRON, (2, 1), (1, 0)),
+                                          (JORDAN, (2,), (0,))]
+                 for c in find_walls(fq, theta, alpha)]
+        assert len(walls) == 8
+        assert all(hall_filtration_check(*wall, 2) for wall in walls)
+        flagged = oracle._flagged
+
+        def plus_for_minus(theta, alpha, star, c, side, semistable):
+            return flagged(theta, alpha, star, c, "plus" if side == "minus" else side, semistable)
+
+        monkeypatch.setattr(oracle, "_flagged", plus_for_minus)
+        failed = [(alpha, c) for fq, alpha, theta, c in walls
+                  if not hall_filtration_check(fq, alpha, theta, c, 2)]
+        assert failed == [((1, 1), HALF), ((2, 1), Fraction(2, 3)), ((2, 1), 2), ((2,), 0)]
+
 
 def normal_forms(q, m, n, loop):
     """The matrices F_q^n -> F_q^m that the normal-form walk visits, as
@@ -408,20 +428,23 @@ def test_fail_masks_match_matrix_vector_products(q, m, n, loop):
         assert got == want, cols
 
 
-# ---- the framing path against the unframed path on Q-hat --------------------
+# ---- the framed counts against the unframed counts on Q-hat ------------------
 
 def check_framing_extended(fq, theta, top: int, qs) -> tuple:
-    """The oracle's framing path, one popcount over the framing tuples per
-    run, against its plain kernel on Q-hat (extended_quiver), where the
-    framing vectors are the matrices of the arrows out of the last vertex.
-    At every class 0 < |alpha| <= top, every wall c of alpha and one level
-    beyond each end: the framed count_stack at theta, c is count_stack of
-    (alpha, 1) on Q-hat at theta + (c,); and on sides plus and minus,
-    count_framed_stable is q - 1 times count_stack on Q-hat at theta +
-    (c +- wall_offset,), a level where no subclass of (alpha, 1) shares
-    its slope, so that stable and semistable agree.  The GL_1 of Q-hat's
-    last vertex is the q - 1.  Returns the (stack, stable) agreements."""
+    """The oracle's framed counts, which it takes on its own Q-hat (_hat),
+    against its unframed counts on the tests' Q-hat (extended_quiver),
+    where the framing vectors are the matrices of the arrows out of the last
+    vertex; the two Q-hats must be equal.  At every class 0 < |alpha| <=
+    top, every wall c of alpha and one level beyond each end: the framed
+    count_stack at theta, c is count_stack of (alpha, 1) on Q-hat at theta
+    + (c,); and on sides plus and minus, count_framed_stable is q - 1 times
+    count_stack on Q-hat at theta + (c +- wall_offset,), a level where no
+    subclass of (alpha, 1) shares its slope, so that stable and semistable
+    agree.  The GL_1 of Q-hat's last vertex is the q - 1, and the framed
+    count at theta, c reads a key in c +- eps where the unframed one reads
+    the slope at theta + (c,).  Returns the (stack, stable) agreements."""
     hat, theta = extended_quiver(fq), tuple(theta)
+    assert oracle._hat(fq) == hat
     stack = stable = 0
     for alpha in dim_vectors_up_to(fq.n_vertices, top):
         if not any(alpha):

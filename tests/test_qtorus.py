@@ -218,10 +218,10 @@ class TestExpLog:
 
     def test_noncommutative_support_refused(self):
         f = TorusSeries(KRON, N, {(1, 0): ONE, (0, 1): ONE})
-        message = r"^Exp undefined on non-commutative support: <\(1, 0\), \(0, 1\)> = -2$"
-        with pytest.raises(ValueError, match=message):
+        message = r" undefined on non-commutative support: <\(1, 0\), \(0, 1\)> = -2$"
+        with pytest.raises(ValueError, match="^Exp" + message):
             pleth_exp(f)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match="^Log" + message):
             pleth_log(TorusSeries(KRON, N, {**f.coeffs, (0, 0): ONE}))
 
 
