@@ -104,7 +104,7 @@ def _load(job) -> FramedQuiver:
 
 def _dispatch(job):
     if job.trunc < 0:
-        raise CLIError("truncation must be nonnegative")
+        raise CLIError(f"truncation must be nonnegative, not {job.trunc}")
     fq = _load(job)
     theta = None if job.theta is None else check_theta(fq, job.theta)
     sub = job.subcommand
@@ -154,7 +154,7 @@ def _check_oracle(job, fq: FramedQuiver, theta):
     if fq.bu_source != "trivial_potential":
         raise CLIError("check-oracle needs a trivial-potential quiver")
     if not 1 <= job.max_dim <= MAX_TOTAL_DIM:
-        raise CLIError(f"--max-dim must be between 1 and {MAX_TOTAL_DIM}")
+        raise CLIError(f"--max-dim must be between 1 and {MAX_TOTAL_DIM}, not {job.max_dim}")
     if job.c is not None and theta is None:
         raise CLIError("check-oracle --c needs --theta")
     if job.c in (PLUS_INF, MINUS_INF):

@@ -129,12 +129,10 @@ def _hn_split(series: TorusSeries, theta: tuple) -> tuple:
     # has, so the top piece of a rest is the rest cut to its top slope (and
     # the constant 1), and the rest below it is piece^{-1} . rest, one left solve.
     slope = cache(partial(theta_slope, theta))  # once per class
-    rest, one = series, TorusSeries.one(series.fq, series.trunc)
-    ladder = []
+    rest, ladder = series, []
     while len(rest.coeffs) > 1:  # the constant term is 1 throughout
         top = max(slope(k) for k in rest.coeffs if any(k))
         piece = rest.restrict(lambda k: not any(k) or slope(k) == top)
-        rest = one if len(piece.coeffs) == len(rest.coeffs) else \
-            torus_div(rest, piece, left=True)
+        rest = torus_div(rest, piece, left=True)
         ladder.append((top, piece, rest))
     return tuple(ladder)

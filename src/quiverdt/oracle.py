@@ -297,7 +297,7 @@ def _config(fq: FramedQuiver, q: int, alpha, theta):
     alpha = check_alpha(fq, alpha)
     theta = check_theta(fq, theta)
     if q not in (2, 3, 5):
-        raise ValueError("q must be a prime at most 5")
+        raise ValueError(f"q must be a prime at most 5, not {q}")
     if sum(alpha) > MAX_TOTAL_DIM:
         raise BudgetError(f"budget exceeded: total dimension {sum(alpha)} > "
                           f"max_total_dim {MAX_TOTAL_DIM}")

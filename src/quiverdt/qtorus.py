@@ -12,12 +12,14 @@ exactly.
 Each output coefficient is formed once.  The term products that land on a
 key are summed unreduced, grouped by denominator, and the groups are added
 over one common denominator and reduced once (scalar._acc_term,
-scalar._settle).  A factor with constant term 1 passes the other factor's
-coefficients through exactly: a key that no other term product reaches
-keeps its coefficient and is never reduced.  The grade of a key is
-|alpha|; products add grades, so a quotient and Exp are solved grade
-by grade, a quotient also on a set of keys only (a keep predicate closed
-under removing the divisor's keys), and Log is a quotient:
+scalar._settle).  A product has one path: a factor's constant term 1 is
+one more term product.  Only a quotient passes keys through: a key of the
+dividend that no product reaches is the dividend's coefficient times
+g_0^{-1}, so it needs no sum and no reduction, and the HN split's quotients
+meet many such keys.  The grade of a key is |alpha|; products add
+grades, so a quotient and Exp are solved grade by grade, a quotient also
+on a set of keys only (a keep predicate closed under removing the
+divisor's keys), and Log is a quotient:
   torus_div      f g^{-1} = y with y g = f, or g^{-1} f = y with g y = f:
                  y_d = (f_d - sum_{e=1..d} y_{d-e} g_e) g_0^{-1}, g_e on the
                  side of the product that g is on (g_0 is a scalar)
@@ -155,27 +157,9 @@ def _adams_into(acc: dict, trunc: int, key: Key, c: Scalar, weight) -> None:
 def torus_mul(f: TorusSeries, g: TorusSeries) -> TorusSeries:
     """Twisted product; out-of-region keys are dropped."""
     _check(f, g)
-    fq, zero = f.fq, _zero_key(f.fq)
-    left, right, through = list(f.coeffs.items()), list(g.coeffs.items()), []
-    # f . 1 = f and 1 . g = g: a unit constant term passes the other side through
-    if g.coeffs.get(zero) == ONE:
-        right = [(k, c) for k, c in right if k != zero]
-        through += left
-    if f.coeffs.get(zero) == ONE:
-        left = [(k, c) for k, c in left if k != zero]
-        through += right
     acc: dict = {}
-    _mul_into(fq, f.trunc, acc, left, right)
-    out = {}
-    for k, c in through:
-        if k in acc:
-            _acc_term(acc[k], c, ONE, 0)
-        elif k in out:  # a key of both sides, both passed through
-            out[k] = out[k] + c
-        else:
-            out[k] = c
-    out.update(_settled(acc))
-    return TorusSeries(fq, f.trunc, out)
+    _mul_into(f.fq, f.trunc, acc, f.coeffs.items(), g.coeffs.items())
+    return TorusSeries(f.fq, f.trunc, _settled(acc))
 
 
 def torus_div(f: TorusSeries, g: TorusSeries, keep=None, left=False) -> TorusSeries:

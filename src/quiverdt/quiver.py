@@ -71,9 +71,12 @@ class Quiver(Record):
             raise ValueError("quiver needs at least one vertex")
         rows = tuple(int_entries(row, "arrow matrix") for row in arrows)
         if len(rows) != n_vertices or any(len(r) != n_vertices for r in rows):
-            raise ValueError("arrow matrix must be n x n")
-        if any(m < 0 for r in rows for m in r):
-            raise ValueError("arrow multiplicities must be nonnegative")
+            raise ValueError(f"arrow matrix must be {n_vertices} x {n_vertices}, not {rows}")
+        neg = [(i, j) for i, r in enumerate(rows) for j, m in enumerate(r) if m < 0]
+        if neg:
+            i, j = neg[0]
+            raise ValueError(f"arrow multiplicities must be nonnegative, not {rows[i][j]} "
+                             f"arrows {i} -> {j}")
         self._set(n_vertices=n_vertices, arrows=rows)
 
 

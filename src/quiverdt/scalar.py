@@ -376,10 +376,6 @@ class Scalar:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        if not other._n:
-            return self
-        if not self._n:
-            return other
         acc: dict = {}
         _acc_term(acc, self, ONE, 0)
         _acc_term(acc, other, ONE, 0)
@@ -454,8 +450,6 @@ class Scalar:
         """psi_n: substitute v -> v^n.  Ring homomorphism, psi_1 = id."""
         if n < 1:
             raise ValueError("adams operation needs n >= 1")
-        if n == 1:
-            return self
         # v -> v^n maps a Bezout identity to one, so the pair stays coprime
         return Scalar._raw(self._e * n, _psubst_pow(self._n, n), _psubst_pow(self._d, n))
 
@@ -477,7 +471,7 @@ class Scalar:
         """Evaluate at L = q, requiring every v-exponent to be even."""
         e, n, d = self._e, self._n, self._d
         if e & 1 or any(n[1::2]) or any(d[1::2]):
-            raise ValueError("half-power mismatch")
+            raise ValueError(f"half-power mismatch: {self} has an odd power of v")
         # integer coefficients at an integer q: two ints, one Fraction;
         # v^e = L^(e/2) goes to the side where its exponent is positive
         x = q if isinstance(q, int) else Fraction(q)

@@ -280,19 +280,19 @@ def adams_series(f: TorusSeries, n: int) -> TorusSeries:
     return TorusSeries(f.fq, f.trunc, out)
 
 
-def _check_commuting(f: TorusSeries) -> None:
+def _check_commuting(f: TorusSeries, op: str) -> None:
     keys = list(f.coeffs)
     for i, a in enumerate(keys):
         for b in keys[i + 1:]:
             if skew_form(f.fq, a, b):
-                raise ValueError("Exp undefined on non-commutative support")
+                raise ValueError(f"{op} undefined on non-commutative support")
 
 
 def pleth_exp(f: TorusSeries) -> TorusSeries:
     """Exp(f) = exp(sum_n psi_n(f)/n) on commuting support with no constant term."""
     if f.constant_term():
         raise ValueError("Exp needs zero constant term")
-    _check_commuting(f)
+    _check_commuting(f, "Exp")
     t = TorusSeries.zero(f.fq, f.trunc)
     for n in range(1, f.trunc + 2):
         pn = adams_series(f, n)
@@ -328,7 +328,7 @@ def pleth_log(g: TorusSeries) -> TorusSeries:
     """Inverse of pleth_exp via Moebius inversion of the formal logarithm."""
     if g.constant_term() != ONE:
         raise ValueError("Log needs constant term 1")
-    _check_commuting(g)
+    _check_commuting(g, "Log")
     u = g - 1
     logg = TorusSeries.zero(g.fq, g.trunc)
     power = TorusSeries.one(g.fq, g.trunc)

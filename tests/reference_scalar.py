@@ -292,7 +292,7 @@ class Scalar:
         """Evaluate at L = q, requiring every v-exponent to be even."""
         for cs in (self.num, self.den):
             if any(c and (k % 2) for k, c in enumerate(cs)):
-                raise ValueError("half-power mismatch")
+                raise ValueError(f"half-power mismatch: {self} has an odd power of v")
         x = Fraction(q)
 
         # even-index coefficients only; walk degrees 0, 2, 4, ...

@@ -242,8 +242,8 @@ class TestFalsyValues:
     """Zero and empty option values reach the job; they are not defaults."""
 
     @pytest.mark.parametrize("args, message", [
-        (("--q", "0", "--max-dim", "1"), "q must be a prime at most 5"),
-        (("--max-dim", "0"), "--max-dim must be between 1 and 4"),
+        (("--q", "0", "--max-dim", "1"), "q must be a prime at most 5, not 0"),
+        (("--max-dim", "0"), "--max-dim must be between 1 and 4, not 0"),
         (("--theta", ""), "not an exact rational: '' (write p/q, no decimals)"),
     ], ids=["q_zero", "max_dim_zero", "theta_empty"])
     def test_check_oracle_refuses(self, capsys, args, message):
@@ -303,12 +303,12 @@ class TestNegativeValues:
         (("walls", "kronecker", "--alpha", "-1,2"), "alpha (-1, 2) has a negative entry"),
         (("framed", "kronecker", "--theta", "1,0", "--c", "1/2", "--mu", "1/2",
           "--w", "-1,0"), "framing vector (-1, 0) has a negative entry"),
-        (("universal", "jordan", "-N", "-1"), "truncation must be nonnegative"),
+        (("universal", "jordan", "-N", "-1"), "truncation must be nonnegative, not -1"),
         (("check-oracle", "jordan", "--max-dim", "-1"),
-         "--max-dim must be between 1 and 4"),
+         "--max-dim must be between 1 and 4, not -1"),
         (("walls", "kronecker", "--alp", "-1,2"), "alpha (-1, 2) has a negative entry"),
         (("smooth-model", "kronecker", "--theta", "1,0", "--m", "-1/2", "-N", "-1"),
-         "truncation must be nonnegative"),
+         "truncation must be nonnegative, not -1"),
     ], ids=["walls_alpha", "framed_w", "short_trunc", "check_oracle_max_dim",
             "walls_abbreviated_alpha", "smooth_model_abbreviated_mu"])
     def test_every_value_option(self, capsys, argv, message):
@@ -468,4 +468,4 @@ class TestBadClassesAndTheta:
         monkeypatch.setattr(cli, "count_stack", count_stack)
         code, out, err = invoke(capsys, "check-oracle", quiver("kronecker"),
                                 "--max-dim", "5")
-        assert (code, out, err) == (1, "", "error: --max-dim must be between 1 and 4\n")
+        assert (code, out, err) == (1, "", "error: --max-dim must be between 1 and 4, not 5\n")

@@ -57,7 +57,7 @@ class TestConfig:
                 lambda: hall_filtration_check(JORDAN, (1,), (0,), 0, q),
             ]
             for call in calls:
-                with pytest.raises(ValueError, match="^q must be a prime at most 5$"):
+                with pytest.raises(ValueError, match=f"^q must be a prime at most 5, not {q}$"):
                     call()
 
     def test_dim_cap_validated(self):

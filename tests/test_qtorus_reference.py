@@ -219,10 +219,7 @@ class TestRandom:
         assert_same(outcome(new.pleth_exp, f), outcome(ref.pleth_exp, rf))
         one = (0,) * f.fq.n_vertices
         g, rg = pair(f.fq, f.trunc, {**f.coeffs, one: ONE})
-        want = outcome(ref.pleth_log, rg)
-        if isinstance(want, str):  # the reference's one commuting check names Exp
-            want = want.replace("Exp undefined", "Log undefined")
-        assert_same(outcome(new.pleth_log, g), want)
+        assert_same(outcome(new.pleth_log, g), outcome(ref.pleth_log, rg))
 
 
 UNITS = [(False, False), (True, False), (False, True), (True, True)]
@@ -273,8 +270,9 @@ def half_space_quotients(draw):
 
 class TestQuotientAndPassThrough:
     """torus_div against the reference's product with the inverse, on either
-    side, also on a half-space of keys, and the unit-constant pass-through
-    of torus_mul."""
+    side, also on a half-space of keys, where a dividend's key that no
+    product reaches passes through; and torus_mul with unit constants,
+    which it forms as term products like any other."""
 
     @settings(max_examples=100)
     @given(quotients())
@@ -332,12 +330,13 @@ class TestQuotientAndPassThrough:
         assert_same(new.torus_mul(f, g), ref.torus_mul(rf, rg))
 
     def test_pass_through_keeps_untouched_coefficients(self):
-        # (1 + a x^(1,0)) . (1 + b x^(0,1)) on Kronecker: only x^(1,1) is a product
+        # (1 + a x^(1,0)) . (1 + b x^(0,1)) on Kronecker: x^(1,0) and x^(0,1)
+        # are each one term product with the other side's 1
         a, b = ONE / LM1, V / LM2
         f = new.TorusSeries(KRON, 3, {(0, 0): ONE, (1, 0): a})
         g = new.TorusSeries(KRON, 3, {(0, 0): ONE, (0, 1): b})
         got = new.torus_mul(f, g)
-        assert got.coeff((1, 0)) is a and got.coeff((0, 1)) is b
+        assert got.coeff((1, 0)) == a and got.coeff((0, 1)) == b
         assert_same(got, ref.torus_mul(at_star0(f), at_star0(g)))
 
 

@@ -215,6 +215,12 @@ class TestLoader:
         with pytest.raises(QuiverFileError, match="vertices"):
             load_quiver_file(path)
 
+    def test_no_vertex(self, tmp_path):
+        path = self.write(tmp_path, {"vertices": 0})
+        with pytest.raises(QuiverFileError) as info:
+            load_quiver_file(path)
+        assert str(info.value) == f"{path}: need at least one vertex"
+
     def test_arrow_entry_shape(self, tmp_path):
         path = self.write(tmp_path, {"vertices": 1, "arrows": [[0, 0]]})
         with pytest.raises(QuiverFileError, match="multiplicity"):

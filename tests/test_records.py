@@ -148,8 +148,9 @@ class TestConstruction:
 
     @pytest.mark.parametrize("make, message", [
         (lambda: Quiver(0, ()), "^quiver needs at least one vertex$"),
-        (lambda: Quiver(2, ((0,),)), "^arrow matrix must be n x n$"),
-        (lambda: Quiver(1, ((-1,),)), "^arrow multiplicities must be nonnegative$"),
+        (lambda: Quiver(2, ((0,),)), r"^arrow matrix must be 2 x 2, not \(\(0,\),\)$"),
+        (lambda: Quiver(1, ((-1,),)),
+         "^arrow multiplicities must be nonnegative, not -1 arrows 0 -> 0$"),
         (lambda: Quiver(1, ((1.5,),)), "^arrow matrix entry 1.5 is not an integer$"),
         (lambda: FramedQuiver(Quiver(1, ((1,),)), (1, 0)),
          "^framing vector must match the vertex count: got 2 for 1 vertices$"),
@@ -167,7 +168,8 @@ class TestConstruction:
         (lambda: StabilityParams((0,), 0, "up"),
          r"^side must be one of \('exact', 'plus', 'minus'\), not 'up'$"),
         (lambda: StabilityParams((0,), PLUS_INF, "plus"), "^side tags need a finite c$"),
-        (lambda: count_stack(jordan_quiver(), (1,), "all", 4), "^q must be a prime at most 5$"),
+        (lambda: count_stack(jordan_quiver(), (1,), "all", 4),
+         "^q must be a prime at most 5, not 4$"),
         (lambda: UniversalSeries(TorusSeries(jordan_quiver(), 1, {})),
          "^universal series needs constant term 1$"),
         # series keys go through check_alpha, so the messages name alpha; the

@@ -64,6 +64,12 @@ class TestConstruction:
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
             ONE / ZERO
+        with pytest.raises(ZeroDivisionError, match="^zero denominator$"):
+            Scalar((1,), (0,))
+
+    def test_of_refuses_a_float(self):
+        with pytest.raises(TypeError, match="^cannot coerce float to an exact rational$"):
+            Scalar.of(0.5)
 
 
 class TestFieldAxioms:
@@ -85,6 +91,11 @@ class TestFieldAxioms:
         assert a * (b + c) == a * b + a * c
 
     @given(scalars())
+    def test_additive_identity(self, a):
+        # a zero operand goes through the general sum, which drops its term
+        assert a + ZERO == ZERO + a == a + 0 == 0 + a == a
+
+    @given(scalars())
     def test_additive_inverse(self, a):
         assert a + (-a) == ZERO
 
@@ -103,6 +114,17 @@ class TestArithWrappers:
         assert V - V == ZERO
         assert V * V == L
         assert V / V == ONE
+
+    def test_reflected_subtraction(self):
+        assert 2 - V == Scalar((2, -1))
+        assert Fraction(1, 2) - V == -(V - Fraction(1, 2))
+
+    def test_foreign_operand_refused(self):
+        # _lift defers, and with no reflected method to take over Python refuses
+        with pytest.raises(TypeError):
+            V + "a"
+        with pytest.raises(TypeError):
+            V - "a"
 
 
 class TestAdams:
@@ -157,7 +179,8 @@ class TestSpecialize:
         assert ((L + 1) / (L - ONE)).specialize_L(2) == 3
 
     def test_L_rejects_odd_powers(self):
-        with pytest.raises(ValueError, match="half-power mismatch"):
+        message = r"^half-power mismatch: \(v\)/\(1\) has an odd power of v$"
+        with pytest.raises(ValueError, match=message):
             V.specialize_L(2)
 
     def test_L_pole(self):

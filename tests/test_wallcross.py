@@ -92,14 +92,14 @@ class TestSlopeProducts:
         self.slopes = sorted(self.parts, reverse=True)
 
     def test_split_solves_once_per_rung(self, monkeypatch):
-        # each rung but the last peels its piece off the rest by one left
-        # solve; the last rest is 1 and costs nothing
+        # each rung peels its piece off the rest by one left solve; the
+        # last solve leaves the rest 1
         bu = universal_for(KRON, 5)
         calls = count_calls(monkeypatch)
         divs = count_calls(monkeypatch, "torus_div")
         ladder = slope_ladder(bu, (1, 0))
         assert len(ladder) > 2 and ladder[-1][2] == TorusSeries.one(KRON, 5)
-        assert (len(calls), len(divs)) == (0, len(ladder) - 1)
+        assert (len(calls), len(divs)) == (0, len(ladder))
 
     def test_uniform_series(self, monkeypatch):
         levels = [MINUS_INF, PLUS_INF, Fraction(1, 3)] + self.slopes
